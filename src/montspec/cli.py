@@ -267,7 +267,8 @@ def run(argv=None, stream=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except SolverFailure as exc:
+    except (SolverFailure, ArithmeticError) as exc:
+        # ArithmeticError: second_derivative_exact on a too-small spectral gap
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

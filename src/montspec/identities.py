@@ -110,7 +110,11 @@ def second_derivative_exact(k: int, alpha: float, tol: float = 1e-7) -> float:
     orthogonal complement of u (project, solve the shifted tridiagonal
     system with a 1e-12 relative regularizing offset, re-project).
     """
-    adaptive = solve(OperatorSpec(k, alpha), count=2, tol=tol)
+    return _second_derivative_on(solve(OperatorSpec(k, alpha), count=2, tol=tol), k, alpha)
+
+
+def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
+    """second_derivative_exact on the final grid of a count=2 solve."""
     grid = adaptive.grid_used
     system = assemble_hamiltonian(MontgomeryPotential(k, alpha), grid)
     lam, v = refined_lowest_eigenvalues(system, 2)
@@ -181,7 +185,7 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
         virial_rhs=rhs,
         d1_fd=fd_first_derivative(k, alpha, tol),
         d2_fd=fd_second_derivative(k, alpha, tol),
-        d2_exact=second_derivative_exact(k, alpha, tol),
+        d2_exact=_second_derivative_on(result, k, alpha),
         gap_criterion=gap_margin > 0.0,
         gap_margin=gap_margin,
         quadrature_error_estimate=result.achieved_tol_estimate,

@@ -1,17 +1,40 @@
 """Symmetric tridiagonal eigenvalue primitives.
 
 Production eigenvalue extraction goes through LAPACK's Sturm-count
-bisection driver (stebz).  A plain-Python Sturm counter and bisection
-solver are kept alongside it as an independent reference used by the
-test suite on small matrices.
+bisection driver (stebz), run on an energy window instead of by index.
+Index selection bisects from the Gershgorin enclosure, whose top is the
+saturated barrier sample (1e63 and more for steep wells), so every
+eigenvalue would cost hundreds of Sturm sweeps.  The window's floor is
+the Gershgorin floor; its top is the first of the energies 1, 2, 4, ...
+under which count-only stebz probes find the requested eigenvalues.
+The top grows on absolute energies, never by the window width: a
+Neumann row puts the floor near -0.4/h^2, and width doubling from there
+would pull most of the spectrum into the window.
+
+Inverse iteration factors A - shift I once (LAPACK gttrf) and reuses the
+factor for every sweep, polish sweeps included.
+
+A plain-Python Sturm counter and bisection solver are kept alongside as
+an independent reference used by the test suite on small matrices.
 """
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverFailure
 
 _PIVOT_FLOOR = 1e-300
+_EPS = np.finfo(float).eps
+
+
+def _gershgorin_interval(diag, offdiag):
+    """(lo, hi) enclosing every eigenvalue of the tridiagonal matrix."""
+    radius = np.zeros(len(diag))
+    if len(diag) > 1:
+        radius[:-1] += np.abs(offdiag)
+        radius[1:] += np.abs(offdiag)
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
 def sturm_count_below(diag, offdiag, x: float) -> int:
@@ -48,12 +71,7 @@ def sturm_bisect_eigenvalues(diag, offdiag, count: int, rel_width: float = 1e-13
     n = len(diag)
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(offdiag)
-        radius[1:] += np.abs(offdiag)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
+    lo, hi = _gershgorin_interval(diag, offdiag)
     eigs = []
     for j in range(1, count + 1):
         a, b = lo, hi
@@ -67,11 +85,26 @@ def sturm_bisect_eigenvalues(diag, offdiag, count: int, rel_width: float = 1e-13
     return np.array(eigs)
 
 
+def _eigenvalues_in_window(diag, offdiag, lower: float, upper: float, tol: float):
+    """Eigenvalues in (lower, upper] by LAPACK stebz, bracketed to abstol tol."""
+    return eigvalsh_tridiagonal(
+        diag,
+        offdiag,
+        select="v",
+        select_range=(lower, upper),
+        lapack_driver="stebz",
+        tol=tol,
+        check_finite=False,
+    )
+
+
 def lowest_eigenvalues(diag, offdiag, count: int):
     """Smallest `count` eigenvalues of a symmetric tridiagonal matrix.
 
     Backed by LAPACK stebz (Sturm counting plus bisection, machine-tight
-    brackets, deterministic).  Eigenvalues come back sorted ascending.
+    brackets, deterministic) on a window (lower, upper] known to hold
+    them; see the module docstring.  Eigenvalues come back sorted
+    ascending.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -80,20 +113,25 @@ def lowest_eigenvalues(diag, offdiag, count: int):
         raise ValueError(f"count must be in [1, {n}], got {count}")
     if n == 1:
         return diag.copy()
+    lo, _ = _gershgorin_interval(diag, offdiag)
+    # The margin covers rounding in the Gershgorin sums and in the Sturm
+    # count stebz takes at the floor; it scales with the entries of the
+    # floor row, not with the saturated barrier samples.
+    scale = abs(lo) + 2.0 * float(np.max(np.abs(offdiag))) + 1.0
+    lower = lo - 2.1 * n * _EPS * scale
+    upper = 1.0
+    # A probe's abstol spans its whole window, so stebz stops after the
+    # two Sturm counts at its ends and returns only how many lie inside.
+    while upper <= lower or len(
+        _eigenvalues_in_window(diag, offdiag, lower, upper, upper - lower)
+    ) < count:
+        upper *= 2.0
     # tol must be a tiny positive: at exactly 0 LAPACK substitutes
-    # ulp * ||T||, which is useless when barrier samples push ||T|| to
-    # 1e18; a tiny abstol switches it to the per-eigenvalue relative
+    # ulp * max(|lower|, |upper|), which is far too loose at the Neumann
+    # floor; a tiny abstol switches it to the per-eigenvalue relative
     # criterion (machine-tight brackets around each eigenvalue).
-    vals = eigvalsh_tridiagonal(
-        diag,
-        offdiag,
-        select="i",
-        select_range=(0, count - 1),
-        lapack_driver="stebz",
-        tol=1e-300,
-        check_finite=False,
-    )
-    return np.sort(vals)
+    vals = _eigenvalues_in_window(diag, offdiag, lower, upper, 1e-300)
+    return np.sort(vals)[:count]
 
 
 def _tridiag_matvec(diag, offdiag, v):
@@ -107,11 +145,13 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
     """Eigenvector for a converged eigenvalue via shifted inverse iteration.
 
     The shift is offset from the eigenvalue by 1e-12 relative so the
-    factorization stays regular.  Convergence is declared on the residual
-    ||A v - eigenvalue v||, measured against the rounding floor of the
-    matrix-vector product; an iterate-stabilization check covers exactly
-    representable cases.  Returns a unit 2-norm vector with positive sign
-    convention (sum of entries > 0).
+    factorization stays regular; A - shift I is factored once (LAPACK
+    gttrf, partial pivoting) and the factor serves every sweep.
+    Convergence is declared on the residual ||A v - eigenvalue v||,
+    measured against the rounding floor of the matrix-vector product; an
+    iterate-stabilization check covers exactly representable cases.
+    Returns a unit 2-norm vector with positive sign convention (sum of
+    entries > 0).
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -119,10 +159,17 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
     if n == 1:
         return np.ones(1)
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = offdiag
-    ab[1, :] = diag - shift
-    ab[2, :-1] = offdiag
+    if n == 2:
+        # scipy's gttrf/gttrs wrappers reject n = 2; solve_banded does not.
+        def sweep(v):
+            return shifted_solve(diag, offdiag, shift, v)
+    else:
+        dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def sweep(v):
+            return dgttrs(dl, d, du, du2, ipiv, v)[0]
     # Rounding floor of the residual: driven by the kinetic scale of the
     # matrix, not by saturated potential entries (the eigenvector is zero
     # there, so they contribute nothing to a converged residual).
@@ -131,7 +178,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(max_iter):
-        w = solve_banded((1, 1), ab, v, check_finite=False)
+        w = sweep(v)
         w /= np.linalg.norm(w)
         if np.dot(w, v) < 0.0:
             w = -w
@@ -150,7 +197,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
     # rounding) still carry start-vector imprint; each extra sweep damps
     # them by the local barrier height.
     for _ in range(2):
-        w = solve_banded((1, 1), ab, v, check_finite=False)
+        w = sweep(v)
         w /= np.linalg.norm(w)
         if np.dot(w, v) < 0.0:
             w = -w

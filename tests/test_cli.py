@@ -135,3 +135,18 @@ def test_solver_failure_exit_code():
     # ladder for this operator, which must surface as exit 3
     code, _ = _run(["eigen", "--k", "2", "--alpha", "0", "--tol", "1e-11"])
     assert code == EXIT_SOLVER
+
+
+def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):
+    # second_derivative_exact refuses to invert the reduced resolvent on a
+    # tiny gap; the CLI must report that as a solver failure, not a traceback
+    import montspec.cli as cli_mod
+
+    def tiny_gap(k, alpha, tol):
+        raise ArithmeticError("spectral gap 1e-09 too small to invert the reduced resolvent")
+
+    monkeypatch.setattr(cli_mod.identities_mod, "identity_report", tiny_gap)
+    code, out = _run(["identities", "--k", "2", "--alpha", "0"])
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert capsys.readouterr().err.startswith("solver failure: spectral gap")

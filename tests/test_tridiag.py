@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from montspec.eigensolver import BoundaryCondition, GridSpec, assemble_hamiltonian
+from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
     inverse_iteration,
     lowest_eigenvalues,
@@ -56,6 +58,74 @@ def test_lowest_eigenvalues_count_validation():
         lowest_eigenvalues([1.0, 2.0], [0.1], 3)
     with pytest.raises(ValueError):
         lowest_eigenvalues([1.0, 2.0], [0.1], 0)
+
+
+def _saturated_system():
+    # k = 200 on [-3, 3]: barrier samples saturate near 1e189, so the
+    # Gershgorin top is astronomically far above the wanted eigenvalues
+    return assemble_hamiltonian(MontgomeryPotential(200, 0.0), GridSpec(-3.0, 3.0, 255))
+
+
+def test_lowest_eigenvalues_saturated_dirichlet():
+    system = _saturated_system()
+    assert np.max(system.diag) > 1e180
+    ours = lowest_eigenvalues(system.diag, system.offdiag, 2)
+    reference = sturm_bisect_eigenvalues(system.diag, system.offdiag, 2)
+    assert ours == pytest.approx(reference, rel=1e-11)
+
+
+def test_lowest_eigenvalues_neumann_floor():
+    system = assemble_hamiltonian(
+        MontgomeryPotential(2, 0.0),
+        GridSpec(0.0, 3.0, 255),
+        BoundaryCondition.NEUMANN,
+        BoundaryCondition.DIRICHLET,
+    )
+    radius = np.abs(np.concatenate(([0.0], system.offdiag))) + np.abs(
+        np.concatenate((system.offdiag, [0.0]))
+    )
+    floor = float(np.min(system.diag - radius))
+    assert floor < -0.4 / system.spacing**2
+    ours = lowest_eigenvalues(system.diag, system.offdiag, 3)
+    reference = sturm_bisect_eigenvalues(system.diag, system.offdiag, 3)
+    assert ours == pytest.approx(reference, rel=1e-11)
+
+
+def test_lowest_eigenvalues_spectrum_below_one():
+    rng = np.random.default_rng(7)
+    diag = rng.uniform(-5.0, -1.0, size=40)
+    offdiag = rng.uniform(-0.4, 0.4, size=39)
+    full = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    assert np.max(np.linalg.eigvalsh(full)) < 1.0
+    ours = lowest_eigenvalues(diag, offdiag, 3)
+    reference = sturm_bisect_eigenvalues(diag, offdiag, 3)
+    assert ours == pytest.approx(reference, rel=1e-11)
+    assert ours == pytest.approx(np.linalg.eigvalsh(full)[:3], rel=1e-12)
+
+
+def test_lowest_eigenvalues_eigenvalue_on_gershgorin_floor():
+    # decoupled rows: the lowest eigenvalue sits exactly on the floor
+    assert lowest_eigenvalues([0.0, 3.0, 5.0], [0.0, 0.0], 2) == pytest.approx([0.0, 3.0])
+
+
+def test_inverse_iteration_saturated_rayleigh_quotient():
+    system = _saturated_system()
+    lam = lowest_eigenvalues(system.diag, system.offdiag, 1)
+    v = inverse_iteration(system.diag, system.offdiag, float(lam[0]))
+    reference = sturm_bisect_eigenvalues(system.diag, system.offdiag, 1)
+    assert system.rayleigh_quotient(v) == pytest.approx(reference[0], abs=1e-12)
+
+
+def test_inverse_iteration_two_by_two():
+    v = inverse_iteration(np.array([2.0, 2.0]), np.array([-1.0]), 1.0)
+    assert v == pytest.approx([2**-0.5, 2**-0.5], abs=1e-12)
+
+
+def test_inverse_iteration_singular_shift_raises():
+    # the shifted diagonal entry is exactly zero, so the factor is singular
+    shifted = 1.0 + 1e-12
+    with pytest.raises(np.linalg.LinAlgError):
+        inverse_iteration(np.array([shifted, 5.0, 9.0]), np.zeros(2), 1.0)
 
 
 def test_inverse_iteration_diagonal():
