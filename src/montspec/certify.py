@@ -56,7 +56,10 @@ class ScanRow:
 
     def __post_init__(self):
         if not self.lambda1 < self.lambda2:
-            raise ValueError("scan row lost eigenvalue ordering")
+            raise SolverFailure(
+                "scan row lost eigenvalue ordering",
+                best_estimate=(self.lambda1, self.lambda2),
+            )
 
 
 @dataclass(frozen=True)
@@ -238,10 +241,12 @@ def figure_data(which: str) -> List[tuple]:
     return rows
 
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
+    """The number format of every CSV table and of the CLI: booleans as
+    true/false, integers as is, floats to 12 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int,)) and not isinstance(x, bool):
+    if isinstance(x, int):
         return str(x)
     return f"{x:.12g}"
 
@@ -255,7 +260,7 @@ def figure_csv(which: str) -> str:
     }[which]
     lines = [header]
     for row in figure_data(which):
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(",".join(fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -265,8 +270,8 @@ def scan_csv(rows: List[ScanRow]) -> str:
     for r in rows:
         lines.append(
             ",".join(
-                (_fmt(r.alpha), _fmt(r.lambda1), _fmt(r.lambda2),
-                 _fmt(r.d_lambda1), _fmt(r.gap_ok))
+                (fmt(r.alpha), fmt(r.lambda1), fmt(r.lambda2),
+                 fmt(r.d_lambda1), fmt(r.gap_ok))
             )
         )
     return "\n".join(lines) + "\n"

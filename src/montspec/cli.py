@@ -14,6 +14,7 @@ from dataclasses import asdict
 from . import bounds as bounds_mod
 from . import certify as certify_mod
 from . import identities as identities_mod
+from .certify import fmt
 from .eigensolver import de_gennes_theta0, solve
 from .errors import CertificationError, SolverFailure
 from .operators import OperatorSpec
@@ -32,14 +33,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; remap to the documented 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.12g}"
 
 
 def _build_parser() -> _Parser:
@@ -109,15 +102,15 @@ def _cmd_eigen(args, stream) -> int:
         }
         stream.write(json.dumps(payload) + "\n")
     else:
-        stream.write(f"operator k={args.k} alpha={_fmt(args.alpha)}\n")
+        stream.write(f"operator k={args.k} alpha={fmt(args.alpha)}\n")
         for j, lam in enumerate(res.eigenvalues, start=1):
-            stream.write(f"lambda{j} = {_fmt(lam)}\n")
+            stream.write(f"lambda{j} = {fmt(lam)}\n")
         stream.write(
-            f"achieved_tol_estimate = {_fmt(res.achieved_tol_estimate)} "
-            f"(requested {_fmt(args.tol)})\n"
+            f"achieved_tol_estimate = {fmt(res.achieved_tol_estimate)} "
+            f"(requested {fmt(args.tol)})\n"
         )
         stream.write(f"grid n = {res.grid_used.n} on "
-                     f"[{_fmt(res.grid_used.lower)}, {_fmt(res.grid_used.upper)}]\n")
+                     f"[{fmt(res.grid_used.lower)}, {fmt(res.grid_used.upper)}]\n")
     return EXIT_OK
 
 
@@ -151,11 +144,11 @@ def _cmd_bounds(args, stream) -> int:
     if args.format == "csv":
         stream.write(",".join(_BOUNDS_COLUMNS) + "\n")
         for row in rows:
-            stream.write(",".join("" if x is None else _fmt(x) for x in row) + "\n")
+            stream.write(",".join("" if x is None else fmt(x) for x in row) + "\n")
     else:
         for row in rows:
             pairs = (
-                f"{name}={'-' if x is None else _fmt(x)}"
+                f"{name}={'-' if x is None else fmt(x)}"
                 for name, x in zip(_BOUNDS_COLUMNS, row)
             )
             stream.write("  ".join(pairs) + "\n")
@@ -167,15 +160,15 @@ def _cmd_identities(args, stream) -> int:
     if args.format == "json":
         stream.write(json.dumps(asdict(rep)) + "\n")
     else:
-        stream.write(f"identities for k={rep.k} alpha={_fmt(rep.alpha)}\n")
-        stream.write(f"fh_integral = {_fmt(rep.fh_integral)} (fd oracle {_fmt(rep.d1_fd)})\n")
+        stream.write(f"identities for k={rep.k} alpha={fmt(rep.alpha)}\n")
+        stream.write(f"fh_integral = {fmt(rep.fh_integral)} (fd oracle {fmt(rep.d1_fd)})\n")
         stream.write(
-            f"virial lhs = {_fmt(rep.virial_lhs)} rhs = {_fmt(rep.virial_rhs)} "
-            f"residual = {_fmt(abs(rep.virial_lhs - rep.virial_rhs))}\n"
+            f"virial lhs = {fmt(rep.virial_lhs)} rhs = {fmt(rep.virial_rhs)} "
+            f"residual = {fmt(abs(rep.virial_lhs - rep.virial_rhs))}\n"
         )
-        stream.write(f"d2_exact = {_fmt(rep.d2_exact)} (fd oracle {_fmt(rep.d2_fd)})\n")
+        stream.write(f"d2_exact = {fmt(rep.d2_exact)} (fd oracle {fmt(rep.d2_fd)})\n")
         stream.write(
-            f"gap criterion: {_fmt(rep.gap_criterion)} margin = {_fmt(rep.gap_margin)}\n"
+            f"gap criterion: {fmt(rep.gap_criterion)} margin = {fmt(rep.gap_margin)}\n"
         )
     return EXIT_OK
 
@@ -219,8 +212,8 @@ def _cmd_certify(args, stream) -> int:
             for c in r.checks:
                 mark = "ok" if c.passed else "FAILED"
                 stream.write(
-                    f"  {c.name}: {_fmt(c.lhs)} > {_fmt(c.rhs)} "
-                    f"(rel margin {_fmt(c.rel_margin)}) {mark}\n"
+                    f"  {c.name}: {fmt(c.lhs)} > {fmt(c.rhs)} "
+                    f"(rel margin {fmt(c.rel_margin)}) {mark}\n"
                 )
     if not all(r.passed for r in reports):
         return EXIT_CERTIFICATION
@@ -237,7 +230,7 @@ def _cmd_theta0(args, stream) -> int:
     if args.format == "json":
         stream.write(json.dumps({"theta0": value, "tol": args.tol}) + "\n")
     else:
-        stream.write(f"theta0 = {_fmt(value)}\n")
+        stream.write(f"theta0 = {fmt(value)}\n")
     return EXIT_OK
 
 

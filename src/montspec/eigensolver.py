@@ -189,9 +189,17 @@ def refined_lowest_eigenvalues(system: AssembledSystem, count: int):
     the Rayleigh quotient of an eigenvector with residual r is accurate
     to r^2 / gap, which lands near machine precision.
 
+    Since the bracketed value only seeds that polish, bisection stops at
+    polish resolution (brackets 1/8 of inverse iteration's residual floor
+    wide) instead of machine precision, except where eigenvalues lie too
+    close together for that; see tridiag.lowest_eigenvalues.  The coarse
+    pre-solve in `solve` keeps machine-tight brackets: its value sets the
+    truncation radius, so every ladder grid stays independent of the
+    bracket resolution.
+
     Returns (eigenvalues, ground_state_matrix_vector).
     """
-    raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count)
+    raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count, polish=True)
     refined = np.empty(count)
     ground = None
     for j, lam in enumerate(raw):
@@ -291,35 +299,30 @@ def solve_on_interval(
     prev: Optional[np.ndarray] = None
     lam = None
     levels = 0
+    ground = None
     while n <= n_cap:
         system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), bc_lower, bc_upper)
         lam, v = refined_lowest_eigenvalues(system, count)
         levels += 1
+        # Report the ground state from the last level up to _N_VECTOR_CAP
+        # (the first level if none is that small): past it the
+        # eigenvector's rounding noise (eps/h^2) outgrows its
+        # discretization error.  Only the physical samples are kept, not
+        # the level's matrix.
+        if ground is None or n <= _N_VECTOR_CAP:
+            ground = (
+                system.points,
+                system.to_physical(v) / math.sqrt(system.spacing),
+                system.quadrature_weights(),
+            )
+        del v  # not held while the next, larger level is solved
         if prev is not None:
             change = np.abs(lam - prev)
             if np.max(change) < 0.5 * tol:
                 correction = (lam - prev) / 3.0
                 extrapolated = lam + correction
                 achieved = float(np.max(change + np.abs(correction)))
-                # Report the ground state from a moderate ladder level:
-                # past _N_VECTOR_CAP the eigenvector's rounding noise
-                # (eps/h^2) outgrows its discretization error.
-                n_vec = n_start
-                while 2 * n_vec + 1 <= min(n, _N_VECTOR_CAP):
-                    n_vec = 2 * n_vec + 1
-                vec_system = system
-                if n_vec != n:
-                    vec_system = assemble_hamiltonian(
-                        potential, GridSpec(lower, upper, n_vec), bc_lower, bc_upper
-                    )
-                    lam_vec = tridiag.lowest_eigenvalues(
-                        vec_system.diag, vec_system.offdiag, 1
-                    )
-                    v = tridiag.inverse_iteration(
-                        vec_system.diag, vec_system.offdiag, float(lam_vec[0])
-                    )
-                u = vec_system.to_physical(v)
-                u /= math.sqrt(vec_system.spacing)
+                points, u, weights = ground
                 if np.min(u) < -1e-10 * np.max(u):
                     raise SolverFailure(
                         "ground state came out with a sign change",
@@ -327,9 +330,9 @@ def solve_on_interval(
                     )
                 return EigenResult(
                     eigenvalues=tuple(float(x) for x in extrapolated),
-                    ground_state_points=vec_system.points,
+                    ground_state_points=points,
                     ground_state_values=u,
-                    quadrature_weights=vec_system.quadrature_weights(),
+                    quadrature_weights=weights,
                     requested_tol=tol,
                     achieved_tol_estimate=achieved,
                     grid_used=GridSpec(lower, upper, n),

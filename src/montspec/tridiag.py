@@ -11,6 +11,20 @@ The top grows on absolute energies, never by the window width: a
 Neumann row puts the floor near -0.4/h^2, and width doubling from there
 would pull most of the spectrum into the window.
 
+Brackets are machine-tight by default.  Callers that polish each value
+through its inverse-iteration eigenvector (the Rayleigh quotient of a
+vector with residual r is accurate to r^2 / gap) ask for polish
+resolution instead: brackets 1/8 of inverse iteration's residual floor
+wide, so each midpoint lies within 1/16 of that floor and the residual
+test stays reachable.  Loose brackets need well-separated eigenvalues:
+when two returned values, or the last wanted value and the window top,
+lie within _SEPARATION bracket widths of each other, the window is
+bisected again machine-tight, which returns exactly the default values.
+Near-degenerate double wells (odd k, large alpha) take that path.  The
+coarse pre-solve in eigensolver.solve stays machine-tight: its value sets
+the truncation radius, so every ladder grid is independent of the
+bracket resolution.
+
 Inverse iteration factors A - shift I once (LAPACK gttrf) and reuses the
 factor for every sweep, polish sweeps included.
 
@@ -26,6 +40,20 @@ from .errors import SolverFailure
 
 _PIVOT_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
+# Minimum gap between polish-resolution eigenvalues, in bracket widths;
+# below it the window is re-bisected machine-tight.
+_SEPARATION = 1000.0
+
+
+def _residual_floor(offdiag, eigenvalue: float) -> float:
+    """Rounding floor of ||A v - eigenvalue v|| for a unit eigenvector v.
+
+    Driven by the kinetic scale of the matrix, not by saturated potential
+    entries: the eigenvector is zero there, so they contribute nothing to
+    a converged residual.
+    """
+    scale = 4.0 * float(np.max(np.abs(offdiag))) + abs(eigenvalue) + 1.0
+    return 64.0 * _EPS * scale
 
 
 def _gershgorin_interval(diag, offdiag):
@@ -98,13 +126,16 @@ def _eigenvalues_in_window(diag, offdiag, lower: float, upper: float, tol: float
     )
 
 
-def lowest_eigenvalues(diag, offdiag, count: int):
+def lowest_eigenvalues(diag, offdiag, count: int, *, polish: bool = False):
     """Smallest `count` eigenvalues of a symmetric tridiagonal matrix.
 
-    Backed by LAPACK stebz (Sturm counting plus bisection, machine-tight
-    brackets, deterministic) on a window (lower, upper] known to hold
-    them; see the module docstring.  Eigenvalues come back sorted
-    ascending.
+    Backed by LAPACK stebz (Sturm counting plus bisection, deterministic)
+    on a window (lower, upper] known to hold them; see the module
+    docstring.  Brackets are machine-tight unless `polish` is set, for
+    callers that refine each value by inverse iteration and a Rayleigh
+    quotient: then they are 1/8 of the inverse-iteration residual floor
+    wide, or machine-tight again when the values are too close together
+    for that.  Eigenvalues come back sorted ascending.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -126,6 +157,13 @@ def lowest_eigenvalues(diag, offdiag, count: int):
         _eigenvalues_in_window(diag, offdiag, lower, upper, upper - lower)
     ) < count:
         upper *= 2.0
+    if polish:
+        # Half of this width is at most 1/16 of the floor at any eigenvalue.
+        width = _residual_floor(offdiag, 0.0) / 8.0
+        vals = np.sort(_eigenvalues_in_window(diag, offdiag, lower, upper, width))
+        gaps = np.diff(np.append(vals, upper))[:count]
+        if np.min(gaps) >= _SEPARATION * width:
+            return vals[:count]
     # tol must be a tiny positive: at exactly 0 LAPACK substitutes
     # ulp * max(|lower|, |upper|), which is far too loose at the Neumann
     # floor; a tiny abstol switches it to the per-eigenvalue relative
@@ -170,11 +208,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
 
         def sweep(v):
             return dgttrs(dl, d, du, du2, ipiv, v)[0]
-    # Rounding floor of the residual: driven by the kinetic scale of the
-    # matrix, not by saturated potential entries (the eigenvector is zero
-    # there, so they contribute nothing to a converged residual).
-    scale = 4.0 * float(np.max(np.abs(offdiag))) + abs(eigenvalue) + 1.0
-    floor = 64.0 * np.finfo(float).eps * scale
+    floor = _residual_floor(offdiag, eigenvalue)
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(max_iter):

@@ -7,6 +7,7 @@ from montspec.certify import (
     REL_MARGIN_FLOOR,
     CertificateReport,
     Regime,
+    ScanRow,
     certify_large_k,
     certify_small_k,
     figure_csv,
@@ -16,6 +17,7 @@ from montspec.certify import (
     scan_csv,
 )
 from montspec.eigensolver import solve
+from montspec.errors import SolverFailure
 from montspec.operators import HalfPowerModelPotential, OperatorSpec
 
 
@@ -63,6 +65,12 @@ def test_scan_unique_critical_point():
     a, b = flips[0]
     assert a.alpha <= 0.0 <= b.alpha
     assert a.gap_ok and b.gap_ok
+
+
+def test_scan_row_lost_ordering_is_solver_failure():
+    with pytest.raises(SolverFailure) as info:
+        ScanRow(alpha=0.0, lambda1=2.0, lambda2=1.0, d_lambda1=0.0, gap_ok=False)
+    assert info.value.best_estimate == (2.0, 1.0)
 
 
 def test_scan_validation():

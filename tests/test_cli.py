@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from montspec.cli import (
     EXIT_USAGE,
     run,
 )
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def _run(argv):
@@ -150,3 +153,34 @@ def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):
     assert code == EXIT_SOLVER
     assert out == ""
     assert capsys.readouterr().err.startswith("solver failure: spectral gap")
+
+
+def test_scan_row_ordering_exit_code(monkeypatch, capsys):
+    # an internal invariant failure is a solver failure, not a usage error
+    import montspec.cli as cli_mod
+
+    def unordered_scan(k, alpha_min, alpha_max, steps, tol):
+        return [certify.ScanRow(alpha_min, 2.0, 1.0, 0.0, False)]
+
+    monkeypatch.setattr(cli_mod.certify_mod, "scan", unordered_scan)
+    code, out = _run(["scan", "--k", "2", "--alpha-min", "0", "--alpha-max", "3",
+                      "--steps", "3"])
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert capsys.readouterr().err.startswith("solver failure: scan row lost")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("certify --regime small", "certify-small"),
+        ("certify --regime large", "certify-large"),
+        ("bounds --k-min 2 --k-max 68", "bounds"),
+        ("figures --which lambda1comp", "figures-lambda1comp"),
+        ("figures --which completeproof", "figures-completeproof"),
+    ],
+)
+def test_closed_form_output_matches_golden_bytes(argv, name):
+    code, out = _run(argv.split())
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()

@@ -193,6 +193,16 @@ def test_solve_validation():
         solve(MontgomeryPotential(2, 0.0), geometry=Geometry.HALF_LINE_POSITIVE)
 
 
+def test_solve_near_degenerate_double_well():
+    # k = 1, alpha = 5: the two lowest eigenvalues lie 5.3e-8 apart, far
+    # closer than polish-resolution brackets on the finer ladder levels
+    res = solve(OperatorSpec(1, 5.0), count=2, tol=1e-6)
+    assert res.eigenvalues == pytest.approx(
+        [3.11034171650565, 3.11034176987275], rel=0.0, abs=1e-12
+    )
+    assert res.lambda2 - res.lambda1 > 5e-8
+
+
 def test_solver_failure_carries_best_estimate():
     with pytest.raises(SolverFailure) as info:
         solve(OperatorSpec(2, 0.0), count=1, tol=1e-11)

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from montspec.eigensolver import BoundaryCondition, GridSpec, assemble_hamiltonian
+from montspec.eigensolver import (
+    BoundaryCondition,
+    GridSpec,
+    assemble_hamiltonian,
+    refined_lowest_eigenvalues,
+)
 from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
+    _residual_floor,
     inverse_iteration,
     lowest_eigenvalues,
     shifted_solve,
@@ -74,13 +80,18 @@ def test_lowest_eigenvalues_saturated_dirichlet():
     assert ours == pytest.approx(reference, rel=1e-11)
 
 
-def test_lowest_eigenvalues_neumann_floor():
-    system = assemble_hamiltonian(
+def _neumann_floor_system():
+    # the symmetrized Neumann row puts the Gershgorin floor near -0.4/h^2
+    return assemble_hamiltonian(
         MontgomeryPotential(2, 0.0),
         GridSpec(0.0, 3.0, 255),
         BoundaryCondition.NEUMANN,
         BoundaryCondition.DIRICHLET,
     )
+
+
+def test_lowest_eigenvalues_neumann_floor():
+    system = _neumann_floor_system()
     radius = np.abs(np.concatenate(([0.0], system.offdiag))) + np.abs(
         np.concatenate((system.offdiag, [0.0]))
     )
@@ -106,6 +117,30 @@ def test_lowest_eigenvalues_spectrum_below_one():
 def test_lowest_eigenvalues_eigenvalue_on_gershgorin_floor():
     # decoupled rows: the lowest eigenvalue sits exactly on the floor
     assert lowest_eigenvalues([0.0, 3.0, 5.0], [0.0, 0.0], 2) == pytest.approx([0.0, 3.0])
+
+
+@pytest.mark.parametrize("build", [_saturated_system, _neumann_floor_system])
+def test_polish_resolution_matches_machine_tight_polish(build):
+    system = build()
+    tight = lowest_eigenvalues(system.diag, system.offdiag, 3)
+    loose = lowest_eigenvalues(system.diag, system.offdiag, 3, polish=True)
+    for t, x in zip(tight, loose):
+        assert abs(x - t) <= _residual_floor(system.offdiag, t) / 16.0
+    refined, _ = refined_lowest_eigenvalues(system, 3)
+    for j, lam in enumerate(tight):
+        v = inverse_iteration(system.diag, system.offdiag, float(lam))
+        assert refined[j] == pytest.approx(system.rayleigh_quotient(v), rel=0.0, abs=1e-13)
+
+
+def test_polish_resolution_near_degenerate_is_machine_tight():
+    # k = 1, alpha = 5 is a symmetric double well: its two lowest
+    # eigenvalues lie about 5e-8 apart, within 1000 polish-resolution
+    # bracket widths at this spacing, so the window is re-bisected tight
+    system = assemble_hamiltonian(MontgomeryPotential(1, 5.0), GridSpec(-8.0, 8.0, 4095))
+    tight = lowest_eigenvalues(system.diag, system.offdiag, 2)
+    assert 0.0 < tight[1] - tight[0] < 1e-7
+    loose = lowest_eigenvalues(system.diag, system.offdiag, 2, polish=True)
+    assert np.array_equal(loose, tight)
 
 
 def test_inverse_iteration_saturated_rayleigh_quotient():
