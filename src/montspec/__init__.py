@@ -34,8 +34,6 @@ from .eigensolver import (
     assemble_hamiltonian,
     de_gennes_theta0,
     dirichlet_well_lambda,
-    ground_state_vector,
-    lowest_eigenvalues,
     solve,
     solve_on_interval,
     truncation_radius,
@@ -61,5 +59,6 @@ from .operators import (
     potential_value,
     reflection_conjugate,
 )
+from .tridiag import inverse_iteration, lowest_eigenvalues
 
 __version__ = "0.1.0"

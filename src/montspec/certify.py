@@ -14,13 +14,7 @@ from enum import Enum
 from typing import List, Tuple
 
 from . import bounds, identities
-from .eigensolver import (
-    GridSpec,
-    assemble_hamiltonian,
-    refined_lowest_eigenvalues,
-    solve,
-    truncation_radius,
-)
+from .eigensolver import GridSpec, fixed_grid_lambda1, solve, truncation_radius
 from .errors import SolverFailure
 from .operators import MontgomeryPotential, OperatorSpec
 from .optimize import minimize_golden
@@ -144,15 +138,10 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     cap = max(10.0, 2.0 * (ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4) + 3.0)
     radius = truncation_radius(MontgomeryPotential(k, ALPHA_SCAN_MAX), cap, 1.0)
     probe = solve(OperatorSpec(k, 0.0), count=1, tol=tol)
-    n_fine = probe.grid_used.n
+    grid = GridSpec(-radius, radius, probe.grid_used.n)
 
     def lam1(alpha: float) -> float:
-        grid = GridSpec(-radius, radius, n_fine)
-        coarse = GridSpec(-radius, radius, (n_fine - 1) // 2)
-        pot = MontgomeryPotential(k, alpha)
-        lam_c, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, coarse), 1)
-        lam_f, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, grid), 1)
-        return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
+        return fixed_grid_lambda1(MontgomeryPotential(k, alpha), grid)
 
     return minimize_golden(lam1, 0.0, ALPHA_SCAN_MAX, xtol=1e-5)
 

@@ -1,11 +1,12 @@
 """Adaptive eigenvalue solver for confining 1D Schrodinger operators.
 
-Second-order central differences on a truncated interval, Sturm-bisection
-eigenvalue extraction, inverse iteration for the ground state, and one
-Richardson extrapolation step on the reported eigenvalues.  Covers the
-full line, the half line with Dirichlet or Neumann condition at t=0
-(needed for the de Gennes constant), and the explicit step-well model
-whose first eigenvalue solves a transcendental gluing equation.
+Second-order central differences on a truncated interval, eigenvalues
+polished by inverse iteration (started from Sturm bisection on the first
+refinement level, and from values predicted by the coarser levels after
+it), and one Richardson extrapolation step on the reported eigenvalues.
+Covers the full line, the half line with Dirichlet or Neumann condition
+at t=0 (needed for the de Gennes constant), and the explicit step-well
+model whose first eigenvalue solves a transcendental gluing equation.
 """
 
 import math
@@ -174,22 +175,32 @@ def assemble_hamiltonian(
     )
 
 
-def lowest_eigenvalues(diag, offdiag, count: int) -> np.ndarray:
-    """Smallest `count` eigenvalues via Sturm counting and bisection."""
-    return tridiag.lowest_eigenvalues(diag, offdiag, count)
-
-
-def refined_lowest_eigenvalues(system: AssembledSystem, count: int):
+def refined_lowest_eigenvalues(
+    system: AssembledSystem, count: int, seeds: Optional[np.ndarray] = None
+):
     """Smallest eigenvalues polished past the bisection noise floor.
 
     Sturm bisection locates each eigenvalue to about eps * ||H||, which on
     a grid of spacing h means eps / h^2 in absolute terms and dominates
-    the O(h^2) discretization error once grids get fine.  Each bracketed
-    value is therefore refined through its inverse-iteration eigenvector:
-    the Rayleigh quotient of an eigenvector with residual r is accurate
-    to r^2 / gap, which lands near machine precision.
+    the O(h^2) discretization error once grids get fine.  Each value is
+    therefore refined through its inverse-iteration eigenvector: the
+    Rayleigh quotient of an eigenvector with residual r is accurate to
+    r^2 / gap, which lands near machine precision.
 
-    Since the bracketed value only seeds that polish, bisection stops at
+    `seeds` are predicted eigenvalues (from coarser grids, see
+    solve_on_interval).  Given them, bisection is skipped: one Sturm
+    count finds an energy just above the predictions with exactly
+    `count` eigenvalues below it (tridiag.seed_ceiling), inverse
+    iteration starts from each prediction, and the polished values must
+    be strictly increasing, well separated and below that energy
+    (tridiag.are_lowest_eigenvalues), which makes them the lowest
+    `count` in order.  If the predictions lie too close together
+    (near-degenerate pairs), the count disagrees, inverse iteration
+    fails or the check does, the level falls back to bisection.  The
+    count runs before inverse iteration, as bisection does, so no
+    eigenvector is held while stebz allocates its workspace.
+
+    Since a bracketed value only seeds the polish, bisection stops at
     polish resolution (brackets 1/8 of inverse iteration's residual floor
     wide) instead of machine precision, except where eigenvalues lie too
     close together for that; see tridiag.lowest_eigenvalues.  The coarse
@@ -199,10 +210,28 @@ def refined_lowest_eigenvalues(system: AssembledSystem, count: int):
 
     Returns (eigenvalues, ground_state_matrix_vector).
     """
+    ceiling = None
+    if seeds is not None:
+        ceiling = tridiag.seed_ceiling(system.diag, system.offdiag, seeds)
+    if ceiling is not None:
+        try:
+            refined, ground = _polished(system, seeds)
+        except (SolverFailure, np.linalg.LinAlgError):
+            refined = None
+        if refined is not None and tridiag.are_lowest_eigenvalues(
+            system.offdiag, refined, ceiling
+        ):
+            return refined, ground
     raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count, polish=True)
-    refined = np.empty(count)
+    return _polished(system, raw)
+
+
+def _polished(system: AssembledSystem, estimates):
+    """Rayleigh quotients of the inverse-iteration vectors at `estimates`,
+    and the first of those vectors."""
+    refined = np.empty(len(estimates))
     ground = None
-    for j, lam in enumerate(raw):
+    for j, lam in enumerate(estimates):
         v = tridiag.inverse_iteration(system.diag, system.offdiag, float(lam))
         refined[j] = system.rayleigh_quotient(v)
         if j == 0:
@@ -210,13 +239,21 @@ def refined_lowest_eigenvalues(system: AssembledSystem, count: int):
     return refined, ground
 
 
-def ground_state_vector(diag, offdiag, lambda1: float) -> np.ndarray:
-    """Unit eigenvector for the converged smallest eigenvalue.
+def fixed_grid_lambda1(potential, grid: GridSpec) -> float:
+    """lambda1 on `grid` and on its (n - 1) / 2 coarsening (twice the
+    spacing), plus one Richardson step.
 
-    Shifted inverse iteration with a 1e-12 relative shift offset; sign
-    fixed so the entry sum is positive.
+    The fine level is seeded from the coarse one as in the ladder.  Callers
+    that evaluate several potentials on one grid see an O(h^2) error that
+    is a smooth function of the potential parameters, so it cancels in
+    finite differences and comparisons.  Dirichlet ends.
     """
-    return tridiag.inverse_iteration(diag, offdiag, lambda1)
+    coarse = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
+    lam_c, _ = refined_lowest_eigenvalues(assemble_hamiltonian(potential, coarse), 1)
+    lam_f, _ = refined_lowest_eigenvalues(
+        assemble_hamiltonian(potential, grid), 1, seeds=lam_c
+    )
+    return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
 
 
 def truncation_radius(p: PotentialKind, lambda_cap: float, margin: float) -> float:
@@ -291,18 +328,24 @@ def solve_on_interval(
     eigenvalue changes drop below tol/2 for every requested eigenvalue,
     then one Richardson step removes the leading O(h^2) error from the
     reported values.  achieved_tol_estimate adds the last raw change and
-    the extrapolation correction.
+    the extrapolation correction.  From the second level on, each level
+    is seeded with eigenvalues predicted from the levels before it (see
+    refined_lowest_eigenvalues), which skips its bisection.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n = n_start
     prev: Optional[np.ndarray] = None
+    prev2: Optional[np.ndarray] = None
     lam = None
     levels = 0
     ground = None
     while n <= n_cap:
         system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), bc_lower, bc_upper)
-        lam, v = refined_lowest_eigenvalues(system, count)
+        # Predicted eigenvalues for this level: the error goes like h^2
+        # and h halves each level, so each change is a quarter of the last.
+        seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
+        lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds)
         levels += 1
         # Report the ground state from the last level up to _N_VECTOR_CAP
         # (the first level if none is that small): past it the
@@ -340,7 +383,7 @@ def solve_on_interval(
                     bc_lower=bc_lower,
                     bc_upper=bc_upper,
                 )
-        prev = lam
+        prev2, prev = prev, lam
         n = 2 * n + 1
     raise SolverFailure(
         f"grid refinement cap n > {n_cap} reached before tolerance {tol}",

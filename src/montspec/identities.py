@@ -18,8 +18,8 @@ import numpy as np
 from . import tridiag
 from .eigensolver import (
     EigenResult,
-    GridSpec,
     assemble_hamiltonian,
+    fixed_grid_lambda1,
     refined_lowest_eigenvalues,
     solve,
 )
@@ -134,42 +134,27 @@ def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
     return 2.0 - 4.0 * h * float(np.dot(f, du))
 
 
-def _lambda1_on_shared_grids(k: int, alphas, grid: GridSpec) -> dict:
-    """Richardson-extrapolated lambda1 for several alphas on one grid pair.
-
-    Both grids (n and the coarser (n-1)/2 level) are identical across the
-    alphas, so the O(h^2) error is a smooth function of alpha and cancels
-    in finite differences.
-    """
-    n_fine = grid.n
-    n_coarse = (n_fine - 1) // 2
-    out = {}
-    for alpha in alphas:
-        pot = MontgomeryPotential(k, alpha)
-        coarse = assemble_hamiltonian(pot, GridSpec(grid.lower, grid.upper, n_coarse))
-        fine = assemble_hamiltonian(pot, GridSpec(grid.lower, grid.upper, n_fine))
-        lam_c, _ = refined_lowest_eigenvalues(coarse, 1)
-        lam_f, _ = refined_lowest_eigenvalues(fine, 1)
-        out[alpha] = float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
-    return out
+def _shared_grid_lambda1(k: int, alpha: float, tol: float, step: float):
+    """lambda1(a) for finite-difference stencils around alpha: every
+    stencil point runs on the grid pair of one adaptive solve at
+    |alpha| + step, so the O(h^2) error is a smooth function of a and
+    cancels in the differences."""
+    grid = solve(OperatorSpec(k, abs(alpha) + step), count=1, tol=tol).grid_used
+    return lambda a: fixed_grid_lambda1(MontgomeryPotential(k, a), grid)
 
 
 def fd_first_derivative(k: int, alpha: float, tol: float = 1e-7,
                         step: float = FD_STEP_FIRST) -> float:
     """Central-difference oracle for d lambda1 / d alpha."""
-    anchor = solve(OperatorSpec(k, abs(alpha) + step), count=1, tol=tol)
-    lam = _lambda1_on_shared_grids(k, (alpha - step, alpha + step), anchor.grid_used)
-    return (lam[alpha + step] - lam[alpha - step]) / (2.0 * step)
+    lam = _shared_grid_lambda1(k, alpha, tol, step)
+    return (lam(alpha + step) - lam(alpha - step)) / (2.0 * step)
 
 
 def fd_second_derivative(k: int, alpha: float, tol: float = 1e-7,
                          step: float = FD_STEP_SECOND) -> float:
     """Central-difference oracle for d2 lambda1 / d alpha2."""
-    anchor = solve(OperatorSpec(k, abs(alpha) + step), count=1, tol=tol)
-    lam = _lambda1_on_shared_grids(
-        k, (alpha - step, alpha, alpha + step), anchor.grid_used
-    )
-    return (lam[alpha + step] - 2.0 * lam[alpha] + lam[alpha - step]) / (step * step)
+    lam = _shared_grid_lambda1(k, alpha, tol, step)
+    return (lam(alpha + step) - 2.0 * lam(alpha) + lam(alpha - step)) / (step * step)
 
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:

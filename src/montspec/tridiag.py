@@ -26,7 +26,11 @@ the truncation radius, so every ladder grid is independent of the
 bracket resolution.
 
 Inverse iteration factors A - shift I once (LAPACK gttrf) and reuses the
-factor for every sweep, polish sweeps included.
+factor for every sweep, polish sweeps included.  Its residual is taken at
+the iterate's Rayleigh quotient, so a shift from an eigenvalue predicted
+on coarser grids converges as well as one from a bisection bracket.
+seed_ceiling and are_lowest_eigenvalues confirm such values with one
+count-only stebz probe instead of bisecting for them.
 
 A plain-Python Sturm counter and bisection solver are kept alongside as
 an independent reference used by the test suite on small matrices.
@@ -126,6 +130,36 @@ def _eigenvalues_in_window(diag, offdiag, lower: float, upper: float, tol: float
     )
 
 
+def _window_floor(diag, offdiag) -> float:
+    """An energy below every eigenvalue: the Gershgorin floor less a margin.
+
+    The margin covers rounding in the Gershgorin sums and in the Sturm
+    count stebz takes at the floor; it scales with the entries of the
+    floor row, not with the saturated barrier samples.
+    """
+    lo, _ = _gershgorin_interval(diag, offdiag)
+    scale = abs(lo) + 2.0 * float(np.max(np.abs(offdiag))) + 1.0
+    return lo - 2.1 * len(diag) * _EPS * scale
+
+
+def _count_below(diag, offdiag, lower: float, x: float) -> int:
+    """Number of eigenvalues in (lower, x]: a probe whose abstol spans its
+    whole window stops after the two Sturm counts at its ends."""
+    return len(_eigenvalues_in_window(diag, offdiag, lower, x, x - lower))
+
+
+def _polish_width(offdiag) -> float:
+    """Polish-resolution bracket width; half of it is at most 1/16 of
+    inverse iteration's residual floor at any eigenvalue."""
+    return _residual_floor(offdiag, 0.0) / 8.0
+
+
+def separation_margin(offdiag) -> float:
+    """Gap below which two eigenvalues count as too close for polish
+    resolution: _SEPARATION polish bracket widths."""
+    return _SEPARATION * _polish_width(offdiag)
+
+
 def lowest_eigenvalues(diag, offdiag, count: int, *, polish: bool = False):
     """Smallest `count` eigenvalues of a symmetric tridiagonal matrix.
 
@@ -144,25 +178,15 @@ def lowest_eigenvalues(diag, offdiag, count: int, *, polish: bool = False):
         raise ValueError(f"count must be in [1, {n}], got {count}")
     if n == 1:
         return diag.copy()
-    lo, _ = _gershgorin_interval(diag, offdiag)
-    # The margin covers rounding in the Gershgorin sums and in the Sturm
-    # count stebz takes at the floor; it scales with the entries of the
-    # floor row, not with the saturated barrier samples.
-    scale = abs(lo) + 2.0 * float(np.max(np.abs(offdiag))) + 1.0
-    lower = lo - 2.1 * n * _EPS * scale
+    lower = _window_floor(diag, offdiag)
     upper = 1.0
-    # A probe's abstol spans its whole window, so stebz stops after the
-    # two Sturm counts at its ends and returns only how many lie inside.
-    while upper <= lower or len(
-        _eigenvalues_in_window(diag, offdiag, lower, upper, upper - lower)
-    ) < count:
+    while upper <= lower or _count_below(diag, offdiag, lower, upper) < count:
         upper *= 2.0
     if polish:
-        # Half of this width is at most 1/16 of the floor at any eigenvalue.
-        width = _residual_floor(offdiag, 0.0) / 8.0
+        width = _polish_width(offdiag)
         vals = np.sort(_eigenvalues_in_window(diag, offdiag, lower, upper, width))
         gaps = np.diff(np.append(vals, upper))[:count]
-        if np.min(gaps) >= _SEPARATION * width:
+        if np.min(gaps) >= separation_margin(offdiag):
             return vals[:count]
     # tol must be a tiny positive: at exactly 0 LAPACK substitutes
     # ulp * max(|lower|, |upper|), which is far too loose at the Neumann
@@ -172,6 +196,44 @@ def lowest_eigenvalues(diag, offdiag, count: int, *, polish: bool = False):
     return np.sort(vals)[:count]
 
 
+def seed_ceiling(diag, offdiag, seeds):
+    """An energy with exactly len(seeds) eigenvalues below it, taken
+    around predicted eigenvalues before they are polished.
+
+    One count-only stebz probe starts a separation margin above the last
+    seed and doubles its offset until it holds len(seeds) eigenvalues:
+    a prediction from a single coarser level falls short by that level's
+    whole O(h^2) change.  Returns None if the probe then holds more, or
+    if the seeds are not more than a margin apart (near-degenerate
+    values, which are_lowest_eigenvalues would reject).
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    margin = separation_margin(offdiag)
+    if not np.all(np.diff(seeds) > margin):
+        return None
+    lower = _window_floor(diag, offdiag)
+    offset = margin
+    while (found := _count_below(diag, offdiag, lower, seeds[-1] + offset)) < len(seeds):
+        offset *= 2.0
+    return seeds[-1] + offset if found == len(seeds) else None
+
+
+def are_lowest_eigenvalues(offdiag, values, ceiling: float) -> bool:
+    """Whether polished values are the lowest len(values) eigenvalues, in
+    order, given that exactly that many lie below `ceiling`.
+
+    Each value must lie within a few residual floors of an eigenvalue (a
+    converged inverse-iteration Rayleigh quotient does).  Values more
+    than a separation margin apart, far more than twice that, then stand
+    for distinct eigenvalues; with the last half a margin below the
+    ceiling, all of them lie below it, so they are every eigenvalue
+    there is below it.
+    """
+    values = np.asarray(values, dtype=float)
+    margin = separation_margin(offdiag)
+    return bool(np.all(np.diff(values) > margin) and values[-1] < ceiling - 0.5 * margin)
+
+
 def _tridiag_matvec(diag, offdiag, v):
     out = diag * v
     out[:-1] += offdiag * v[1:]
@@ -179,15 +241,25 @@ def _tridiag_matvec(diag, offdiag, v):
     return out
 
 
-def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
-    """Eigenvector for a converged eigenvalue via shifted inverse iteration.
+def _rayleigh_residual(diag, offdiag, v) -> float:
+    """||A v - rho v|| at the Rayleigh quotient rho of the unit vector v."""
+    r = _tridiag_matvec(diag, offdiag, v)
+    r -= np.dot(v, r) * v
+    return float(np.linalg.norm(r))
 
-    The shift is offset from the eigenvalue by 1e-12 relative so the
+
+def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
+    """Eigenvector for the eigenvalue nearest an estimate, by shifted
+    inverse iteration.
+
+    The shift is offset from the estimate by 1e-12 relative so the
     factorization stays regular; A - shift I is factored once (LAPACK
     gttrf, partial pivoting) and the factor serves every sweep.
-    Convergence is declared on the residual ||A v - eigenvalue v||,
-    measured against the rounding floor of the matrix-vector product; an
-    iterate-stabilization check covers exactly representable cases.
+    Convergence is declared on the residual ||A v - rho v|| at the
+    iterate's own Rayleigh quotient rho, measured against the rounding
+    floor of the matrix-vector product, so an estimate off by more than
+    that floor (a value predicted from coarser grids) still converges;
+    an iterate-stabilization check covers exactly representable cases.
     Returns a unit 2-norm vector with positive sign convention (sum of
     entries > 0).
     """
@@ -218,7 +290,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
             w = -w
         delta = np.linalg.norm(w - v)
         v = w
-        residual = np.linalg.norm(_tridiag_matvec(diag, offdiag, v) - eigenvalue * v)
+        residual = _rayleigh_residual(diag, offdiag, v)
         if residual <= floor or delta < 1e-12:
             break
     else:

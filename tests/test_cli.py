@@ -1,12 +1,13 @@
 """CLI surface: flags, formats, determinism, exit codes."""
 
+import functools
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from montspec import bounds, certify
+from montspec import bounds, certify, eigensolver
 from montspec.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -138,6 +139,16 @@ def test_solver_failure_exit_code():
     # ladder for this operator, which must surface as exit 3
     code, _ = _run(["eigen", "--k", "2", "--alpha", "0", "--tol", "1e-11"])
     assert code == EXIT_SOLVER
+
+
+def test_grid_cap_failure_exit_code(monkeypatch, capsys):
+    # two ladder levels cannot confirm tol = 1e-8: a genuine solver failure
+    capped = functools.partial(eigensolver.solve_on_interval, n_cap=4097)
+    monkeypatch.setattr(eigensolver, "solve_on_interval", capped)
+    code, out = _run(["eigen", "--k", "2", "--alpha", "0"])
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert capsys.readouterr().err.startswith("solver failure: grid refinement cap")
 
 
 def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):

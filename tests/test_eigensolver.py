@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from montspec import eigensolver
 from montspec.errors import SolverFailure
 from montspec.eigensolver import (
     GridSpec,
     assemble_hamiltonian,
     de_gennes_theta0,
     dirichlet_well_lambda,
-    ground_state_vector,
-    lowest_eigenvalues,
+    fixed_grid_lambda1,
     refined_lowest_eigenvalues,
     solve,
     solve_on_interval,
@@ -27,6 +27,7 @@ from montspec.operators import (
     PureAnharmonicPotential,
     ShiftedHarmonicPotential,
 )
+from montspec.tridiag import inverse_iteration, lowest_eigenvalues
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -176,7 +177,7 @@ def test_domain_independence_matched_h():
 def test_ground_state_vector_positive_convention():
     sys_ = assemble_hamiltonian(ShiftedHarmonicPotential(0.0), GridSpec(-8.0, 8.0, 1023))
     lam = lowest_eigenvalues(sys_.diag, sys_.offdiag, 1)
-    v = ground_state_vector(sys_.diag, sys_.offdiag, float(lam[0]))
+    v = inverse_iteration(sys_.diag, sys_.offdiag, float(lam[0]))
     assert np.sum(v) > 0.0
     assert np.min(v) > 0.0
     # Gaussian shape: log v is concave quadratic at the center
@@ -208,6 +209,50 @@ def test_solver_failure_carries_best_estimate():
         solve(OperatorSpec(2, 0.0), count=1, tol=1e-11)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate[0] == pytest.approx(0.66095, abs=1e-4)
+
+
+def test_solver_failure_at_grid_cap_carries_best_estimate():
+    # two levels cannot reach tol = 1e-8 at k = 2 under any stop rule:
+    # the raw change between them is about 1e-5
+    with pytest.raises(SolverFailure, match="grid refinement cap") as info:
+        solve_on_interval(MontgomeryPotential(2, 0.0), -6.0, 6.0, count=1, tol=1e-8,
+                          n_cap=4097)
+    assert info.value.best_estimate is not None
+    assert info.value.best_estimate[0] == pytest.approx(0.66095, abs=1e-4)
+
+
+@pytest.mark.parametrize("k", [2, 30, 200])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_seeded_ladder_matches_bisected_ladder(monkeypatch, k, alpha):
+    seeded = solve(OperatorSpec(k, alpha), count=2, tol=1e-6)
+    monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues",
+                        lambda system, count, seeds=None: refined_lowest_eigenvalues(system, count))
+    bisected = solve(OperatorSpec(k, alpha), count=2, tol=1e-6)
+    assert seeded.grid_used == bisected.grid_used
+    assert seeded.iterations == bisected.iterations
+    assert seeded.eigenvalues == pytest.approx(bisected.eigenvalues, rel=0.0, abs=1e-13)
+
+
+def test_wrong_seeds_fall_back_to_bisection():
+    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 4095))
+    bisected, ground = refined_lowest_eigenvalues(system, 2)
+    lam3 = lowest_eigenvalues(system.diag, system.offdiag, 3)[2]
+    for seeds in ([bisected[1], bisected[0]], [bisected[1], lam3], [bisected[0], lam3],
+                  [bisected[0], bisected[0]]):
+        values, v = refined_lowest_eigenvalues(system, 2, seeds=np.array(seeds))
+        assert np.array_equal(values, bisected)
+        assert np.array_equal(v, ground)
+    values, _ = refined_lowest_eigenvalues(system, 2, seeds=bisected + 1e-6)
+    assert values == pytest.approx(bisected, rel=0.0, abs=1e-13)
+
+
+def test_fixed_grid_lambda1_matches_bisected_pair():
+    pot = MontgomeryPotential(2, 0.5)
+    grid = GridSpec(-6.0, 6.0, 8191)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 1)
+    fine, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, grid), 1)
+    expected = fine[0] + (fine[0] - coarse[0]) / 3.0
+    assert fixed_grid_lambda1(pot, grid) == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
 def test_theta0_xi_zero_slice():

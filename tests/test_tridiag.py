@@ -13,7 +13,10 @@ from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
     _residual_floor,
     inverse_iteration,
+    are_lowest_eigenvalues,
     lowest_eigenvalues,
+    seed_ceiling,
+    separation_margin,
     shifted_solve,
     sturm_bisect_eigenvalues,
     sturm_count_below,
@@ -149,6 +152,49 @@ def test_inverse_iteration_saturated_rayleigh_quotient():
     v = inverse_iteration(system.diag, system.offdiag, float(lam[0]))
     reference = sturm_bisect_eigenvalues(system.diag, system.offdiag, 1)
     assert system.rayleigh_quotient(v) == pytest.approx(reference[0], abs=1e-12)
+
+
+def test_inverse_iteration_rough_estimate():
+    # an estimate 1e-6 off, far above the residual floor at this spacing,
+    # still converges to the eigenvector of the nearest eigenvalue
+    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 32767))
+    lam = float(lowest_eigenvalues(system.diag, system.offdiag, 1)[0])
+    exact = inverse_iteration(system.diag, system.offdiag, lam)
+    for estimate in (lam + 1e-6, lam - 1e-6):
+        v = inverse_iteration(system.diag, system.offdiag, estimate)
+        assert np.linalg.norm(v - exact) < 1e-8
+        assert system.rayleigh_quotient(v) == pytest.approx(
+            system.rayleigh_quotient(exact), rel=0.0, abs=1e-13
+        )
+
+
+def test_seed_ceiling_and_lowest_check():
+    system = _saturated_system()
+    lam = lowest_eigenvalues(system.diag, system.offdiag, 4)
+    for count in (1, 2, 3):
+        ceiling = seed_ceiling(system.diag, system.offdiag, lam[:count])
+        assert lam[count - 1] < ceiling < lam[count]
+        assert are_lowest_eigenvalues(system.offdiag, lam[:count], ceiling)
+    # a prediction short by far more than the separation margin (the
+    # first seeded ladder level) raises the ceiling until it holds lam[1]
+    short = lam[:2] - 1e3 * separation_margin(system.offdiag)
+    assert lam[1] < seed_ceiling(system.diag, system.offdiag, short) < lam[2]
+    for wrong in ([lam[1]], [lam[1], lam[2]], [lam[0], lam[2]], [lam[1], lam[0]],
+                  [lam[0], lam[0]]):
+        assert seed_ceiling(system.diag, system.offdiag, wrong) is None
+    # the check rejects polished values that are not distinct eigenvalues
+    # under the ceiling: a repeated value, or one that escaped above it
+    ceiling = seed_ceiling(system.diag, system.offdiag, lam[:2])
+    assert not are_lowest_eigenvalues(system.offdiag, [lam[0], lam[0]], ceiling)
+    assert not are_lowest_eigenvalues(system.offdiag, [lam[0], lam[2]], ceiling)
+    assert not are_lowest_eigenvalues(system.offdiag, [lam[1], lam[0]], ceiling)
+
+
+def test_seed_ceiling_near_degenerate_is_none():
+    # predictions closer than the separation margin are never confirmed
+    system = assemble_hamiltonian(MontgomeryPotential(1, 5.0), GridSpec(-8.0, 8.0, 4095))
+    lam = lowest_eigenvalues(system.diag, system.offdiag, 2)
+    assert seed_ceiling(system.diag, system.offdiag, lam) is None
 
 
 def test_inverse_iteration_two_by_two():
