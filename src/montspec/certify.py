@@ -6,6 +6,10 @@ Certificates are pure arithmetic on the bounds module (no PDE solves),
 mirroring how the proof actually runs: the scan and identity layers are
 a separate, optional evidence channel.  The split is k <= 68 (harmonic
 comparison floor B_k) versus k >= 70 (step-well floor B~_k).
+
+Only `scan` and `locate_minimum` solve.  They import the solver modules
+when called, so the certificates, the figure tables and `fmt` load
+neither numpy nor scipy.
 """
 
 import math
@@ -13,10 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
-from . import bounds, identities
-from .eigensolver import GridSpec, fixed_grid_lambda1, solve, truncation_radius
+from . import bounds
 from .errors import SolverFailure
-from .operators import MontgomeryPotential, OperatorSpec
 from .optimize import minimize_golden
 
 # Every certified inequality must clear this relative margin, guarding
@@ -97,6 +99,10 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
         raise ValueError("need alpha_min < alpha_max")
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    from . import identities
+    from .eigensolver import solve
+    from .operators import OperatorSpec
+
     rows = []
     for i in range(steps):
         alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
@@ -133,6 +139,9 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     """
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
+    from .eigensolver import GridSpec, fixed_grid_lambda1, solve, truncation_radius
+    from .operators import MontgomeryPotential, OperatorSpec
+
     # Domain must confine the worst case over the bracket; cap with the
     # trial upper bound at alpha = 3 plus slack.
     cap = max(10.0, 2.0 * (ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4) + 3.0)

@@ -3,7 +3,9 @@
 Subcommands: eigen, bounds, identities, scan, certify, figures, theta0.
 Everything is deterministic: the same argv produces byte-identical
 output.  Exit codes: 0 success, 1 usage error, 2 certification failure,
-3 solver failure.
+3 solver failure.  Only the subcommands that solve (eigen, identities,
+scan, theta0) load the solver stack and with it numpy and scipy; bounds,
+certify and figures run on the closed-form modules alone.
 """
 
 import argparse
@@ -13,11 +15,8 @@ from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
-from . import identities as identities_mod
 from .certify import fmt
-from .eigensolver import de_gennes_theta0, solve
 from .errors import CertificationError, SolverFailure
-from .operators import OperatorSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +90,9 @@ def _emit(text: str, out_path, stream) -> None:
 
 
 def _cmd_eigen(args, stream) -> int:
+    from .eigensolver import solve
+    from .operators import OperatorSpec
+
     res = solve(OperatorSpec(args.k, args.alpha), count=args.count, tol=args.tol)
     if args.format == "json":
         payload = {
@@ -156,7 +158,9 @@ def _cmd_bounds(args, stream) -> int:
 
 
 def _cmd_identities(args, stream) -> int:
-    rep = identities_mod.identity_report(args.k, args.alpha, tol=args.tol)
+    from .identities import identity_report
+
+    rep = identity_report(args.k, args.alpha, tol=args.tol)
     if args.format == "json":
         stream.write(json.dumps(asdict(rep)) + "\n")
     else:
@@ -226,6 +230,8 @@ def _cmd_figures(args, stream) -> int:
 
 
 def _cmd_theta0(args, stream) -> int:
+    from .eigensolver import de_gennes_theta0
+
     value = de_gennes_theta0(tol=args.tol)
     if args.format == "json":
         stream.write(json.dumps({"theta0": value, "tol": args.tol}) + "\n")

@@ -152,14 +152,6 @@ PotentialKind = Union[
 ]
 
 
-def potential_value(p: PotentialKind, t):
-    """Evaluate the potential of any kind at t (scalar or array).
-
-    Always finite: values that would overflow saturate at SATURATION.
-    """
-    return p.value(t)
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """One member of the Montgomery family plus its domain geometry."""

@@ -32,8 +32,8 @@ on coarser grids converges as well as one from a bisection bracket.
 seed_ceiling and are_lowest_eigenvalues confirm such values with one
 count-only stebz probe instead of bisecting for them.
 
-A plain-Python Sturm counter and bisection solver are kept alongside as
-an independent reference used by the test suite on small matrices.
+The test suite carries its own plain-Python Sturm counter and bisection
+solver as an independent reference on small matrices.
 """
 
 import numpy as np
@@ -42,7 +42,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverFailure
 
-_PIVOT_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 # Minimum gap between polish-resolution eigenvalues, in bracket widths;
 # below it the window is re-bisected machine-tight.
@@ -67,54 +66,6 @@ def _gershgorin_interval(diag, offdiag):
         radius[:-1] += np.abs(offdiag)
         radius[1:] += np.abs(offdiag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
-def sturm_count_below(diag, offdiag, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x.
-
-    Counts negative pivots of the LDL^T factorization of (A - x I).
-    Reference implementation; O(n) per call in pure Python.
-    """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    count = 0
-    d = diag[0] - x
-    if d == 0.0:
-        d = -_PIVOT_FLOOR
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = (diag[i] - x) - offdiag[i - 1] ** 2 / d
-        if d == 0.0:
-            d = -_PIVOT_FLOOR
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def sturm_bisect_eigenvalues(diag, offdiag, count: int, rel_width: float = 1e-13):
-    """Smallest `count` eigenvalues by explicit Sturm bisection.
-
-    Each eigenvalue is bracketed to relative width `rel_width` starting
-    from the Gershgorin enclosure.  Slow reference path for tests.
-    """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    n = len(diag)
-    if count < 1 or count > n:
-        raise ValueError(f"count must be in [1, {n}], got {count}")
-    lo, hi = _gershgorin_interval(diag, offdiag)
-    eigs = []
-    for j in range(1, count + 1):
-        a, b = lo, hi
-        while (b - a) > rel_width * max(1.0, abs(a), abs(b)):
-            mid = 0.5 * (a + b)
-            if sturm_count_below(diag, offdiag, mid) >= j:
-                b = mid
-            else:
-                a = mid
-        eigs.append(0.5 * (a + b))
-    return np.array(eigs)
 
 
 def _eigenvalues_in_window(diag, offdiag, lower: float, upper: float, tol: float):

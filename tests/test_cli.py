@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from montspec import bounds, certify, eigensolver
+from montspec import bounds, certify, eigensolver, identities
 from montspec.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -154,12 +154,10 @@ def test_grid_cap_failure_exit_code(monkeypatch, capsys):
 def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):
     # second_derivative_exact refuses to invert the reduced resolvent on a
     # tiny gap; the CLI must report that as a solver failure, not a traceback
-    import montspec.cli as cli_mod
-
     def tiny_gap(k, alpha, tol):
         raise ArithmeticError("spectral gap 1e-09 too small to invert the reduced resolvent")
 
-    monkeypatch.setattr(cli_mod.identities_mod, "identity_report", tiny_gap)
+    monkeypatch.setattr(identities, "identity_report", tiny_gap)
     code, out = _run(["identities", "--k", "2", "--alpha", "0"])
     assert code == EXIT_SOLVER
     assert out == ""

@@ -15,16 +15,15 @@ from montspec.operators import (
     PureAnharmonicPotential,
     ShiftedHarmonicPotential,
     int_power,
-    potential_value,
     reflection_conjugate,
 )
 
 
 def test_montgomery_values():
-    assert potential_value(MontgomeryPotential(2, 0.0), 3.0) == pytest.approx(81.0, abs=1e-12)
+    assert MontgomeryPotential(2, 0.0).value(3.0) == pytest.approx(81.0, abs=1e-12)
     # zero of the potential at t = ((k+1) alpha)^(1/(k+1))
-    assert potential_value(MontgomeryPotential(2, 9.0), 3.0) == pytest.approx(0.0, abs=1e-12)
-    assert potential_value(MontgomeryPotential(4, 1.0), 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert MontgomeryPotential(2, 9.0).value(3.0) == pytest.approx(0.0, abs=1e-12)
+    assert MontgomeryPotential(4, 1.0).value(0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_int_power_matches_builtin():

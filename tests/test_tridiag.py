@@ -1,4 +1,8 @@
-"""Sturm counting, bisection, and inverse iteration primitives."""
+"""Sturm counting, bisection, and inverse iteration primitives.
+
+The plain-Python Sturm counter and bisection solver below are the
+LAPACK-independent reference the windowed extraction is checked against.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from montspec.eigensolver import (
 )
 from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
+    _gershgorin_interval,
     _residual_floor,
     inverse_iteration,
     are_lowest_eigenvalues,
@@ -18,9 +23,57 @@ from montspec.tridiag import (
     seed_ceiling,
     separation_margin,
     shifted_solve,
-    sturm_bisect_eigenvalues,
-    sturm_count_below,
 )
+
+_PIVOT_FLOOR = 1e-300
+
+
+def sturm_count_below(diag, offdiag, x: float) -> int:
+    """Number of eigenvalues of the tridiagonal matrix strictly below x.
+
+    Counts negative pivots of the LDL^T factorization of (A - x I).
+    Independent of LAPACK; O(n) per call in pure Python.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    count = 0
+    d = diag[0] - x
+    if d == 0.0:
+        d = -_PIVOT_FLOOR
+    if d < 0.0:
+        count += 1
+    for i in range(1, len(diag)):
+        d = (diag[i] - x) - offdiag[i - 1] ** 2 / d
+        if d == 0.0:
+            d = -_PIVOT_FLOOR
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def sturm_bisect_eigenvalues(diag, offdiag, count: int, rel_width: float = 1e-13):
+    """Smallest `count` eigenvalues by explicit Sturm bisection.
+
+    Each eigenvalue is bracketed to relative width `rel_width` starting
+    from the Gershgorin enclosure.  Slow, independent of LAPACK.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    n = len(diag)
+    if count < 1 or count > n:
+        raise ValueError(f"count must be in [1, {n}], got {count}")
+    lo, hi = _gershgorin_interval(diag, offdiag)
+    eigs = []
+    for j in range(1, count + 1):
+        a, b = lo, hi
+        while (b - a) > rel_width * max(1.0, abs(a), abs(b)):
+            mid = 0.5 * (a + b)
+            if sturm_count_below(diag, offdiag, mid) >= j:
+                b = mid
+            else:
+                a = mid
+        eigs.append(0.5 * (a + b))
+    return np.array(eigs)
 
 
 def _random_tridiag(rng, n):
