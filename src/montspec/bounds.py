@@ -6,14 +6,17 @@ upper bound A_k on the bottom eigenvalue at alpha = 0, the commutator
 constant h(k), the second-eigenvalue floors B_k and B~_k, the large-alpha
 ground floor C_k built on the de Gennes constant, and the radii
 alpha_star / alpha_double_star that exclude critical points and global
-minima from explicit alpha intervals.
+minima from explicit alpha intervals.  bounds_table is the one place the
+certificate chain (constants, gap floor, radii) is put together for a
+k; certificates, figure tables and the CLI read it, and SMALL_K_MAX is
+the one definition of the chain's regime split.
 
 Fractional powers are evaluated in the log domain throughout; k up to a
 few hundred exceeds what naive pow chains handle cleanly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import CertificationError
@@ -28,6 +31,12 @@ THETA0_LOWER = 0.59
 B_TILDE_T = 1.1
 
 PI2_OVER_4 = math.pi**2 / 4.0
+
+# The regime split of the chain: even k up to SMALL_K_MAX take the
+# harmonic second-eigenvalue floor B_k, even k from LARGE_K_MIN on the
+# step-well floor B~_k.
+SMALL_K_MAX = 68
+LARGE_K_MIN = SMALL_K_MAX + 2
 
 _GOLDEN_SIGMA = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -292,45 +301,23 @@ def lower_bound_C(k: int, alpha0: float = 1.5) -> float:
     return min(c_bound_terms(k, alpha0))
 
 
-def exclusion_radii(k: int) -> Tuple[float, Optional[float]]:
-    """(alpha_star, alpha_double_star) for even k.
+@dataclass(frozen=True)
+class BoundsTable:
+    """The certificate chain for one even k: the closed-form constants and
+    the two exclusion radii derived from them when the table is built.
 
-      alpha_star         = sqrt((k+2)/(k+6) B - A_k), with B = B_k for
-                           k <= 68 and B = B~_k for k >= 70; no critical
-                           point exists in (0, alpha_star).
+      gap_floor          = (k+2)/(k+6) B, with B = B_k up to SMALL_K_MAX
+                           and B = B~_k beyond.
+      alpha_star         = sqrt(gap_floor - A_k); no critical point
+                           exists in (0, alpha_star).
       alpha_double_star  = 3/2 - sqrt(C_k - A_k); no global minimum
                            exists beyond it.
 
-    A negative alpha_star radicand would break the certification chain
-    and raises CertificationError.  For k >= 70 the chain does not use
-    alpha_double_star; it is still returned when C_k > A_k and is None
-    otherwise (for very large k the C floor drops below A_k).
+    A non-positive alpha_star radicand breaks the chain and raises
+    CertificationError, as does C_k <= A_k up to SMALL_K_MAX.  Past
+    SMALL_K_MAX the chain does not use alpha_double_star; it is None
+    when C_k <= A_k (for very large k the C floor drops below A_k).
     """
-    _require_even_k(k)
-    a_k = upper_bound_A(k)
-    b_k = lower_bound_B(k) if k <= 68 else lower_bound_B_tilde(k)
-    radicand = (k + 2.0) / (k + 6.0) * b_k - a_k
-    if radicand <= 0.0:
-        raise CertificationError(
-            f"gap floor failed at k={k}: (k+2)/(k+6) B = "
-            f"{(k + 2.0) / (k + 6.0) * b_k} does not exceed A_k = {a_k}"
-        )
-    alpha_star = math.sqrt(radicand)
-    c_k = lower_bound_C(k)
-    c_radicand = c_k - a_k
-    if c_radicand <= 0.0:
-        if k <= 68:
-            raise CertificationError(
-                f"large-alpha floor failed at k={k}: C_k = {c_k} "
-                f"does not exceed A_k = {a_k}"
-            )
-        return alpha_star, None
-    return alpha_star, 1.5 - math.sqrt(c_radicand)
-
-
-@dataclass(frozen=True)
-class BoundsTable:
-    """All closed-form constants for one even k."""
 
     k: int
     a_k: float
@@ -338,30 +325,53 @@ class BoundsTable:
     b_tilde_k: Optional[float]
     c_k: float
     h_k: float
-    alpha_star: float
-    alpha_double_star: Optional[float]
+    alpha_star: float = field(init=False)
+    alpha_double_star: Optional[float] = field(init=False)
     theta0_lower: float = THETA0_LOWER
 
+    @property
+    def gap_floor(self) -> float:
+        b = self.b_k if self.k <= SMALL_K_MAX else self.b_tilde_k
+        return (self.k + 2.0) / (self.k + 6.0) * b
+
     def __post_init__(self):
+        radicand = self.gap_floor - self.a_k
+        if radicand <= 0.0:
+            raise CertificationError(
+                f"gap floor failed at k={self.k}: (k+2)/(k+6) B = "
+                f"{self.gap_floor} does not exceed A_k = {self.a_k}"
+            )
+        c_radicand = self.c_k - self.a_k
+        if c_radicand <= 0.0 and self.k <= SMALL_K_MAX:
+            raise CertificationError(
+                f"large-alpha floor failed at k={self.k}: C_k = {self.c_k} "
+                f"does not exceed A_k = {self.a_k}"
+            )
+        alpha_double_star = 1.5 - math.sqrt(c_radicand) if c_radicand > 0.0 else None
+        object.__setattr__(self, "alpha_star", math.sqrt(radicand))
+        object.__setattr__(self, "alpha_double_star", alpha_double_star)
         if not self.a_k < PI2_OVER_4:
             raise CertificationError(f"A_{self.k} = {self.a_k} is not below pi^2/4")
-        if self.alpha_double_star is not None and not self.alpha_double_star < 1.5:
+        if alpha_double_star is not None and not alpha_double_star < 1.5:
             raise CertificationError(
-                f"alpha_double_star = {self.alpha_double_star} is not below 3/2"
+                f"alpha_double_star = {alpha_double_star} is not below 3/2"
             )
 
 
 def bounds_table(k: int) -> BoundsTable:
-    """Assemble the BoundsTable for an even k (B~ reported for k >= 70)."""
+    """The BoundsTable of an even k (B~ reported past SMALL_K_MAX)."""
     _require_even_k(k)
-    alpha_star, alpha_double_star = exclusion_radii(k)
     return BoundsTable(
         k=k,
         a_k=upper_bound_A(k),
         b_k=lower_bound_B(k),
-        b_tilde_k=lower_bound_B_tilde(k) if k >= 70 else None,
+        b_tilde_k=lower_bound_B_tilde(k) if k > SMALL_K_MAX else None,
         c_k=lower_bound_C(k),
         h_k=h_closed(k),
-        alpha_star=alpha_star,
-        alpha_double_star=alpha_double_star,
     )
+
+
+def exclusion_radii(k: int) -> Tuple[float, Optional[float]]:
+    """(alpha_star, alpha_double_star) of bounds_table(k)."""
+    t = bounds_table(k)
+    return t.alpha_star, t.alpha_double_star

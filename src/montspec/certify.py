@@ -2,17 +2,18 @@
 closed-form inequality chains that pin the unique minimum of
 lambda1(alpha) at alpha = 0 for even k.
 
-Certificates are pure arithmetic on the bounds module (no PDE solves),
-mirroring how the proof actually runs: the scan and identity layers are
-a separate, optional evidence channel.  The split is k <= 68 (harmonic
-comparison floor B_k) versus k >= 70 (step-well floor B~_k).
+Certificates are pure arithmetic (no PDE solves), mirroring how the
+proof actually runs: the scan and identity layers are a separate,
+optional evidence channel.  Each check reads bounds.bounds_table, the
+one place the chain's constants, gap floor and radii are computed, and
+the regime split k <= 68 (harmonic floor B_k) versus k >= 70 (step-well
+floor B~_k) is bounds.SMALL_K_MAX.
 
 Only `scan` and `locate_minimum` solve.  They import the solver modules
 when called, so the certificates, the figure tables and `fmt` load
 neither numpy nor scipy.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
@@ -28,9 +29,6 @@ REL_MARGIN_FLOOR = 1e-9
 # Scan ceiling: covers both the 3/2 (small k) and 2.83 (large k)
 # exclusion thresholds with room to spare.
 ALPHA_SCAN_MAX = 3.0
-
-_SMALL_K_MAX = 68
-_LARGE_K_MIN = 70
 
 FIGURE_KINDS = ("lambda1comp", "completeproof")
 
@@ -156,18 +154,13 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
 
 
 def _small_k_checks(k: int) -> Tuple[CertCheck, ...]:
-    a_k = bounds.upper_bound_A(k)
-    b_k = bounds.lower_bound_B(k)
-    c_k = bounds.lower_bound_C(k)
-    gap_floor = (k + 2.0) / (k + 6.0) * b_k
-    alpha_star = math.sqrt(gap_floor - a_k) if gap_floor > a_k else math.nan
-    alpha_double_star = 1.5 - math.sqrt(c_k - a_k) if c_k > a_k else math.nan
+    t = bounds.bounds_table(k)
     return (
-        CertCheck("critical_point_free_radius", gap_floor, a_k),
-        CertCheck("no_global_min_up_to_two_alpha_star", 2.0 * alpha_star, alpha_star),
-        CertCheck("large_alpha_floor_exceeds_zero_upper", c_k, a_k),
-        CertCheck("exclusion_beyond_alpha_double_star", 1.5, alpha_double_star),
-        CertCheck("radii_overlap", 2.0 * alpha_star, alpha_double_star),
+        CertCheck("critical_point_free_radius", t.gap_floor, t.a_k),
+        CertCheck("no_global_min_up_to_two_alpha_star", 2.0 * t.alpha_star, t.alpha_star),
+        CertCheck("large_alpha_floor_exceeds_zero_upper", t.c_k, t.a_k),
+        CertCheck("exclusion_beyond_alpha_double_star", 1.5, t.alpha_double_star),
+        CertCheck("radii_overlap", 2.0 * t.alpha_star, t.alpha_double_star),
     )
 
 
@@ -179,24 +172,21 @@ def certify_small_k(k: int) -> CertificateReport:
     two intervals overlap (2 alpha_star > alpha_double_star), leaving
     alpha = 0 as the only candidate.
     """
-    if not isinstance(k, int) or k % 2 != 0 or not 2 <= k <= _SMALL_K_MAX:
-        raise ValueError(f"small-k certificates cover even k in [2, 68], got {k!r}")
+    if not isinstance(k, int) or k % 2 != 0 or not 2 <= k <= bounds.SMALL_K_MAX:
+        raise ValueError(
+            f"small-k certificates cover even k in [2, {bounds.SMALL_K_MAX}], got {k!r}"
+        )
     return CertificateReport(k=k, regime=Regime.SMALL_K, checks=_small_k_checks(k))
 
 
 def _large_k_checks(k: int) -> Tuple[CertCheck, ...]:
-    a_k = bounds.upper_bound_A(k)
-    b_tilde = bounds.lower_bound_B_tilde(k)
+    t = bounds.bounds_table(k)
     first_term, second_term = bounds.c_bound_terms(k, alpha0=2.8)
     c_28 = min(first_term, second_term)
-    gap_floor = (k + 2.0) / (k + 6.0) * b_tilde
-    two_alpha_star = (
-        2.0 * math.sqrt(gap_floor - a_k) if gap_floor > a_k else math.nan
-    )
     return (
-        CertCheck("upper_bound_below_pi2_over_4", bounds.PI2_OVER_4, a_k),
-        CertCheck("b_tilde_floor", b_tilde, 4.719),
-        CertCheck("two_alpha_star_floor", two_alpha_star, 2.83),
+        CertCheck("upper_bound_below_pi2_over_4", bounds.PI2_OVER_4, t.a_k),
+        CertCheck("b_tilde_floor", t.b_tilde_k, 4.719),
+        CertCheck("two_alpha_star_floor", 2.0 * t.alpha_star, 2.83),
         CertCheck("first_c_term_floor", first_term, 7.76),
         CertCheck("first_c_term_ceiling", 2.8**2, first_term),
         CertCheck("second_c_term_floor", second_term, 21.2),
@@ -214,8 +204,10 @@ def certify_large_k(k: int) -> CertificateReport:
     pi^2/4, so none sits in [2.8, infinity) either; the two exclusions
     overlap.
     """
-    if not isinstance(k, int) or k % 2 != 0 or k < _LARGE_K_MIN:
-        raise ValueError(f"large-k certificates cover even k >= 70, got {k!r}")
+    if not isinstance(k, int) or k % 2 != 0 or k < bounds.LARGE_K_MIN:
+        raise ValueError(
+            f"large-k certificates cover even k >= {bounds.LARGE_K_MIN}, got {k!r}"
+        )
     return CertificateReport(k=k, regime=Regime.LARGE_K, checks=_large_k_checks(k))
 
 
@@ -229,14 +221,10 @@ def figure_data(which: str) -> List[tuple]:
     """
     if which not in FIGURE_KINDS:
         raise ValueError(f"unknown figure {which!r}; expected one of {FIGURE_KINDS}")
-    rows = []
-    for k in range(2, _SMALL_K_MAX + 1, 2):
-        if which == "lambda1comp":
-            rows.append((k, bounds.upper_bound_A(k), bounds.lower_bound_C(k)))
-        else:
-            alpha_star, alpha_double_star = bounds.exclusion_radii(k)
-            rows.append((k, 2.0 * alpha_star, alpha_double_star))
-    return rows
+    tables = [bounds.bounds_table(k) for k in range(2, bounds.SMALL_K_MAX + 1, 2)]
+    if which == "lambda1comp":
+        return [(t.k, t.a_k, t.c_k) for t in tables]
+    return [(t.k, 2.0 * t.alpha_star, t.alpha_double_star) for t in tables]
 
 
 def fmt(x) -> str:

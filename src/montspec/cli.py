@@ -11,7 +11,7 @@ certify and figures run on the closed-form modules alone.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
@@ -127,10 +127,8 @@ def _bounds_rows(args):
     return [bounds_mod.bounds_table(k) for k in ks]
 
 
-_BOUNDS_COLUMNS = (
-    "k", "A_k", "B_k", "B_tilde_k", "C_k", "h_k",
-    "alpha_star", "alpha_double_star", "theta0_lower",
-)
+# Column labels are the BoundsTable field names, with the bounds capitalised.
+_BOUNDS_LABELS = {"a_k": "A_k", "b_k": "B_k", "b_tilde_k": "B_tilde_k", "c_k": "C_k"}
 
 
 def _cmd_bounds(args, stream) -> int:
@@ -138,20 +136,17 @@ def _cmd_bounds(args, stream) -> int:
     if args.format == "json":
         stream.write(json.dumps([asdict(t) for t in tables]) + "\n")
         return EXIT_OK
-    rows = [
-        (t.k, t.a_k, t.b_k, t.b_tilde_k, t.c_k, t.h_k,
-         t.alpha_star, t.alpha_double_star, t.theta0_lower)
-        for t in tables
-    ]
+    labels = [_BOUNDS_LABELS.get(f.name, f.name) for f in fields(bounds_mod.BoundsTable)]
+    rows = [astuple(t) for t in tables]
     if args.format == "csv":
-        stream.write(",".join(_BOUNDS_COLUMNS) + "\n")
+        stream.write(",".join(labels) + "\n")
         for row in rows:
             stream.write(",".join("" if x is None else fmt(x) for x in row) + "\n")
     else:
         for row in rows:
             pairs = (
                 f"{name}={'-' if x is None else fmt(x)}"
-                for name, x in zip(_BOUNDS_COLUMNS, row)
+                for name, x in zip(labels, row)
             )
             stream.write("  ".join(pairs) + "\n")
     return EXIT_OK
@@ -186,9 +181,9 @@ def _cmd_scan(args, stream) -> int:
 
 def _certificates_for(args):
     if args.regime == "small":
-        ks = [args.k] if args.k is not None else list(range(2, 69, 2))
+        ks = [args.k] if args.k is not None else range(2, bounds_mod.SMALL_K_MAX + 1, 2)
         return [certify_mod.certify_small_k(k) for k in ks]
-    ks = [args.k] if args.k is not None else [70, 100, 200]
+    ks = [args.k] if args.k is not None else [bounds_mod.LARGE_K_MIN, 100, 200]
     return [certify_mod.certify_large_k(k) for k in ks]
 
 

@@ -413,8 +413,8 @@ def solve(
     then re-truncate so the potential dominates every requested
     eigenvalue with margin.
     """
-    if tol < 1e-11:
-        raise ValueError("tol below 1e-11 is not supported by this discretization")
+    if not tol >= 1e-11:  # written so that nan fails too
+        raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
     if isinstance(problem, OperatorSpec):
         if geometry is not None or boundary is not None:
             raise ValueError("geometry/boundary are read from the OperatorSpec")
@@ -433,18 +433,23 @@ def solve(
 
     lower, upper = _domain_for(potential, geometry, 10.0)
     coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower, bc_upper)
-    lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
-    cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
-    lower, upper = _domain_for(potential, geometry, cap)
-    return solve_on_interval(
-        potential,
-        lower,
-        upper,
-        count=count,
-        tol=tol,
-        bc_lower=bc_lower,
-        bc_upper=bc_upper,
-    )
+    # LAPACK reports non-convergence as LinAlgError, a ValueError subclass
+    # that callers would read as bad arguments; it is a solver failure.
+    try:
+        lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
+        cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
+        lower, upper = _domain_for(potential, geometry, cap)
+        return solve_on_interval(
+            potential,
+            lower,
+            upper,
+            count=count,
+            tol=tol,
+            bc_lower=bc_lower,
+            bc_upper=bc_upper,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(str(exc)) from exc
 
 
 def de_gennes_theta0(tol: float = 1e-7) -> float:
@@ -455,8 +460,8 @@ def de_gennes_theta0(tol: float = 1e-7) -> float:
     the map is smooth and unimodal there.  The returned minimum is a hair
     above 0.59.
     """
-    if tol < 1e-9:
-        raise ValueError("tol below 1e-9 is not supported")
+    if not tol >= 1e-9:  # written so that nan fails too
+        raise ValueError(f"tol must be at least 1e-9, got {tol}")
     inner_tol = max(tol / 10.0, 1e-11)
 
     def lam1(xi: float) -> float:

@@ -2,6 +2,7 @@
 and the solver-vs-bounds sandwich."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def test_bounds_table_fields():
     t70 = bounds.bounds_table(70)
     assert t70.b_tilde_k == pytest.approx(bounds.lower_bound_B_tilde(70))
     assert t70.alpha_double_star is not None
+
+
+@pytest.mark.parametrize("k", [2, 10, 68, 70, 100, 300])
+def test_bounds_table_is_the_chain(k):
+    t = bounds.bounds_table(k)
+    b = bounds.lower_bound_B(k) if k <= bounds.SMALL_K_MAX else bounds.lower_bound_B_tilde(k)
+    assert t.gap_floor == (k + 2.0) / (k + 6.0) * b
+    assert t.alpha_star == math.sqrt(t.gap_floor - t.a_k)
+    assert bounds.exclusion_radii(k) == (t.alpha_star, t.alpha_double_star)
+    # the gap floor is not part of the table's fields (the bounds JSON payload)
+    assert "gap_floor" not in asdict(t)
 
 
 # ---------------------------------------------------------------------------

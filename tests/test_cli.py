@@ -17,6 +17,9 @@ from montspec.cli import (
 )
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+# Closed-form outputs in their machine-readable forms, and one failing
+# certificate, captured before the certificate chain moved into bounds.
+CLOSED_FORM_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(argv):
@@ -193,3 +196,57 @@ def test_closed_form_output_matches_golden_bytes(argv, name):
     code, out = _run(argv.split())
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, name, exit_code",
+    [
+        ("certify --regime small --format json", "certify-small.json", EXIT_OK),
+        ("certify --regime large --format json", "certify-large.json", EXIT_OK),
+        ("bounds --k-min 2 --k-max 68 --format json", "bounds.json", EXIT_OK),
+        ("bounds --k-min 2 --k-max 68 --format csv", "bounds.csv", EXIT_OK),
+        # alpha_double_star is null: the C floor has dropped below A_k
+        ("bounds --k 300 --format json", "bounds-k300.json", EXIT_OK),
+        # first_c_term_ceiling falls under REL_MARGIN_FLOOR
+        ("certify --regime large --k 1000000000", "certify-large-k1e9.txt",
+         EXIT_CERTIFICATION),
+    ],
+)
+def test_closed_form_forms_match_golden_bytes(argv, name, exit_code, capsys):
+    code, out = _run(argv.split())
+    assert code == exit_code
+    assert out.encode() == (CLOSED_FORM_GOLDEN / name).read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eigen --k 2 --alpha 0 --tol nan",
+        "scan --k 2 --alpha-min 0 --alpha-max 1 --steps 2 --tol nan",
+        "identities --k 2 --alpha 0 --tol nan",
+        "theta0 --tol nan",
+    ],
+)
+def test_nan_tol_is_usage_error(argv, capsys):
+    code, out = _run(argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err.startswith("usage error: tol must be at least")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eigen --k 2 --alpha 1e308",
+        "scan --k 2 --alpha-min 0 --alpha-max 1e308 --steps 2",
+    ],
+)
+def test_lapack_failure_exit_code(argv, capsys):
+    # stebz does not converge on the overflowed potential: a solver failure
+    code, out = _run(argv.split())
+    assert code == EXIT_SOLVER
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "stebz" in err

@@ -194,6 +194,23 @@ def test_solve_validation():
         solve(MontgomeryPotential(2, 0.0), geometry=Geometry.HALF_LINE_POSITIVE)
 
 
+def test_nan_tol_is_rejected():
+    # nan compares false with every floor, so it must fail the guard up front
+    # instead of climbing the ladder to the grid cap
+    with pytest.raises(ValueError):
+        solve(OperatorSpec(2, 0.0), tol=float("nan"))
+    with pytest.raises(ValueError):
+        de_gennes_theta0(float("nan"))
+
+
+def test_lapack_failure_is_solver_failure():
+    # LAPACK's LinAlgError subclasses ValueError; inside solve it is a
+    # solver failure, not an argument error (alpha = 1e308 overflows V)
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="stebz") as info:
+        solve(OperatorSpec(2, 1e308))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_solve_near_degenerate_double_well():
     # k = 1, alpha = 5: the two lowest eigenvalues lie 5.3e-8 apart, far
     # closer than polish-resolution brackets on the finer ladder levels
