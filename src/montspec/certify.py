@@ -148,7 +148,7 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     grid = GridSpec(-radius, radius, probe.grid_used.n)
 
     def lam1(alpha: float) -> float:
-        return fixed_grid_lambda1(MontgomeryPotential(k, alpha), grid)
+        return fixed_grid_lambda1(MontgomeryPotential(k, alpha), grid, probe.lambda1)
 
     return minimize_golden(lam1, 0.0, ALPHA_SCAN_MAX, xtol=1e-5)
 

@@ -10,6 +10,7 @@ model whose first eigenvalue solves a transcendental gluing equation.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -187,26 +188,19 @@ def refined_lowest_eigenvalues(
     Rayleigh quotient of an eigenvector with residual r is accurate to
     r^2 / gap, which lands near machine precision.
 
-    `seeds` are predicted eigenvalues (from coarser grids, see
-    solve_on_interval).  Given them, bisection is skipped: one Sturm
-    count finds an energy just above the predictions with exactly
-    `count` eigenvalues below it (tridiag.seed_ceiling), inverse
-    iteration starts from each prediction, and the polished values must
-    be strictly increasing, well separated and below that energy
-    (tridiag.are_lowest_eigenvalues), which makes them the lowest
-    `count` in order.  If the predictions lie too close together
-    (near-degenerate pairs), the count disagrees, inverse iteration
-    fails or the check does, the level falls back to bisection.  The
-    count runs before inverse iteration, as bisection does, so no
+    `seeds` are predicted eigenvalues: from coarser grids (see
+    solve_on_interval) or from an adaptive solve of the same or a nearby
+    operator (fixed_grid_lambda1 and its callers, the identities).  Given
+    them, bisection is skipped: one Sturm count finds an energy just above
+    the predictions with exactly `count` eigenvalues below it
+    (tridiag.seed_ceiling), inverse iteration starts from each prediction,
+    and the polished values must be strictly increasing, well separated
+    and below that energy (tridiag.are_lowest_eigenvalues), which makes
+    them the lowest `count` in order.  If the predictions lie too close
+    together (near-degenerate pairs), the count disagrees, inverse
+    iteration fails or the check does, the level falls back to bisection.
+    The count runs before inverse iteration, as bisection does, so no
     eigenvector is held while stebz allocates its workspace.
-
-    Since a bracketed value only seeds the polish, bisection stops at
-    polish resolution (brackets 1/8 of inverse iteration's residual floor
-    wide) instead of machine precision, except where eigenvalues lie too
-    close together for that; see tridiag.lowest_eigenvalues.  The coarse
-    pre-solve in `solve` keeps machine-tight brackets: its value sets the
-    truncation radius, so every ladder grid stays independent of the
-    bracket resolution.
 
     Returns (eigenvalues, ground_state_matrix_vector).
     """
@@ -222,7 +216,7 @@ def refined_lowest_eigenvalues(
             system.offdiag, refined, ceiling
         ):
             return refined, ground
-    raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count, polish=True)
+    raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count)
     return _polished(system, raw)
 
 
@@ -239,21 +233,41 @@ def _polished(system: AssembledSystem, estimates):
     return refined, ground
 
 
-def fixed_grid_lambda1(potential, grid: GridSpec) -> float:
+def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     """lambda1 on `grid` and on its (n - 1) / 2 coarsening (twice the
     spacing), plus one Richardson step.
 
-    The fine level is seeded from the coarse one as in the ladder.  Callers
-    that evaluate several potentials on one grid see an O(h^2) error that
-    is a smooth function of the potential parameters, so it cancels in
-    finite differences and comparisons.  Dirichlet ends.
+    `seed` predicts lambda1 on the coarse level (say, lambda1 of a nearby
+    potential) and seeds it; the fine level is seeded from the coarse one
+    as in the ladder.  A poor seed costs a bisection, not accuracy (see
+    refined_lowest_eigenvalues).  Callers that evaluate several potentials
+    on one grid see an O(h^2) error that is a smooth function of the
+    potential parameters, so it cancels in finite differences and
+    comparisons.  Dirichlet ends.
     """
     coarse = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
-    lam_c, _ = refined_lowest_eigenvalues(assemble_hamiltonian(potential, coarse), 1)
-    lam_f, _ = refined_lowest_eigenvalues(
-        assemble_hamiltonian(potential, grid), 1, seeds=lam_c
-    )
+    with lapack_errors_as_solver_failure():
+        lam_c, _ = refined_lowest_eigenvalues(
+            assemble_hamiltonian(potential, coarse), 1, seeds=np.array([seed])
+        )
+        lam_f, _ = refined_lowest_eigenvalues(
+            assemble_hamiltonian(potential, grid), 1, seeds=lam_c
+        )
     return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
+
+
+@contextmanager
+def lapack_errors_as_solver_failure():
+    """Re-raise LAPACK failures as SolverFailure.
+
+    LAPACK reports non-convergence and singular factors as LinAlgError, a
+    ValueError subclass that callers (the CLI among them) would read as
+    bad arguments; inside a solve it is a solver failure.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(str(exc)) from exc
 
 
 def truncation_radius(p: PotentialKind, lambda_cap: float, margin: float) -> float:
@@ -433,9 +447,7 @@ def solve(
 
     lower, upper = _domain_for(potential, geometry, 10.0)
     coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower, bc_upper)
-    # LAPACK reports non-convergence as LinAlgError, a ValueError subclass
-    # that callers would read as bad arguments; it is a solver failure.
-    try:
+    with lapack_errors_as_solver_failure():
         lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
         cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
         lower, upper = _domain_for(potential, geometry, cap)
@@ -448,8 +460,6 @@ def solve(
             bc_lower=bc_lower,
             bc_upper=bc_upper,
         )
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(str(exc)) from exc
 
 
 def de_gennes_theta0(tol: float = 1e-7) -> float:

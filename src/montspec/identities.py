@@ -20,6 +20,7 @@ from .eigensolver import (
     EigenResult,
     assemble_hamiltonian,
     fixed_grid_lambda1,
+    lapack_errors_as_solver_failure,
     refined_lowest_eigenvalues,
     solve,
 )
@@ -114,10 +115,12 @@ def second_derivative_exact(k: int, alpha: float, tol: float = 1e-7) -> float:
 
 
 def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
-    """second_derivative_exact on the final grid of a count=2 solve."""
+    """second_derivative_exact on the final grid of a count=2 solve,
+    seeded from its eigenvalues."""
     grid = adaptive.grid_used
     system = assemble_hamiltonian(MontgomeryPotential(k, alpha), grid)
-    lam, v = refined_lowest_eigenvalues(system, 2)
+    with lapack_errors_as_solver_failure():
+        lam, v = refined_lowest_eigenvalues(system, 2, seeds=np.array(adaptive.eigenvalues))
     if lam[1] - lam[0] < 1e-6:
         raise ArithmeticError(
             f"spectral gap {lam[1] - lam[0]} too small to invert the reduced resolvent"
@@ -128,7 +131,8 @@ def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
     f = w * u
     f_perp = f - (h * np.dot(f, u)) * u
     shift = lam[0] + 1e-12 * max(1.0, abs(lam[0]))
-    g = tridiag.shifted_solve(system.diag, system.offdiag, shift, f_perp)
+    with lapack_errors_as_solver_failure():
+        g = tridiag.shifted_solve(system.diag, system.offdiag, shift, f_perp)
     g = g - (h * np.dot(g, u)) * u
     du = 2.0 * g
     return 2.0 - 4.0 * h * float(np.dot(f, du))
@@ -137,10 +141,12 @@ def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
 def _shared_grid_lambda1(k: int, alpha: float, tol: float, step: float):
     """lambda1(a) for finite-difference stencils around alpha: every
     stencil point runs on the grid pair of one adaptive solve at
-    |alpha| + step, so the O(h^2) error is a smooth function of a and
-    cancels in the differences."""
-    grid = solve(OperatorSpec(k, abs(alpha) + step), count=1, tol=tol).grid_used
-    return lambda a: fixed_grid_lambda1(MontgomeryPotential(k, a), grid)
+    |alpha| + step, seeded from its lambda1, so the O(h^2) error is a
+    smooth function of a and cancels in the differences."""
+    stencil = solve(OperatorSpec(k, abs(alpha) + step), count=1, tol=tol)
+    return lambda a: fixed_grid_lambda1(
+        MontgomeryPotential(k, a), stencil.grid_used, stencil.lambda1
+    )
 
 
 def fd_first_derivative(k: int, alpha: float, tol: float = 1e-7,

@@ -11,19 +11,10 @@ The top grows on absolute energies, never by the window width: a
 Neumann row puts the floor near -0.4/h^2, and width doubling from there
 would pull most of the spectrum into the window.
 
-Brackets are machine-tight by default.  Callers that polish each value
-through its inverse-iteration eigenvector (the Rayleigh quotient of a
-vector with residual r is accurate to r^2 / gap) ask for polish
-resolution instead: brackets 1/8 of inverse iteration's residual floor
-wide, so each midpoint lies within 1/16 of that floor and the residual
-test stays reachable.  Loose brackets need well-separated eigenvalues:
-when two returned values, or the last wanted value and the window top,
-lie within _SEPARATION bracket widths of each other, the window is
-bisected again machine-tight, which returns exactly the default values.
-Near-degenerate double wells (odd k, large alpha) take that path.  The
-coarse pre-solve in eigensolver.solve stays machine-tight: its value sets
-the truncation radius, so every ladder grid is independent of the
-bracket resolution.
+Brackets are machine-tight.  Bisection runs only where nothing predicts
+the eigenvalues (the coarse pre-solve in eigensolver.solve and the first
+level of its refinement ladder), and as the fallback when predicted
+values fail their check.
 
 Inverse iteration factors A - shift I once (LAPACK gttrf) and reuses the
 factor for every sweep, polish sweeps included.  Its residual is taken at
@@ -43,9 +34,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .errors import SolverFailure
 
 _EPS = np.finfo(float).eps
-# Minimum gap between polish-resolution eigenvalues, in bracket widths;
-# below it the window is re-bisected machine-tight.
-_SEPARATION = 1000.0
 
 
 def _residual_floor(offdiag, eigenvalue: float) -> float:
@@ -99,28 +87,19 @@ def _count_below(diag, offdiag, lower: float, x: float) -> int:
     return len(_eigenvalues_in_window(diag, offdiag, lower, x, x - lower))
 
 
-def _polish_width(offdiag) -> float:
-    """Polish-resolution bracket width; half of it is at most 1/16 of
-    inverse iteration's residual floor at any eigenvalue."""
-    return _residual_floor(offdiag, 0.0) / 8.0
-
-
 def separation_margin(offdiag) -> float:
-    """Gap below which two eigenvalues count as too close for polish
-    resolution: _SEPARATION polish bracket widths."""
-    return _SEPARATION * _polish_width(offdiag)
+    """Gap below which two predicted or polished eigenvalues count as too
+    close to tell apart: 125 of inverse iteration's residual floors."""
+    return 125.0 * _residual_floor(offdiag, 0.0)
 
 
-def lowest_eigenvalues(diag, offdiag, count: int, *, polish: bool = False):
+def lowest_eigenvalues(diag, offdiag, count: int):
     """Smallest `count` eigenvalues of a symmetric tridiagonal matrix.
 
     Backed by LAPACK stebz (Sturm counting plus bisection, deterministic)
-    on a window (lower, upper] known to hold them; see the module
-    docstring.  Brackets are machine-tight unless `polish` is set, for
-    callers that refine each value by inverse iteration and a Rayleigh
-    quotient: then they are 1/8 of the inverse-iteration residual floor
-    wide, or machine-tight again when the values are too close together
-    for that.  Eigenvalues come back sorted ascending.
+    on a window (lower, upper] known to hold them, with machine-tight
+    brackets; see the module docstring.  Eigenvalues come back sorted
+    ascending.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -133,12 +112,6 @@ def lowest_eigenvalues(diag, offdiag, count: int, *, polish: bool = False):
     upper = 1.0
     while upper <= lower or _count_below(diag, offdiag, lower, upper) < count:
         upper *= 2.0
-    if polish:
-        width = _polish_width(offdiag)
-        vals = np.sort(_eigenvalues_in_window(diag, offdiag, lower, upper, width))
-        gaps = np.diff(np.append(vals, upper))[:count]
-        if np.min(gaps) >= separation_margin(offdiag):
-            return vals[:count]
     # tol must be a tiny positive: at exactly 0 LAPACK substitutes
     # ulp * max(|lower|, |upper|), which is far too loose at the Neumann
     # floor; a tiny abstol switches it to the per-eigenvalue relative

@@ -5,9 +5,10 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from montspec import bounds, certify, eigensolver, identities
+from montspec import bounds, certify, eigensolver, identities, tridiag
 from montspec.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -235,18 +236,25 @@ def test_nan_tol_is_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error: tol must be at least")
 
 
+_LAPACK_FAILURES = {
+    # stebz does not converge on the overflowed potential
+    "eigen --k 2 --alpha 1e308": "stebz",
+    "scan --k 2 --alpha-min 0 --alpha-max 1e308 --steps 2": "stebz",
+    # the reduced-resolvent solve behind d2_exact, made singular below
+    "identities --k 2 --alpha 0": "singular matrix",
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "eigen --k 2 --alpha 1e308",
-        "scan --k 2 --alpha-min 0 --alpha-max 1e308 --steps 2",
-    ],
-)
-def test_lapack_failure_exit_code(argv, capsys):
-    # stebz does not converge on the overflowed potential: a solver failure
+@pytest.mark.parametrize("argv", list(_LAPACK_FAILURES))
+def test_lapack_failure_exit_code(argv, monkeypatch, capsys):
+    # LAPACK's LinAlgError subclasses ValueError, but it is a solver failure
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(tridiag, "shifted_solve", singular)
     code, out = _run(argv.split())
     assert code == EXIT_SOLVER
     assert out == ""
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: ") and "stebz" in err
+    assert err.startswith("solver failure: ") and _LAPACK_FAILURES[argv] in err

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from montspec import eigensolver
+from montspec import eigensolver, tridiag
 from montspec.errors import SolverFailure
 from montspec.eigensolver import (
     GridSpec,
@@ -212,8 +212,8 @@ def test_lapack_failure_is_solver_failure():
 
 
 def test_solve_near_degenerate_double_well():
-    # k = 1, alpha = 5: the two lowest eigenvalues lie 5.3e-8 apart, far
-    # closer than polish-resolution brackets on the finer ladder levels
+    # k = 1, alpha = 5: the two lowest eigenvalues lie 5.3e-8 apart, closer
+    # than the separation margin on the finer ladder levels, which bisect
     res = solve(OperatorSpec(1, 5.0), count=2, tol=1e-6)
     assert res.eigenvalues == pytest.approx(
         [3.11034171650565, 3.11034176987275], rel=0.0, abs=1e-12
@@ -263,13 +263,27 @@ def test_wrong_seeds_fall_back_to_bisection():
     assert values == pytest.approx(bisected, rel=0.0, abs=1e-13)
 
 
-def test_fixed_grid_lambda1_matches_bisected_pair():
+@pytest.mark.parametrize("seed", ["coarse-lambda1", "far-below", "coarse-lambda2"])
+def test_fixed_grid_lambda1_matches_bisected_pair(seed):
+    # a seed far below lambda1 still polishes to it; one at lambda2 fails
+    # the ceiling probe and falls back to bisection
     pot = MontgomeryPotential(2, 0.5)
     grid = GridSpec(-6.0, 6.0, 8191)
-    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 1)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 2)
     fine, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, grid), 1)
     expected = fine[0] + (fine[0] - coarse[0]) / 3.0
-    assert fixed_grid_lambda1(pot, grid) == pytest.approx(expected, rel=0.0, abs=1e-13)
+    value = {"coarse-lambda1": coarse[0], "far-below": 0.0, "coarse-lambda2": coarse[1]}[seed]
+    assert fixed_grid_lambda1(pot, grid, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+
+def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(tridiag, "inverse_iteration", singular)
+    with pytest.raises(SolverFailure, match="singular matrix") as info:
+        fixed_grid_lambda1(MontgomeryPotential(2, 0.5), GridSpec(-6.0, 6.0, 8191), 0.8)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_theta0_xi_zero_slice():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from montspec import bounds
+from montspec import bounds, identities
+from montspec.eigensolver import refined_lowest_eigenvalues, solve
 from montspec.identities import (
     fd_first_derivative,
     fd_second_derivative,
@@ -12,6 +13,7 @@ from montspec.identities import (
     second_derivative_exact,
     virial_check,
 )
+from montspec.operators import OperatorSpec
 
 TOL = 1e-7
 
@@ -60,14 +62,20 @@ def test_second_derivative_positive_and_matches_fd(k):
 def test_second_derivative_cauchy_schwarz_floor(report_k2):
     # d2 = 2 - 8 <f, R f> with ||R|| <= 1/(lambda2 - lambda1) and
     # ||f||^2 the virial integral, so d2 >= 2 - 8 * virial / gap
-    from montspec.eigensolver import solve
-    from montspec.operators import OperatorSpec
-
     rep = report_k2
     res = solve(OperatorSpec(2, 0.0), count=2, tol=TOL)
     gap = res.eigenvalues[1] - res.eigenvalues[0]
     floor = 2.0 - 8.0 * rep.virial_lhs / gap
     assert floor <= rep.d2_exact <= 2.0
+
+
+def test_second_derivative_seeded_matches_bisected(monkeypatch):
+    result = solve(OperatorSpec(2, 0.0), count=2, tol=TOL)
+    seeded = identities._second_derivative_on(result, 2, 0.0)
+    monkeypatch.setattr(identities, "refined_lowest_eigenvalues",
+                        lambda system, count, seeds=None: refined_lowest_eigenvalues(system, count))
+    bisected = identities._second_derivative_on(result, 2, 0.0)
+    assert seeded == pytest.approx(bisected, rel=0.0, abs=1e-9)
 
 
 def test_gap_criterion_k2(report_k2):

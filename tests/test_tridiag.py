@@ -16,7 +16,6 @@ from montspec.eigensolver import (
 from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
     _gershgorin_interval,
-    _residual_floor,
     inverse_iteration,
     are_lowest_eigenvalues,
     lowest_eigenvalues,
@@ -176,27 +175,13 @@ def test_lowest_eigenvalues_eigenvalue_on_gershgorin_floor():
 
 
 @pytest.mark.parametrize("build", [_saturated_system, _neumann_floor_system])
-def test_polish_resolution_matches_machine_tight_polish(build):
+def test_refined_eigenvalues_match_tight_bracket_polish(build):
     system = build()
     tight = lowest_eigenvalues(system.diag, system.offdiag, 3)
-    loose = lowest_eigenvalues(system.diag, system.offdiag, 3, polish=True)
-    for t, x in zip(tight, loose):
-        assert abs(x - t) <= _residual_floor(system.offdiag, t) / 16.0
     refined, _ = refined_lowest_eigenvalues(system, 3)
     for j, lam in enumerate(tight):
         v = inverse_iteration(system.diag, system.offdiag, float(lam))
         assert refined[j] == pytest.approx(system.rayleigh_quotient(v), rel=0.0, abs=1e-13)
-
-
-def test_polish_resolution_near_degenerate_is_machine_tight():
-    # k = 1, alpha = 5 is a symmetric double well: its two lowest
-    # eigenvalues lie about 5e-8 apart, within 1000 polish-resolution
-    # bracket widths at this spacing, so the window is re-bisected tight
-    system = assemble_hamiltonian(MontgomeryPotential(1, 5.0), GridSpec(-8.0, 8.0, 4095))
-    tight = lowest_eigenvalues(system.diag, system.offdiag, 2)
-    assert 0.0 < tight[1] - tight[0] < 1e-7
-    loose = lowest_eigenvalues(system.diag, system.offdiag, 2, polish=True)
-    assert np.array_equal(loose, tight)
 
 
 def test_inverse_iteration_saturated_rayleigh_quotient():
