@@ -20,7 +20,6 @@ _EXPORTS = {
         "THETA0_LOWER",
         "bounds_table",
         "c_bound_terms",
-        "exclusion_radii",
         "h_closed",
         "h_maximized",
         "lower_bound_B",
@@ -53,14 +52,7 @@ _EXPORTS = {
         "truncation_radius",
     ),
     "errors": ("CertificationError", "SolverFailure"),
-    "identities": (
-        "IdentityReport",
-        "feynman_hellmann_derivative",
-        "gap_criterion",
-        "identity_report",
-        "second_derivative_exact",
-        "virial_check",
-    ),
+    "identities": ("IdentityReport", "identity_report"),
     "operators": (
         "BoundaryCondition",
         "Geometry",

@@ -285,11 +285,13 @@ def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:
         raise ValueError("alpha0 must be at least 3/2")
     first = (alpha0 - 1.0 / (k + 1.0)) ** 2
     scaled = alpha0 * (k + 1.0)
-    second = (
-        (scaled - 1.0)
-        / ((k + 1.0) * (math.exp(math.log(scaled) / (k + 1.0)) - 1.0))
-        * THETA0_LOWER
-    )
+    root_less_one = math.exp(math.log(scaled) / (k + 1.0)) - 1.0
+    if root_less_one == 0.0:
+        raise ValueError(
+            f"k = {k} is past double precision: (alpha0 (k+1))^(1/(k+1)) "
+            "rounds to 1 for even k from about 3.7e17"
+        )
+    second = (scaled - 1.0) / ((k + 1.0) * root_less_one) * THETA0_LOWER
     return first, second
 
 
@@ -370,8 +372,3 @@ def bounds_table(k: int) -> BoundsTable:
         h_k=h_closed(k),
     )
 
-
-def exclusion_radii(k: int) -> Tuple[float, Optional[float]]:
-    """(alpha_star, alpha_double_star) of bounds_table(k)."""
-    t = bounds_table(k)
-    return t.alpha_star, t.alpha_double_star

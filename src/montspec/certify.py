@@ -143,7 +143,7 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     # Domain must confine the worst case over the bracket; cap with the
     # trial upper bound at alpha = 3 plus slack.
     cap = max(10.0, 2.0 * (ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4) + 3.0)
-    radius = truncation_radius(MontgomeryPotential(k, ALPHA_SCAN_MAX), cap, 1.0)
+    radius = truncation_radius(MontgomeryPotential(k, ALPHA_SCAN_MAX), cap)
     probe = solve(OperatorSpec(k, 0.0), count=1, tol=tol)
     grid = GridSpec(-radius, radius, probe.grid_used.n)
 

@@ -262,7 +262,7 @@ def run(argv=None, stream=None) -> int:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except (SolverFailure, ArithmeticError) as exc:
-        # ArithmeticError: second_derivative_exact on a too-small spectral gap
+        # ArithmeticError: identity_report's d2_exact on a too-small spectral gap
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

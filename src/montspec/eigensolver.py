@@ -30,8 +30,10 @@ from .operators import (
 )
 from .optimize import minimize_golden
 
-# Distance added beyond the classical turning region when truncating the
-# domain; eigenfunctions decay super-exponentially past it.
+# The truncated domain reaches where V exceeds the eigenvalue cap by
+# TRUNCATION_MARGIN, plus TRUNCATION_PAD beyond that classical turning
+# region; eigenfunctions decay super-exponentially past it.
+TRUNCATION_MARGIN = 1.0
 TRUNCATION_PAD = 2.0
 
 _N_START = 2048
@@ -270,22 +272,23 @@ def lapack_errors_as_solver_failure():
         raise SolverFailure(str(exc)) from exc
 
 
-def truncation_radius(p: PotentialKind, lambda_cap: float, margin: float) -> float:
-    """Radius L with V >= lambda_cap + margin outside, plus a fixed pad.
+def truncation_radius(p: PotentialKind, lambda_cap: float) -> float:
+    """Radius L with V >= lambda_cap + TRUNCATION_MARGIN outside, plus
+    TRUNCATION_PAD.
 
     Guarantees the discarded region is classically forbidden for every
     eigenvalue below lambda_cap, so truncation error is negligible next
     to discretization error.
     """
-    if lambda_cap <= 0.0 or margin <= 0.0:
-        raise ValueError("lambda_cap and margin must be positive")
-    s = math.sqrt(lambda_cap + margin)
+    if lambda_cap <= 0.0:
+        raise ValueError("lambda_cap must be positive")
+    s = math.sqrt(lambda_cap + TRUNCATION_MARGIN)
     if isinstance(p, MontgomeryPotential):
         base = math.exp(math.log((p.k + 1) * (abs(p.alpha) + s)) / (p.k + 1))
     elif isinstance(p, ShiftedHarmonicPotential):
         base = abs(p.center) + s
     elif isinstance(p, PureAnharmonicPotential):
-        base = (lambda_cap + margin) ** (1.0 / p.m)
+        base = (lambda_cap + TRUNCATION_MARGIN) ** (1.0 / p.m)
     elif isinstance(p, HalfPowerModelPotential):
         half = p.k // 2
         base = (half * s) ** (2.0 / p.k)
@@ -306,8 +309,6 @@ class EigenResult:
     achieved_tol_estimate: float
     grid_used: GridSpec
     iterations: int
-    bc_lower: BoundaryCondition = BoundaryCondition.DIRICHLET
-    bc_upper: BoundaryCondition = BoundaryCondition.DIRICHLET
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -394,8 +395,6 @@ def solve_on_interval(
                     achieved_tol_estimate=achieved,
                     grid_used=GridSpec(lower, upper, n),
                     iterations=levels,
-                    bc_lower=bc_lower,
-                    bc_upper=bc_upper,
                 )
         prev2, prev = prev, lam
         n = 2 * n + 1
@@ -406,7 +405,7 @@ def solve_on_interval(
 
 
 def _domain_for(potential, geometry: Geometry, lambda_cap: float):
-    radius = truncation_radius(potential, lambda_cap, 1.0)
+    radius = truncation_radius(potential, lambda_cap)
     if geometry is Geometry.FULL_LINE:
         return -radius, radius
     return 0.0, radius

@@ -1,17 +1,18 @@
 """Numerical verification of the perturbation identities for lambda1(alpha).
 
-Covers the first-derivative (Feynman-Hellmann) integral, the virial
-identity at critical points, the exact second derivative through the
-reduced resolvent, and the spectral-gap criterion that forces the second
-derivative positive.  Finite-difference cross-checks evaluate every
-stencil point on one shared grid pair so discretization error cancels in
-the differences; without that the eigenvalue tolerance would be amplified
-by 1/h^2 and drown the derivatives.
+`identity_report` is the one entry point: from one count=2 adaptive
+solve it reads the first-derivative (Feynman-Hellmann) integral, the
+virial identity, the exact second derivative through the reduced
+resolvent and the spectral-gap criterion that forces that derivative
+positive; one more solve sizes the grid pair on which both
+finite-difference oracles run.  Every stencil point uses that one grid
+pair so discretization error cancels in the differences; without that
+the eigenvalue tolerance would be amplified by 1/h^2 and drown the
+derivatives.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -26,15 +27,40 @@ from .eigensolver import (
 )
 from .operators import MontgomeryPotential, OperatorSpec
 
-# Default finite-difference steps; chosen so stencil truncation stays
-# comparable to the eigenvalue tolerance at tol = 1e-8.
+# Finite-difference steps; chosen so stencil truncation stays comparable
+# to the eigenvalue tolerance at tol = 1e-8.
 FD_STEP_FIRST = 1e-4
 FD_STEP_SECOND = 1e-3
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """All identity diagnostics for one (k, alpha)."""
+    """All identity diagnostics for one (k, alpha).
+
+    With W = t^(k+1)/(k+1) - alpha and u the normalized ground state:
+
+    - fh_integral = -2 * integral of W u^2 dt, which is d lambda1/d alpha
+      by Feynman-Hellmann (trapezoid quadrature on the solver grid; the
+      integrand decays super-exponentially, so the quadrature error
+      tracks the solver's own O(h^2) rate).
+    - virial_lhs = integral of W^2 u^2 dt and virial_rhs = lambda1/(k+2).
+      The scaling identity lhs = rhs holds at critical points of
+      lambda1(alpha); for even k that includes alpha = 0 by symmetry.
+      Off-critical both sides are still reported but carry no claim.
+    - d2_exact = d2 lambda1/d alpha2 through the reduced resolvent:
+      2 - 4 * integral of W u (d_alpha u) dt with
+      d_alpha u = 2 (H - lambda1)^(-1) [W u]_perp, the resolvent taken on
+      the orthogonal complement of u.
+    - gap_margin = (k+2)/(k+6) * lambda2 - lambda1, and gap_criterion is
+      whether it is positive.  At a critical point the virial identity
+      gives ||W u||^2 = lambda1/(k+2) and the resolvent is at most
+      1/(lambda2 - lambda1) on the complement of u, so
+      d2 >= 2 - 8 lambda1 / ((k+2)(lambda2 - lambda1)), which the
+      criterion makes positive: it rules out a local maximum.
+    - d1_fd and d2_fd are central-difference oracles for the two
+      derivatives, with steps FD_STEP_FIRST and FD_STEP_SECOND.
+    - quadrature_error_estimate is the solve's achieved_tol_estimate.
+    """
 
     k: int
     alpha: float
@@ -55,68 +81,16 @@ def _weighted(values: np.ndarray, result: EigenResult) -> float:
 
 
 def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
+    """fh_integral on the ground state of one solve (certify.scan reads it
+    too)."""
     w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
     return -2.0 * _weighted(w, result)
 
 
-def _virial_from_result(result: EigenResult, k: int, alpha: float) -> Tuple[float, float]:
-    w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
-    lhs = _weighted(w * w, result)
-    rhs = result.eigenvalues[0] / (k + 2.0)
-    return lhs, rhs
-
-
-def feynman_hellmann_derivative(k: int, alpha: float, tol: float = 1e-7) -> float:
-    """d lambda1 / d alpha = -2 * integral of (t^(k+1)/(k+1) - alpha) u^2 dt.
-
-    Trapezoid quadrature on the solver grid; the integrand decays
-    super-exponentially, so the quadrature error tracks the solver's own
-    O(h^2) rate.
-    """
-    result = solve(OperatorSpec(k, alpha), count=1, tol=tol)
-    return _fh_from_result(result, k, alpha)
-
-
-def virial_check(k: int, alpha_c: float, tol: float = 1e-7) -> Tuple[float, float, float]:
-    """(lhs, rhs, |lhs - rhs|) of the scaling identity
-    integral of (t^(k+1)/(k+1) - alpha_c)^2 u^2 dt = lambda1 / (k+2).
-
-    The identity holds at critical points of lambda1(alpha); for even k
-    that includes alpha_c = 0 by symmetry.  Off-critical the residual is
-    still reported but carries no claim.
-    """
-    result = solve(OperatorSpec(k, alpha_c), count=1, tol=tol)
-    lhs, rhs = _virial_from_result(result, k, alpha_c)
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def gap_criterion(k: int, alpha: float, tol: float = 1e-7) -> Tuple[bool, float]:
-    """Whether (k+2)/(k+6) * lambda2 > lambda1, with the margin.
-
-    At a critical point this inequality forces the second derivative of
-    lambda1(alpha) to be positive, ruling out a local maximum.
-    """
-    result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
-    margin = (k + 2.0) / (k + 6.0) * result.eigenvalues[1] - result.eigenvalues[0]
-    return margin > 0.0, margin
-
-
-def second_derivative_exact(k: int, alpha: float, tol: float = 1e-7) -> float:
-    """d2 lambda1 / d alpha2 via the reduced resolvent:
-
-        2 - 4 * integral of W u (d_alpha u) dt,
-        d_alpha u = 2 (H - lambda1)^(-1) [W u]_perp,
-
-    with W = t^(k+1)/(k+1) - alpha and the resolvent taken on the
-    orthogonal complement of u (project, solve the shifted tridiagonal
-    system with a 1e-12 relative regularizing offset, re-project).
-    """
-    return _second_derivative_on(solve(OperatorSpec(k, alpha), count=2, tol=tol), k, alpha)
-
-
 def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
-    """second_derivative_exact on the final grid of a count=2 solve,
-    seeded from its eigenvalues."""
+    """d2_exact on the final grid of a count=2 solve, seeded from its
+    eigenvalues: project W u off u, solve the shifted tridiagonal system
+    with a 1e-12 relative regularizing offset, re-project."""
     grid = adaptive.grid_used
     system = assemble_hamiltonian(MontgomeryPotential(k, alpha), grid)
     with lapack_errors_as_solver_failure():
@@ -138,44 +112,35 @@ def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
     return 2.0 - 4.0 * h * float(np.dot(f, du))
 
 
-def _shared_grid_lambda1(k: int, alpha: float, tol: float, step: float):
-    """lambda1(a) for finite-difference stencils around alpha: every
-    stencil point runs on the grid pair of one adaptive solve at
-    |alpha| + step, seeded from its lambda1, so the O(h^2) error is a
-    smooth function of a and cancels in the differences."""
-    stencil = solve(OperatorSpec(k, abs(alpha) + step), count=1, tol=tol)
-    return lambda a: fixed_grid_lambda1(
-        MontgomeryPotential(k, a), stencil.grid_used, stencil.lambda1
-    )
-
-
-def fd_first_derivative(k: int, alpha: float, tol: float = 1e-7,
-                        step: float = FD_STEP_FIRST) -> float:
-    """Central-difference oracle for d lambda1 / d alpha."""
-    lam = _shared_grid_lambda1(k, alpha, tol, step)
-    return (lam(alpha + step) - lam(alpha - step)) / (2.0 * step)
-
-
-def fd_second_derivative(k: int, alpha: float, tol: float = 1e-7,
-                         step: float = FD_STEP_SECOND) -> float:
-    """Central-difference oracle for d2 lambda1 / d alpha2."""
-    lam = _shared_grid_lambda1(k, alpha, tol, step)
-    return (lam(alpha + step) - 2.0 * lam(alpha) + lam(alpha - step)) / (step * step)
+def _stencil_lambda1(k: int, alpha: float, tol: float):
+    """lambda1(a) for the finite-difference stencils around alpha: every
+    stencil point runs on the grid pair of one count=1 solve at
+    |alpha| + FD_STEP_SECOND, seeded from its lambda1, so the O(h^2) error
+    is a smooth function of a and cancels in the differences.  That grid
+    is coarser than the count=2 solve's, which keeps the stencil cheap."""
+    stencil = solve(OperatorSpec(k, abs(alpha) + FD_STEP_SECOND), count=1, tol=tol)
+    grid, seed = stencil.grid_used, stencil.lambda1
+    return lambda a: fixed_grid_lambda1(MontgomeryPotential(k, a), grid, seed)
 
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
-    """All identity diagnostics for one (k, alpha) in a single pass."""
+    """All identity diagnostics for one (k, alpha) from two adaptive solves:
+    the analytic quantities read one count=2 solve at alpha, and both
+    finite-difference oracles share the stencil solve of _stencil_lambda1.
+    """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
-    lhs, rhs = _virial_from_result(result, k, alpha)
+    w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
     gap_margin = (k + 2.0) / (k + 6.0) * result.eigenvalues[1] - result.eigenvalues[0]
+    lam = _stencil_lambda1(k, alpha, tol)
+    h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     return IdentityReport(
         k=k,
         alpha=alpha,
         fh_integral=_fh_from_result(result, k, alpha),
-        virial_lhs=lhs,
-        virial_rhs=rhs,
-        d1_fd=fd_first_derivative(k, alpha, tol),
-        d2_fd=fd_second_derivative(k, alpha, tol),
+        virial_lhs=_weighted(w * w, result),
+        virial_rhs=result.eigenvalues[0] / (k + 2.0),
+        d1_fd=(lam(alpha + h1) - lam(alpha - h1)) / (2.0 * h1),
+        d2_fd=(lam(alpha + h2) - 2.0 * lam(alpha) + lam(alpha - h2)) / (h2 * h2),
         d2_exact=_second_derivative_on(result, k, alpha),
         gap_criterion=gap_margin > 0.0,
         gap_margin=gap_margin,

@@ -35,6 +35,9 @@ from .errors import SolverFailure
 
 _EPS = np.finfo(float).eps
 
+# Sweeps inverse iteration may take before it reports non-convergence.
+_MAX_SWEEPS = 50
+
 
 def _residual_floor(offdiag, eigenvalue: float) -> float:
     """Rounding floor of ||A v - eigenvalue v|| for a unit eigenvector v.
@@ -172,7 +175,7 @@ def _rayleigh_residual(diag, offdiag, v) -> float:
     return float(np.linalg.norm(r))
 
 
-def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
+def inverse_iteration(diag, offdiag, eigenvalue: float):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
 
@@ -207,7 +210,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
     floor = _residual_floor(offdiag, eigenvalue)
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         w = sweep(v)
         w /= np.linalg.norm(w)
         if np.dot(w, v) < 0.0:
@@ -219,7 +222,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, max_iter: int = 50):
             break
     else:
         raise SolverFailure(
-            f"inverse iteration did not converge in {max_iter} iterations",
+            f"inverse iteration did not converge in {_MAX_SWEEPS} iterations",
             residual=float(residual),
         )
     # Two polish sweeps: the bulk of the vector is already at its noise

@@ -202,27 +202,26 @@ def test_C_validation():
         bounds.c_bound_terms(2, alpha0=1.0)
 
 
-def test_exclusion_radii_k2():
-    alpha_star, alpha_double_star = bounds.exclusion_radii(2)
+def test_bounds_table_radii_k2():
+    t = bounds.bounds_table(2)
+    alpha_star, alpha_double_star = t.alpha_star, t.alpha_double_star
     # frozen from the literal chain: sqrt(0.5 B_2 - A_2), 1.5 - sqrt(C_2 - A_2)
     assert alpha_star == pytest.approx(0.5162140812927654, rel=1e-12)
     assert alpha_double_star == pytest.approx(0.8728804954532562, rel=1e-12)
     assert 2.0 * alpha_star > alpha_double_star
 
 
-def test_exclusion_radii_all_small_k():
+def test_bounds_table_radii_all_small_k():
     for k in range(2, 70, 2):
-        alpha_star, alpha_double_star = bounds.exclusion_radii(k)
-        assert 2.0 * alpha_star > alpha_double_star > 0.0
+        t = bounds.bounds_table(k)
+        assert 2.0 * t.alpha_star > t.alpha_double_star > 0.0
 
 
-def test_exclusion_radii_large_k():
-    alpha_star, _ = bounds.exclusion_radii(70)
-    assert 2.0 * alpha_star >= 2.83
+def test_bounds_table_radii_large_k():
+    assert 2.0 * bounds.bounds_table(70).alpha_star >= 2.83
     # for very large k the alpha >= 3/2 floor drops below A_k and the
     # double-star radius stops existing; the large-k chain never uses it
-    _, dstar = bounds.exclusion_radii(300)
-    assert dstar is None
+    assert bounds.bounds_table(300).alpha_double_star is None
 
 
 def test_bounds_table_fields():
@@ -240,7 +239,6 @@ def test_bounds_table_is_the_chain(k):
     b = bounds.lower_bound_B(k) if k <= bounds.SMALL_K_MAX else bounds.lower_bound_B_tilde(k)
     assert t.gap_floor == (k + 2.0) / (k + 6.0) * b
     assert t.alpha_star == math.sqrt(t.gap_floor - t.a_k)
-    assert bounds.exclusion_radii(k) == (t.alpha_star, t.alpha_double_star)
     # the gap floor is not part of the table's fields (the bounds JSON payload)
     assert "gap_floor" not in asdict(t)
 

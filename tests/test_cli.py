@@ -156,8 +156,8 @@ def test_grid_cap_failure_exit_code(monkeypatch, capsys):
 
 
 def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):
-    # second_derivative_exact refuses to invert the reduced resolvent on a
-    # tiny gap; the CLI must report that as a solver failure, not a traceback
+    # identity_report refuses to invert the reduced resolvent (d2_exact) on
+    # a tiny gap; the CLI must report that as a solver failure, not a traceback
     def tiny_gap(k, alpha, tol):
         raise ArithmeticError("spectral gap 1e-09 too small to invert the reduced resolvent")
 
@@ -234,6 +234,22 @@ def test_nan_tol_is_usage_error(argv, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err.startswith("usage error: tol must be at least")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds --k 100000000000000000000",
+        "bounds --k 370000000000000000",
+        "certify --regime large --k 1000000000000000000",
+    ],
+)
+def test_k_past_double_precision_is_usage_error(argv, capsys):
+    # (alpha0 (k+1))^(1/(k+1)) rounds to 1 in C_k's denominator
+    code, out = _run(argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err.startswith("usage error: k = ")
 
 
 _LAPACK_FAILURES = {

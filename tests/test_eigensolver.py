@@ -76,12 +76,12 @@ def test_dirichlet_half_line_is_odd_modes():
 
 
 def test_truncation_radius_formulas():
-    # Montgomery: ((k+1)(|alpha| + sqrt(cap + margin)))^(1/(k+1)) + 2
-    r = truncation_radius(MontgomeryPotential(2, 0.0), 1.0, 1.0)
+    # Montgomery: ((k+1)(|alpha| + sqrt(cap + 1)))^(1/(k+1)) + 2
+    r = truncation_radius(MontgomeryPotential(2, 0.0), 1.0)
     assert r == pytest.approx((3.0 * math.sqrt(2.0)) ** (1.0 / 3.0) + 2.0, rel=1e-14)
-    r = truncation_radius(ShiftedHarmonicPotential(0.0), 5.0, 1.0)
+    r = truncation_radius(ShiftedHarmonicPotential(0.0), 5.0)
     assert r == pytest.approx(math.sqrt(6.0) + 2.0, rel=1e-14)
-    r = truncation_radius(MontgomeryPotential(70, 2.8), 8.0, 1.0)
+    r = truncation_radius(MontgomeryPotential(70, 2.8), 8.0)
     assert r == pytest.approx((71.0 * (2.8 + 3.0)) ** (1.0 / 71.0) + 2.0, rel=1e-14)
 
 
@@ -95,17 +95,15 @@ def test_truncation_radius_formulas():
     ],
 )
 def test_truncation_radius_postcondition(pot):
-    cap, margin = 7.0, 1.0
-    radius = truncation_radius(pot, cap, margin)
+    cap = 7.0
+    radius = truncation_radius(pot, cap)
     for t in (radius, -radius, radius + 0.5, 2.0 * radius):
-        assert pot.value(t) >= cap + margin - 1e-9
+        assert pot.value(t) >= cap + 1.0 - 1e-9
 
 
 def test_truncation_radius_validation():
     with pytest.raises(ValueError):
-        truncation_radius(MontgomeryPotential(2, 0.0), -1.0, 1.0)
-    with pytest.raises(ValueError):
-        truncation_radius(MontgomeryPotential(2, 0.0), 1.0, 0.0)
+        truncation_radius(MontgomeryPotential(2, 0.0), -1.0)
 
 
 @pytest.fixture(scope="module")

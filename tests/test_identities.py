@@ -1,68 +1,60 @@
 """Perturbation identities against finite-difference oracles."""
 
+import functools
+
 import pytest
 
 from montspec import bounds, identities
 from montspec.eigensolver import refined_lowest_eigenvalues, solve
-from montspec.identities import (
-    fd_first_derivative,
-    fd_second_derivative,
-    feynman_hellmann_derivative,
-    gap_criterion,
-    identity_report,
-    second_derivative_exact,
-    virial_check,
-)
+from montspec.identities import identity_report
 from montspec.operators import OperatorSpec
 
 TOL = 1e-7
 
 
-@pytest.fixture(scope="module")
-def report_k2():
-    return identity_report(2, 0.0, tol=TOL)
+@functools.lru_cache(maxsize=None)
+def report(k, alpha):
+    return identity_report(k, alpha, tol=TOL)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_first_derivative_vanishes_at_zero(k):
     # lambda1 is even in alpha for even k
-    assert abs(feynman_hellmann_derivative(k, 0.0, TOL)) < 1e-6
-    assert abs(fd_first_derivative(k, 0.0, TOL)) < 1e-6
+    rep = report(k, 0.0)
+    assert abs(rep.fh_integral) < 1e-6
+    assert abs(rep.d1_fd) < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
 def test_fh_matches_finite_difference(alpha):
-    fh = feynman_hellmann_derivative(2, alpha, TOL)
-    fd = fd_first_derivative(2, alpha, TOL)
-    assert abs(fh - fd) < max(1e-6, 10.0 * TOL)
+    rep = report(2, alpha)
+    assert abs(rep.fh_integral - rep.d1_fd) < max(1e-6, 10.0 * TOL)
     # the minimum sits at alpha = 0, so lambda1 increases to the right
-    assert fh > 0.0 and fd > 0.0
+    assert rep.fh_integral > 0.0 and rep.d1_fd > 0.0
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 10])
 def test_virial_at_critical_point(k):
-    lhs, rhs, residual = virial_check(k, 0.0, TOL)
-    assert rhs == pytest.approx(lhs, abs=1e-6)
-    assert residual < 1e-6
+    rep = report(k, 0.0)
+    assert rep.virial_rhs == pytest.approx(rep.virial_lhs, abs=1e-6)
 
 
 def test_virial_off_critical_reported_only():
-    lhs, rhs, residual = virial_check(2, 1.0, TOL)
-    assert lhs > 0.0 and rhs > 0.0 and residual >= 0.0
+    rep = report(2, 1.0)
+    assert rep.virial_lhs > 0.0 and rep.virial_rhs > 0.0
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_second_derivative_positive_and_matches_fd(k):
-    d2 = second_derivative_exact(k, 0.0, TOL)
-    fd = fd_second_derivative(k, 0.0, TOL)
-    assert d2 > 0.0
-    assert abs(d2 - fd) < 1e-4
+    rep = report(k, 0.0)
+    assert rep.d2_exact > 0.0
+    assert abs(rep.d2_exact - rep.d2_fd) < 1e-4
 
 
-def test_second_derivative_cauchy_schwarz_floor(report_k2):
+def test_second_derivative_cauchy_schwarz_floor():
     # d2 = 2 - 8 <f, R f> with ||R|| <= 1/(lambda2 - lambda1) and
     # ||f||^2 the virial integral, so d2 >= 2 - 8 * virial / gap
-    rep = report_k2
+    rep = report(2, 0.0)
     res = solve(OperatorSpec(2, 0.0), count=2, tol=TOL)
     gap = res.eigenvalues[1] - res.eigenvalues[0]
     floor = 2.0 - 8.0 * rep.virial_lhs / gap
@@ -78,13 +70,12 @@ def test_second_derivative_seeded_matches_bisected(monkeypatch):
     assert seeded == pytest.approx(bisected, rel=0.0, abs=1e-9)
 
 
-def test_gap_criterion_k2(report_k2):
-    ok, margin = gap_criterion(2, 0.0, TOL)
-    assert ok and margin > 0.5
-    assert report_k2.gap_criterion
+def test_gap_criterion_k2():
+    rep = report(2, 0.0)
+    assert rep.gap_criterion and rep.gap_margin > 0.5
     # whenever the gap criterion holds at a critical point the second
     # derivative is positive
-    assert report_k2.d2_exact > 0.0
+    assert rep.d2_exact > 0.0
 
 
 def test_gap_criterion_bound_level():
@@ -92,18 +83,30 @@ def test_gap_criterion_bound_level():
     for k in (2, 10, 68):
         a_k = bounds.upper_bound_A(k)
         b_k = bounds.lower_bound_B(k)
-        alpha_star, _ = bounds.exclusion_radii(k)
-        alpha = 0.9 * alpha_star
+        alpha = 0.9 * bounds.bounds_table(k).alpha_star
         assert (k + 2.0) / (k + 6.0) * b_k > a_k + alpha * alpha
     # large-k variant with the step-well floor
     assert 72.0 / 76.0 * 4.719 > bounds.PI2_OVER_4
 
 
-def test_report_consistency(report_k2):
-    rep = report_k2
+def test_report_consistency():
+    rep = report(2, 0.0)
     assert rep.k == 2 and rep.alpha == 0.0
     assert abs(rep.fh_integral) < 1e-6
     assert abs(rep.d1_fd) < 1e-6
     assert abs(rep.virial_lhs - rep.virial_rhs) < 1e-6
     assert abs(rep.d2_exact - rep.d2_fd) < 1e-4
     assert rep.quadrature_error_estimate < 1e-6
+
+
+def test_report_runs_two_adaptive_solves(monkeypatch):
+    # one count=2 solve for the analytic identities, one for the stencil grid
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "solve", counted)
+    identity_report(2, 0.0, tol=TOL)
+    assert len(calls) == 2
