@@ -54,5 +54,5 @@ for r in rows[::3]:
     print(f"  {r.alpha:5.2f} {r.lambda1:10.6f} {r.lambda2:11.6f} "
           f"{r.d_lambda1:+11.6f}   {r.gap_ok}")
 alpha_min, lam_min = locate_minimum(2, tol=1e-7)
-print(f"\n  golden-section minimizer: alpha = {alpha_min:.2e} "
+print(f"\n  line-search minimizer: alpha = {alpha_min:.2e} "
       f"(lambda1 = {lam_min:.8f})")

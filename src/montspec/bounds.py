@@ -74,9 +74,10 @@ def h_sigma_expression(a: float, sigma: float) -> float:
 
 
 def _h_max_point(a: float, xtol: float) -> Tuple[float, float]:
-    # Golden section locates the flat maximum to ~sqrt(eps); one
-    # three-point parabolic step then recovers the vertex to ~1e-10,
-    # since the second difference is still well resolved at d = 1e-5.
+    # The line search stops at ~sqrt(eps)|sigma| on this flat maximum
+    # (below that its comparisons are rounding noise); one three-point
+    # parabolic step then recovers the vertex to ~1e-10, since the
+    # second difference is still well resolved at d = 1e-5.
     f = lambda s: h_sigma_expression(a, s)
     sigma, _ = maximize_golden(f, 1e-12, 1.0 - 1e-12, xtol=xtol)
     d = 1e-5

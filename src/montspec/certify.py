@@ -126,14 +126,18 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
 
 
 def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
-    """(alpha_min, lambda_min) of lambda1(alpha) over [0, 3] for even k.
+    """(alpha_min, lambda_min) of lambda1(alpha) over [-3, 3] for even k.
 
-    Golden-section search; evenness in alpha restricts the bracket to
-    alpha >= 0.  All evaluations run on one fixed grid pair sized for the
-    whole alpha range, so comparisons see a smooth function of alpha
-    instead of per-solve adaptation noise; the discrete problem inherits
-    the alpha -> -alpha symmetry exactly, keeping the discrete minimizer
-    at 0.  Expected minimizer within 1e-4 of 0.
+    Brent's line search (optimize.minimize_golden) on the symmetric
+    bracket, which assumes nothing about where the minimizer lies and
+    keeps it interior, where the parabolic steps converge; on [0, 3] it
+    would sit on the bracket edge and the search would fall back to
+    golden-section steps.  All evaluations run on one fixed grid pair
+    sized for the whole alpha range, so comparisons see a smooth function
+    of alpha instead of per-solve adaptation noise; the grid is symmetric,
+    so the discrete problem inherits the alpha -> -alpha symmetry to
+    rounding, keeping the discrete minimizer at 0.  Expected minimizer
+    within 1e-6 of 0.
     """
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
@@ -150,7 +154,7 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     def lam1(alpha: float) -> float:
         return fixed_grid_lambda1(MontgomeryPotential(k, alpha), grid, probe.lambda1)
 
-    return minimize_golden(lam1, 0.0, ALPHA_SCAN_MAX, xtol=1e-5)
+    return minimize_golden(lam1, -ALPHA_SCAN_MAX, ALPHA_SCAN_MAX, xtol=1e-5)
 
 
 def _small_k_checks(k: int) -> Tuple[CertCheck, ...]:

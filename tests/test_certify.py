@@ -2,7 +2,7 @@
 
 import pytest
 
-from montspec import bounds
+from montspec import bounds, eigensolver
 from montspec.certify import (
     REL_MARGIN_FLOOR,
     CertificateReport,
@@ -86,6 +86,21 @@ def test_locate_minimum_at_zero(k):
     assert abs(alpha_min) < 1e-4
     model = solve(HalfPowerModelPotential(k), count=1, tol=1e-6)
     assert bounds.h_closed(k) * model.eigenvalues[0] <= lam_min <= bounds.upper_bound_A(k)
+
+
+def test_locate_minimum_parabolic_steps(monkeypatch):
+    # golden-section steps alone on [0, 3] take 29 evaluations and stop at 2.6e-6
+    calls = []
+    original = eigensolver.fixed_grid_lambda1
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(eigensolver, "fixed_grid_lambda1", counted)
+    alpha_min, _ = locate_minimum(2)
+    assert abs(alpha_min) <= 1e-6
+    assert len(calls) <= 10
 
 
 def test_locate_minimum_rejects_odd_k():

@@ -295,6 +295,19 @@ def test_theta0_validation():
         de_gennes_theta0(1e-10)
 
 
+def test_theta0_parabolic_steps_bound_the_solves(monkeypatch):
+    # golden-section steps alone take 22 solves here
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve", counted)
+    assert de_gennes_theta0(1e-7) > 0.59
+    assert len(calls) <= 10
+
+
 def test_dirichlet_well_root():
     lam = dirichlet_well_lambda(1.1, 70)
     # frozen two-route oracle: the gluing-equation root agrees with a
