@@ -53,6 +53,6 @@ print("  alpha    lambda1     lambda2     d lambda1   gap ok")
 for r in rows[::3]:
     print(f"  {r.alpha:5.2f} {r.lambda1:10.6f} {r.lambda2:11.6f} "
           f"{r.d_lambda1:+11.6f}   {r.gap_ok}")
-alpha_min, lam_min = locate_minimum(2, tol=1e-7)
+alpha_min, lam_min = locate_minimum(2)
 print(f"\n  line-search minimizer: alpha = {alpha_min:.2e} "
       f"(lambda1 = {lam_min:.8f})")

@@ -73,13 +73,13 @@ def h_sigma_expression(a: float, sigma: float) -> float:
     )
 
 
-def _h_max_point(a: float, xtol: float) -> Tuple[float, float]:
+def _h_max_point(a: float) -> Tuple[float, float]:
     # The line search stops at ~sqrt(eps)|sigma| on this flat maximum
     # (below that its comparisons are rounding noise); one three-point
     # parabolic step then recovers the vertex to ~1e-10, since the
     # second difference is still well resolved at d = 1e-5.
     f = lambda s: h_sigma_expression(a, s)
-    sigma, _ = maximize_golden(f, 1e-12, 1.0 - 1e-12, xtol=xtol)
+    sigma, _ = maximize_golden(f, 1e-12, 1.0 - 1e-12, xtol=1e-13)
     d = 1e-5
     lo, mid, hi = f(sigma - d), f(sigma), f(sigma + d)
     curvature = lo - 2.0 * mid + hi
@@ -88,23 +88,23 @@ def _h_max_point(a: float, xtol: float) -> Tuple[float, float]:
     return sigma, f(sigma)
 
 
-def h_maximized(a: float, xtol: float = 1e-13) -> float:
+def h_maximized(a: float) -> float:
     """h(a) recomputed by maximizing over sigma in (0, 1).
 
     Independent route to h_closed; the interior maximizer sits at
-    1/sqrt(a+1).  Golden-section to xtol in sigma plus one parabolic
-    refinement of the vertex.
+    1/sqrt(a+1).  Brent's line search (optimize.maximize_golden) with
+    xtol = 1e-13 in sigma, plus one parabolic refinement of the vertex.
     """
     if a < 2:
         raise ValueError("h is used for a >= 2")
-    return _h_max_point(a, xtol)[1]
+    return _h_max_point(a)[1]
 
 
-def h_maximizer(a: float, xtol: float = 1e-13) -> float:
+def h_maximizer(a: float) -> float:
     """The maximizing sigma of h_maximized (analytically 1/sqrt(a+1))."""
     if a < 2:
         raise ValueError("h is used for a >= 2")
-    return _h_max_point(a, xtol)[0]
+    return _h_max_point(a)[0]
 
 
 # Coefficient of rho^6 in the cos^2 trial-state energy at k = 2, times 7:
@@ -124,22 +124,6 @@ def upper_bound_A_k2() -> float:
 def trial_width_k2() -> float:
     """The trial-state half-width minimizing the k=2 energy (about 2.57)."""
     return 2.0**0.25 * math.pi * (_K2_TRIAL_NUMERATOR / 7.0) ** (-1.0 / 8.0)
-
-
-def k2_trial_energy(rho: float, alpha: float = 0.0) -> float:
-    """Energy of the width-rho cos^2 trial state in the k=2 operator:
-    alpha^2 + pi^2/(3 rho^2) + (trial numerator)/(252 pi^6) * rho^6.
-
-    Minimizing this over rho reproduces upper_bound_A_k2 and
-    trial_width_k2; kept as an independent cross-check route.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return (
-        alpha * alpha
-        + math.pi**2 / (3.0 * rho * rho)
-        + _K2_TRIAL_NUMERATOR / (252.0 * math.pi**6) * rho**6
-    )
 
 
 def upper_bound_A_general(k: int) -> float:
@@ -232,24 +216,19 @@ def lower_bound_B_at_T(k: int, T: float) -> float:
     return h_closed(k) * (3.0 * omega - const)
 
 
-def b_tilde_minimum_T(k: int) -> float:
-    """Smallest T with T^k above the Dirichlet-box ceiling (pi/T)^2."""
-    return math.exp(2.0 * math.log(math.pi) / (k + 2.0))
-
-
-def lower_bound_B_tilde(k: int, T: float = B_TILDE_T) -> float:
-    """Large-k second-eigenvalue floor via the Dirichlet step well:
+def lower_bound_B_tilde(k: int) -> float:
+    """Large-k second-eigenvalue floor via the Dirichlet step well with its
+    barrier at T = B_TILDE_T = 1.1:
     B~_k = ((sqrt(5)-1)/2) * ((pi - arctan(sqrt((pi/T)^2 / (T^k - (pi/T)^2)))) / T)^2.
 
-    Certified for even k >= 70 at T = 1.1; computable whenever
-    T^k > (pi/T)^2.  The arctan expression under-estimates the exact
+    Certified for even k >= 70; computable whenever T^k > (pi/T)^2, which
+    holds from k = 23.  The arctan expression under-estimates the exact
     step-well eigenvalue, so this floor sits below
     ((sqrt(5)-1)/2) * dirichlet_well_lambda(T, k).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if T <= 1.0:
-        raise ValueError("T must exceed 1")
+    T = B_TILDE_T
     # exponent clamp: past 700 the arctan argument underflows to zero
     # anyway, so the clamp is exact in double precision
     barrier = math.exp(min(k * math.log(T), 700.0))
@@ -259,18 +238,6 @@ def lower_bound_B_tilde(k: int, T: float = B_TILDE_T) -> float:
     ratio = ceiling / (barrier - ceiling)
     root = (math.pi - math.atan(math.sqrt(ratio))) / T
     return _GOLDEN_SIGMA * root * root
-
-
-def lower_bound_B_tilde_optimized(k: int, T_hi: float = 3.0):
-    """(best_T, value) maximizing the B~ expression over T.
-
-    Exposed for exploration only; certificates stick to T = 1.1.
-    """
-    t_lo = max(1.0 + 1e-9, 1.05 * b_tilde_minimum_T(k))
-    best_T, value = maximize_golden(
-        lambda T: lower_bound_B_tilde(k, T), t_lo, T_hi, xtol=1e-10
-    )
-    return best_T, value
 
 
 def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:

@@ -125,7 +125,7 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
     return rows
 
 
-def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
+def locate_minimum(k: int) -> Tuple[float, float]:
     """(alpha_min, lambda_min) of lambda1(alpha) over [-3, 3] for even k.
 
     Brent's line search (optimize.minimize_golden) on the symmetric
@@ -136,8 +136,9 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     sized for the whole alpha range, so comparisons see a smooth function
     of alpha instead of per-solve adaptation noise; the grid is symmetric,
     so the discrete problem inherits the alpha -> -alpha symmetry to
-    rounding, keeping the discrete minimizer at 0.  Expected minimizer
-    within 1e-6 of 0.
+    rounding, keeping the discrete minimizer at 0.  The grid pair takes
+    its size from an adaptive solve at alpha = 0 to tol 1e-7.  Expected
+    minimizer within 1e-6 of 0.
     """
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
@@ -148,7 +149,7 @@ def locate_minimum(k: int, tol: float = 1e-7) -> Tuple[float, float]:
     # trial upper bound at alpha = 3 plus slack.
     cap = max(10.0, 2.0 * (ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4) + 3.0)
     radius = truncation_radius(MontgomeryPotential(k, ALPHA_SCAN_MAX), cap)
-    probe = solve(OperatorSpec(k, 0.0), count=1, tol=tol)
+    probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
     grid = GridSpec(-radius, radius, probe.grid_used.n)
 
     def lam1(alpha: float) -> float:

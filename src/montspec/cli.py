@@ -34,31 +34,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _k_int(text: str) -> int:
+    """An integer k that converts to a double, as every formula on k does."""
+    k = int(text)
+    if abs(k) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"k = {text} is past double precision")
+    return k
+
+
+_k_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="montspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eigen", help="low eigenvalues of one operator")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k_int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--count", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("bounds", help="closed-form bounds table")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-min", type=int)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--k", type=_k_int)
+    p.add_argument("--k-min", type=_k_int)
+    p.add_argument("--k-max", type=_k_int)
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
 
     p = sub.add_parser("identities", help="perturbation identity report")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k_int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("scan", help="alpha scan of the first two eigenvalues")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k_int, required=True)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -67,7 +78,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="closed-form minimum certificates")
     p.add_argument("--regime", choices=("small", "large"), required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_k_int, default=None)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("figures", help="summary-figure tables as CSV")

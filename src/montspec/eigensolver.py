@@ -74,10 +74,11 @@ class GridSpec:
 class AssembledSystem:
     """Symmetric tridiagonal discretization of -d2/dt2 + V.
 
-    `points` are the sample locations of the unknowns.  A Neumann end
-    includes its boundary point among the unknowns; the returned matrix
-    is the symmetrized form (see assemble_hamiltonian), and
-    `to_physical` undoes the symmetrizing change of basis.
+    `points` are the sample locations of the unknowns.  The upper end is
+    Dirichlet.  A Neumann lower end includes its boundary point among the
+    unknowns; the returned matrix is the symmetrized form (see
+    assemble_hamiltonian), and `to_physical` undoes the symmetrizing
+    change of basis.
     """
 
     diag: np.ndarray
@@ -86,14 +87,11 @@ class AssembledSystem:
     potential_values: np.ndarray
     spacing: float
     neumann_lower: bool
-    neumann_upper: bool
 
     def to_physical(self, v: np.ndarray) -> np.ndarray:
         u = np.array(v, dtype=float)
         if self.neumann_lower:
             u[0] *= _SQRT2
-        if self.neumann_upper:
-            u[-1] *= _SQRT2
         return u
 
     def quadrature_weights(self) -> np.ndarray:
@@ -101,8 +99,6 @@ class AssembledSystem:
         w = np.full(len(self.points), self.spacing)
         if self.neumann_lower:
             w[0] *= 0.5
-        if self.neumann_upper:
-            w[-1] *= 0.5
         return w
 
     def rayleigh_quotient(self, v: np.ndarray) -> float:
@@ -116,11 +112,9 @@ class AssembledSystem:
         """
         inv_h2 = 1.0 / (self.spacing * self.spacing)
         first = _SQRT2 * v[0] - v[1] if self.neumann_lower else v[0]
-        last = _SQRT2 * v[-1] - v[-2] if self.neumann_upper else v[-1]
         lo = 1 if self.neumann_lower else 0
-        hi = len(v) - 1 if self.neumann_upper else len(v)
-        bonds = np.diff(v[lo:hi])
-        kinetic = inv_h2 * (first * first + np.dot(bonds, bonds) + last * last)
+        bonds = np.diff(v[lo:])
+        kinetic = inv_h2 * (first * first + np.dot(bonds, bonds) + v[-1] * v[-1])
         return float(kinetic + np.dot(self.potential_values, v * v))
 
 
@@ -136,45 +130,40 @@ def assemble_hamiltonian(
     potential,
     grid: GridSpec,
     bc_lower: BoundaryCondition = BoundaryCondition.DIRICHLET,
-    bc_upper: BoundaryCondition = BoundaryCondition.DIRICHLET,
 ) -> AssembledSystem:
-    """Three-point discretization of -d2/dt2 + V on the grid.
+    """Three-point discretization of -d2/dt2 + V on the grid, with
+    `bc_lower` at the lower end and Dirichlet at the upper end.
 
-    Dirichlet ends drop the boundary point (its value is 0).  A Neumann
-    end keeps the boundary point as an unknown and eliminates the ghost
-    point by the mirror rule u(-h) = u(h), which makes that boundary row
-    (2/h^2 + V)u_0 - (2/h^2)u_1.  The row is then symmetrized by the
+    A Dirichlet end drops the boundary point (its value is 0).  A Neumann
+    end (the half line at t = 0) keeps the boundary point as an unknown
+    and eliminates the ghost point by the mirror rule u(-h) = u(h), which
+    makes that boundary row (2/h^2 + V)u_0 - (2/h^2)u_1.  The row is then symmetrized by the
     diagonal similarity v_0 = u_0 / sqrt(2), which scales the boundary
     off-diagonal entry to -sqrt(2)/h^2 and leaves all eigenvalues intact.
     A side effect worth knowing: a unit vector in the symmetrized basis
     corresponds exactly to a trapezoid-normalized physical function.
     """
-    for bc in (bc_lower, bc_upper):
-        if bc not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
-            raise ValueError("each end must be Dirichlet or Neumann")
+    if bc_lower not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
+        raise ValueError("the lower end must be Dirichlet or Neumann")
     v = _potential_fn(potential)
     h = grid.spacing
     pts = grid.interior_points()
-    if bc_lower is BoundaryCondition.NEUMANN:
+    neumann = bc_lower is BoundaryCondition.NEUMANN
+    if neumann:
         pts = np.concatenate(([grid.lower], pts))
-    if bc_upper is BoundaryCondition.NEUMANN:
-        pts = np.concatenate((pts, [grid.upper]))
     inv_h2 = 1.0 / (h * h)
     values = np.asarray(v(pts), dtype=float)
     diag = 2.0 * inv_h2 + values
     offdiag = np.full(len(pts) - 1, -inv_h2)
-    if bc_lower is BoundaryCondition.NEUMANN:
+    if neumann:
         offdiag[0] *= _SQRT2
-    if bc_upper is BoundaryCondition.NEUMANN:
-        offdiag[-1] *= _SQRT2
     return AssembledSystem(
         diag=diag,
         offdiag=offdiag,
         points=pts,
         potential_values=values,
         spacing=h,
-        neumann_lower=bc_lower is BoundaryCondition.NEUMANN,
-        neumann_upper=bc_upper is BoundaryCondition.NEUMANN,
+        neumann_lower=neumann,
     )
 
 
@@ -305,7 +294,6 @@ class EigenResult:
     ground_state_points: np.ndarray
     ground_state_values: np.ndarray
     quadrature_weights: np.ndarray
-    requested_tol: float
     achieved_tol_estimate: float
     grid_used: GridSpec
     iterations: int
@@ -333,41 +321,39 @@ def solve_on_interval(
     count: int = 2,
     tol: float = 1e-8,
     bc_lower: BoundaryCondition = BoundaryCondition.DIRICHLET,
-    bc_upper: BoundaryCondition = BoundaryCondition.DIRICHLET,
-    n_start: int = _N_START,
-    n_cap: int = _N_CAP,
 ) -> EigenResult:
-    """Adaptive solve on a fixed interval.
+    """Adaptive solve on a fixed interval, `bc_lower` at the lower end and
+    Dirichlet at the upper end.
 
-    Grids refine with n -> 2n + 1 (spacing exactly halves) until raw
-    eigenvalue changes drop below tol/2 for every requested eigenvalue,
-    then one Richardson step removes the leading O(h^2) error from the
-    reported values.  achieved_tol_estimate adds the last raw change and
-    the extrapolation correction.  From the second level on, each level
+    Grids refine from _N_START points with n -> 2n + 1 (spacing exactly
+    halves), up to _N_CAP points, until raw eigenvalue changes drop below
+    tol/2 for every requested eigenvalue, then one Richardson step
+    removes the leading O(h^2) error from the reported values.
+    achieved_tol_estimate adds the last raw change and the extrapolation
+    correction.  From the second level on, each level
     is seeded with eigenvalues predicted from the levels before it (see
     refined_lowest_eigenvalues), which skips its bisection.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = n_start
+    n = _N_START
     prev: Optional[np.ndarray] = None
     prev2: Optional[np.ndarray] = None
     lam = None
     levels = 0
-    ground = None
-    while n <= n_cap:
-        system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), bc_lower, bc_upper)
+    while n <= _N_CAP:
+        system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), bc_lower)
         # Predicted eigenvalues for this level: the error goes like h^2
         # and h halves each level, so each change is a quarter of the last.
         seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
         lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds)
         levels += 1
         # Report the ground state from the last level up to _N_VECTOR_CAP
-        # (the first level if none is that small): past it the
+        # (the first level, _N_START points, is below it): past it the
         # eigenvector's rounding noise (eps/h^2) outgrows its
         # discretization error.  Only the physical samples are kept, not
         # the level's matrix.
-        if ground is None or n <= _N_VECTOR_CAP:
+        if n <= _N_VECTOR_CAP:
             ground = (
                 system.points,
                 system.to_physical(v) / math.sqrt(system.spacing),
@@ -391,7 +377,6 @@ def solve_on_interval(
                     ground_state_points=points,
                     ground_state_values=u,
                     quadrature_weights=weights,
-                    requested_tol=tol,
                     achieved_tol_estimate=achieved,
                     grid_used=GridSpec(lower, upper, n),
                     iterations=levels,
@@ -399,7 +384,7 @@ def solve_on_interval(
         prev2, prev = prev, lam
         n = 2 * n + 1
     raise SolverFailure(
-        f"grid refinement cap n > {n_cap} reached before tolerance {tol}",
+        f"grid refinement cap n > {_N_CAP} reached before tolerance {tol}",
         best_estimate=tuple(float(x) for x in lam) if lam is not None else None,
     )
 
@@ -438,14 +423,14 @@ def solve(
         potential = problem
         geometry = geometry or Geometry.FULL_LINE
     if geometry is Geometry.FULL_LINE:
-        bc_lower = bc_upper = BoundaryCondition.DIRICHLET
+        bc_lower = BoundaryCondition.DIRICHLET
     else:
         if boundary not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
             raise ValueError("half-line solve requires Dirichlet or Neumann at t=0")
-        bc_lower, bc_upper = boundary, BoundaryCondition.DIRICHLET
+        bc_lower = boundary
 
     lower, upper = _domain_for(potential, geometry, 10.0)
-    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower, bc_upper)
+    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower)
     with lapack_errors_as_solver_failure():
         lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
         cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
@@ -457,7 +442,6 @@ def solve(
             count=count,
             tol=tol,
             bc_lower=bc_lower,
-            bc_upper=bc_upper,
         )
 
 

@@ -53,9 +53,8 @@ def _residual_floor(offdiag, eigenvalue: float) -> float:
 def _gershgorin_interval(diag, offdiag):
     """(lo, hi) enclosing every eigenvalue of the tridiagonal matrix."""
     radius = np.zeros(len(diag))
-    if len(diag) > 1:
-        radius[:-1] += np.abs(offdiag)
-        radius[1:] += np.abs(offdiag)
+    radius[:-1] += np.abs(offdiag)
+    radius[1:] += np.abs(offdiag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
@@ -102,15 +101,15 @@ def lowest_eigenvalues(diag, offdiag, count: int):
     Backed by LAPACK stebz (Sturm counting plus bisection, deterministic)
     on a window (lower, upper] known to hold them, with machine-tight
     brackets; see the module docstring.  Eigenvalues come back sorted
-    ascending.
+    ascending.  Needs at least 2 rows.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     n = len(diag)
+    if n < 2:
+        raise ValueError(f"need at least 2 rows, got {n}")
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    if n == 1:
-        return diag.copy()
     lower = _window_floor(diag, offdiag)
     upper = 1.0
     while upper <= lower or _count_below(diag, offdiag, lower, upper) < count:
@@ -188,25 +187,20 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     that floor (a value predicted from coarser grids) still converges;
     an iterate-stabilization check covers exactly representable cases.
     Returns a unit 2-norm vector with positive sign convention (sum of
-    entries > 0).
+    entries > 0).  Needs at least 3 rows, as scipy's gttrf wrapper does.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     n = len(diag)
-    if n == 1:
-        return np.ones(1)
+    if n < 3:
+        raise ValueError(f"need at least 3 rows, got {n}")
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
-    if n == 2:
-        # scipy's gttrf/gttrs wrappers reject n = 2; solve_banded does not.
-        def sweep(v):
-            return shifted_solve(diag, offdiag, shift, v)
-    else:
-        dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+    dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
 
-        def sweep(v):
-            return dgttrs(dl, d, du, du2, ipiv, v)[0]
+    def sweep(v):
+        return dgttrs(dl, d, du, du2, ipiv, v)[0]
     floor = _residual_floor(offdiag, eigenvalue)
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf

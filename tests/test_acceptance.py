@@ -44,7 +44,7 @@ def test_criterion_03_sandwich_k2():
 
 
 def test_criterion_04_b_tilde_floor():
-    bt = bounds.lower_bound_B_tilde(70, 1.1)
+    bt = bounds.lower_bound_B_tilde(70)
     scaled_exact = GOLDEN * dirichlet_well_lambda(1.1, 70)
     ok = bt >= 4.719 and scaled_exact >= 4.719
     _report(4, f"B~_70 = {bt:.6f} >= 4.719 and golden * well lambda = "
@@ -52,7 +52,7 @@ def test_criterion_04_b_tilde_floor():
 
 
 def test_criterion_05_large_k_chain():
-    bt = bounds.lower_bound_B_tilde(70, 1.1)
+    bt = bounds.lower_bound_B_tilde(70)
     two_alpha_star = 2.0 * math.sqrt(72.0 / 76.0 * bt - PI2_4)
     first, second = bounds.c_bound_terms(70, alpha0=2.8)
     ok = two_alpha_star >= 2.83 and first >= 7.76 and second >= 21.2
@@ -95,7 +95,7 @@ def test_criterion_08_identities(k):
 def test_criterion_09_uniqueness_evidence():
     rows = certify.scan(2, 0.0, 3.0, 61, tol=1e-6)
     increasing = all(a.lambda1 < b.lambda1 for a, b in zip(rows, rows[1:]))
-    locations = [certify.locate_minimum(k, tol=1e-7)[0] for k in (2, 4)]
+    locations = [certify.locate_minimum(k)[0] for k in (2, 4)]
     ok = increasing and all(abs(a) < 1e-4 for a in locations)
     _report(9, f"lambda1 strictly increasing over 61-step scan; minimizers "
                f"{[f'{a:.1e}' for a in locations]} within 1e-4 of 0", ok)

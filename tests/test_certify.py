@@ -82,7 +82,7 @@ def test_scan_validation():
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_locate_minimum_at_zero(k):
-    alpha_min, lam_min = locate_minimum(k, tol=1e-7)
+    alpha_min, lam_min = locate_minimum(k)
     assert abs(alpha_min) < 1e-4
     model = solve(HalfPowerModelPotential(k), count=1, tol=1e-6)
     assert bounds.h_closed(k) * model.eigenvalues[0] <= lam_min <= bounds.upper_bound_A(k)

@@ -1,6 +1,5 @@
 """CLI surface: flags, formats, determinism, exit codes."""
 
-import functools
 import io
 import json
 from pathlib import Path
@@ -138,17 +137,9 @@ def test_usage_errors():
     assert code == EXIT_USAGE
 
 
-def test_solver_failure_exit_code():
-    # tolerance at the contract edge is unreachable on the refinement
-    # ladder for this operator, which must surface as exit 3
-    code, _ = _run(["eigen", "--k", "2", "--alpha", "0", "--tol", "1e-11"])
-    assert code == EXIT_SOLVER
-
-
 def test_grid_cap_failure_exit_code(monkeypatch, capsys):
     # two ladder levels cannot confirm tol = 1e-8: a genuine solver failure
-    capped = functools.partial(eigensolver.solve_on_interval, n_cap=4097)
-    monkeypatch.setattr(eigensolver, "solve_on_interval", capped)
+    monkeypatch.setattr(eigensolver, "_N_CAP", 4097)
     code, out = _run(["eigen", "--k", "2", "--alpha", "0"])
     assert code == EXIT_SOLVER
     assert out == ""
@@ -250,6 +241,22 @@ def test_k_past_double_precision_is_usage_error(argv, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err.startswith("usage error: k = ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds --k 10**400",
+        "bounds --k-min 2 --k-max 10**400",
+        "eigen --k 10**400 --alpha 0",
+    ],
+)
+def test_k_past_float_range_is_usage_error(argv, capsys):
+    # k = 10**400 does not convert to a double
+    code, out = _run(argv.replace("10**400", str(10**400)).split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "past double precision" in capsys.readouterr().err
 
 
 _LAPACK_FAILURES = {

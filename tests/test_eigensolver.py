@@ -51,11 +51,11 @@ def test_assemble_harmonic_spectrum():
 
 def test_assemble_box_modes():
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    sys_dd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), D, D)
+    sys_dd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), D)
     lam_dd = lowest_eigenvalues(sys_dd.diag, sys_dd.offdiag, 1)
     assert lam_dd[0] == pytest.approx(math.pi**2, abs=1e-5)
 
-    sys_nd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), N, D)
+    sys_nd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), N)
     assert len(sys_nd.diag) == 2048  # boundary point joins the unknowns
     lam_nd = lowest_eigenvalues(sys_nd.diag, sys_nd.offdiag, 1)
     assert lam_nd[0] == pytest.approx(math.pi**2 / 4.0, abs=1e-5)
@@ -106,9 +106,12 @@ def test_truncation_radius_validation():
         truncation_radius(MontgomeryPotential(2, 0.0), -1.0)
 
 
+_K2_TOL = 1e-8
+
+
 @pytest.fixture(scope="module")
 def montgomery_k2_result():
-    return solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
+    return solve(OperatorSpec(2, 0.0), count=2, tol=_K2_TOL)
 
 
 def test_solve_harmonic_to_tolerance():
@@ -129,7 +132,7 @@ def test_eigenresult_invariants(montgomery_k2_result):
     norm = float(np.sum(res.quadrature_weights * res.ground_state_values**2))
     assert abs(norm - 1.0) < 1e-12
     assert np.min(res.ground_state_values) > 0.0
-    assert res.achieved_tol_estimate <= res.requested_tol
+    assert res.achieved_tol_estimate <= _K2_TOL
 
 
 def test_ground_state_even_for_even_k(montgomery_k2_result):
@@ -150,10 +153,11 @@ def test_alpha_reflection_symmetry():
         assert abs(plus.eigenvalues[0] - minus.eigenvalues[0]) < 2e-9
 
 
-def test_grid_independence():
+def test_grid_independence(monkeypatch):
     pot = MontgomeryPotential(2, 0.0)
     a = solve_on_interval(pot, -6.0, 6.0, count=1, tol=1e-8)
-    b = solve_on_interval(pot, -6.0, 6.0, count=1, tol=1e-8, n_start=3072)
+    monkeypatch.setattr(eigensolver, "_N_START", 3072)
+    b = solve_on_interval(pot, -6.0, 6.0, count=1, tol=1e-8)
     assert abs(a.eigenvalues[0] - b.eigenvalues[0]) <= (
         a.achieved_tol_estimate + b.achieved_tol_estimate
     )
@@ -219,19 +223,20 @@ def test_solve_near_degenerate_double_well():
     assert res.lambda2 - res.lambda1 > 5e-8
 
 
-def test_solver_failure_carries_best_estimate():
+def test_solver_failure_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(eigensolver, "_N_CAP", 4097)
     with pytest.raises(SolverFailure) as info:
-        solve(OperatorSpec(2, 0.0), count=1, tol=1e-11)
+        solve(OperatorSpec(2, 0.0), count=1, tol=1e-8)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate[0] == pytest.approx(0.66095, abs=1e-4)
 
 
-def test_solver_failure_at_grid_cap_carries_best_estimate():
+def test_solver_failure_at_grid_cap_carries_best_estimate(monkeypatch):
     # two levels cannot reach tol = 1e-8 at k = 2 under any stop rule:
     # the raw change between them is about 1e-5
+    monkeypatch.setattr(eigensolver, "_N_CAP", 4097)
     with pytest.raises(SolverFailure, match="grid refinement cap") as info:
-        solve_on_interval(MontgomeryPotential(2, 0.0), -6.0, 6.0, count=1, tol=1e-8,
-                          n_cap=4097)
+        solve_on_interval(MontgomeryPotential(2, 0.0), -6.0, 6.0, count=1, tol=1e-8)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate[0] == pytest.approx(0.66095, abs=1e-4)
 
