@@ -92,6 +92,8 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
 
     Each row comes from a converged adaptive solve; the derivative column
     is the Feynman-Hellmann integral on that solve's grid.  Deterministic.
+    A k or an endpoint alpha that OperatorSpec rejects raises ValueError
+    before the first solve.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
@@ -101,6 +103,7 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
     from .eigensolver import solve
     from .operators import OperatorSpec
 
+    OperatorSpec(k, alpha_min), OperatorSpec(k, alpha_max)  # raise before any solve
     rows = []
     for i in range(steps):
         alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)

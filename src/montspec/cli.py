@@ -24,25 +24,23 @@ EXIT_CERTIFICATION = 2
 EXIT_SOLVER = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; remap to the documented 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _k_int(text: str) -> int:
-    """An integer k that converts to a double, as every formula on k does."""
-    k = int(text)
-    if abs(k) > sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"k = {text} is past double precision")
-    return k
+def _double_int(name: str):
+    """Argument type: an integer `name` that converts to a double, as every
+    formula on k and scan's alpha spacing need."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if abs(value) > sys.float_info.max:
+            raise argparse.ArgumentTypeError(f"{name} = {text} is past double precision")
+        return value
 
-
-_k_int.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -50,35 +48,35 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eigen", help="low eigenvalues of one operator")
-    p.add_argument("--k", type=_k_int, required=True)
+    p.add_argument("--k", type=_double_int("k"), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--count", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("bounds", help="closed-form bounds table")
-    p.add_argument("--k", type=_k_int)
-    p.add_argument("--k-min", type=_k_int)
-    p.add_argument("--k-max", type=_k_int)
+    p.add_argument("--k", type=_double_int("k"))
+    p.add_argument("--k-min", type=_double_int("k"))
+    p.add_argument("--k-max", type=_double_int("k"))
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
 
     p = sub.add_parser("identities", help="perturbation identity report")
-    p.add_argument("--k", type=_k_int, required=True)
+    p.add_argument("--k", type=_double_int("k"), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("scan", help="alpha scan of the first two eigenvalues")
-    p.add_argument("--k", type=_k_int, required=True)
+    p.add_argument("--k", type=_double_int("k"), required=True)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_double_int("steps"), required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("certify", help="closed-form minimum certificates")
     p.add_argument("--regime", choices=("small", "large"), required=True)
-    p.add_argument("--k", type=_k_int, default=None)
+    p.add_argument("--k", type=_double_int("k"), default=None)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("figures", help="summary-figure tables as CSV")
@@ -134,7 +132,7 @@ def _bounds_rows(args):
         ks = list(range(args.k_min, args.k_max + 1))
         ks = [k for k in ks if k % 2 == 0]
     else:
-        raise _UsageError("bounds needs either --k or both --k-min and --k-max")
+        raise ValueError("bounds needs either --k or both --k-min and --k-max")
     return [bounds_mod.bounds_table(k) for k in ks]
 
 
@@ -263,17 +261,13 @@ def run(argv=None, stream=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, stream)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (SolverFailure, ArithmeticError) as exc:
-        # ArithmeticError: identity_report's d2_exact on a too-small spectral gap
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -10,7 +10,6 @@ model whose first eigenvalue solves a transcendental gluing equation.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -201,7 +200,7 @@ def refined_lowest_eigenvalues(
     if ceiling is not None:
         try:
             refined, ground = _polished(system, seeds)
-        except (SolverFailure, np.linalg.LinAlgError):
+        except SolverFailure:
             refined = None
         if refined is not None and tridiag.are_lowest_eigenvalues(
             system.offdiag, refined, ceiling
@@ -237,28 +236,13 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     comparisons.  Dirichlet ends.
     """
     coarse = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
-    with lapack_errors_as_solver_failure():
-        lam_c, _ = refined_lowest_eigenvalues(
-            assemble_hamiltonian(potential, coarse), 1, seeds=np.array([seed])
-        )
-        lam_f, _ = refined_lowest_eigenvalues(
-            assemble_hamiltonian(potential, grid), 1, seeds=lam_c
-        )
+    lam_c, _ = refined_lowest_eigenvalues(
+        assemble_hamiltonian(potential, coarse), 1, seeds=np.array([seed])
+    )
+    lam_f, _ = refined_lowest_eigenvalues(
+        assemble_hamiltonian(potential, grid), 1, seeds=lam_c
+    )
     return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
-
-
-@contextmanager
-def lapack_errors_as_solver_failure():
-    """Re-raise LAPACK failures as SolverFailure.
-
-    LAPACK reports non-convergence and singular factors as LinAlgError, a
-    ValueError subclass that callers (the CLI among them) would read as
-    bad arguments; inside a solve it is a solver failure.
-    """
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(str(exc)) from exc
 
 
 def truncation_radius(p: PotentialKind, lambda_cap: float) -> float:
@@ -431,18 +415,17 @@ def solve(
 
     lower, upper = _domain_for(potential, geometry, 10.0)
     coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower)
-    with lapack_errors_as_solver_failure():
-        lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
-        cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
-        lower, upper = _domain_for(potential, geometry, cap)
-        return solve_on_interval(
-            potential,
-            lower,
-            upper,
-            count=count,
-            tol=tol,
-            bc_lower=bc_lower,
-        )
+    lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
+    cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
+    lower, upper = _domain_for(potential, geometry, cap)
+    return solve_on_interval(
+        potential,
+        lower,
+        upper,
+        count=count,
+        tol=tol,
+        bc_lower=bc_lower,
+    )
 
 
 def de_gennes_theta0(tol: float = 1e-7) -> float:

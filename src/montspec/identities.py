@@ -21,10 +21,10 @@ from .eigensolver import (
     EigenResult,
     assemble_hamiltonian,
     fixed_grid_lambda1,
-    lapack_errors_as_solver_failure,
     refined_lowest_eigenvalues,
     solve,
 )
+from .errors import SolverFailure
 from .operators import MontgomeryPotential, OperatorSpec
 
 # Finite-difference steps; chosen so stencil truncation stays comparable
@@ -93,10 +93,9 @@ def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
     with a 1e-12 relative regularizing offset, re-project."""
     grid = adaptive.grid_used
     system = assemble_hamiltonian(MontgomeryPotential(k, alpha), grid)
-    with lapack_errors_as_solver_failure():
-        lam, v = refined_lowest_eigenvalues(system, 2, seeds=np.array(adaptive.eigenvalues))
+    lam, v = refined_lowest_eigenvalues(system, 2, seeds=np.array(adaptive.eigenvalues))
     if lam[1] - lam[0] < 1e-6:
-        raise ArithmeticError(
+        raise SolverFailure(
             f"spectral gap {lam[1] - lam[0]} too small to invert the reduced resolvent"
         )
     h = system.spacing
@@ -105,8 +104,7 @@ def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
     f = w * u
     f_perp = f - (h * np.dot(f, u)) * u
     shift = lam[0] + 1e-12 * max(1.0, abs(lam[0]))
-    with lapack_errors_as_solver_failure():
-        g = tridiag.shifted_solve(system.diag, system.offdiag, shift, f_perp)
+    g = tridiag.shifted_solve(system.diag, system.offdiag, shift, f_perp)
     g = g - (h * np.dot(g, u)) * u
     du = 2.0 * g
     return 2.0 - 4.0 * h * float(np.dot(f, du))

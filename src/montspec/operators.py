@@ -9,6 +9,7 @@ bound machinery (pure powers t^m, shifted harmonic wells (t - xi)^2 and
 the half-power model (t^(k/2) / (k/2))^2).
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Union
@@ -82,8 +83,9 @@ class MontgomeryPotential:
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        # from sqrt(SATURATION) on, alpha^2 meets the overflow sentinel
+        if not abs(self.alpha) < math.sqrt(SATURATION):  # nan fails too
+            raise ValueError(f"|alpha| must be below 1e150, got {self.alpha!r}")
 
     def signed_root(self, t):
         """The signed square root t^(k+1)/(k+1) - alpha of the potential."""
@@ -162,10 +164,7 @@ class OperatorSpec:
     boundary: BoundaryCondition = BoundaryCondition.NONE
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        self.potential()  # validates k and alpha
         if self.geometry is Geometry.FULL_LINE:
             if self.boundary is not BoundaryCondition.NONE:
                 raise ValueError("full-line geometry takes no boundary condition")

@@ -16,19 +16,21 @@ the eigenvalues (the coarse pre-solve in eigensolver.solve and the first
 level of its refinement ladder), and as the fallback when predicted
 values fail their check.
 
-Inverse iteration factors A - shift I once (LAPACK gttrf) and reuses the
-factor for every sweep, polish sweeps included.  Its residual is taken at
-the iterate's Rayleigh quotient, so a shift from an eigenvalue predicted
-on coarser grids converges as well as one from a bisection bracket.
-seed_ceiling and are_lowest_eigenvalues confirm such values with one
-count-only stebz probe instead of bisecting for them.
+Inverse iteration factors A - shift I once (LAPACK gttrf, shared with
+shifted_solve) and reuses the factor for every sweep, polish sweeps
+included.  Its residual is taken at the iterate's Rayleigh quotient, so a
+shift from an eigenvalue predicted on coarser grids converges as well as
+one from a bisection bracket.  seed_ceiling and are_lowest_eigenvalues
+confirm such values with one count-only stebz probe instead of bisecting.
+No other module calls LAPACK, and every LAPACK fault (stebz failing to
+converge, a singular factor) leaves this one as SolverFailure.
 
 The test suite carries its own plain-Python Sturm counter and bisection
 solver as an independent reference on small matrices.
 """
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverFailure
@@ -60,15 +62,18 @@ def _gershgorin_interval(diag, offdiag):
 
 def _eigenvalues_in_window(diag, offdiag, lower: float, upper: float, tol: float):
     """Eigenvalues in (lower, upper] by LAPACK stebz, bracketed to abstol tol."""
-    return eigvalsh_tridiagonal(
-        diag,
-        offdiag,
-        select="v",
-        select_range=(lower, upper),
-        lapack_driver="stebz",
-        tol=tol,
-        check_finite=False,
-    )
+    try:
+        return eigvalsh_tridiagonal(
+            diag,
+            offdiag,
+            select="v",
+            select_range=(lower, upper),
+            lapack_driver="stebz",
+            tol=tol,
+            check_finite=False,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(str(exc)) from exc
 
 
 def _window_floor(diag, offdiag) -> float:
@@ -174,6 +179,17 @@ def _rayleigh_residual(diag, offdiag, v) -> float:
     return float(np.linalg.norm(r))
 
 
+def _shifted_factor(diag, offdiag, shift: float):
+    """Factor A - shift I once (LAPACK gttrf, partial pivoting) and return
+    the solve x -> (A - shift I)^(-1) x through that factor (gttrs)."""
+    if len(diag) < 3:
+        raise ValueError(f"need at least 3 rows, got {len(diag)}")
+    dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
+    if info > 0:
+        raise SolverFailure("singular matrix")
+    return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+
 def inverse_iteration(diag, offdiag, eigenvalue: float):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
@@ -192,15 +208,8 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     n = len(diag)
-    if n < 3:
-        raise ValueError(f"need at least 3 rows, got {n}")
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
-    dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-
-    def sweep(v):
-        return dgttrs(dl, d, du, du2, ipiv, v)[0]
+    sweep = _shifted_factor(diag, offdiag, shift)
     floor = _residual_floor(offdiag, eigenvalue)
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
@@ -235,12 +244,8 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
 
 
 def shifted_solve(diag, offdiag, shift: float, rhs):
-    """Solve (A - shift I) x = rhs for a symmetric tridiagonal A."""
+    """Solve (A - shift I) x = rhs for a symmetric tridiagonal A with at
+    least 3 rows, by the gttrf factor inverse_iteration uses."""
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = offdiag
-    ab[1, :] = diag - shift
-    ab[2, :-1] = offdiag
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+    return _shifted_factor(diag, offdiag, shift)(np.asarray(rhs, dtype=float))

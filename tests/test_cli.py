@@ -15,6 +15,7 @@ from montspec.cli import (
     EXIT_USAGE,
     run,
 )
+from montspec.errors import SolverFailure
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 # Closed-form outputs in their machine-readable forms, and one failing
@@ -150,7 +151,7 @@ def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):
     # identity_report refuses to invert the reduced resolvent (d2_exact) on
     # a tiny gap; the CLI must report that as a solver failure, not a traceback
     def tiny_gap(k, alpha, tol):
-        raise ArithmeticError("spectral gap 1e-09 too small to invert the reduced resolvent")
+        raise SolverFailure("spectral gap 1e-09 too small to invert the reduced resolvent")
 
     monkeypatch.setattr(identities, "identity_report", tiny_gap)
     code, out = _run(["identities", "--k", "2", "--alpha", "0"])
@@ -249,35 +250,64 @@ def test_k_past_double_precision_is_usage_error(argv, capsys):
         "bounds --k 10**400",
         "bounds --k-min 2 --k-max 10**400",
         "eigen --k 10**400 --alpha 0",
+        # scan's alpha spacing divides by steps - 1
+        "scan --k 2 --alpha-min 0 --alpha-max 1 --steps 10**400",
     ],
 )
 def test_k_past_float_range_is_usage_error(argv, capsys):
-    # k = 10**400 does not convert to a double
+    # an integer argument of 10**400 does not convert to a double
     code, out = _run(argv.replace("10**400", str(10**400)).split())
     assert code == EXIT_USAGE
     assert out == ""
     assert "past double precision" in capsys.readouterr().err
 
 
+def _stebz_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
+
+
+def _singular_factor(dl, d, du):
+    # the shape of scipy's dgttrf return with info = 1: U(1, 1) is zero
+    return dl, d, du, du[:-1], np.arange(1, len(d) + 1, dtype=np.int32), 1
+
+
 _LAPACK_FAILURES = {
-    # stebz does not converge on the overflowed potential
-    "eigen --k 2 --alpha 1e308": "stebz",
-    "scan --k 2 --alpha-min 0 --alpha-max 1e308 --steps 2": "stebz",
-    # the reduced-resolvent solve behind d2_exact, made singular below
-    "identities --k 2 --alpha 0": "singular matrix",
+    # (LAPACK wrapper made to fail, text the failure must carry)
+    "eigen --k 2 --alpha 0": ("eigvalsh_tridiagonal", _stebz_fails, "stebz"),
+    "scan --k 2 --alpha-min 0 --alpha-max 1 --steps 2":
+        ("eigvalsh_tridiagonal", _stebz_fails, "stebz"),
+    "identities --k 2 --alpha 0": ("dgttrf", _singular_factor, "singular matrix"),
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", list(_LAPACK_FAILURES))
 def test_lapack_failure_exit_code(argv, monkeypatch, capsys):
     # LAPACK's LinAlgError subclasses ValueError, but it is a solver failure
-    def singular(*args):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(tridiag, "shifted_solve", singular)
+    name, failing, text = _LAPACK_FAILURES[argv]
+    monkeypatch.setattr(tridiag, name, failing)
     code, out = _run(argv.split())
     assert code == EXIT_SOLVER
     assert out == ""
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: ") and _LAPACK_FAILURES[argv] in err
+    assert err.startswith("solver failure: ") and text in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eigen --k 2 --alpha 1e308",
+        "identities --k 2 --alpha 1e308",
+        "scan --k 2 --alpha-min 0 --alpha-max 1e308 --steps 2",
+    ],
+)
+def test_alpha_past_overflow_is_usage_error(argv, monkeypatch, capsys):
+    # alpha^2 would pass the potential's overflow sentinel; scan checks
+    # both ends before its first solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(eigensolver, "solve", no_solve)
+    code, out = _run(argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err.startswith("usage error: |alpha| must be below 1e150")

@@ -205,11 +205,26 @@ def test_nan_tol_is_rejected():
         de_gennes_theta0(float("nan"))
 
 
-def test_lapack_failure_is_solver_failure():
+def _stebz_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
+
+
+def test_lapack_failure_is_solver_failure(monkeypatch):
     # LAPACK's LinAlgError subclasses ValueError; inside solve it is a
-    # solver failure, not an argument error (alpha = 1e308 overflows V)
-    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="stebz") as info:
-        solve(OperatorSpec(2, 1e308))
+    # solver failure, not an argument error
+    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
+    with pytest.raises(SolverFailure, match="stebz") as info:
+        solve(OperatorSpec(2, 0.0))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_solve_on_interval_lapack_failure_is_solver_failure():
+    # a NaN potential sample makes stebz fail on the first ladder level
+    def nan_well(t):
+        return np.where(np.abs(t) < 0.5, np.nan, t * t)
+
+    with pytest.raises(SolverFailure, match="stebz") as info:
+        solve_on_interval(nan_well, -6.0, 6.0, count=1)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -280,11 +295,8 @@ def test_fixed_grid_lambda1_matches_bisected_pair(seed):
 
 
 def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(tridiag, "inverse_iteration", singular)
-    with pytest.raises(SolverFailure, match="singular matrix") as info:
+    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
+    with pytest.raises(SolverFailure, match="stebz") as info:
         fixed_grid_lambda1(MontgomeryPotential(2, 0.5), GridSpec(-6.0, 6.0, 8191), 0.8)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 

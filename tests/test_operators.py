@@ -108,6 +108,12 @@ def test_operator_spec_validation():
         OperatorSpec(0, 1.0)
     with pytest.raises(ValueError):
         OperatorSpec(2, math.inf)
+    # from 1e150 on alpha^2 meets the potential's overflow sentinel
+    with pytest.raises(ValueError):
+        OperatorSpec(2, 1e150)
+    with pytest.raises(ValueError):
+        MontgomeryPotential(2, -1e150)
+    assert OperatorSpec(2, 1e149).alpha == 1e149
     with pytest.raises(ValueError):
         OperatorSpec(2, 0.0, Geometry.FULL_LINE, BoundaryCondition.DIRICHLET)
     with pytest.raises(ValueError):

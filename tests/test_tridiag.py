@@ -13,6 +13,7 @@ from montspec.eigensolver import (
     assemble_hamiltonian,
     refined_lowest_eigenvalues,
 )
+from montspec.errors import SolverFailure
 from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
     _gershgorin_interval,
@@ -245,8 +246,10 @@ def test_inverse_iteration_rejects_two_by_two():
 def test_inverse_iteration_singular_shift_raises():
     # the shifted diagonal entry is exactly zero, so the factor is singular
     shifted = 1.0 + 1e-12
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(SolverFailure, match="singular matrix"):
         inverse_iteration(np.array([shifted, 5.0, 9.0]), np.zeros(2), 1.0)
+    with pytest.raises(SolverFailure, match="singular matrix"):
+        shifted_solve(np.array([shifted, 5.0, 9.0]), np.zeros(2), shifted, np.ones(3))
 
 
 def test_inverse_iteration_diagonal():
@@ -272,3 +275,13 @@ def test_shifted_solve_residual():
     x = shifted_solve(diag, offdiag, 0.37, rhs)
     full = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1) - 0.37 * np.eye(25)
     assert np.linalg.norm(full @ x - rhs) < 1e-10 * max(1.0, np.linalg.norm(x))
+    assert x == pytest.approx(np.linalg.solve(full, rhs), rel=0.0, abs=1e-12)
+
+
+def test_lowest_eigenvalues_lapack_failure_is_solver_failure():
+    # stebz does not converge on a NaN entry; that is a solver failure, not
+    # the ValueError (LinAlgError's base) that bad arguments raise
+    diag = np.array([1.0, np.nan, 3.0, 4.0])
+    with pytest.raises(SolverFailure, match="stebz") as info:
+        lowest_eigenvalues(diag, -np.ones(3), 1)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
