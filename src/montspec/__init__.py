@@ -49,7 +49,6 @@ _EXPORTS = {
         "dirichlet_well_lambda",
         "solve",
         "solve_on_interval",
-        "truncation_radius",
     ),
     "errors": ("CertificationError", "SolverFailure"),
     "identities": ("IdentityReport", "identity_report"),

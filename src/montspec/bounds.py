@@ -263,6 +263,12 @@ def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:
     return first, second
 
 
+def gap_ratio(k: int) -> float:
+    """(k+2)/(k+6): the gap criterion (k+2)/(k+6) lambda2 > lambda1 rules
+    out a local maximum of lambda1(alpha) (see identities.IdentityReport)."""
+    return (k + 2.0) / (k + 6.0)
+
+
 def lower_bound_C(k: int, alpha0: float = 1.5) -> float:
     """Floor on the bottom eigenvalue for alpha >= alpha0 (alpha0 >= 3/2).
 
@@ -302,7 +308,7 @@ class BoundsTable:
     @property
     def gap_floor(self) -> float:
         b = self.b_k if self.k <= SMALL_K_MAX else self.b_tilde_k
-        return (self.k + 2.0) / (self.k + 6.0) * b
+        return gap_ratio(self.k) * b
 
     def __post_init__(self):
         radicand = self.gap_floor - self.a_k

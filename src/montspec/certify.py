@@ -14,7 +14,7 @@ when called, so the certificates, the figure tables and `fmt` load
 neither numpy nor scipy.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import List, Tuple
 
@@ -122,7 +122,7 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
                 lambda1=lam1,
                 lambda2=lam2,
                 d_lambda1=identities._fh_from_result(res, k, alpha),
-                gap_ok=(k + 2.0) / (k + 6.0) * lam2 > lam1,
+                gap_ok=bounds.gap_ratio(k) * lam2 > lam1,
             )
         )
     return rows
@@ -145,15 +145,16 @@ def locate_minimum(k: int) -> Tuple[float, float]:
     """
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
-    from .eigensolver import GridSpec, fixed_grid_lambda1, solve, truncation_radius
-    from .operators import MontgomeryPotential, OperatorSpec
+    from .eigensolver import GridSpec, fixed_grid_lambda1, solve, truncation_interval
+    from .operators import Geometry, MontgomeryPotential, OperatorSpec
 
-    # Domain must confine the worst case over the bracket; cap with the
-    # trial upper bound at alpha = 3 plus slack.
-    cap = max(10.0, 2.0 * (ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4) + 3.0)
-    radius = truncation_radius(MontgomeryPotential(k, ALPHA_SCAN_MAX), cap)
+    # Domain must confine the worst case over the bracket: the trial
+    # upper bound on lambda1 at alpha = 3.
+    worst = MontgomeryPotential(k, ALPHA_SCAN_MAX)
+    bound = ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4
+    lower, upper = truncation_interval(worst, Geometry.FULL_LINE, bound)
     probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
-    grid = GridSpec(-radius, radius, probe.grid_used.n)
+    grid = GridSpec(lower, upper, probe.grid_used.n)
 
     def lam1(alpha: float) -> float:
         return fixed_grid_lambda1(MontgomeryPotential(k, alpha), grid, probe.lambda1)
@@ -245,27 +246,24 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def figure_csv(which: str) -> str:
-    """CSV rendering of figure_data: 12 significant digits, header row,
-    newline-terminated rows."""
-    header = {
-        "lambda1comp": "k,A_k,C_k",
-        "completeproof": "k,two_alpha_star,alpha_double_star",
-    }[which]
-    lines = [header]
-    for row in figure_data(which):
-        lines.append(",".join(fmt(x) for x in row))
+def csv_table(columns, rows) -> str:
+    """CSV text: a header line of column names, then one line of fmt
+    cells per row, None written as an empty cell; every line
+    newline-terminated."""
+    lines = [",".join(columns)]
+    lines.extend(",".join("" if x is None else fmt(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def figure_csv(which: str) -> str:
+    """CSV rendering of figure_data."""
+    rows = figure_data(which)
+    if which == "lambda1comp":
+        return csv_table(("k", "A_k", "C_k"), rows)
+    return csv_table(("k", "two_alpha_star", "alpha_double_star"), rows)
 
 
 def scan_csv(rows: List[ScanRow]) -> str:
-    """CSV rendering of scan rows (alpha,lambda1,lambda2,d_lambda1,gap_ok)."""
-    lines = ["alpha,lambda1,lambda2,d_lambda1,gap_ok"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (fmt(r.alpha), fmt(r.lambda1), fmt(r.lambda2),
-                 fmt(r.d_lambda1), fmt(r.gap_ok))
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """CSV rendering of scan rows, one column per ScanRow field
+    (alpha,lambda1,lambda2,d_lambda1,gap_ok)."""
+    return csv_table([f.name for f in fields(ScanRow)], map(astuple, rows))

@@ -15,7 +15,7 @@ from dataclasses import asdict, astuple, fields
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
-from .certify import fmt
+from .certify import csv_table, fmt
 from .errors import CertificationError, SolverFailure
 
 EXIT_OK = 0
@@ -148,9 +148,7 @@ def _cmd_bounds(args, stream) -> int:
     labels = [_BOUNDS_LABELS.get(f.name, f.name) for f in fields(bounds_mod.BoundsTable)]
     rows = [astuple(t) for t in tables]
     if args.format == "csv":
-        stream.write(",".join(labels) + "\n")
-        for row in rows:
-            stream.write(",".join("" if x is None else fmt(x) for x in row) + "\n")
+        stream.write(csv_table(labels, rows))
     else:
         for row in rows:
             pairs = (

@@ -11,7 +11,7 @@ model whose first eigenvalue solves a transcendental gluing equation.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,11 +20,8 @@ from .errors import SolverFailure
 from .operators import (
     BoundaryCondition,
     Geometry,
-    HalfPowerModelPotential,
-    MontgomeryPotential,
     OperatorSpec,
     PotentialKind,
-    PureAnharmonicPotential,
     ShiftedHarmonicPotential,
 )
 from .optimize import minimize_golden
@@ -117,14 +114,6 @@ class AssembledSystem:
         return float(kinetic + np.dot(self.potential_values, v * v))
 
 
-def _potential_fn(potential) -> Callable[[np.ndarray], np.ndarray]:
-    if hasattr(potential, "value"):
-        return potential.value
-    if callable(potential):
-        return potential
-    raise TypeError(f"not a potential: {potential!r}")
-
-
 def assemble_hamiltonian(
     potential,
     grid: GridSpec,
@@ -144,14 +133,13 @@ def assemble_hamiltonian(
     """
     if bc_lower not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
         raise ValueError("the lower end must be Dirichlet or Neumann")
-    v = _potential_fn(potential)
     h = grid.spacing
     pts = grid.interior_points()
     neumann = bc_lower is BoundaryCondition.NEUMANN
     if neumann:
         pts = np.concatenate(([grid.lower], pts))
     inv_h2 = 1.0 / (h * h)
-    values = np.asarray(v(pts), dtype=float)
+    values = np.asarray(potential.value(pts), dtype=float)
     diag = 2.0 * inv_h2 + values
     offdiag = np.full(len(pts) - 1, -inv_h2)
     if neumann:
@@ -245,29 +233,21 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
 
 
-def truncation_radius(p: PotentialKind, lambda_cap: float) -> float:
-    """Radius L with V >= lambda_cap + TRUNCATION_MARGIN outside, plus
-    TRUNCATION_PAD.
+def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
+    """The solve interval for eigenvalues up to lambda_bound: out to
+    where V exceeds cap = max(10, 2 lambda_bound + 3) by
+    TRUNCATION_MARGIN (potential.turning_point), plus TRUNCATION_PAD;
+    (-radius, radius) on the full line, (0, radius) on the half line.
 
-    Guarantees the discarded region is classically forbidden for every
-    eigenvalue below lambda_cap, so truncation error is negligible next
-    to discretization error.
+    The discarded region is classically forbidden for every eigenvalue
+    below cap, so truncation error is negligible next to discretization
+    error.
     """
-    if lambda_cap <= 0.0:
-        raise ValueError("lambda_cap must be positive")
-    s = math.sqrt(lambda_cap + TRUNCATION_MARGIN)
-    if isinstance(p, MontgomeryPotential):
-        base = math.exp(math.log((p.k + 1) * (abs(p.alpha) + s)) / (p.k + 1))
-    elif isinstance(p, ShiftedHarmonicPotential):
-        base = abs(p.center) + s
-    elif isinstance(p, PureAnharmonicPotential):
-        base = (lambda_cap + TRUNCATION_MARGIN) ** (1.0 / p.m)
-    elif isinstance(p, HalfPowerModelPotential):
-        half = p.k // 2
-        base = (half * s) ** (2.0 / p.k)
-    else:
-        raise TypeError(f"no truncation rule for {p!r}")
-    return base + TRUNCATION_PAD
+    cap = max(10.0, 2.0 * lambda_bound + 3.0)
+    radius = potential.turning_point(cap + TRUNCATION_MARGIN) + TRUNCATION_PAD
+    if geometry is Geometry.FULL_LINE:
+        return -radius, radius
+    return 0.0, radius
 
 
 @dataclass(frozen=True)
@@ -373,13 +353,6 @@ def solve_on_interval(
     )
 
 
-def _domain_for(potential, geometry: Geometry, lambda_cap: float):
-    radius = truncation_radius(potential, lambda_cap)
-    if geometry is Geometry.FULL_LINE:
-        return -radius, radius
-    return 0.0, radius
-
-
 def solve(
     problem: Union[OperatorSpec, PotentialKind],
     count: int = 2,
@@ -390,10 +363,10 @@ def solve(
     """Eigenvalues and ground state of a confining operator to tolerance tol.
 
     Accepts either an OperatorSpec (geometry read from it) or a bare
-    potential kind with geometry/boundary keywords.  The domain radius
-    comes from a coarse pre-solve: solve once on a generous interval,
-    then re-truncate so the potential dominates every requested
-    eigenvalue with margin.
+    potential kind with geometry/boundary keywords.  The domain comes
+    from a coarse pre-solve: solve once on truncation_interval's interval
+    for cap 10, then re-truncate at the highest eigenvalue it found, so
+    the potential dominates every requested eigenvalue with margin.
     """
     if not tol >= 1e-11:  # written so that nan fails too
         raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
@@ -413,11 +386,10 @@ def solve(
             raise ValueError("half-line solve requires Dirichlet or Neumann at t=0")
         bc_lower = boundary
 
-    lower, upper = _domain_for(potential, geometry, 10.0)
+    lower, upper = truncation_interval(potential, geometry, 0.0)
     coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower)
     lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
-    cap = max(10.0, 2.0 * float(lam_coarse[-1]) + 3.0)
-    lower, upper = _domain_for(potential, geometry, cap)
+    lower, upper = truncation_interval(potential, geometry, float(lam_coarse[-1]))
     return solve_on_interval(
         potential,
         lower,

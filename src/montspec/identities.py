@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tridiag
+from .bounds import gap_ratio
 from .eigensolver import (
     EigenResult,
     assemble_hamiltonian,
@@ -128,7 +129,7 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
     w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
-    gap_margin = (k + 2.0) / (k + 6.0) * result.eigenvalues[1] - result.eigenvalues[0]
+    gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
     lam = _stencil_lambda1(k, alpha, tol)
     h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     return IdentityReport(

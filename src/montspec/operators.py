@@ -100,6 +100,11 @@ class MontgomeryPotential:
         v = np.where(unsafe, SATURATION, v)
         return _scalar_like(v, t)
 
+    def turning_point(self, energy: float) -> float:
+        """Radius past which V >= energy: ((k+1)(|alpha| + sqrt(energy)))^(1/(k+1))."""
+        s = math.sqrt(energy)
+        return math.exp(math.log((self.k + 1) * (abs(self.alpha) + s)) / (self.k + 1))
+
 
 @dataclass(frozen=True)
 class PureAnharmonicPotential:
@@ -116,6 +121,10 @@ class PureAnharmonicPotential:
         v = np.where(unsafe, SATURATION, v)
         return _scalar_like(v, t)
 
+    def turning_point(self, energy: float) -> float:
+        """Radius past which V >= energy: energy^(1/m)."""
+        return energy ** (1.0 / self.m)
+
 
 @dataclass(frozen=True)
 class ShiftedHarmonicPotential:
@@ -127,6 +136,10 @@ class ShiftedHarmonicPotential:
         d = np.asarray(t, dtype=float) - self.center
         v = np.where(np.abs(d) > 1e150, SATURATION, d * d)
         return _scalar_like(v, t)
+
+    def turning_point(self, energy: float) -> float:
+        """Radius past which V >= energy: |center| + sqrt(energy)."""
+        return abs(self.center) + math.sqrt(energy)
 
 
 @dataclass(frozen=True)
@@ -144,6 +157,10 @@ class HalfPowerModelPotential:
         w, unsafe = _eval_guarded_power(t, half, float(half))
         v = np.where(unsafe, SATURATION, w * w)
         return _scalar_like(v, t)
+
+    def turning_point(self, energy: float) -> float:
+        """Radius past which V >= energy: ((k/2) sqrt(energy))^(2/k)."""
+        return (self.k // 2 * math.sqrt(energy)) ** (2.0 / self.k)
 
 
 PotentialKind = Union[

@@ -190,6 +190,19 @@ def _shifted_factor(diag, offdiag, shift: float):
     return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
 
 
+def _aligned_sweep(sweep, v):
+    """One sweep from the unit vector v, scaled to unit norm and signed to
+    agree with v.  A norm of 0, inf or NaN can never converge: it raises."""
+    w = sweep(v)
+    norm = np.linalg.norm(w)
+    if not 0.0 < norm < np.inf:  # written so that nan fails too
+        raise SolverFailure(f"inverse iteration sweep has norm {norm}")
+    w /= norm
+    if np.dot(w, v) < 0.0:
+        w = -w
+    return w
+
+
 def inverse_iteration(diag, offdiag, eigenvalue: float):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
@@ -214,10 +227,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(_MAX_SWEEPS):
-        w = sweep(v)
-        w /= np.linalg.norm(w)
-        if np.dot(w, v) < 0.0:
-            w = -w
+        w = _aligned_sweep(sweep, v)
         delta = np.linalg.norm(w - v)
         v = w
         residual = _rayleigh_residual(diag, offdiag, v)
@@ -228,16 +238,13 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
             f"inverse iteration did not converge in {_MAX_SWEEPS} iterations",
             residual=float(residual),
         )
+    del w  # an alias of v, not to be held through the polish sweeps
     # Two polish sweeps: the bulk of the vector is already at its noise
     # floor, but far-tail entries (where the true eigenfunction sits below
     # rounding) still carry start-vector imprint; each extra sweep damps
     # them by the local barrier height.
     for _ in range(2):
-        w = sweep(v)
-        w /= np.linalg.norm(w)
-        if np.dot(w, v) < 0.0:
-            w = -w
-        v = w
+        v = _aligned_sweep(sweep, v)
     if np.sum(v) < 0.0:
         v = -v
     return v

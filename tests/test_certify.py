@@ -176,6 +176,12 @@ def test_figure_data_validation():
         figure_data("nope")
 
 
+def test_figure_csv_validation():
+    # the CSV rendering rejects an unknown figure as figure_data does
+    with pytest.raises(ValueError, match="unknown figure"):
+        figure_csv("nope")
+
+
 def test_figure_csv_format():
     text = figure_csv("completeproof")
     lines = text.splitlines()

@@ -311,3 +311,15 @@ def test_alpha_past_overflow_is_usage_error(argv, monkeypatch, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err.startswith("usage error: |alpha| must be below 1e150")
+
+
+def test_underflowing_sweep_exit_code(capsys):
+    # just under the alpha bound the first inverse-iteration sweep
+    # underflows to zero; that fails at once, with no numpy warning
+    # (pytest turns RuntimeWarning into an error)
+    code, out = _run("eigen --k 2 --alpha 1e149".split())
+    assert code == EXIT_SOLVER
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: inverse iteration sweep has norm 0")
+    assert err.count("\n") == 1

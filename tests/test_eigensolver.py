@@ -2,6 +2,7 @@
 the de Gennes constant machinery, and the step-well gluing equation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from montspec import eigensolver, tridiag
 from montspec.errors import SolverFailure
 from montspec.eigensolver import (
+    TRUNCATION_PAD,
     GridSpec,
     assemble_hamiltonian,
     de_gennes_theta0,
@@ -17,7 +19,7 @@ from montspec.eigensolver import (
     refined_lowest_eigenvalues,
     solve,
     solve_on_interval,
-    truncation_radius,
+    truncation_interval,
 )
 from montspec.operators import (
     BoundaryCondition,
@@ -50,7 +52,7 @@ def test_assemble_harmonic_spectrum():
 
 
 def test_assemble_box_modes():
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    zero = SimpleNamespace(value=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     sys_dd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), D)
     lam_dd = lowest_eigenvalues(sys_dd.diag, sys_dd.offdiag, 1)
     assert lam_dd[0] == pytest.approx(math.pi**2, abs=1e-5)
@@ -77,11 +79,11 @@ def test_dirichlet_half_line_is_odd_modes():
 
 def test_truncation_radius_formulas():
     # Montgomery: ((k+1)(|alpha| + sqrt(cap + 1)))^(1/(k+1)) + 2
-    r = truncation_radius(MontgomeryPotential(2, 0.0), 1.0)
+    r = MontgomeryPotential(2, 0.0).turning_point(1.0 + 1.0) + TRUNCATION_PAD
     assert r == pytest.approx((3.0 * math.sqrt(2.0)) ** (1.0 / 3.0) + 2.0, rel=1e-14)
-    r = truncation_radius(ShiftedHarmonicPotential(0.0), 5.0)
+    r = ShiftedHarmonicPotential(0.0).turning_point(5.0 + 1.0) + TRUNCATION_PAD
     assert r == pytest.approx(math.sqrt(6.0) + 2.0, rel=1e-14)
-    r = truncation_radius(MontgomeryPotential(70, 2.8), 8.0)
+    r = MontgomeryPotential(70, 2.8).turning_point(8.0 + 1.0) + TRUNCATION_PAD
     assert r == pytest.approx((71.0 * (2.8 + 3.0)) ** (1.0 / 71.0) + 2.0, rel=1e-14)
 
 
@@ -96,14 +98,24 @@ def test_truncation_radius_formulas():
 )
 def test_truncation_radius_postcondition(pot):
     cap = 7.0
-    radius = truncation_radius(pot, cap)
+    radius = pot.turning_point(cap + 1.0) + TRUNCATION_PAD
     for t in (radius, -radius, radius + 0.5, 2.0 * radius):
         assert pot.value(t) >= cap + 1.0 - 1e-9
 
 
-def test_truncation_radius_validation():
-    with pytest.raises(ValueError):
-        truncation_radius(MontgomeryPotential(2, 0.0), -1.0)
+def test_truncation_interval_caps_and_geometry():
+    # every cap is at least 10, so bounds up to 3.5 share the cap-10 interval
+    pot = MontgomeryPotential(2, 0.0)
+    radius = (3.0 * math.sqrt(11.0)) ** (1.0 / 3.0) + 2.0
+    assert truncation_interval(pot, Geometry.FULL_LINE, 0.0) == pytest.approx(
+        (-radius, radius), rel=1e-14
+    )
+    assert truncation_interval(pot, Geometry.FULL_LINE, 3.5) == truncation_interval(
+        pot, Geometry.FULL_LINE, 0.0
+    )
+    lower, upper = truncation_interval(pot, Geometry.HALF_LINE_POSITIVE, 7.0)
+    assert lower == 0.0
+    assert upper == pot.turning_point(2.0 * 7.0 + 3.0 + 1.0) + TRUNCATION_PAD
 
 
 _K2_TOL = 1e-8
@@ -224,7 +236,7 @@ def test_solve_on_interval_lapack_failure_is_solver_failure():
         return np.where(np.abs(t) < 0.5, np.nan, t * t)
 
     with pytest.raises(SolverFailure, match="stebz") as info:
-        solve_on_interval(nan_well, -6.0, 6.0, count=1)
+        solve_on_interval(SimpleNamespace(value=nan_well), -6.0, 6.0, count=1)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -351,5 +363,5 @@ def test_dirichlet_well_pde_consistency():
         return np.where(np.abs(t - T) < 1e-9, 0.5 * barrier,
                         np.where(t > T, barrier, 0.0))
 
-    res = solve_on_interval(step, 0.0, 3.0 * T, count=1, tol=1e-7)
+    res = solve_on_interval(SimpleNamespace(value=step), 0.0, 3.0 * T, count=1, tol=1e-7)
     assert res.eigenvalues[0] == pytest.approx(dirichlet_well_lambda(T, k), abs=1e-6)

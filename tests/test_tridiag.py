@@ -252,6 +252,20 @@ def test_inverse_iteration_singular_shift_raises():
         shifted_solve(np.array([shifted, 5.0, 9.0]), np.zeros(2), shifted, np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "diag, offdiag, norm",
+    [
+        ([np.inf, np.inf, np.inf], [0.0, 0.0], "0.0"),  # the sweep underflows to 0
+        ([1.0, 5.0, 9.0], [0.0, np.nan], "nan"),
+    ],
+)
+def test_inverse_iteration_degenerate_sweep_fails_fast(diag, offdiag, norm):
+    # a sweep that cannot be normalized fails on the first sweep, before
+    # any NaN reaches the residual or the remaining sweeps
+    with pytest.raises(SolverFailure, match=f"sweep has norm {norm}"):
+        inverse_iteration(np.array(diag), np.array(offdiag), 1.0)
+
+
 def test_inverse_iteration_diagonal():
     v = inverse_iteration(np.array([1.0, 5.0, 9.0]), np.zeros(2), 1.0)
     assert v == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
