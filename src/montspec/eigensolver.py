@@ -1,9 +1,10 @@
 """Adaptive eigenvalue solver for confining 1D Schrodinger operators.
 
 Second-order central differences on a truncated interval, eigenvalues
-polished by inverse iteration (started from Sturm bisection on the first
-refinement level, and from values predicted by the coarser levels after
-it), and one Richardson extrapolation step on the reported eigenvalues.
+polished by inverse iteration (started from the pre-solve's Sturm
+bisection on the first refinement level, and from values predicted by
+the coarser levels after it), and one Richardson extrapolation step on
+the reported eigenvalues.
 Covers the full line, the half line with Dirichlet or Neumann condition
 at t=0 (needed for the de Gennes constant), and the explicit step-well
 model whose first eigenvalue solves a transcendental gluing equation.
@@ -166,8 +167,8 @@ def refined_lowest_eigenvalues(
     Rayleigh quotient of an eigenvector with residual r is accurate to
     r^2 / gap, which lands near machine precision.
 
-    `seeds` are predicted eigenvalues: from coarser grids (see
-    solve_on_interval) or from an adaptive solve of the same or a nearby
+    `seeds` are predicted eigenvalues: from coarser grids or the pre-solve
+    (see solve_on_interval) or from an adaptive solve of the same or a nearby
     operator (fixed_grid_lambda1 and its callers, the identities).  Given
     them, bisection is skipped: one Sturm count finds an energy just above
     the predictions with exactly `count` eigenvalues below it
@@ -184,6 +185,8 @@ def refined_lowest_eigenvalues(
     """
     ceiling = None
     if seeds is not None:
+        if len(seeds) != count:
+            raise ValueError(f"need {count} seeds, got {len(seeds)}")
         ceiling = tridiag.seed_ceiling(system.diag, system.offdiag, seeds)
     if ceiling is not None:
         try:
@@ -285,6 +288,7 @@ def solve_on_interval(
     count: int = 2,
     tol: float = 1e-8,
     bc_lower: BoundaryCondition = BoundaryCondition.DIRICHLET,
+    seeds: Optional[np.ndarray] = None,
 ) -> EigenResult:
     """Adaptive solve on a fixed interval, `bc_lower` at the lower end and
     Dirichlet at the upper end.
@@ -294,9 +298,11 @@ def solve_on_interval(
     tol/2 for every requested eigenvalue, then one Richardson step
     removes the leading O(h^2) error from the reported values.
     achieved_tol_estimate adds the last raw change and the extrapolation
-    correction.  From the second level on, each level
-    is seeded with eigenvalues predicted from the levels before it (see
-    refined_lowest_eigenvalues), which skips its bisection.
+    correction.  `seeds`, as in refined_lowest_eigenvalues, predict the
+    first level's eigenvalues (solve passes its pre-solve's); from the
+    second level on, each level is seeded with eigenvalues predicted from
+    the levels before it.  A seeded level bisects only if its seeds fail
+    their check.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -309,7 +315,8 @@ def solve_on_interval(
         system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), bc_lower)
         # Predicted eigenvalues for this level: the error goes like h^2
         # and h halves each level, so each change is a quarter of the last.
-        seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
+        if prev is not None:
+            seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
         lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds)
         levels += 1
         # Report the ground state from the last level up to _N_VECTOR_CAP
@@ -364,9 +371,12 @@ def solve(
 
     Accepts either an OperatorSpec (geometry read from it) or a bare
     potential kind with geometry/boundary keywords.  The domain comes
-    from a coarse pre-solve: solve once on truncation_interval's interval
-    for cap 10, then re-truncate at the highest eigenvalue it found, so
-    the potential dominates every requested eigenvalue with margin.
+    from a coarse pre-solve: bisect once on truncation_interval's interval
+    for cap 10 at the first ladder level's size, then re-truncate at the
+    highest eigenvalue it found, so the potential dominates every
+    requested eigenvalue with margin.  The pre-solve's eigenvalues seed
+    the first ladder level, which bisects again only if they fail its
+    check, so a solve normally bisects once.
     """
     if not tol >= 1e-11:  # written so that nan fails too
         raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
@@ -397,6 +407,7 @@ def solve(
         count=count,
         tol=tol,
         bc_lower=bc_lower,
+        seeds=lam_coarse,
     )
 
 

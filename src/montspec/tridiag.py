@@ -12,22 +12,26 @@ Neumann row puts the floor near -0.4/h^2, and width doubling from there
 would pull most of the spectrum into the window.
 
 Brackets are machine-tight.  Bisection runs only where nothing predicts
-the eigenvalues (the coarse pre-solve in eigensolver.solve and the first
-level of its refinement ladder), and as the fallback when predicted
-values fail their check.
+the eigenvalues (the coarse pre-solve in eigensolver.solve, whose values
+seed the first level of its refinement ladder), and as the fallback when
+predicted values fail their check.
 
 Inverse iteration factors A - shift I once (LAPACK gttrf, shared with
 shifted_solve) and reuses the factor for every sweep, polish sweeps
 included.  Its residual is taken at the iterate's Rayleigh quotient, so a
 shift from an eigenvalue predicted on coarser grids converges as well as
-one from a bisection bracket.  seed_ceiling and are_lowest_eigenvalues
-confirm such values with one count-only stebz probe instead of bisecting.
+one from a bisection bracket; a sweep's own norm bounds that residual,
+which spares most converged sweeps their matrix-vector product.
+seed_ceiling and are_lowest_eigenvalues confirm such values with one
+count-only stebz probe instead of bisecting.
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
 converge, a singular factor) leaves this one as SolverFailure.
 
 The test suite carries its own plain-Python Sturm counter and bisection
 solver as an independent reference on small matrices.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -192,7 +196,8 @@ def _shifted_factor(diag, offdiag, shift: float):
 
 def _aligned_sweep(sweep, v):
     """One sweep from the unit vector v, scaled to unit norm and signed to
-    agree with v.  A norm of 0, inf or NaN can never converge: it raises."""
+    agree with v, and the sweep's norm before scaling.  A norm of 0, inf
+    or NaN can never converge: it raises."""
     w = sweep(v)
     norm = np.linalg.norm(w)
     if not 0.0 < norm < np.inf:  # written so that nan fails too
@@ -200,7 +205,7 @@ def _aligned_sweep(sweep, v):
     w /= norm
     if np.dot(w, v) < 0.0:
         w = -w
-    return w
+    return w, norm
 
 
 def inverse_iteration(diag, offdiag, eigenvalue: float):
@@ -215,11 +220,23 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     floor of the matrix-vector product, so an estimate off by more than
     that floor (a value predicted from coarser grids) still converges;
     an iterate-stabilization check covers exactly representable cases.
-    Returns a unit 2-norm vector with positive sign convention (sum of
-    entries > 0).  Needs at least 3 rows, as scipy's gttrf wrapper does.
+    A sweep w = (A - shift I)^(-1) v from a unit v bounds that residual
+    by itself: ||(A - shift I) w/||w|| || = 1/||w||, and no shift gives a
+    smaller residual than the Rayleigh quotient.  A sweep with 1/||w||
+    within half the floor is accepted on that bound (the factor's
+    rounding adds a few eps ||A||); only the others pay for the explicit
+    residual.  Returns a unit 2-norm vector with positive sign convention
+    (sum of entries > 0).  Needs at least 3 rows, as scipy's gttrf
+    wrapper does, and finite entries and estimate.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
+    if not (
+        math.isfinite(eigenvalue)
+        and np.all(np.isfinite(diag))
+        and np.all(np.isfinite(offdiag))
+    ):
+        raise ValueError("inverse iteration needs finite entries and estimate")
     n = len(diag)
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
     sweep = _shifted_factor(diag, offdiag, shift)
@@ -227,7 +244,10 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(_MAX_SWEEPS):
-        w = _aligned_sweep(sweep, v)
+        w, norm = _aligned_sweep(sweep, v)
+        if 1.0 / norm <= 0.5 * floor:
+            v = w
+            break
         delta = np.linalg.norm(w - v)
         v = w
         residual = _rayleigh_residual(diag, offdiag, v)
@@ -244,7 +264,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     # rounding) still carry start-vector imprint; each extra sweep damps
     # them by the local barrier height.
     for _ in range(2):
-        v = _aligned_sweep(sweep, v)
+        v, _ = _aligned_sweep(sweep, v)
     if np.sum(v) < 0.0:
         v = -v
     return v

@@ -29,7 +29,7 @@ from montspec.operators import (
     PureAnharmonicPotential,
     ShiftedHarmonicPotential,
 )
-from montspec.tridiag import inverse_iteration, lowest_eigenvalues
+from montspec.tridiag import inverse_iteration, lowest_eigenvalues, seed_ceiling
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -278,6 +278,57 @@ def test_seeded_ladder_matches_bisected_ladder(monkeypatch, k, alpha):
     assert seeded.grid_used == bisected.grid_used
     assert seeded.iterations == bisected.iterations
     assert seeded.eigenvalues == pytest.approx(bisected.eigenvalues, rel=0.0, abs=1e-13)
+
+
+def _count_bisections(monkeypatch):
+    """Record the size of every tridiag.lowest_eigenvalues call."""
+    sizes = []
+
+    def counted(diag, offdiag, count):
+        sizes.append(len(diag))
+        return lowest_eigenvalues(diag, offdiag, count)
+
+    monkeypatch.setattr(tridiag, "lowest_eigenvalues", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("k, alpha, retruncated", [(2, 0.0, False), (10, 1.5, True)])
+def test_solve_bisects_once(monkeypatch, k, alpha, retruncated):
+    # the pre-solve bisects; its values seed the first ladder level, which
+    # then passes its check whether or not the interval was re-truncated
+    sizes = _count_bisections(monkeypatch)
+    res = solve(OperatorSpec(k, alpha), count=2, tol=1e-6)
+    assert sizes == [eigensolver._N_START]
+    pre_solve = truncation_interval(OperatorSpec(k, alpha).potential(), Geometry.FULL_LINE, 0.0)
+    assert ((res.grid_used.lower, res.grid_used.upper) != pre_solve) == retruncated
+
+
+def test_failed_first_level_check_bisects(monkeypatch):
+    # k = 2, alpha = 0 keeps the pre-solve's interval, so the first level's
+    # bisection repeats the pre-solve's and the result is unchanged
+    expected = solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)
+    sizes = _count_bisections(monkeypatch)
+    probes = []
+
+    def fails_first(diag, offdiag, seeds):
+        probes.append(len(diag))
+        return None if len(probes) == 1 else seed_ceiling(diag, offdiag, seeds)
+
+    monkeypatch.setattr(tridiag, "seed_ceiling", fails_first)
+    res = solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)
+    assert probes[0] == eigensolver._N_START
+    assert sizes == [eigensolver._N_START, eigensolver._N_START]
+    assert res.eigenvalues == expected.eigenvalues
+    assert np.array_equal(res.ground_state_values, expected.ground_state_values)
+
+
+def test_seed_count_must_match():
+    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 2047))
+    with pytest.raises(ValueError, match="need 2 seeds, got 1"):
+        refined_lowest_eigenvalues(system, 2, seeds=np.array([0.66]))
+    with pytest.raises(ValueError, match="need 1 seeds, got 2"):
+        solve_on_interval(MontgomeryPotential(2, 0.0), -6.0, 6.0, count=1,
+                          seeds=np.array([0.66, 2.5]))
 
 
 def test_wrong_seeds_fall_back_to_bisection():

@@ -6,6 +6,8 @@ LAPACK-independent reference the windowed extraction is checked against.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from montspec.eigensolver import (
     BoundaryCondition,
@@ -16,7 +18,9 @@ from montspec.eigensolver import (
 from montspec.errors import SolverFailure
 from montspec.operators import MontgomeryPotential
 from montspec.tridiag import (
+    _EPS,
     _gershgorin_interval,
+    _rayleigh_residual,
     inverse_iteration,
     are_lowest_eigenvalues,
     lowest_eigenvalues,
@@ -255,8 +259,10 @@ def test_inverse_iteration_singular_shift_raises():
 @pytest.mark.parametrize(
     "diag, offdiag, norm",
     [
-        ([np.inf, np.inf, np.inf], [0.0, 0.0], "0.0"),  # the sweep underflows to 0
-        ([1.0, 5.0, 9.0], [0.0, np.nan], "nan"),
+        # saturated samples: the squares of the sweep's entries underflow
+        ([1e300, 1e300, 1e300], [0.0, 0.0], "0.0"),
+        # the factor overflows and the sweep turns NaN
+        ([1.5e308, -1.5e308, 1.0], [1.5e308, 1.5e308], "nan"),
     ],
 )
 def test_inverse_iteration_degenerate_sweep_fails_fast(diag, offdiag, norm):
@@ -264,6 +270,45 @@ def test_inverse_iteration_degenerate_sweep_fails_fast(diag, offdiag, norm):
     # any NaN reaches the residual or the remaining sweeps
     with pytest.raises(SolverFailure, match=f"sweep has norm {norm}"):
         inverse_iteration(np.array(diag), np.array(offdiag), 1.0)
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag, eigenvalue",
+    [
+        ([1.0, 5.0, np.inf], [0.0, 0.0], 1.0),  # inf * 0 in the residual
+        ([1.0, 5.0, 9.0], [0.0, np.nan], 1.0),
+        ([1.0, 5.0, 9.0], [0.0, 0.0], np.nan),
+        ([1.0, 5.0, 9.0], [0.0, 0.0], -np.inf),
+    ],
+)
+def test_inverse_iteration_rejects_non_finite_input(diag, offdiag, eigenvalue):
+    with pytest.raises(ValueError, match="finite"):
+        inverse_iteration(np.array(diag), np.array(offdiag), eigenvalue)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(16, 300),
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 2),
+    offset=st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, -1e-4]),
+    sweeps=st.integers(1, 3),
+)
+def test_sweep_norm_bounds_rayleigh_residual(n, seed, index, offset, sweeps):
+    # inverse_iteration accepts a sweep w from a unit v once 1/||w|| is
+    # below half its residual floor: 1/||w|| = ||(A - shift I) w/||w|| ||
+    # bounds the residual at the Rayleigh quotient, up to the rounding of
+    # the factor and of the explicit residual, a few eps ||A||
+    rng = np.random.default_rng(seed)
+    diag, offdiag = _random_tridiag(rng, n)
+    lam = sturm_bisect_eigenvalues(diag, offdiag, index + 1)[index]
+    shift = lam + offset
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(sweeps):
+        w = shifted_solve(diag, offdiag, shift, v)
+        v = w / np.linalg.norm(w)
+    norm_a = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(offdiag)))
+    assert _rayleigh_residual(diag, offdiag, v) <= 1.0 / np.linalg.norm(w) + 4.0 * _EPS * norm_a
 
 
 def test_inverse_iteration_diagonal():
