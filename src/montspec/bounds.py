@@ -44,6 +44,9 @@ _GOLDEN_SIGMA = (math.sqrt(5.0) - 1.0) / 2.0
 def _require_even_k(k: int, minimum: int = 2) -> None:
     if not isinstance(k, int) or k < minimum or k % 2 != 0:
         raise ValueError(f"k must be an even integer >= {minimum}, got {k!r}")
+    # every formula here reads k + 1 as a double, exact only below 2^53
+    if k >= 2**53:
+        raise ValueError(f"k = {k} is past double precision: k + 1 is inexact from 2^53 on")
 
 
 def h_closed(a: float) -> float:
@@ -247,19 +250,18 @@ def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:
       second = (alpha0 (k+1) - 1) /
                ((k+1) ((alpha0 (k+1))^(1/(k+1)) - 1)) * 0.59
                                                 (de Gennes comparison, t >= 1)
+
+    The root less one is expm1(log(alpha0 (k+1)) / (k+1)): written as
+    exp(...) - 1 it cancels, losing digits from k ~ 1e9 and rounding to 0
+    near k ~ 3.7e17.
     """
     _require_even_k(k)
     if alpha0 < 1.5:
         raise ValueError("alpha0 must be at least 3/2")
     first = (alpha0 - 1.0 / (k + 1.0)) ** 2
     scaled = alpha0 * (k + 1.0)
-    root_less_one = math.exp(math.log(scaled) / (k + 1.0)) - 1.0
-    if root_less_one == 0.0:
-        raise ValueError(
-            f"k = {k} is past double precision: (alpha0 (k+1))^(1/(k+1)) "
-            "rounds to 1 for even k from about 3.7e17"
-        )
-    second = (scaled - 1.0) / ((k + 1.0) * root_less_one) * THETA0_LOWER
+    denominator = (k + 1.0) * math.expm1(math.log(scaled) / (k + 1.0))
+    second = (scaled - 1.0) / denominator * THETA0_LOWER
     return first, second
 
 

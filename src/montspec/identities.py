@@ -1,13 +1,14 @@
 """Numerical verification of the perturbation identities for lambda1(alpha).
 
-`identity_report` is the one entry point: from one count=2 adaptive
-solve it reads the first-derivative (Feynman-Hellmann) integral, the
-virial identity, the exact second derivative through the reduced
-resolvent and the spectral-gap criterion that forces that derivative
-positive; one more solve sizes the grid pair on which both
-finite-difference oracles run.  Every stencil point uses that one grid
-pair so discretization error cancels in the differences; without that
-the eigenvalue tolerance would be amplified by 1/h^2 and drown the
+`identity_report` is the one entry point, and it reads everything from
+one count=2 adaptive solve: the first-derivative (Feynman-Hellmann)
+integral, the virial identity, the exact second derivative through the
+reduced resolvent and the spectral-gap criterion that forces that
+derivative positive, and the grid pair on which both finite-difference
+oracles run (the ladder level below the solve's final grid and the one
+below that).  Every stencil point uses that one grid pair so
+discretization error cancels in the differences; without that the
+eigenvalue tolerance would be amplified by 1/h^2 and drown the
 derivatives.
 """
 
@@ -20,9 +21,9 @@ from . import tridiag
 from .bounds import gap_ratio
 from .eigensolver import (
     EigenResult,
+    GridSpec,
     assemble_hamiltonian,
     fixed_grid_lambda1,
-    refined_lowest_eigenvalues,
     solve,
 )
 from .errors import SolverFailure
@@ -88,49 +89,50 @@ def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
     return -2.0 * _weighted(w, result)
 
 
-def _second_derivative_on(adaptive: EigenResult, k: int, alpha: float) -> float:
-    """d2_exact on the final grid of a count=2 solve, seeded from its
-    eigenvalues: project W u off u, solve the shifted tridiagonal system
-    with a 1e-12 relative regularizing offset, re-project."""
-    grid = adaptive.grid_used
-    system = assemble_hamiltonian(MontgomeryPotential(k, alpha), grid)
-    lam, v = refined_lowest_eigenvalues(system, 2, seeds=np.array(adaptive.eigenvalues))
+def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
+    """d2_exact on the ground-state level of a count=2 solve, the ladder
+    level whose vector the solve reports (its final grid, or the last
+    level under eigensolver._N_VECTOR_CAP, past which the vector's eps/h^2
+    rounding outgrows its discretization error): project W u off u, solve
+    the shifted tridiagonal system with a 1e-12 relative regularizing
+    offset, re-project."""
+    lam = result.eigenvalues
     if lam[1] - lam[0] < 1e-6:
         raise SolverFailure(
             f"spectral gap {lam[1] - lam[0]} too small to invert the reduced resolvent"
         )
+    grid = result.grid_used
+    level = GridSpec(grid.lower, grid.upper, len(result.ground_state_points))
+    system = assemble_hamiltonian(MontgomeryPotential(k, alpha), level)
     h = system.spacing
-    u = v / math.sqrt(h)
+    u = result.ground_state_values
+    lam1 = system.rayleigh_quotient(u * math.sqrt(h))
     w = MontgomeryPotential(k, alpha).signed_root(system.points)
     f = w * u
     f_perp = f - (h * np.dot(f, u)) * u
-    shift = lam[0] + 1e-12 * max(1.0, abs(lam[0]))
+    shift = lam1 + 1e-12 * max(1.0, abs(lam1))
     g = tridiag.shifted_solve(system.diag, system.offdiag, shift, f_perp)
     g = g - (h * np.dot(g, u)) * u
     du = 2.0 * g
     return 2.0 - 4.0 * h * float(np.dot(f, du))
 
 
-def _stencil_lambda1(k: int, alpha: float, tol: float):
-    """lambda1(a) for the finite-difference stencils around alpha: every
-    stencil point runs on the grid pair of one count=1 solve at
-    |alpha| + FD_STEP_SECOND, seeded from its lambda1, so the O(h^2) error
-    is a smooth function of a and cancels in the differences.  That grid
-    is coarser than the count=2 solve's, which keeps the stencil cheap."""
-    stencil = solve(OperatorSpec(k, abs(alpha) + FD_STEP_SECOND), count=1, tol=tol)
-    grid, seed = stencil.grid_used, stencil.lambda1
-    return lambda a: fixed_grid_lambda1(MontgomeryPotential(k, a), grid, seed)
-
-
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
-    """All identity diagnostics for one (k, alpha) from two adaptive solves:
-    the analytic quantities read one count=2 solve at alpha, and both
-    finite-difference oracles share the stencil solve of _stencil_lambda1.
+    """All identity diagnostics for one (k, alpha), read from one count=2
+    adaptive solve at alpha.  Every stencil point of both finite-difference
+    oracles is a fixed_grid_lambda1 on GridSpec(lower, upper, (n - 1) // 2)
+    of that solve's final grid, the ladder level below it, seeded with the
+    solve's lambda1; one level down keeps the stencil cheap.
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
     w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
     gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
-    lam = _stencil_lambda1(k, alpha, tol)
+    grid = result.grid_used
+    stencil = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
+
+    def lam(a: float) -> float:
+        return fixed_grid_lambda1(MontgomeryPotential(k, a), stencil, result.lambda1)
+
     h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     return IdentityReport(
         k=k,

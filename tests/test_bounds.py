@@ -190,6 +190,24 @@ def test_large_k_exclusion_chain(k):
 def test_C_validation():
     with pytest.raises(ValueError):
         bounds.c_bound_terms(2, alpha0=1.0)
+    # k + 1 is no longer exact in a double from 2^53 on
+    with pytest.raises(ValueError, match="^k = "):
+        bounds.c_bound_terms(2**53)
+
+
+@pytest.mark.parametrize("alpha0", [1.5, 2.8])
+@pytest.mark.parametrize("k", [2, 70, 10**9, 10**12, 10**15, 2**53 - 2])
+def test_C_de_gennes_term_matches_mpmath(k, alpha0):
+    # exp(x) - 1 in the denominator loses digits from k ~ 1e9 (1.2e-3 off
+    # at 1e15); expm1 keeps the term at full precision up to 2^53
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        k1 = mpmath.mpf(k) + 1
+        scaled = mpmath.mpf(alpha0) * k1
+        exact = (scaled - 1) / (k1 * mpmath.expm1(mpmath.log(scaled) / k1))
+        exact *= mpmath.mpf(bounds.THETA0_LOWER)
+        _, second = bounds.c_bound_terms(k, alpha0)
+        assert abs((second - exact) / exact) < 1e-15
 
 
 def test_bounds_table_radii_k2():

@@ -234,14 +234,22 @@ def test_nan_tol_is_usage_error(argv, capsys):
         "bounds --k 100000000000000000000",
         "bounds --k 370000000000000000",
         "certify --regime large --k 1000000000000000000",
+        "bounds --k 9007199254740992",
     ],
 )
 def test_k_past_double_precision_is_usage_error(argv, capsys):
-    # (alpha0 (k+1))^(1/(k+1)) rounds to 1 in C_k's denominator
+    # k + 1 is not exact in a double from 2^53 = 9007199254740992 on
     code, out = _run(argv.split())
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err.startswith("usage error: k = ")
+
+
+def test_k_just_below_2_pow_53_is_accepted(capsys):
+    code, out = _run("bounds --k 9007199254740990".split())
+    assert code == EXIT_OK
+    assert out.startswith("k=9007199254740990 ")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

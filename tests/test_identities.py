@@ -1,13 +1,15 @@
 """Perturbation identities against finite-difference oracles."""
 
 import functools
+import math
 
+import numpy as np
 import pytest
 
-from montspec import bounds, identities
-from montspec.eigensolver import refined_lowest_eigenvalues, solve
+from montspec import bounds, identities, tridiag
+from montspec.eigensolver import GridSpec, assemble_hamiltonian, refined_lowest_eigenvalues, solve
 from montspec.identities import identity_report
-from montspec.operators import OperatorSpec
+from montspec.operators import MontgomeryPotential, OperatorSpec
 
 TOL = 1e-7
 
@@ -61,13 +63,45 @@ def test_second_derivative_cauchy_schwarz_floor():
     assert floor <= rep.d2_exact <= 2.0
 
 
-def test_second_derivative_seeded_matches_bisected(monkeypatch):
-    result = solve(OperatorSpec(2, 0.0), count=2, tol=TOL)
-    seeded = identities._second_derivative_on(result, 2, 0.0)
-    monkeypatch.setattr(identities, "refined_lowest_eigenvalues",
-                        lambda system, count, seeds=None: refined_lowest_eigenvalues(system, count))
-    bisected = identities._second_derivative_on(result, 2, 0.0)
-    assert seeded == pytest.approx(bisected, rel=0.0, abs=1e-9)
+def _ground_state_level(result):
+    grid = result.grid_used
+    return GridSpec(grid.lower, grid.upper, len(result.ground_state_points))
+
+
+def test_ground_state_level_rebuilds_bit_for_bit():
+    # at tol 1e-8 the final grid (262 271 points) is past the vector cap,
+    # so the reported ground state comes from a level below it
+    result = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
+    level = _ground_state_level(result)
+    assert level.n < result.grid_used.n
+    assert np.array_equal(level.interior_points(), result.ground_state_points)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8])
+def test_second_derivative_matches_bisected_resolve(tol):
+    # the same reduced-resolvent formula on an unseeded (bisected) re-solve
+    # of the ground-state level, independent of the ladder's vector
+    result = solve(OperatorSpec(2, 0.0), count=2, tol=tol)
+    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), _ground_state_level(result))
+    lam, v = refined_lowest_eigenvalues(system, 2)
+    h = system.spacing
+    u = v / math.sqrt(h)
+    f = MontgomeryPotential(2, 0.0).signed_root(system.points) * u
+    f_perp = f - (h * np.dot(f, u)) * u
+    g = tridiag.shifted_solve(system.diag, system.offdiag, lam[0] * (1.0 + 1e-12), f_perp)
+    g = g - (h * np.dot(g, u)) * u
+    bisected = 2.0 - 8.0 * h * float(np.dot(f, g))
+    assert identities._second_derivative_on(result, 2, 0.0) == pytest.approx(
+        bisected, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.3])
+def test_fd_oracles_respect_alpha_symmetry(alpha):
+    # lambda1 is even in alpha for even k; the stencils at +alpha and
+    # -alpha each run on the grid of their own solve
+    plus, minus = report(2, alpha), report(2, -alpha)
+    assert abs(plus.d1_fd + minus.d1_fd) < 1e-10
+    assert abs(plus.d2_fd - minus.d2_fd) < 1e-8
 
 
 def test_gap_criterion_k2():
@@ -99,8 +133,8 @@ def test_report_consistency():
     assert rep.quadrature_error_estimate < 1e-6
 
 
-def test_report_runs_two_adaptive_solves(monkeypatch):
-    # one count=2 solve for the analytic identities, one for the stencil grid
+def test_report_runs_one_adaptive_solve(monkeypatch):
+    # the analytic identities and the stencil grid both read one count=2 solve
     calls = []
 
     def counted(*args, **kwargs):
@@ -109,4 +143,4 @@ def test_report_runs_two_adaptive_solves(monkeypatch):
 
     monkeypatch.setattr(identities, "solve", counted)
     identity_report(2, 0.0, tol=TOL)
-    assert len(calls) == 2
+    assert len(calls) == 1
