@@ -8,13 +8,7 @@ reflection symmetry in alpha, and a look at the sampled ground state.
 
 import numpy as np
 
-from montspec import (
-    Geometry,
-    BoundaryCondition,
-    OperatorSpec,
-    ShiftedHarmonicPotential,
-    solve,
-)
+from montspec import Geometry, OperatorSpec, ShiftedHarmonicPotential, solve
 
 print("=" * 70)
 print("1. Harmonic oscillator oracle: -d2/dt2 + t^2 has spectrum 1, 3, 5, ...")
@@ -53,10 +47,8 @@ print("=" * 70)
 print("4. Half-line geometries (used by the de Gennes machinery)")
 print("=" * 70)
 neumann = solve(ShiftedHarmonicPotential(0.0), count=2, tol=1e-8,
-                geometry=Geometry.HALF_LINE_POSITIVE,
-                boundary=BoundaryCondition.NEUMANN)
+                geometry=Geometry.HALF_LINE_NEUMANN)
 dirichlet = solve(ShiftedHarmonicPotential(0.0), count=2, tol=1e-8,
-                  geometry=Geometry.HALF_LINE_POSITIVE,
-                  boundary=BoundaryCondition.DIRICHLET)
+                  geometry=Geometry.HALF_LINE_DIRICHLET)
 print(f"  Neumann half-line harmonic:   {neumann.eigenvalues}  (even modes 1, 5)")
 print(f"  Dirichlet half-line harmonic: {dirichlet.eigenvalues}  (odd modes 3, 7)")

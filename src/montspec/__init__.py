@@ -53,7 +53,6 @@ _EXPORTS = {
     "errors": ("CertificationError", "SolverFailure"),
     "identities": ("IdentityReport", "identity_report"),
     "operators": (
-        "BoundaryCondition",
         "Geometry",
         "HalfPowerModelPotential",
         "MontgomeryPotential",

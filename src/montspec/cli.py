@@ -92,8 +92,11 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out_path, stream) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         stream.write(text)
 

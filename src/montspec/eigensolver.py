@@ -5,9 +5,10 @@ polished by inverse iteration (started from the pre-solve's Sturm
 bisection on the first refinement level, and from values predicted by
 the coarser levels after it), and one Richardson extrapolation step on
 the reported eigenvalues.
-Covers the full line, the half line with Dirichlet or Neumann condition
-at t=0 (needed for the de Gennes constant), and the explicit step-well
-model whose first eigenvalue solves a transcendental gluing equation.
+Covers the three operators.Geometry domains: the full line and the half
+line with a Dirichlet or Neumann condition at t=0 (the Neumann one gives
+the de Gennes constant).  Also the explicit step-well model, whose first
+eigenvalue solves a transcendental gluing equation.
 """
 
 import math
@@ -18,13 +19,7 @@ import numpy as np
 
 from . import tridiag
 from .errors import SolverFailure
-from .operators import (
-    BoundaryCondition,
-    Geometry,
-    OperatorSpec,
-    PotentialKind,
-    ShiftedHarmonicPotential,
-)
+from .operators import Geometry, OperatorSpec, PotentialKind, ShiftedHarmonicPotential
 from .optimize import minimize_golden
 
 # The truncated domain reaches where V exceeds the eigenvalue cap by
@@ -118,10 +113,11 @@ class AssembledSystem:
 def assemble_hamiltonian(
     potential,
     grid: GridSpec,
-    bc_lower: BoundaryCondition = BoundaryCondition.DIRICHLET,
+    geometry: Geometry = Geometry.FULL_LINE,
 ) -> AssembledSystem:
-    """Three-point discretization of -d2/dt2 + V on the grid, with
-    `bc_lower` at the lower end and Dirichlet at the upper end.
+    """Three-point discretization of -d2/dt2 + V on the grid, Dirichlet at
+    the upper end; the lower end is Neumann for Geometry.HALF_LINE_NEUMANN
+    and Dirichlet for the other two geometries.
 
     A Dirichlet end drops the boundary point (its value is 0).  A Neumann
     end (the half line at t = 0) keeps the boundary point as an unknown
@@ -132,11 +128,11 @@ def assemble_hamiltonian(
     A side effect worth knowing: a unit vector in the symmetrized basis
     corresponds exactly to a trapezoid-normalized physical function.
     """
-    if bc_lower not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
-        raise ValueError("the lower end must be Dirichlet or Neumann")
+    if not isinstance(geometry, Geometry):
+        raise ValueError(f"geometry must be a Geometry member, got {geometry!r}")
     h = grid.spacing
     pts = grid.interior_points()
-    neumann = bc_lower is BoundaryCondition.NEUMANN
+    neumann = geometry is Geometry.HALF_LINE_NEUMANN
     if neumann:
         pts = np.concatenate(([grid.lower], pts))
     inv_h2 = 1.0 / (h * h)
@@ -287,11 +283,11 @@ def solve_on_interval(
     upper: float,
     count: int = 2,
     tol: float = 1e-8,
-    bc_lower: BoundaryCondition = BoundaryCondition.DIRICHLET,
+    geometry: Geometry = Geometry.FULL_LINE,
     seeds: Optional[np.ndarray] = None,
 ) -> EigenResult:
-    """Adaptive solve on a fixed interval, `bc_lower` at the lower end and
-    Dirichlet at the upper end.
+    """Adaptive solve on a fixed interval, with the lower-end condition of
+    `geometry` (see assemble_hamiltonian) and Dirichlet at the upper end.
 
     Grids refine from _N_START points with n -> 2n + 1 (spacing exactly
     halves), up to _N_CAP points, until raw eigenvalue changes drop below
@@ -312,7 +308,7 @@ def solve_on_interval(
     lam = None
     levels = 0
     while n <= _N_CAP:
-        system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), bc_lower)
+        system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), geometry)
         # Predicted eigenvalues for this level: the error goes like h^2
         # and h halves each level, so each change is a quarter of the last.
         if prev is not None:
@@ -365,12 +361,12 @@ def solve(
     count: int = 2,
     tol: float = 1e-8,
     geometry: Optional[Geometry] = None,
-    boundary: Optional[BoundaryCondition] = None,
 ) -> EigenResult:
     """Eigenvalues and ground state of a confining operator to tolerance tol.
 
     Accepts either an OperatorSpec (geometry read from it) or a bare
-    potential kind with geometry/boundary keywords.  The domain comes
+    potential kind with a `geometry` keyword (default the full line); a
+    geometry that is not a Geometry member is a ValueError.  The domain comes
     from a coarse pre-solve: bisect once on truncation_interval's interval
     for cap 10 at the first ladder level's size, then re-truncate at the
     highest eigenvalue it found, so the potential dominates every
@@ -381,23 +377,15 @@ def solve(
     if not tol >= 1e-11:  # written so that nan fails too
         raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
     if isinstance(problem, OperatorSpec):
-        if geometry is not None or boundary is not None:
-            raise ValueError("geometry/boundary are read from the OperatorSpec")
-        potential = problem.potential()
-        geometry = problem.geometry
-        boundary = problem.boundary
+        if geometry is not None:
+            raise ValueError("geometry is read from the OperatorSpec")
+        potential, geometry = problem.potential(), problem.geometry
     else:
         potential = problem
-        geometry = geometry or Geometry.FULL_LINE
-    if geometry is Geometry.FULL_LINE:
-        bc_lower = BoundaryCondition.DIRICHLET
-    else:
-        if boundary not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
-            raise ValueError("half-line solve requires Dirichlet or Neumann at t=0")
-        bc_lower = boundary
+        geometry = Geometry.FULL_LINE if geometry is None else geometry
 
     lower, upper = truncation_interval(potential, geometry, 0.0)
-    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), bc_lower)
+    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), geometry)
     lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
     lower, upper = truncation_interval(potential, geometry, float(lam_coarse[-1]))
     return solve_on_interval(
@@ -406,7 +394,7 @@ def solve(
         upper,
         count=count,
         tol=tol,
-        bc_lower=bc_lower,
+        geometry=geometry,
         seeds=lam_coarse,
     )
 
@@ -429,8 +417,7 @@ def de_gennes_theta0(tol: float = 1e-7) -> float:
             ShiftedHarmonicPotential(xi),
             count=1,
             tol=inner_tol,
-            geometry=Geometry.HALF_LINE_POSITIVE,
-            boundary=BoundaryCondition.NEUMANN,
+            geometry=Geometry.HALF_LINE_NEUMANN,
         )
         return res.eigenvalues[0]
 

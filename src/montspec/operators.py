@@ -6,7 +6,9 @@ The central object is the Montgomery family
 
 on the real line, together with the comparison potentials used by the
 bound machinery (pure powers t^m, shifted harmonic wells (t - xi)^2 and
-the half-power model (t^(k/2) / (k/2))^2).
+the half-power model (t^(k/2) / (k/2))^2).  `Geometry` names the domain
+an operator acts on: the full line, or the half line t > 0 with a
+Dirichlet or Neumann condition at t = 0.
 """
 
 import math
@@ -27,14 +29,11 @@ _LOG_LIMIT = 340.0
 
 
 class Geometry(Enum):
+    """The domain: the real line, or t > 0 with its condition at t = 0."""
+
     FULL_LINE = "full_line"
-    HALF_LINE_POSITIVE = "half_line_positive"
-
-
-class BoundaryCondition(Enum):
-    NONE = "none"
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
+    HALF_LINE_DIRICHLET = "half_line_dirichlet"
+    HALF_LINE_NEUMANN = "half_line_neumann"
 
 
 def int_power(t, n: int):
@@ -178,16 +177,11 @@ class OperatorSpec:
     k: int
     alpha: float
     geometry: Geometry = Geometry.FULL_LINE
-    boundary: BoundaryCondition = BoundaryCondition.NONE
 
     def __post_init__(self):
         self.potential()  # validates k and alpha
-        if self.geometry is Geometry.FULL_LINE:
-            if self.boundary is not BoundaryCondition.NONE:
-                raise ValueError("full-line geometry takes no boundary condition")
-        else:
-            if self.boundary not in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
-                raise ValueError("half-line geometry requires Dirichlet or Neumann at t=0")
+        if not isinstance(self.geometry, Geometry):
+            raise ValueError(f"geometry must be a Geometry member, got {self.geometry!r}")
 
     def potential(self) -> MontgomeryPotential:
         return MontgomeryPotential(self.k, self.alpha)

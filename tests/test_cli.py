@@ -122,6 +122,25 @@ def test_figures_to_file(tmp_path):
     assert out_file.read_text() == certify.figure_csv("lambda1comp")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--k", "2", "--alpha-min", "0", "--alpha-max", "1", "--steps", "2",
+         "--tol", "1e-6"],
+        ["figures", "--which", "lambda1comp"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
+    # a missing directory, or a directory in place of a file
+    out_path = tmp_path / target
+    code, out = _run(argv + ["--out", str(out_path)])
+    assert code == EXIT_USAGE and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {out_path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_theta0_command():
     code, out = _run(["theta0", "--tol", "1e-6", "--format", "json"])
     assert code == EXIT_OK

@@ -22,7 +22,6 @@ from montspec.eigensolver import (
     truncation_interval,
 )
 from montspec.operators import (
-    BoundaryCondition,
     Geometry,
     MontgomeryPotential,
     OperatorSpec,
@@ -31,8 +30,8 @@ from montspec.operators import (
 )
 from montspec.tridiag import inverse_iteration, lowest_eigenvalues, seed_ceiling
 
-D = BoundaryCondition.DIRICHLET
-N = BoundaryCondition.NEUMANN
+D = Geometry.HALF_LINE_DIRICHLET
+N = Geometry.HALF_LINE_NEUMANN
 
 
 def test_grid_spec_validation():
@@ -67,14 +66,25 @@ def test_neumann_matches_even_extension():
     # Half-line Neumann spectrum of a symmetric well is the even-mode
     # spectrum of the full line: 1, 5 for the harmonic oscillator.
     res = solve(ShiftedHarmonicPotential(0.0), count=2, tol=1e-8,
-                geometry=Geometry.HALF_LINE_POSITIVE, boundary=N)
+                geometry=N)
     assert res.eigenvalues == pytest.approx([1.0, 5.0], abs=1e-8)
 
 
 def test_dirichlet_half_line_is_odd_modes():
     res = solve(ShiftedHarmonicPotential(0.0), count=2, tol=1e-8,
-                geometry=Geometry.HALF_LINE_POSITIVE, boundary=D)
+                geometry=D)
     assert res.eigenvalues == pytest.approx([3.0, 7.0], abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_half_line_spec_splits_full_line_by_parity(k):
+    # for even k, t -> -t maps Q(k, 0) to itself: the even modes make the
+    # Neumann half-line spectrum and the odd modes the Dirichlet one
+    full = solve(OperatorSpec(k, 0.0), count=2, tol=1e-8)
+    neumann = solve(OperatorSpec(k, 0.0, N), count=1, tol=1e-8)
+    dirichlet = solve(OperatorSpec(k, 0.0, D), count=1, tol=1e-8)
+    assert neumann.lambda1 == pytest.approx(full.lambda1, rel=0.0, abs=1e-10)
+    assert dirichlet.lambda1 == pytest.approx(full.lambda2, rel=0.0, abs=1e-10)
 
 
 def test_truncation_radius_formulas():
@@ -113,9 +123,10 @@ def test_truncation_interval_caps_and_geometry():
     assert truncation_interval(pot, Geometry.FULL_LINE, 3.5) == truncation_interval(
         pot, Geometry.FULL_LINE, 0.0
     )
-    lower, upper = truncation_interval(pot, Geometry.HALF_LINE_POSITIVE, 7.0)
-    assert lower == 0.0
-    assert upper == pot.turning_point(2.0 * 7.0 + 3.0 + 1.0) + TRUNCATION_PAD
+    for half_line in (D, N):
+        lower, upper = truncation_interval(pot, half_line, 7.0)
+        assert lower == 0.0
+        assert upper == pot.turning_point(2.0 * 7.0 + 3.0 + 1.0) + TRUNCATION_PAD
 
 
 _K2_TOL = 1e-8
@@ -199,13 +210,18 @@ def test_ground_state_vector_positive_convention():
     assert v[mid] == np.max(v)
 
 
-def test_solve_validation():
+def test_solve_validation(monkeypatch):
     with pytest.raises(ValueError):
         solve(OperatorSpec(2, 0.0), tol=1e-12)
     with pytest.raises(ValueError):
         solve(OperatorSpec(2, 0.0), geometry=Geometry.FULL_LINE)
-    with pytest.raises(ValueError):
-        solve(MontgomeryPotential(2, 0.0), geometry=Geometry.HALF_LINE_POSITIVE)
+    # a string is not a Geometry member even when it spells one's value;
+    # the check runs before any eigenvalue work
+    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
+    with pytest.raises(ValueError, match="Geometry member"):
+        solve(MontgomeryPotential(2, 0.0), geometry="full_line")
+    with pytest.raises(ValueError, match="Geometry member"):
+        assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 255), "full_line")
 
 
 def test_nan_tol_is_rejected():
@@ -366,7 +382,7 @@ def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
 
 def test_theta0_xi_zero_slice():
     res = solve(ShiftedHarmonicPotential(0.0), count=1, tol=1e-9,
-                geometry=Geometry.HALF_LINE_POSITIVE, boundary=N)
+                geometry=N)
     assert res.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -414,5 +430,6 @@ def test_dirichlet_well_pde_consistency():
         return np.where(np.abs(t - T) < 1e-9, 0.5 * barrier,
                         np.where(t > T, barrier, 0.0))
 
-    res = solve_on_interval(SimpleNamespace(value=step), 0.0, 3.0 * T, count=1, tol=1e-7)
+    res = solve_on_interval(SimpleNamespace(value=step), 0.0, 3.0 * T, count=1, tol=1e-7,
+                            geometry=D)
     assert res.eigenvalues[0] == pytest.approx(dirichlet_well_lambda(T, k), abs=1e-6)

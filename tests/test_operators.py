@@ -7,7 +7,6 @@ import pytest
 
 from montspec.operators import (
     SATURATION,
-    BoundaryCondition,
     Geometry,
     HalfPowerModelPotential,
     MontgomeryPotential,
@@ -114,11 +113,10 @@ def test_operator_spec_validation():
     with pytest.raises(ValueError):
         MontgomeryPotential(2, -1e150)
     assert OperatorSpec(2, 1e149).alpha == 1e149
-    with pytest.raises(ValueError):
-        OperatorSpec(2, 0.0, Geometry.FULL_LINE, BoundaryCondition.DIRICHLET)
-    with pytest.raises(ValueError):
-        OperatorSpec(2, 0.0, Geometry.HALF_LINE_POSITIVE, BoundaryCondition.NONE)
-    spec = OperatorSpec(2, 0.5, Geometry.HALF_LINE_POSITIVE, BoundaryCondition.NEUMANN)
+    # a string is not stored, even one that spells a member's value
+    with pytest.raises(ValueError, match="Geometry member"):
+        OperatorSpec(2, 0.0, "full_line")
+    spec = OperatorSpec(2, 0.5, Geometry.HALF_LINE_NEUMANN)
     assert spec.potential() == MontgomeryPotential(2, 0.5)
 
 
@@ -131,6 +129,4 @@ def test_reflection_conjugate():
     # involution
     assert reflection_conjugate(reflection_conjugate(OperatorSpec(4, -1.2))).alpha == -1.2
     with pytest.raises(ValueError):
-        reflection_conjugate(
-            OperatorSpec(2, 0.1, Geometry.HALF_LINE_POSITIVE, BoundaryCondition.DIRICHLET)
-        )
+        reflection_conjugate(OperatorSpec(2, 0.1, Geometry.HALF_LINE_DIRICHLET))

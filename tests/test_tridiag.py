@@ -9,14 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from montspec.eigensolver import (
-    BoundaryCondition,
-    GridSpec,
-    assemble_hamiltonian,
-    refined_lowest_eigenvalues,
-)
+from montspec.eigensolver import GridSpec, assemble_hamiltonian, refined_lowest_eigenvalues
 from montspec.errors import SolverFailure
-from montspec.operators import MontgomeryPotential
+from montspec.operators import Geometry, MontgomeryPotential
 from montspec.tridiag import (
     _EPS,
     _gershgorin_interval,
@@ -147,7 +142,7 @@ def _neumann_floor_system():
     return assemble_hamiltonian(
         MontgomeryPotential(2, 0.0),
         GridSpec(0.0, 3.0, 255),
-        BoundaryCondition.NEUMANN,
+        Geometry.HALF_LINE_NEUMANN,
     )
 
 
