@@ -38,6 +38,10 @@ _N_VECTOR_CAP = 66000
 
 _SQRT2 = math.sqrt(2.0)
 
+# Most eigenvalues one solve may ask for: every ladder level polishes
+# each of them by inverse iteration on its whole grid.
+MAX_COUNT = 64
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -174,8 +178,9 @@ def refined_lowest_eigenvalues(
     them the lowest `count` in order.  If the predictions lie too close
     together (near-degenerate pairs), the count disagrees, inverse
     iteration fails or the check does, the level falls back to bisection.
-    The count runs before inverse iteration, as bisection does, so no
-    eigenvector is held while stebz allocates its workspace.
+    The count (a pivot sweep over a 2n-double work copy of the matrix)
+    runs before inverse iteration, as bisection does, so no eigenvector
+    is held while it allocates.
 
     Returns (eigenvalues, ground_state_matrix_vector).
     """
@@ -366,7 +371,8 @@ def solve(
 
     Accepts either an OperatorSpec (geometry read from it) or a bare
     potential kind with a `geometry` keyword (default the full line); a
-    geometry that is not a Geometry member is a ValueError.  The domain comes
+    geometry that is not a Geometry member is a ValueError, and so is a
+    count outside [1, MAX_COUNT].  The domain comes
     from a coarse pre-solve: bisect once on truncation_interval's interval
     for cap 10 at the first ladder level's size, then re-truncate at the
     highest eigenvalue it found, so the potential dominates every
@@ -376,6 +382,8 @@ def solve(
     """
     if not tol >= 1e-11:  # written so that nan fails too
         raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
     if isinstance(problem, OperatorSpec):
         if geometry is not None:
             raise ValueError("geometry is read from the OperatorSpec")

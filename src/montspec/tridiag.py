@@ -1,15 +1,18 @@
 """Symmetric tridiagonal eigenvalue primitives.
 
-Production eigenvalue extraction goes through LAPACK's Sturm-count
-bisection driver (stebz), run on an energy window instead of by index.
-Index selection bisects from the Gershgorin enclosure, whose top is the
-saturated barrier sample (1e63 and more for steep wells), so every
-eigenvalue would cost hundreds of Sturm sweeps.  The window's floor is
-the Gershgorin floor; its top is the first of the energies 1, 2, 4, ...
-under which count-only stebz probes find the requested eigenvalues.
-The top grows on absolute energies, never by the window width: a
-Neumann row puts the floor near -0.4/h^2, and width doubling from there
-would pull most of the spectrum into the window.
+Sturm counts (how many eigenvalues lie at or below an energy x) are
+the negative pivots of the unpivoted factorization A - x I = L D L^T
+(Sylvester's law of inertia), taken by LAPACK pttrf sweeps: one pass
+over the rows, with 2n doubles of workspace.  LAPACK's Sturm-count
+bisection driver (stebz) only bisects, run on an energy window instead
+of by index.  Index selection bisects from the Gershgorin enclosure,
+whose top is the saturated barrier sample (1e63 and more for steep
+wells), so every eigenvalue would cost hundreds of Sturm sweeps.  The
+window's floor is the Gershgorin floor; its top is the first of the
+energies 1, 2, 4, ... at or below which the pivot counts find the
+requested eigenvalues.  The top grows on absolute energies, never by
+the window width: a Neumann row puts the floor near -0.4/h^2, and width
+doubling from there would pull most of the spectrum into the window.
 
 Brackets are machine-tight.  Bisection runs only where nothing predicts
 the eigenvalues (the coarse pre-solve in eigensolver.solve, whose values
@@ -23,9 +26,10 @@ shift from an eigenvalue predicted on coarser grids converges as well as
 one from a bisection bracket; a sweep's own norm bounds that residual,
 which spares most converged sweeps their matrix-vector product.
 seed_ceiling and are_lowest_eigenvalues confirm such values with one
-count-only stebz probe instead of bisecting.
+pivot count instead of bisecting.
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
-converge, a singular factor) leaves this one as SolverFailure.
+converge, a singular factor, a NaN pivot) leaves this one as
+SolverFailure.
 
 The test suite carries its own plain-Python Sturm counter and bisection
 solver as an independent reference on small matrices.
@@ -35,11 +39,12 @@ import math
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 
 from .errors import SolverFailure
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # Sweeps inverse iteration may take before it reports non-convergence.
 _MAX_SWEEPS = 50
@@ -64,38 +69,54 @@ def _gershgorin_interval(diag, offdiag):
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _eigenvalues_in_window(diag, offdiag, lower: float, upper: float, tol: float):
-    """Eigenvalues in (lower, upper] by LAPACK stebz, bracketed to abstol tol."""
-    try:
-        return eigvalsh_tridiagonal(
-            diag,
-            offdiag,
-            select="v",
-            select_range=(lower, upper),
-            lapack_driver="stebz",
-            tol=tol,
-            check_finite=False,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(str(exc)) from exc
-
-
 def _window_floor(diag, offdiag) -> float:
     """An energy below every eigenvalue: the Gershgorin floor less a margin.
 
     The margin covers rounding in the Gershgorin sums and in the Sturm
-    count stebz takes at the floor; it scales with the entries of the
-    floor row, not with the saturated barrier samples.
+    count stebz takes at the floor when it bisects; it scales with the
+    entries of the floor row, not with the saturated barrier samples.
     """
     lo, _ = _gershgorin_interval(diag, offdiag)
     scale = abs(lo) + 2.0 * float(np.max(np.abs(offdiag))) + 1.0
     return lo - 2.1 * len(diag) * _EPS * scale
 
 
-def _count_below(diag, offdiag, lower: float, x: float) -> int:
-    """Number of eigenvalues in (lower, x]: a probe whose abstol spans its
-    whole window stops after the two Sturm counts at its ends."""
-    return len(_eigenvalues_in_window(diag, offdiag, lower, x, x - lower))
+def _count_below(diag, offdiag, x: float) -> int:
+    """Number of eigenvalues at or below x: the non-positive pivots of the
+    unpivoted factorization A - x I = L D L^T (Sylvester's law of inertia).
+
+    LAPACK pttrf factors the rows from a start row on and stops at the
+    first pivot p <= 0; that pivot is counted, -e^2/p is folded into the
+    next diagonal entry and pttrf restarts after it, so a count of m
+    takes m + 1 calls over n rows in all.  A pivot in (-pivmin, 0]
+    becomes -pivmin, as in LAPACK's own Sturm counts (laebz), with
+    pivmin = tiny * max(1, e^2) for the coupling e being folded, so the
+    fold stays finite.  A 1-row tail is counted here: scipy's pttrf
+    wrapper needs at least 2 rows.  A NaN entry makes every later pivot
+    NaN, so the count raises.
+    """
+    n = len(diag)
+    d = diag - x
+    e = np.array(offdiag, dtype=float)
+    count = 0
+    start = 0
+    while True:
+        if start == n - 1:
+            pivots, info = d[start:], int(d[start] <= 0.0)
+        else:
+            pivots, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            if math.isnan(pivots[-1]):
+                raise SolverFailure(f"Sturm count at {x} met a NaN pivot")
+            return count
+        count += 1
+        start += info
+        if start == n:
+            return count
+        # pttrf stopped before touching row `start`, so it still holds its
+        # unfactored value
+        coupling = offdiag[start - 1] ** 2
+        d[start] -= coupling / min(pivots[info - 1], -_TINY * max(1.0, coupling))
 
 
 def separation_margin(offdiag) -> float:
@@ -109,8 +130,9 @@ def lowest_eigenvalues(diag, offdiag, count: int):
 
     Backed by LAPACK stebz (Sturm counting plus bisection, deterministic)
     on a window (lower, upper] known to hold them, with machine-tight
-    brackets; see the module docstring.  Eigenvalues come back sorted
-    ascending.  Needs at least 2 rows.
+    brackets; see the module docstring.  The window's top is found by
+    pivot counts (_count_below), so stebz runs once, to bisect.
+    Eigenvalues come back sorted ascending.  Needs at least 2 rows.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -121,13 +143,27 @@ def lowest_eigenvalues(diag, offdiag, count: int):
         raise ValueError(f"count must be in [1, {n}], got {count}")
     lower = _window_floor(diag, offdiag)
     upper = 1.0
-    while upper <= lower or _count_below(diag, offdiag, lower, upper) < count:
-        upper *= 2.0
+    # A NaN entry makes the floor NaN too; stebz rejects that window as a
+    # LAPACK fault, so it is not searched.
+    if not math.isnan(lower):
+        while upper <= lower or _count_below(diag, offdiag, upper) < count:
+            upper *= 2.0
     # tol must be a tiny positive: at exactly 0 LAPACK substitutes
     # ulp * max(|lower|, |upper|), which is far too loose at the Neumann
     # floor; a tiny abstol switches it to the per-eigenvalue relative
     # criterion (machine-tight brackets around each eigenvalue).
-    vals = _eigenvalues_in_window(diag, offdiag, lower, upper, 1e-300)
+    try:
+        vals = eigvalsh_tridiagonal(
+            diag,
+            offdiag,
+            select="v",
+            select_range=(lower, upper),
+            lapack_driver="stebz",
+            tol=1e-300,
+            check_finite=False,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(str(exc)) from exc
     return np.sort(vals)[:count]
 
 
@@ -135,20 +171,19 @@ def seed_ceiling(diag, offdiag, seeds):
     """An energy with exactly len(seeds) eigenvalues below it, taken
     around predicted eigenvalues before they are polished.
 
-    One count-only stebz probe starts a separation margin above the last
-    seed and doubles its offset until it holds len(seeds) eigenvalues:
-    a prediction from a single coarser level falls short by that level's
-    whole O(h^2) change.  Returns None if the probe then holds more, or
-    if the seeds are not more than a margin apart (near-degenerate
-    values, which are_lowest_eigenvalues would reject).
+    A pivot count (_count_below) starts a separation margin above the
+    last seed and doubles its offset until len(seeds) eigenvalues lie at
+    or below it: a prediction from a single coarser level falls short by
+    that level's whole O(h^2) change.  Returns None if more then lie
+    below it, or if the seeds are not more than a margin apart
+    (near-degenerate values, which are_lowest_eigenvalues would reject).
     """
     seeds = np.asarray(seeds, dtype=float)
     margin = separation_margin(offdiag)
     if not np.all(np.diff(seeds) > margin):
         return None
-    lower = _window_floor(diag, offdiag)
     offset = margin
-    while (found := _count_below(diag, offdiag, lower, seeds[-1] + offset)) < len(seeds):
+    while (found := _count_below(diag, offdiag, seeds[-1] + offset)) < len(seeds):
         offset *= 2.0
     return seeds[-1] + offset if found == len(seeds) else None
 

@@ -289,6 +289,17 @@ def test_k_past_float_range_is_usage_error(argv, capsys):
     assert "past double precision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["65", "2048"])
+def test_count_past_cap_is_usage_error(count, monkeypatch, capsys):
+    # each ladder level polishes every requested eigenvalue, so a count in
+    # the thousands would run for hours; it is refused before any solve
+    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
+    code, out = _run(["eigen", "--k", "2", "--alpha", "0", "--count", count])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == f"usage error: count must be in [1, 64], got {count}\n"
+
+
 def _stebz_fails(*args, **kwargs):
     raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
 

@@ -224,6 +224,14 @@ def test_solve_validation(monkeypatch):
         assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 255), "full_line")
 
 
+@pytest.mark.parametrize("count", [0, eigensolver.MAX_COUNT + 1, 2048])
+def test_count_out_of_range_is_rejected(monkeypatch, count):
+    # the check runs before any eigenvalue work
+    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
+    with pytest.raises(ValueError, match=r"count must be in \[1, 64\]"):
+        solve(OperatorSpec(2, 0.0), count=count)
+
+
 def test_nan_tol_is_rejected():
     # nan compares false with every floor, so it must fail the guard up front
     # instead of climbing the ladder to the grid cap
@@ -374,10 +382,44 @@ def test_fixed_grid_lambda1_matches_bisected_pair(seed):
 
 
 def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
+    # a seed at the coarse lambda2 fails the ceiling count, so the coarse
+    # level falls back to bisection, the only caller of stebz there
+    pot = MontgomeryPotential(2, 0.5)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 2)
     monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
     with pytest.raises(SolverFailure, match="stebz") as info:
-        fixed_grid_lambda1(MontgomeryPotential(2, 0.5), GridSpec(-6.0, 6.0, 8191), 0.8)
+        fixed_grid_lambda1(pot, GridSpec(-6.0, 6.0, 8191), coarse[1])
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _count_stebz_calls(monkeypatch):
+    """Record the size of every tridiag.eigvalsh_tridiagonal call."""
+    sizes = []
+    stebz = tridiag.eigvalsh_tridiagonal
+
+    def counted(diag, *args, **kwargs):
+        sizes.append(len(diag))
+        return stebz(diag, *args, **kwargs)
+
+    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", counted)
+    return sizes
+
+
+def test_seeded_solve_reaches_stebz_once(monkeypatch):
+    # Sturm counts are pivot sweeps, so stebz runs only to bisect: once
+    # per solve, in the pre-solve's lowest_eigenvalues
+    bisections = _count_bisections(monkeypatch)
+    stebz_calls = _count_stebz_calls(monkeypatch)
+    solve(OperatorSpec(2, 0.0), tol=1e-6)
+    assert bisections == stebz_calls == [eigensolver._N_START]
+
+
+def test_well_seeded_fixed_grid_never_reaches_stebz(monkeypatch):
+    pot = MontgomeryPotential(2, 0.5)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 1)
+    stebz_calls = _count_stebz_calls(monkeypatch)
+    fixed_grid_lambda1(pot, GridSpec(-6.0, 6.0, 8191), coarse[0])
+    assert stebz_calls == []
 
 
 def test_theta0_xi_zero_slice():

@@ -1,7 +1,8 @@
 """Sturm counting, bisection, and inverse iteration primitives.
 
 The plain-Python Sturm counter and bisection solver below are the
-LAPACK-independent reference the windowed extraction is checked against.
+LAPACK-independent reference the pivot-sweep counts and the windowed
+extraction are checked against.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from montspec.errors import SolverFailure
 from montspec.operators import Geometry, MontgomeryPotential
 from montspec.tridiag import (
     _EPS,
+    _count_below,
     _gershgorin_interval,
     _rayleigh_residual,
     inverse_iteration,
@@ -28,22 +30,24 @@ _PIVOT_FLOOR = 1e-300
 
 
 def sturm_count_below(diag, offdiag, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x.
+    """Number of eigenvalues of the tridiagonal matrix at or below x.
 
-    Counts negative pivots of the LDL^T factorization of (A - x I).
-    Independent of LAPACK; O(n) per call in pure Python.
+    Counts negative pivots of the LDL^T factorization of (A - x I); a
+    pivot within _PIVOT_FLOOR of zero counts as -_PIVOT_FLOOR, which
+    keeps the next one finite.  Independent of LAPACK; O(n) per call in
+    pure Python.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     count = 0
     d = diag[0] - x
-    if d == 0.0:
+    if abs(d) < _PIVOT_FLOOR:
         d = -_PIVOT_FLOOR
     if d < 0.0:
         count += 1
     for i in range(1, len(diag)):
         d = (diag[i] - x) - offdiag[i - 1] ** 2 / d
-        if d == 0.0:
+        if abs(d) < _PIVOT_FLOOR:
             d = -_PIVOT_FLOOR
         if d < 0.0:
             count += 1
@@ -97,6 +101,100 @@ def test_sturm_count_matches_dense_spectrum(seed):
     eigs = np.linalg.eigvalsh(full)
     for x in rng.uniform(-3.0, 7.0, size=10):
         assert sturm_count_below(diag, offdiag, x) == int(np.sum(eigs < x))
+
+
+# Rounded to 6 places: entries near the underflow threshold make the
+# reference's e^2 underflow where pttrf's (e/d) e does not.
+_ENTRIES = st.integers(-4, 4).map(float) | st.floats(-8.0, 8.0).map(lambda v: round(v, 6))
+
+
+@st.composite
+def _small_tridiag(draw):
+    # integer entries make exact zero pivots common; zero off-diagonal
+    # entries split the matrix
+    n = draw(st.integers(1, 8))
+    diag = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    offdiag = draw(st.lists(_ENTRIES | st.just(0.0), min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(offdiag)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=_small_tridiag(), data=st.data())
+def test_pivot_count_matches_reference(matrix, data):
+    # Two Sturm counts that round differently may differ only at an x
+    # within rounding of an eigenvalue (say x = -e for a [[0, e], [e, 0]]
+    # block); there each must lie between the counts just outside it
+    diag, offdiag = matrix
+    x = data.draw(st.sampled_from(list(diag)) | _ENTRIES, label="x")
+    ours, reference = _count_below(diag, offdiag, x), sturm_count_below(diag, offdiag, x)
+    eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    noise = 1e-12 * (1.0 + np.max(np.abs(diag)) + 2.0 * np.max(np.abs(offdiag), initial=0.0))
+    if np.min(np.abs(eigs - x)) > noise:
+        assert ours == reference == np.sum(eigs < x)
+    else:
+        assert np.sum(eigs < x - noise) <= min(ours, reference)
+        assert max(ours, reference) <= np.sum(eigs <= x + noise)
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        ([1.0, 2.0, 3.0, 2.0], [0.0, 0.0, 0.0]),  # split: every x below is an eigenvalue
+        ([2.0, -1.0, 2.0], [1.0, 1.0]),  # 2 is an eigenvalue, eigenvector (1, 0, -1)
+        ([0.0, 0.0, 5.0], [3.0, 0.0]),  # a zero first pivot before a 2-row tail
+        ([0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 2.0]),  # tiny pivots after huge folds
+    ],
+)
+def test_pivot_count_at_diagonal_entries(diag, offdiag):
+    # x equal to a diagonal entry gives exact zero pivots, which both
+    # counts take as negative: an eigenvalue at x counts as below it
+    diag, offdiag = np.array(diag), np.array(offdiag)
+    eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    for x in diag:
+        expected = np.sum(eigs <= x + 1e-12)
+        assert _count_below(diag, offdiag, x) == sturm_count_below(diag, offdiag, x) == expected
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_pivot_count_after_restart(tail):
+    # the negative row stops the first pivot sweep `tail` rows from the
+    # end; x sweeps past every eigenvalue, so later sweeps stop as well
+    diag = np.full(7, 3.0)
+    diag[-1 - tail] = -2.0
+    offdiag = np.full(6, 1.0)
+    for x in np.linspace(-5.0, 7.0, 49):
+        assert _count_below(diag, offdiag, x) == sturm_count_below(diag, offdiag, x)
+    assert _count_below(diag, offdiag, 0.0) == 1
+
+
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, Geometry.HALF_LINE_NEUMANN])
+def test_pivot_count_on_ladder_matrices(geometry):
+    lower = -6.0 if geometry is Geometry.FULL_LINE else 0.0
+    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(lower, 6.0, 2047), geometry)
+    lam = lowest_eigenvalues(system.diag, system.offdiag, 6)
+    margin = separation_margin(system.offdiag)
+    points = [(j, lam[j] - margin) for j in range(6)] + [(j + 1, lam[j] + margin) for j in range(6)]
+    points += [(j + 1, 0.5 * (lam[j] + lam[j + 1])) for j in range(5)]
+    for below, x in points:
+        assert _count_below(system.diag, system.offdiag, x) == below
+        assert sturm_count_below(system.diag, system.offdiag, x) == below
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        ([np.nan, 2.0, 3.0, 4.0], [-1.0, -1.0, -1.0]),
+        ([1.0, np.nan, 3.0, 4.0], [-1.0, -1.0, -1.0]),
+        ([1.0, 2.0, 3.0, np.nan], [-1.0, -1.0, -1.0]),  # the 1-row tail at x = 10
+        ([1.0, 2.0, 3.0, 4.0], [-1.0, np.nan, -1.0]),
+    ],
+)
+def test_pivot_count_nan_entry_raises(diag, offdiag):
+    # a NaN pivot never stops pttrf (NaN <= 0 is false), so without the
+    # check the NaN rows would go uncounted
+    for x in (0.0, 2.5, 10.0):
+        with pytest.raises(SolverFailure, match="NaN pivot"):
+            _count_below(np.array(diag), np.array(offdiag), x)
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
