@@ -21,7 +21,6 @@ _EXPORTS = {
         "bounds_table",
         "c_bound_terms",
         "h_closed",
-        "h_maximized",
         "lower_bound_B",
         "lower_bound_B_tilde",
         "lower_bound_C",
@@ -60,7 +59,6 @@ _EXPORTS = {
         "PotentialKind",
         "PureAnharmonicPotential",
         "ShiftedHarmonicPotential",
-        "reflection_conjugate",
     ),
     "tridiag": ("inverse_iteration", "lowest_eigenvalues"),
 }

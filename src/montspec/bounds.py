@@ -6,21 +6,27 @@ upper bound A_k on the bottom eigenvalue at alpha = 0, the commutator
 constant h(k), the second-eigenvalue floors B_k and B~_k, the large-alpha
 ground floor C_k built on the de Gennes constant, and the radii
 alpha_star / alpha_double_star that exclude critical points and global
-minima from explicit alpha intervals.  bounds_table is the one place the
+minima from explicit alpha intervals.  `chain` is the one place the
 certificate chain (constants, gap floor, radii) is put together for a
-k; certificates, figure tables and the CLI read it, and SMALL_K_MAX is
-the one definition of the chain's regime split.
+k; bounds_table, certificates, figure tables and the CLI read it, and
+SMALL_K_MAX is the one definition of the chain's regime split.
+
+Each formula the chain reads is written once, against a number
+namespace `m` (`pi`, `exp`, `log`, `expm1`, `sqrt`, `atan`, `min`, and
+`num` to convert an int or a double).  FLOATS, `math`'s double
+arithmetic, serves every public function and table; the certificates
+evaluate the same formulas in outward-rounded interval arithmetic.
 
 Fractional powers are evaluated in the log domain throughout; k up to a
 few hundred exceeds what naive pow chains handle cleanly.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import CertificationError
-from .optimize import maximize_golden
 
 # The de Gennes constant enters every certified inequality through this
 # floor, not through its computed value (~0.59011); the computed value is
@@ -38,7 +44,11 @@ PI2_OVER_4 = math.pi**2 / 4.0
 SMALL_K_MAX = 68
 LARGE_K_MIN = SMALL_K_MAX + 2
 
-_GOLDEN_SIGMA = (math.sqrt(5.0) - 1.0) / 2.0
+# Past SMALL_K_MAX the large-alpha floor is taken for alpha >= 2.8.
+LARGE_K_ALPHA0 = 2.8
+
+FLOATS = SimpleNamespace(num=float, pi=math.pi, exp=math.exp, log=math.log,
+                         expm1=math.expm1, sqrt=math.sqrt, atan=math.atan, min=min)
 
 
 def _require_even_k(k: int, minimum: int = 2) -> None:
@@ -56,8 +66,8 @@ def h_closed(a: float) -> float:
     operator comparison against the half-power model.  h(a) -> 1 as
     a -> infinity.
     """
-    if a < 2:
-        raise ValueError("h is used for a >= 2")
+    if not (math.isfinite(a) and a >= 2):
+        raise ValueError(f"h is used for finite a >= 2, got {a!r}")
     e = a + 2.0
     return math.exp(
         -4.0 / e * math.log(2.0)
@@ -66,67 +76,24 @@ def h_closed(a: float) -> float:
     )
 
 
-def h_sigma_expression(a: float, sigma: float) -> float:
-    """(1 - sigma^2)^(a/(a+2)) * sigma^(2/(a+2)) * (a/2)^(4/(a+2))."""
-    e = a + 2.0
-    return math.exp(
-        a / e * math.log1p(-sigma * sigma)
-        + 2.0 / e * math.log(sigma)
-        + 4.0 / e * math.log(a / 2.0)
+def _upper_bound_A(k, m):
+    if k == 2:
+        # 7 times the rho^6 coefficient of the cos^2 trial-state energy
+        numerator = 4.0 * m.pi**6 - 210.0 * m.pi**4 + 4410.0 * m.pi**2 - 26775.0
+        return (m.num(2.0) ** 1.5 / 9.0) * (numerator / 7.0) ** 0.25
+    return _upper_bound_A_general(k, m)
+
+
+def _upper_bound_A_general(k, m):
+    k = m.num(k)
+    log_prod = (
+        m.log(0.25)
+        + m.log(k + 1.0)
+        + m.log(2.0 * k + 3.0)
+        + m.log(2.0 * k + 4.0)
+        + m.log(2.0 * k + 5.0)
     )
-
-
-def _h_max_point(a: float) -> Tuple[float, float]:
-    # The line search stops at ~sqrt(eps)|sigma| on this flat maximum
-    # (below that its comparisons are rounding noise); one three-point
-    # parabolic step then recovers the vertex to ~1e-10, since the
-    # second difference is still well resolved at d = 1e-5.
-    f = lambda s: h_sigma_expression(a, s)
-    sigma, _ = maximize_golden(f, 1e-12, 1.0 - 1e-12, xtol=1e-13)
-    d = 1e-5
-    lo, mid, hi = f(sigma - d), f(sigma), f(sigma + d)
-    curvature = lo - 2.0 * mid + hi
-    if curvature < 0.0:
-        sigma = sigma + 0.5 * d * (lo - hi) / curvature
-    return sigma, f(sigma)
-
-
-def h_maximized(a: float) -> float:
-    """h(a) recomputed by maximizing over sigma in (0, 1).
-
-    Independent route to h_closed; the interior maximizer sits at
-    1/sqrt(a+1).  Brent's line search (optimize.maximize_golden) with
-    xtol = 1e-13 in sigma, plus one parabolic refinement of the vertex.
-    """
-    if a < 2:
-        raise ValueError("h is used for a >= 2")
-    return _h_max_point(a)[1]
-
-
-def h_maximizer(a: float) -> float:
-    """The maximizing sigma of h_maximized (analytically 1/sqrt(a+1))."""
-    if a < 2:
-        raise ValueError("h is used for a >= 2")
-    return _h_max_point(a)[0]
-
-
-# Coefficient of rho^6 in the cos^2 trial-state energy at k = 2, times 7:
-# 4 pi^6 - 210 pi^4 + 4410 pi^2 - 26775.
-_K2_TRIAL_NUMERATOR = (
-    4.0 * math.pi**6 - 210.0 * math.pi**4 + 4410.0 * math.pi**2 - 26775.0
-)
-
-
-def upper_bound_A_k2() -> float:
-    """Sharp k=2 upper bound from the compactly supported cos^2 trial state:
-    A_2 = (2^(3/2) / 9) * ((4 pi^6 - 210 pi^4 + 4410 pi^2 - 26775) / 7)^(1/4).
-    """
-    return (2.0**1.5 / 9.0) * (_K2_TRIAL_NUMERATOR / 7.0) ** 0.25
-
-
-def trial_width_k2() -> float:
-    """The trial-state half-width minimizing the k=2 energy (about 2.57)."""
-    return 2.0**0.25 * math.pi * (_K2_TRIAL_NUMERATOR / 7.0) ** (-1.0 / 8.0)
+    return m.pi**2 / 4.0 * (k + 2.0) / (k + 1.0) * m.exp(-log_prod / (k + 2.0))
 
 
 def upper_bound_A_general(k: int) -> float:
@@ -134,26 +101,19 @@ def upper_bound_A_general(k: int) -> float:
     (pi^2/4) ((k+2)/(k+1)) ((1/4)(k+1)(2k+3)(2k+4)(2k+5))^(-1/(k+2)).
     """
     _require_even_k(k)
-    log_prod = (
-        math.log(0.25)
-        + math.log(k + 1.0)
-        + math.log(2.0 * k + 3.0)
-        + math.log(2.0 * k + 4.0)
-        + math.log(2.0 * k + 5.0)
-    )
-    return PI2_OVER_4 * (k + 2.0) / (k + 1.0) * math.exp(-log_prod / (k + 2.0))
+    return _upper_bound_A_general(k, FLOATS)
 
 
 def upper_bound_A(k: int) -> float:
     """Upper bound A_k on the bottom eigenvalue at alpha = 0.
 
-    Uses the sharp cos^2 value at k = 2 (the general formula also covers
-    k = 2 but is weaker there) and the general formula for k >= 4.
+    At k = 2 the sharp value of the compactly supported cos^2 trial state,
+    A_2 = (2^(3/2) / 9) ((4 pi^6 - 210 pi^4 + 4410 pi^2 - 26775) / 7)^(1/4)
+    (the general formula also covers k = 2 but is weaker there); the
+    general formula for k >= 4.
     """
     _require_even_k(k)
-    if k == 2:
-        return upper_bound_A_k2()
-    return upper_bound_A_general(k)
+    return _upper_bound_A(k, FLOATS)
 
 
 def logderiv_cubic(k: float) -> float:
@@ -172,12 +132,23 @@ def verify_A_increasing(k_max: int) -> Tuple[bool, list]:
     from the i-th even k to the next.  Together with the k -> infinity
     limit pi^2/4 this pins A_k < pi^2/4 for all even k.
     """
-    if k_max < 4:
-        raise ValueError("k_max must be at least 4")
+    if not k_max >= 4:
+        raise ValueError(f"k_max must be at least 4, got {k_max!r}")
     ks = range(2, k_max + 1, 2)
     values = [upper_bound_A_general(k) for k in ks]
     margins = [b - a for a, b in zip(values, values[1:])]
     return all(m > 0.0 for m in margins), margins
+
+
+def _lower_bound_B(k, m):
+    k = m.num(k)
+    e = k + 2.0
+    return m.exp(
+        2.0 * k / e * m.log(3.0)
+        + m.log(e)
+        - (2.0 * k + 2.0) / e * m.log(2.0)
+        - (k + 1.0) / e * m.log(k + 1.0)
+    )
 
 
 def lower_bound_B(k: int) -> float:
@@ -188,13 +159,7 @@ def lower_bound_B(k: int) -> float:
     half-power model; tends to 9/4 as k grows.
     """
     _require_even_k(k)
-    e = k + 2.0
-    return math.exp(
-        2.0 * k / e * math.log(3.0)
-        + math.log(e)
-        - (2.0 * k + 2.0) / e * math.log(2.0)
-        - (k + 1.0) / e * math.log(k + 1.0)
-    )
+    return _lower_bound_B(k, FLOATS)
 
 
 def optimal_harmonic_T(k: int) -> float:
@@ -212,11 +177,25 @@ def lower_bound_B_at_T(k: int, T: float) -> float:
     Maximizing over T recovers lower_bound_B exactly.
     """
     _require_even_k(k)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     omega = math.sqrt(2.0 * math.exp((k - 2) * math.log(T)) / k)
     const = (2.0 * k - 4.0) / (k * k) * math.exp(k * math.log(T))
     return h_closed(k) * (3.0 * omega - const)
+
+
+def _lower_bound_B_tilde(k, m):
+    T = m.num(B_TILDE_T)
+    # exponent clamp: past 700 the arctan argument underflows to zero in
+    # double precision anyway; in an enclosure it only lowers the barrier,
+    # which lowers B~, so the floor stays valid
+    barrier = m.exp(m.min(m.num(k) * m.log(T), 700.0))
+    ceiling = (m.pi / T) ** 2
+    if not barrier > ceiling:
+        raise ValueError("need T^k > (pi/T)^2 for the step well to bind")
+    ratio = ceiling / (barrier - ceiling)
+    root = (m.pi - m.atan(m.sqrt(ratio))) / T
+    return (m.sqrt(5.0) - 1.0) / 2.0 * root * root
 
 
 def lower_bound_B_tilde(k: int) -> float:
@@ -229,18 +208,18 @@ def lower_bound_B_tilde(k: int) -> float:
     step-well eigenvalue, so this floor sits below
     ((sqrt(5)-1)/2) * dirichlet_well_lambda(T, k).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    T = B_TILDE_T
-    # exponent clamp: past 700 the arctan argument underflows to zero
-    # anyway, so the clamp is exact in double precision
-    barrier = math.exp(min(k * math.log(T), 700.0))
-    ceiling = (math.pi / T) ** 2
-    if not barrier > ceiling:
-        raise ValueError("need T^k > (pi/T)^2 for the step well to bind")
-    ratio = ceiling / (barrier - ceiling)
-    root = (math.pi - math.atan(math.sqrt(ratio))) / T
-    return _GOLDEN_SIGMA * root * root
+    if not (math.isfinite(k) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return _lower_bound_B_tilde(k, FLOATS)
+
+
+def _c_bound_terms(k, alpha0, m):
+    k = m.num(k)
+    first = (alpha0 - 1.0 / (k + 1.0)) ** 2
+    scaled = alpha0 * (k + 1.0)
+    denominator = (k + 1.0) * m.expm1(m.log(scaled) / (k + 1.0))
+    second = (scaled - 1.0) / denominator * THETA0_LOWER
+    return first, second
 
 
 def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:
@@ -256,18 +235,15 @@ def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:
     near k ~ 3.7e17.
     """
     _require_even_k(k)
-    if alpha0 < 1.5:
-        raise ValueError("alpha0 must be at least 3/2")
-    first = (alpha0 - 1.0 / (k + 1.0)) ** 2
-    scaled = alpha0 * (k + 1.0)
-    denominator = (k + 1.0) * math.expm1(math.log(scaled) / (k + 1.0))
-    second = (scaled - 1.0) / denominator * THETA0_LOWER
-    return first, second
+    if not (math.isfinite(alpha0) and alpha0 >= 1.5):
+        raise ValueError(f"alpha0 must be finite and at least 3/2, got {alpha0!r}")
+    return _c_bound_terms(k, alpha0, FLOATS)
 
 
-def gap_ratio(k: int) -> float:
+def gap_ratio(k):
     """(k+2)/(k+6): the gap criterion (k+2)/(k+6) lambda2 > lambda1 rules
-    out a local maximum of lambda1(alpha) (see identities.IdentityReport)."""
+    out a local maximum of lambda1(alpha) (see identities.IdentityReport).
+    k may be a number of any namespace."""
     return (k + 2.0) / (k + 6.0)
 
 
@@ -279,23 +255,65 @@ def lower_bound_C(k: int, alpha0: float = 1.5) -> float:
     return min(c_bound_terms(k, alpha0))
 
 
-@dataclass(frozen=True)
-class BoundsTable:
-    """The certificate chain for one even k: the closed-form constants and
-    the two exclusion radii derived from them when the table is built.
+class Chain(NamedTuple):
+    """The certificate chain of one even k, in one number namespace:
 
       gap_floor          = (k+2)/(k+6) B, with B = B_k up to SMALL_K_MAX
-                           and B = B~_k beyond.
-      alpha_star         = sqrt(gap_floor - A_k); no critical point
-                           exists in (0, alpha_star).
-      alpha_double_star  = 3/2 - sqrt(C_k - A_k); no global minimum
-                           exists beyond it.
-
-    A non-positive alpha_star radicand breaks the chain and raises
-    CertificationError, as does C_k <= A_k up to SMALL_K_MAX.  Past
-    SMALL_K_MAX the chain does not use alpha_double_star; it is None
-    when C_k <= A_k (for very large k the C floor drops below A_k).
+                           and B = B~_k beyond;
+      alpha_star         = sqrt(gap_floor - A_k): no critical point lies
+                           in (0, alpha_star);
+      alpha_double_star  = 3/2 - sqrt(C_k - A_k): no global minimum lies
+                           beyond it.  None when C_k does not exceed A_k,
+                           which happens past SMALL_K_MAX (unused there);
+      large_c_terms      = the two C terms for alpha >= LARGE_K_ALPHA0,
+                           past SMALL_K_MAX (None up to it).
     """
+
+    a_k: float
+    b_k: float
+    b_tilde_k: Optional[float]
+    c_k: float
+    gap_floor: float
+    alpha_star: float
+    alpha_double_star: Optional[float]
+    large_c_terms: Optional[Tuple[float, float]]
+
+
+def chain(k: int, m) -> Chain:
+    """The Chain of an even k, with every number evaluated in namespace m.
+
+    A gap floor that does not exceed A_k raises CertificationError, as do
+    C_k <= A_k up to SMALL_K_MAX, A_k >= pi^2/4 and alpha_double_star >=
+    3/2.  An enclosure exceeds a bound only if it does so provably.
+    """
+    _require_even_k(k)
+    large = k > SMALL_K_MAX
+    a_k = _upper_bound_A(k, m)
+    b_k = _lower_bound_B(k, m)
+    b_tilde_k = _lower_bound_B_tilde(k, m) if large else None
+    c_k = m.min(*_c_bound_terms(k, 1.5, m))
+    gap_floor = gap_ratio(m.num(k)) * (b_tilde_k if large else b_k)
+    if not gap_floor - a_k > 0.0:
+        raise CertificationError(f"gap floor failed at k={k}: (k+2)/(k+6) B = "
+                                 f"{gap_floor} does not exceed A_k = {a_k}")
+    c_positive = c_k - a_k > 0.0
+    if not c_positive and not large:
+        raise CertificationError(f"large-alpha floor failed at k={k}: "
+                                 f"C_k = {c_k} does not exceed A_k = {a_k}")
+    alpha_double_star = 1.5 - m.sqrt(c_k - a_k) if c_positive else None
+    if not a_k < m.pi**2 / 4.0:
+        raise CertificationError(f"A_{k} = {a_k} is not below pi^2/4")
+    if alpha_double_star is not None and not alpha_double_star < 1.5:
+        raise CertificationError(f"alpha_double_star = {alpha_double_star} is not below 3/2")
+    large_c_terms = _c_bound_terms(k, LARGE_K_ALPHA0, m) if large else None
+    return Chain(a_k, b_k, b_tilde_k, c_k, gap_floor, m.sqrt(gap_floor - a_k),
+                 alpha_double_star, large_c_terms)
+
+
+@dataclass(frozen=True)
+class BoundsTable:
+    """The closed-form constants and the two exclusion radii (see Chain)
+    of one even k, in floats; bounds_table builds it."""
 
     k: int
     a_k: float
@@ -303,48 +321,13 @@ class BoundsTable:
     b_tilde_k: Optional[float]
     c_k: float
     h_k: float
-    alpha_star: float = field(init=False)
-    alpha_double_star: Optional[float] = field(init=False)
+    alpha_star: float
+    alpha_double_star: Optional[float]
     theta0_lower: float = THETA0_LOWER
-
-    @property
-    def gap_floor(self) -> float:
-        b = self.b_k if self.k <= SMALL_K_MAX else self.b_tilde_k
-        return gap_ratio(self.k) * b
-
-    def __post_init__(self):
-        radicand = self.gap_floor - self.a_k
-        if radicand <= 0.0:
-            raise CertificationError(
-                f"gap floor failed at k={self.k}: (k+2)/(k+6) B = "
-                f"{self.gap_floor} does not exceed A_k = {self.a_k}"
-            )
-        c_radicand = self.c_k - self.a_k
-        if c_radicand <= 0.0 and self.k <= SMALL_K_MAX:
-            raise CertificationError(
-                f"large-alpha floor failed at k={self.k}: C_k = {self.c_k} "
-                f"does not exceed A_k = {self.a_k}"
-            )
-        alpha_double_star = 1.5 - math.sqrt(c_radicand) if c_radicand > 0.0 else None
-        object.__setattr__(self, "alpha_star", math.sqrt(radicand))
-        object.__setattr__(self, "alpha_double_star", alpha_double_star)
-        if not self.a_k < PI2_OVER_4:
-            raise CertificationError(f"A_{self.k} = {self.a_k} is not below pi^2/4")
-        if alpha_double_star is not None and not alpha_double_star < 1.5:
-            raise CertificationError(
-                f"alpha_double_star = {alpha_double_star} is not below 3/2"
-            )
 
 
 def bounds_table(k: int) -> BoundsTable:
     """The BoundsTable of an even k (B~ reported past SMALL_K_MAX)."""
-    _require_even_k(k)
-    return BoundsTable(
-        k=k,
-        a_k=upper_bound_A(k),
-        b_k=lower_bound_B(k),
-        b_tilde_k=lower_bound_B_tilde(k) if k > SMALL_K_MAX else None,
-        c_k=lower_bound_C(k),
-        h_k=h_closed(k),
-    )
-
+    c = chain(k, FLOATS)
+    return BoundsTable(k, c.a_k, c.b_k, c.b_tilde_k, c.c_k, h_closed(k), c.alpha_star,
+                       c.alpha_double_star)

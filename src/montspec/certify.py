@@ -4,16 +4,19 @@ lambda1(alpha) at alpha = 0 for even k.
 
 Certificates are pure arithmetic (no PDE solves), mirroring how the
 proof actually runs: the scan and identity layers are a separate,
-optional evidence channel.  Each check reads bounds.bounds_table, the
-one place the chain's constants, gap floor and radii are computed, and
-the regime split k <= 68 (harmonic floor B_k) versus k >= 70 (step-well
-floor B~_k) is bounds.SMALL_K_MAX.
+optional evidence channel.  Each check reads bounds.chain, the one place
+the chain's constants, gap floor and radii are computed, and the regime
+split k <= 68 (harmonic floor B_k) versus k >= 70 (step-well floor B~_k)
+is bounds.SMALL_K_MAX.  Each check lhs > rhs is evaluated twice: in
+floats for the printed sides, and in outward-rounded interval arithmetic
+to decide it.  It passes when the enclosure of lhs - rhs lies above 0.
 
 Only `scan` and `locate_minimum` solve.  They import the solver modules
 when called, so the certificates, the figure tables and `fmt` load
-neither numpy nor scipy.
+neither numpy nor scipy; the certificates load mpmath.
 """
 
+import functools
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import List, Tuple
@@ -22,9 +25,9 @@ from . import bounds
 from .errors import SolverFailure
 from .optimize import minimize_golden
 
-# Every certified inequality must clear this relative margin, guarding
-# against rounding flips without interval arithmetic.
-REL_MARGIN_FLOOR = 1e-9
+# Bits of the certificate enclosures: widths near 1e-23, far under the
+# chain's smallest margin (6.2e-16, first_c_term_ceiling at k = 2^53 - 2).
+INTERVAL_PREC = 80
 
 # Scan ceiling: covers both the 3/2 (small k) and 2.83 (large k)
 # exclusion thresholds with room to spare.
@@ -58,11 +61,14 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class CertCheck:
-    """One strict inequality lhs > rhs with its relative margin."""
+    """One strict inequality lhs > rhs, its sides in floats.  It passes when
+    diff_lower, the lower end of an outward-rounded enclosure of lhs - rhs
+    (rounded to nearest, which keeps its sign), is > 0."""
 
     name: str
     lhs: float
     rhs: float
+    diff_lower: float
 
     @property
     def rel_margin(self) -> float:
@@ -70,7 +76,7 @@ class CertCheck:
 
     @property
     def passed(self) -> bool:
-        return self.rel_margin > REL_MARGIN_FLOOR
+        return self.diff_lower > 0.0
 
 
 @dataclass(frozen=True)
@@ -162,14 +168,41 @@ def locate_minimum(k: int) -> Tuple[float, float]:
     return minimize_golden(lam1, -ALPHA_SCAN_MAX, ALPHA_SCAN_MAX, xtol=1e-5)
 
 
-def _small_k_checks(k: int) -> Tuple[CertCheck, ...]:
-    t = bounds.bounds_table(k)
+@functools.cache
+def _intervals():
+    """bounds' interval namespace: a private mpmath interval context (the
+    global `mpmath.iv` keeps its precision), atan2(x, 1) for its atan."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    iv.prec = INTERVAL_PREC
+
+    def interval_min(x, y):
+        x, y = iv.mpf(x), iv.mpf(y)
+        return iv.mpf([min(x.a, y.a), min(x.b, y.b)])
+
+    iv.num, iv.atan, iv.min = iv.mpf, lambda x: iv.atan2(x, 1), interval_min
+    return iv
+
+
+def _checks(sides, k: int) -> Tuple[CertCheck, ...]:
+    """The CertChecks of sides(k, m), its (name, lhs, rhs) triples in
+    namespace m: printed from bounds.FLOATS, decided on intervals."""
+    iv = _intervals()
+    return tuple(
+        CertCheck(name, lhs, rhs, float((iv.mpf(lhs_iv) - iv.mpf(rhs_iv)).a))
+        for (name, lhs, rhs), (_, lhs_iv, rhs_iv) in zip(sides(k, bounds.FLOATS), sides(k, iv))
+    )
+
+
+def _small_k_sides(k: int, m) -> tuple:
+    t = bounds.chain(k, m)
     return (
-        CertCheck("critical_point_free_radius", t.gap_floor, t.a_k),
-        CertCheck("no_global_min_up_to_two_alpha_star", 2.0 * t.alpha_star, t.alpha_star),
-        CertCheck("large_alpha_floor_exceeds_zero_upper", t.c_k, t.a_k),
-        CertCheck("exclusion_beyond_alpha_double_star", 1.5, t.alpha_double_star),
-        CertCheck("radii_overlap", 2.0 * t.alpha_star, t.alpha_double_star),
+        ("critical_point_free_radius", t.gap_floor, t.a_k),
+        ("no_global_min_up_to_two_alpha_star", 2.0 * t.alpha_star, t.alpha_star),
+        ("large_alpha_floor_exceeds_zero_upper", t.c_k, t.a_k),
+        ("exclusion_beyond_alpha_double_star", 1.5, t.alpha_double_star),
+        ("radii_overlap", 2.0 * t.alpha_star, t.alpha_double_star),
     )
 
 
@@ -185,22 +218,22 @@ def certify_small_k(k: int) -> CertificateReport:
         raise ValueError(
             f"small-k certificates cover even k in [2, {bounds.SMALL_K_MAX}], got {k!r}"
         )
-    return CertificateReport(k=k, regime=Regime.SMALL_K, checks=_small_k_checks(k))
+    return CertificateReport(k=k, regime=Regime.SMALL_K, checks=_checks(_small_k_sides, k))
 
 
-def _large_k_checks(k: int) -> Tuple[CertCheck, ...]:
-    t = bounds.bounds_table(k)
-    first_term, second_term = bounds.c_bound_terms(k, alpha0=2.8)
-    c_28 = min(first_term, second_term)
+def _large_k_sides(k: int, m) -> tuple:
+    t = bounds.chain(k, m)
+    first_term, second_term = t.large_c_terms
+    pi2_over_4 = m.pi**2 / 4.0
     return (
-        CertCheck("upper_bound_below_pi2_over_4", bounds.PI2_OVER_4, t.a_k),
-        CertCheck("b_tilde_floor", t.b_tilde_k, 4.719),
-        CertCheck("two_alpha_star_floor", 2.0 * t.alpha_star, 2.83),
-        CertCheck("first_c_term_floor", first_term, 7.76),
-        CertCheck("first_c_term_ceiling", 2.8**2, first_term),
-        CertCheck("second_c_term_floor", second_term, 21.2),
-        CertCheck("large_alpha_floor_exceeds_pi2_over_4", c_28, bounds.PI2_OVER_4),
-        CertCheck("exclusion_intervals_overlap", 2.83, 2.8),
+        ("upper_bound_below_pi2_over_4", pi2_over_4, t.a_k),
+        ("b_tilde_floor", t.b_tilde_k, 4.719),
+        ("two_alpha_star_floor", 2.0 * t.alpha_star, 2.83),
+        ("first_c_term_floor", first_term, 7.76),
+        ("first_c_term_ceiling", m.num(bounds.LARGE_K_ALPHA0) ** 2, first_term),
+        ("second_c_term_floor", second_term, 21.2),
+        ("large_alpha_floor_exceeds_pi2_over_4", m.min(first_term, second_term), pi2_over_4),
+        ("exclusion_intervals_overlap", 2.83, bounds.LARGE_K_ALPHA0),
     )
 
 
@@ -217,7 +250,7 @@ def certify_large_k(k: int) -> CertificateReport:
         raise ValueError(
             f"large-k certificates cover even k >= {bounds.LARGE_K_MIN}, got {k!r}"
         )
-    return CertificateReport(k=k, regime=Regime.LARGE_K, checks=_large_k_checks(k))
+    return CertificateReport(k=k, regime=Regime.LARGE_K, checks=_checks(_large_k_sides, k))
 
 
 def figure_data(which: str) -> List[tuple]:

@@ -1,4 +1,4 @@
-"""Operator family definitions: potentials, parameters and exact symmetries.
+"""Operator family definitions: potentials and parameters.
 
 The central object is the Montgomery family
 
@@ -12,7 +12,7 @@ Dirichlet or Neumann condition at t = 0.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -186,14 +186,3 @@ class OperatorSpec:
     def potential(self) -> MontgomeryPotential:
         return MontgomeryPotential(self.k, self.alpha)
 
-
-def reflection_conjugate(spec: OperatorSpec) -> OperatorSpec:
-    """The unitary image of spec under t -> -t, which negates alpha.
-
-    For even k the conjugate has an identical spectrum, which is why the
-    lowest eigenvalue is an even function of alpha.
-    """
-    if spec.geometry is not Geometry.FULL_LINE:
-        raise ValueError("reflection conjugation is only defined on the full line")
-    new_alpha = -spec.alpha if spec.alpha != 0.0 else 0.0
-    return replace(spec, alpha=new_alpha)

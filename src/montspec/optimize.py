@@ -3,7 +3,7 @@ localmin (Brent, Algorithms for Minimization without Derivatives, 1973,
 ch. 5), golden-section search that takes a parabolic step whenever the
 step is safe.
 
-Pure Python on `math` alone: `bounds` imports this module on the
+Pure Python on `math` alone: `certify` imports this module on the
 closed-form path, which loads neither numpy nor scipy.
 """
 
@@ -87,8 +87,3 @@ def minimize_golden(f, a: float, b: float, xtol: float = 1e-10):
                 v, fv = u, fu
     return x, fx
 
-
-def maximize_golden(f, a: float, b: float, xtol: float = 1e-10):
-    """Maximize a unimodal f on [a, b]; returns (x_max, f(x_max))."""
-    x, neg = minimize_golden(lambda t: -f(t), a, b, xtol=xtol)
-    return x, -neg

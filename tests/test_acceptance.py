@@ -10,6 +10,8 @@ from montspec import bounds, certify, identities
 from montspec.eigensolver import de_gennes_theta0, dirichlet_well_lambda, solve
 from montspec.operators import OperatorSpec, ShiftedHarmonicPotential
 
+from derivations import h_maximized, h_maximizer, trial_width_k2
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PI2_4 = math.pi**2 / 4.0
 
@@ -28,7 +30,7 @@ def test_criterion_01_oracle_spectrum():
 
 def test_criterion_02_A2_and_trial_width():
     a2 = bounds.upper_bound_A(2)
-    rho = bounds.trial_width_k2()
+    rho = trial_width_k2()
     ok = 0.6641 <= a2 <= 0.6643 and 2.56 <= rho <= 2.58
     _report(2, f"A_2 = {a2:.6f} in [0.6641, 0.6643], rho = {rho:.4f} in [2.56, 2.58]", ok)
 
@@ -63,9 +65,9 @@ def test_criterion_05_large_k_chain():
 
 def test_criterion_06_small_k_certificates():
     reports = [certify.certify_small_k(k) for k in range(2, 69, 2)]
-    worst = min(c.rel_margin for r in reports for c in r.checks)
-    ok = all(r.passed for r in reports) and worst > 1e-9
-    _report(6, f"34 small-k certificates pass, worst relative margin {worst:.3e}", ok)
+    worst = min(c.diff_lower for r in reports for c in r.checks)
+    ok = all(r.passed for r in reports) and worst > 0.0
+    _report(6, f"34 small-k certificates pass, worst enclosed lhs - rhs {worst:.3e} > 0", ok)
 
 
 def test_criterion_07_theta0():
@@ -111,9 +113,9 @@ def test_criterion_10_monotonicity_and_limits():
 
 
 def test_criterion_11_h_equality():
-    devs = [abs(bounds.h_closed(a) - bounds.h_maximized(a)) for a in (2, 4, 10, 70, 200)]
+    devs = [abs(bounds.h_closed(a) - h_maximized(a)) for a in (2, 4, 10, 70, 200)]
     locs = [
-        abs(bounds.h_maximizer(a) - 1.0 / math.sqrt(a + 1.0))
+        abs(h_maximizer(a) - 1.0 / math.sqrt(a + 1.0))
         for a in (2, 4, 10, 70, 200)
     ]
     ok = max(devs) < 1e-12 and max(locs) < 1e-8

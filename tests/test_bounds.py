@@ -4,12 +4,15 @@ and the solver-vs-bounds sandwich."""
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 
 from montspec import bounds
 from montspec.eigensolver import dirichlet_well_lambda, solve
 from montspec.operators import HalfPowerModelPotential, OperatorSpec
+
+from derivations import h_maximized, h_maximizer, trial_width_k2
 
 PI = math.pi
 
@@ -50,12 +53,12 @@ def test_h_closed_k2_value():
 @pytest.mark.parametrize("a", [2.0, 4.0, 10.0, 70.0, 200.0])
 def test_h_closed_matches_literal_and_maximized(a):
     assert bounds.h_closed(a) == pytest.approx(_h_literal(a), rel=1e-13)
-    assert abs(bounds.h_closed(a) - bounds.h_maximized(a)) < 1e-12
+    assert abs(bounds.h_closed(a) - h_maximized(a)) < 1e-12
 
 
 @pytest.mark.parametrize("a", [2.0, 4.0, 10.0, 70.0, 200.0])
 def test_h_maximizer_location(a):
-    assert abs(bounds.h_maximizer(a) - 1.0 / math.sqrt(a + 1.0)) < 1e-8
+    assert abs(h_maximizer(a) - 1.0 / math.sqrt(a + 1.0)) < 1e-8
 
 
 def test_h_limit_is_one():
@@ -74,7 +77,7 @@ def test_h_domain():
 def test_A2_special_value_and_width():
     a2 = bounds.upper_bound_A(2)
     assert 0.6641 <= a2 <= 0.6643
-    assert 2.56 <= bounds.trial_width_k2() <= 2.58
+    assert 2.56 <= trial_width_k2() <= 2.58
     # sharper than the general formula at k = 2
     assert a2 < bounds.upper_bound_A_general(2)
 
@@ -88,7 +91,7 @@ def test_A2_matches_trial_energy_minimum():
     vertex_rho = rhos[i] - c[1] / (2.0 * c[0])
     vertex_val = np.polyval(c, vertex_rho - rhos[i])
     assert bounds.upper_bound_A(2) == pytest.approx(vertex_val, abs=1e-10)
-    assert bounds.trial_width_k2() == pytest.approx(vertex_rho, abs=1e-5)
+    assert trial_width_k2() == pytest.approx(vertex_rho, abs=1e-5)
 
 
 def test_A_general_values():
@@ -195,12 +198,31 @@ def test_C_validation():
         bounds.c_bound_terms(2**53)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bounds.c_bound_terms(2, math.nan),
+    lambda: bounds.c_bound_terms(2, math.inf),
+    lambda: bounds.lower_bound_C(2, math.inf),
+    lambda: bounds.h_closed(math.nan),
+    lambda: bounds.h_closed(math.inf),
+    lambda: bounds.lower_bound_B_at_T(2, math.nan),
+    lambda: bounds.lower_bound_B_at_T(2, math.inf),
+    lambda: bounds.lower_bound_B_tilde(math.nan),
+    lambda: bounds.lower_bound_B_tilde(math.inf),
+    lambda: bounds.verify_A_increasing(math.nan),
+], ids=["C-terms-nan", "C-terms-inf", "C-inf", "h-nan", "h-inf", "B-at-T-nan", "B-at-T-inf",
+        "B-tilde-nan", "B-tilde-inf", "A-increasing-nan"])
+def test_non_finite_arguments_are_rejected(call):
+    # a NaN fails every comparison, so each guard reads `not x >= bound`
+    # and checks finiteness
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize("alpha0", [1.5, 2.8])
 @pytest.mark.parametrize("k", [2, 70, 10**9, 10**12, 10**15, 2**53 - 2])
 def test_C_de_gennes_term_matches_mpmath(k, alpha0):
     # exp(x) - 1 in the denominator loses digits from k ~ 1e9 (1.2e-3 off
     # at 1e15); expm1 keeps the term at full precision up to 2^53
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         k1 = mpmath.mpf(k) + 1
         scaled = mpmath.mpf(alpha0) * k1
@@ -244,9 +266,10 @@ def test_bounds_table_fields():
 @pytest.mark.parametrize("k", [2, 10, 68, 70, 100, 300])
 def test_bounds_table_is_the_chain(k):
     t = bounds.bounds_table(k)
+    chain = bounds.chain(k, bounds.FLOATS)
     b = bounds.lower_bound_B(k) if k <= bounds.SMALL_K_MAX else bounds.lower_bound_B_tilde(k)
-    assert t.gap_floor == (k + 2.0) / (k + 6.0) * b
-    assert t.alpha_star == math.sqrt(t.gap_floor - t.a_k)
+    assert chain.gap_floor == (k + 2.0) / (k + 6.0) * b
+    assert t.alpha_star == chain.alpha_star == math.sqrt(chain.gap_floor - t.a_k)
     # the gap floor is not part of the table's fields (the bounds JSON payload)
     assert "gap_floor" not in asdict(t)
 

@@ -1,10 +1,11 @@
 """Certification pipeline: scans, minimum location, certificates, tables."""
 
+import mpmath
 import pytest
 
-from montspec import bounds, eigensolver
+from montspec import bounds, certify, eigensolver
 from montspec.certify import (
-    REL_MARGIN_FLOOR,
+    CertCheck,
     CertificateReport,
     Regime,
     ScanRow,
@@ -114,7 +115,7 @@ def test_small_k_certificates_all_pass():
         assert isinstance(rep, CertificateReport)
         assert rep.regime is Regime.SMALL_K
         assert rep.passed
-        assert all(c.rel_margin > REL_MARGIN_FLOOR for c in rep.checks)
+        assert all(c.diff_lower > 0.0 for c in rep.checks)
 
 
 def test_small_k_certificate_values():
@@ -133,12 +134,48 @@ def test_small_k_certificate_validation():
             certify_small_k(bad)
 
 
-@pytest.mark.parametrize("k", [70, 100, 200])
+# 10^9 and 10^12 failed under the former 1e-9 relative-margin rule;
+# 2^53 - 2 is the largest k the bounds accept
+@pytest.mark.parametrize("k", [70, 100, 200, 10**9, 10**12, 2**53 - 2])
 def test_large_k_certificates_pass(k):
     rep = certify_large_k(k)
     assert rep.regime is Regime.LARGE_K
     assert rep.passed
-    assert all(c.rel_margin > REL_MARGIN_FLOOR for c in rep.checks)
+    assert all(c.diff_lower > 0.0 for c in rep.checks)
+
+
+@pytest.mark.parametrize("k", [2, 68])
+def test_small_k_enclosures_match_floats(k):
+    # an enclosure of width ~1e-23 sits on the float difference
+    for c in certify_small_k(k).checks:
+        assert c.diff_lower == pytest.approx(c.lhs - c.rhs, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [70, 10**9, 2**53 - 2])
+def test_first_c_term_ceiling_encloses_exact_margin(k):
+    # 2.8^2 - (2.8 - 1/(k+1))^2 = (2 a (k+1) - 1) / (k+1)^2 with a the
+    # double 2.8; the enclosure's lower end is that up to the enclosure's
+    # width (about 2e-23 at 80 bits) and its rounding to a double.  At
+    # 2^53 - 2 both float sides are 7.839999999999999.
+    with mpmath.workdps(60):
+        a, k1 = mpmath.mpf(2.8), mpmath.mpf(k) + 1
+        exact = (2 * a * k1 - 1) / k1**2
+        c = {c.name: c for c in certify_large_k(k).checks}["first_c_term_ceiling"]
+        assert abs(c.diff_lower - exact) <= 2.0**-52 * exact + 1e-22
+
+
+def test_certificates_leave_global_interval_precision_alone():
+    before = mpmath.iv.prec
+    certify._intervals.cache_clear()  # build the context afresh
+    certify_large_k(70)
+    assert mpmath.iv.prec == before
+
+
+def test_check_is_decided_by_the_enclosure():
+    # the float sides only print: a rounding-level float margin of either
+    # sign does not decide the check
+    assert CertCheck("tight", 1.0, 1.0, 6e-16).passed
+    assert not CertCheck("straddles", 1.0 + 2**-52, 1.0, -1e-30).passed
 
 
 def test_large_k_certificate_values():

@@ -102,7 +102,7 @@ def test_certify_failure_exit_code(monkeypatch):
     broken = certify.CertificateReport(
         k=2,
         regime=certify.Regime.SMALL_K,
-        checks=(certify.CertCheck("forced", 1.0, 2.0),),
+        checks=(certify.CertCheck("forced", 1.0, 2.0, -1.0),),
     )
     monkeypatch.setattr(cli_mod.certify_mod, "certify_small_k", lambda k: broken)
     code, out = _run(["certify", "--regime", "small", "--k", "2"])
@@ -219,9 +219,14 @@ def test_closed_form_output_matches_golden_bytes(argv, name):
         ("bounds --k-min 2 --k-max 68 --format csv", "bounds.csv", EXIT_OK),
         # alpha_double_star is null: the C floor has dropped below A_k
         ("bounds --k 300 --format json", "bounds-k300.json", EXIT_OK),
-        # first_c_term_ceiling falls under REL_MARGIN_FLOOR
-        ("certify --regime large --k 1000000000", "certify-large-k1e9.txt",
-         EXIT_CERTIFICATION),
+        # every check passes on its enclosure: first_c_term_ceiling's
+        # relative margin of 7.1e-10 failed the former 1e-9 margin rule,
+        # and at 10^12 upper_bound_below_pi2_over_4's 1.1e-10 did too
+        ("certify --regime large --k 1000000000", "certify-large-k1e9.txt", EXIT_OK),
+        ("certify --regime large --k 1000000000000", "certify-large-k1e12.txt", EXIT_OK),
+        # the largest even k whose k + 1 is exact in a double
+        ("certify --regime large --k 9007199254740990", "certify-large-k2p53m2.txt",
+         EXIT_OK),
     ],
 )
 def test_closed_form_forms_match_golden_bytes(argv, name, exit_code, capsys):

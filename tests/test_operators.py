@@ -14,8 +14,9 @@ from montspec.operators import (
     PureAnharmonicPotential,
     ShiftedHarmonicPotential,
     int_power,
-    reflection_conjugate,
 )
+
+from derivations import reflection_conjugate
 
 
 def test_montgomery_values():

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from montspec.optimize import maximize_golden, minimize_golden
+from montspec.optimize import minimize_golden
+
+from derivations import maximize_golden
 
 
 def test_parabola_minimum():

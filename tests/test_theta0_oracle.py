@@ -9,11 +9,10 @@ with nu = (xi^2 - 1)/2 the condition becomes one equation in xi alone,
 and theta0 = xi0^2.
 """
 
+import mpmath
 import pytest
 
 from montspec.eigensolver import de_gennes_theta0
-
-mpmath = pytest.importorskip("mpmath")
 
 
 def pcfd_theta0(dps=20):
