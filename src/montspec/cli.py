@@ -3,13 +3,17 @@
 Subcommands: eigen, bounds, identities, scan, certify, figures, theta0.
 Everything is deterministic: the same argv produces byte-identical
 output.  Exit codes: 0 success, 1 usage error, 2 certification failure,
-3 solver failure.  Only the subcommands that solve (eigen, identities,
-scan, theta0) load the solver stack and with it numpy and scipy; bounds,
-certify and figures run on the closed-form modules alone.
+3 solver failure, 141 (128 + SIGPIPE) when the reader closed standard
+output early, as `montspec certify --regime small | head -1` does; that
+case prints nothing to standard error.  Only the subcommands that solve
+(eigen, identities, scan, theta0) load the solver stack and with it
+numpy and scipy; bounds, certify and figures run on the closed-form
+modules alone.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, astuple, fields
 
@@ -22,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATION = 2
 EXIT_SOLVER = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +266,12 @@ def run(argv=None, stream=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, stream)
+        code = _COMMANDS[args.command](args, stream)
+        # a buffered stream meets a closed pipe only when it is flushed
+        stream.flush()
+        return code
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -274,7 +284,14 @@ def run(argv=None, stream=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == EXIT_BROKEN_PIPE:
+        # what is left in stdout's buffer cannot be written; point the
+        # descriptor at devnull so that the interpreter's final flush
+        # does not report the broken pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

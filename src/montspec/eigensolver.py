@@ -155,8 +155,44 @@ def assemble_hamiltonian(
     )
 
 
+class StartShapes:
+    """One refinement level's polished eigenvectors, kept to start inverse
+    iteration on the finer grids of the same interval.
+
+    Empty until the first refined_lowest_eigenvalues call given it records
+    that level's vectors, as physical samples on its points (so the
+    Neumann row's symmetrizing scale drops out; the overall scale does
+    not matter, as inverse iteration normalizes its start).  From then on,
+    each level it is given starts eigenpair j from vector j, linearly
+    interpolated onto the level's own points.  Only that one level is
+    held: with the ladder's first level, `count` vectors of about
+    _N_START doubles.
+    """
+
+    def __init__(self):
+        self.points = None
+        self.vectors = []
+
+    def record(self, system: AssembledSystem, vectors) -> None:
+        self.points = system.points
+        self.vectors = [system.to_physical(v) for v in vectors]
+
+    def start(self, system: AssembledSystem, j: int):
+        """The start of eigenpair j on `system`, or None (a flat start)
+        while nothing is recorded."""
+        if self.points is None:
+            return None
+        start = np.interp(system.points, self.points, self.vectors[j])
+        if system.neumann_lower:  # undo to_physical
+            start[0] /= _SQRT2
+        return start
+
+
 def refined_lowest_eigenvalues(
-    system: AssembledSystem, count: int, seeds: Optional[np.ndarray] = None
+    system: AssembledSystem,
+    count: int,
+    seeds: Optional[np.ndarray] = None,
+    shapes: Optional[StartShapes] = None,
 ):
     """Smallest eigenvalues polished past the bisection noise floor.
 
@@ -170,49 +206,64 @@ def refined_lowest_eigenvalues(
     `seeds` are predicted eigenvalues: from coarser grids or the pre-solve
     (see solve_on_interval) or from an adaptive solve of the same or a nearby
     operator (fixed_grid_lambda1 and its callers, the identities).  Given
-    them, bisection is skipped: one Sturm count finds an energy just above
-    the predictions with exactly `count` eigenvalues below it
-    (tridiag.seed_ceiling), inverse iteration starts from each prediction,
-    and the polished values must be strictly increasing, well separated
-    and below that energy (tridiag.are_lowest_eigenvalues), which makes
-    them the lowest `count` in order.  If the predictions lie too close
-    together (near-degenerate pairs), the count disagrees, inverse
-    iteration fails or the check does, the level falls back to bisection.
-    The count (a pivot sweep over a 2n-double work copy of the matrix)
-    runs before inverse iteration, as bisection does, so no eigenvector
-    is held while it allocates.
+    them, bisection is skipped: inverse iteration starts from each
+    prediction, and the polished values must be strictly increasing, well
+    separated and exactly as many as one Sturm count finds just above the
+    last of them (tridiag.are_lowest_eigenvalues), which makes them the
+    lowest `count` in order.  If inverse iteration fails or the check does
+    (a prediction nearer another eigenvalue), the level falls back to
+    bisection; so do predictions that are not a separation margin apart
+    (near-degenerate pairs), without polishing them first.
+
+    `shapes` carries eigenvectors between the levels of one interval.
+    While it is empty, this level's vectors are recorded in it.  Once it
+    holds vectors, the seeded iteration for eigenpair j starts from its
+    vector j, needs about one sweep and skips the polish sweeps that damp
+    a flat start's imprint (see tridiag.inverse_iteration).  A flat start
+    and its polish serve the recording level and every bisection fallback.
 
     Returns (eigenvalues, ground_state_matrix_vector).
     """
-    ceiling = None
-    if seeds is not None:
-        if len(seeds) != count:
-            raise ValueError(f"need {count} seeds, got {len(seeds)}")
-        ceiling = tridiag.seed_ceiling(system.diag, system.offdiag, seeds)
-    if ceiling is not None:
+    record = shapes is not None and shapes.points is None
+    polished = None
+    if seeds is not None and len(seeds) != count:
+        raise ValueError(f"need {count} seeds, got {len(seeds)}")
+    if seeds is not None and tridiag.are_separated(system.offdiag, seeds):
         try:
-            refined, ground = _polished(system, seeds)
+            polished = _polished(system, seeds, shapes, keep=record)
         except SolverFailure:
-            refined = None
-        if refined is not None and tridiag.are_lowest_eigenvalues(
-            system.offdiag, refined, ceiling
+            pass
+        if polished is not None and not tridiag.are_lowest_eigenvalues(
+            system.diag, system.offdiag, polished[0]
         ):
-            return refined, ground
-    raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count)
-    return _polished(system, raw)
+            polished = None
+    if polished is None:
+        raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count)
+        polished = _polished(system, raw, keep=record)
+    refined, vectors = polished
+    if record:
+        shapes.record(system, vectors)
+    return refined, vectors[0]
 
 
-def _polished(system: AssembledSystem, estimates):
+def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     """Rayleigh quotients of the inverse-iteration vectors at `estimates`,
-    and the first of those vectors."""
+    each started from `shapes` (a flat start without), and the vectors:
+    all of them if `keep`, else only the first, so that a fine level
+    holds one vector at a time besides it."""
     refined = np.empty(len(estimates))
-    ground = None
+    vectors = []
     for j, lam in enumerate(estimates):
-        v = tridiag.inverse_iteration(system.diag, system.offdiag, float(lam))
+        # the start is passed as a temporary, so that inverse_iteration
+        # holds the only reference and can drop it once it has normalized it
+        v = tridiag.inverse_iteration(
+            system.diag, system.offdiag, float(lam),
+            None if shapes is None else shapes.start(system, j),
+        )
         refined[j] = system.rayleigh_quotient(v)
-        if j == 0:
-            ground = v
-    return refined, ground
+        if keep or j == 0:
+            vectors.append(v)
+    return refined, vectors
 
 
 def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
@@ -220,19 +271,21 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     spacing), plus one Richardson step.
 
     `seed` predicts lambda1 on the coarse level (say, lambda1 of a nearby
-    potential) and seeds it; the fine level is seeded from the coarse one
-    as in the ladder.  A poor seed costs a bisection, not accuracy (see
+    potential) and seeds it; the fine level is seeded from the coarse
+    one's value and starts inverse iteration from its vector, as in the
+    ladder.  A poor seed costs a bisection, not accuracy (see
     refined_lowest_eigenvalues).  Callers that evaluate several potentials
     on one grid see an O(h^2) error that is a smooth function of the
     potential parameters, so it cancels in finite differences and
     comparisons.  Dirichlet ends.
     """
     coarse = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
+    shapes = StartShapes()
     lam_c, _ = refined_lowest_eigenvalues(
-        assemble_hamiltonian(potential, coarse), 1, seeds=np.array([seed])
+        assemble_hamiltonian(potential, coarse), 1, seeds=np.array([seed]), shapes=shapes
     )
     lam_f, _ = refined_lowest_eigenvalues(
-        assemble_hamiltonian(potential, grid), 1, seeds=lam_c
+        assemble_hamiltonian(potential, grid), 1, seeds=lam_c, shapes=shapes
     )
     return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
 
@@ -304,6 +357,14 @@ def solve_on_interval(
     second level on, each level is seeded with eigenvalues predicted from
     the levels before it.  A seeded level bisects only if its seeds fail
     their check.
+
+    The first level's eigenvectors (count vectors of _N_START points) are
+    kept, and every later level starts inverse iteration for eigenpair j
+    from vector j, interpolated onto its points (StartShapes): one factor
+    and about one sweep per eigenpair, with no polish sweeps.  The first
+    level, with a flat start and its polish, keeps the vectors' far tails
+    at rounding level for the levels after it.  Finer levels' vectors are
+    not kept: holding count of them would raise peak memory with count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -312,13 +373,14 @@ def solve_on_interval(
     prev2: Optional[np.ndarray] = None
     lam = None
     levels = 0
+    shapes = StartShapes()
     while n <= _N_CAP:
         system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), geometry)
         # Predicted eigenvalues for this level: the error goes like h^2
         # and h halves each level, so each change is a quarter of the last.
         if prev is not None:
             seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
-        lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds)
+        lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds, shapes=shapes)
         levels += 1
         # Report the ground state from the last level up to _N_VECTOR_CAP
         # (the first level, _N_START points, is below it): past it the

@@ -24,9 +24,13 @@ shifted_solve) and reuses the factor for every sweep, polish sweeps
 included.  Its residual is taken at the iterate's Rayleigh quotient, so a
 shift from an eigenvalue predicted on coarser grids converges as well as
 one from a bisection bracket; a sweep's own norm bounds that residual,
-which spares most converged sweeps their matrix-vector product.
-seed_ceiling and are_lowest_eigenvalues confirm such values with one
-pivot count instead of bisecting.
+which spares most converged sweeps their matrix-vector product.  From the
+flat start it takes about 1.4 sweeps to converge and two polish sweeps
+that damp the flat vector's imprint in the far tails; from a start close
+to the eigenvector (a coarser grid's eigenvector, interpolated) it takes
+about one sweep and no polish.  are_lowest_eigenvalues confirms the
+polished values of predicted eigenvalues with one pivot count just above
+them instead of bisecting.
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
 converge, a singular factor, a NaN pivot) leaves this one as
 SolverFailure.
@@ -167,41 +171,29 @@ def lowest_eigenvalues(diag, offdiag, count: int):
     return np.sort(vals)[:count]
 
 
-def seed_ceiling(diag, offdiag, seeds):
-    """An energy with exactly len(seeds) eigenvalues below it, taken
-    around predicted eigenvalues before they are polished.
-
-    A pivot count (_count_below) starts a separation margin above the
-    last seed and doubles its offset until len(seeds) eigenvalues lie at
-    or below it: a prediction from a single coarser level falls short by
-    that level's whole O(h^2) change.  Returns None if more then lie
-    below it, or if the seeds are not more than a margin apart
-    (near-degenerate values, which are_lowest_eigenvalues would reject).
-    """
-    seeds = np.asarray(seeds, dtype=float)
-    margin = separation_margin(offdiag)
-    if not np.all(np.diff(seeds) > margin):
-        return None
-    offset = margin
-    while (found := _count_below(diag, offdiag, seeds[-1] + offset)) < len(seeds):
-        offset *= 2.0
-    return seeds[-1] + offset if found == len(seeds) else None
+def are_separated(offdiag, values) -> bool:
+    """Whether values increase by more than a separation margin each."""
+    return bool(np.all(np.diff(values) > separation_margin(offdiag)))
 
 
-def are_lowest_eigenvalues(offdiag, values, ceiling: float) -> bool:
+def are_lowest_eigenvalues(diag, offdiag, values) -> bool:
     """Whether polished values are the lowest len(values) eigenvalues, in
-    order, given that exactly that many lie below `ceiling`.
+    order.
 
     Each value must lie within a few residual floors of an eigenvalue (a
     converged inverse-iteration Rayleigh quotient does).  Values more
     than a separation margin apart, far more than twice that, then stand
-    for distinct eigenvalues; with the last half a margin below the
-    ceiling, all of them lie below it, so they are every eigenvalue
-    there is below it.
+    for distinct eigenvalues, and every one of them lies at or below the
+    last value plus a margin.  One pivot count (_count_below) there must
+    find exactly len(values) eigenvalues: then they are all there is
+    below it.  The count is taken at the polished values, not at the
+    predictions they came from, so a prediction short by a whole coarser
+    level's O(h^2) change costs nothing.
     """
     values = np.asarray(values, dtype=float)
-    margin = separation_margin(offdiag)
-    return bool(np.all(np.diff(values) > margin) and values[-1] < ceiling - 0.5 * margin)
+    return are_separated(offdiag, values) and _count_below(
+        diag, offdiag, values[-1] + separation_margin(offdiag)
+    ) == len(values)
 
 
 def _tridiag_matvec(diag, offdiag, v):
@@ -243,7 +235,7 @@ def _aligned_sweep(sweep, v):
     return w, norm
 
 
-def inverse_iteration(diag, offdiag, eigenvalue: float):
+def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
 
@@ -260,9 +252,20 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     smaller residual than the Rayleigh quotient.  A sweep with 1/||w||
     within half the floor is accepted on that bound (the factor's
     rounding adds a few eps ||A||); only the others pay for the explicit
-    residual.  Returns a unit 2-norm vector with positive sign convention
-    (sum of entries > 0).  Needs at least 3 rows, as scipy's gttrf
-    wrapper does, and finite entries and estimate.
+    residual.
+
+    Without `start` the iteration starts from the flat vector and, once
+    converged, runs two polish sweeps: the bulk of the vector is then at
+    its noise floor, but far-tail entries (where the true eigenfunction
+    sits below rounding) still carry the flat vector's imprint, and each
+    sweep damps them by the local barrier height.  `start` is a vector
+    already close to the eigenvector (say, the eigenvector of a coarser
+    grid interpolated onto this one): its tails already decay, so it
+    converges in about one sweep and runs no polish sweeps.
+
+    Returns a unit 2-norm vector with positive sign convention (sum of
+    entries > 0).  Needs at least 3 rows, as scipy's gttrf wrapper does,
+    and finite entries and estimate, and a finite non-zero start.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -273,10 +276,25 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
     ):
         raise ValueError("inverse iteration needs finite entries and estimate")
     n = len(diag)
+    if start is None:
+        v = np.full(n, 1.0 / np.sqrt(n))
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,):
+            raise ValueError(f"start must have {n} entries, got shape {start.shape}")
+        # nan or inf if an entry is; scaling by it keeps the norm finite
+        scale = np.max(np.abs(start))
+        if not 0.0 < scale < np.inf:
+            raise ValueError(
+                f"inverse iteration needs a finite non-zero start, largest magnitude {scale}"
+            )
+        v = start / scale
+        v /= np.linalg.norm(v)
+    polish = start is None
+    del start  # not held through the sweeps: a temporary passed in is freed here
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
     sweep = _shifted_factor(diag, offdiag, shift)
     floor = _residual_floor(offdiag, eigenvalue)
-    v = np.full(n, 1.0 / np.sqrt(n))
     residual = np.inf
     for _ in range(_MAX_SWEEPS):
         w, norm = _aligned_sweep(sweep, v)
@@ -294,12 +312,9 @@ def inverse_iteration(diag, offdiag, eigenvalue: float):
             residual=float(residual),
         )
     del w  # an alias of v, not to be held through the polish sweeps
-    # Two polish sweeps: the bulk of the vector is already at its noise
-    # floor, but far-tail entries (where the true eigenfunction sits below
-    # rounding) still carry start-vector imprint; each extra sweep damps
-    # them by the local barrier height.
-    for _ in range(2):
-        v, _ = _aligned_sweep(sweep, v)
+    if polish:
+        for _ in range(2):
+            v, _ = _aligned_sweep(sweep, v)
     if np.sum(v) < 0.0:
         v = -v
     return v

@@ -9,6 +9,7 @@ import pytest
 
 from montspec import bounds, certify, eigensolver, identities, tridiag
 from montspec.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CERTIFICATION,
     EXIT_OK,
     EXIT_SOLVER,
@@ -366,3 +367,30 @@ def test_underflowing_sweep_exit_code(capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: inverse iteration sweep has norm 0")
     assert err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: writing, or flushing what a
+    buffered stream held back, raises BrokenPipeError."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_exit_code(failing, capsys):
+    # `montspec certify ... | head -1`: 128 + SIGPIPE, and no traceback
+    code = run("certify --regime large --k 1000000000".split(), stream=_ClosedPipe(failing))
+    assert EXIT_BROKEN_PIPE == 141
+    assert code == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""

@@ -28,7 +28,7 @@ from montspec.operators import (
     PureAnharmonicPotential,
     ShiftedHarmonicPotential,
 )
-from montspec.tridiag import inverse_iteration, lowest_eigenvalues, seed_ceiling
+from montspec.tridiag import are_lowest_eigenvalues, inverse_iteration, lowest_eigenvalues
 
 D = Geometry.HALF_LINE_DIRICHLET
 N = Geometry.HALF_LINE_NEUMANN
@@ -297,7 +297,8 @@ def test_solver_failure_at_grid_cap_carries_best_estimate(monkeypatch):
 def test_seeded_ladder_matches_bisected_ladder(monkeypatch, k, alpha):
     seeded = solve(OperatorSpec(k, alpha), count=2, tol=1e-6)
     monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues",
-                        lambda system, count, seeds=None: refined_lowest_eigenvalues(system, count))
+                        lambda system, count, seeds=None, shapes=None:
+                        refined_lowest_eigenvalues(system, count))
     bisected = solve(OperatorSpec(k, alpha), count=2, tol=1e-6)
     assert seeded.grid_used == bisected.grid_used
     assert seeded.iterations == bisected.iterations
@@ -327,6 +328,43 @@ def test_solve_bisects_once(monkeypatch, k, alpha, retruncated):
     assert ((res.grid_used.lower, res.grid_used.upper) != pre_solve) == retruncated
 
 
+def test_seeded_level_certified_after_polish_bisects_once(monkeypatch):
+    # the level check counts eigenvalues just above the polished values, so
+    # a prediction short by a whole level's O(h^2) change cannot put the
+    # count within half a margin of lambda2 and force a re-bisection
+    sizes = _count_bisections(monkeypatch)
+    solve(OperatorSpec(2, 0.26), count=2, tol=1e-6)
+    assert sizes == [eigensolver._N_START]
+
+
+@pytest.mark.parametrize("spec", [OperatorSpec(2, 0.0), OperatorSpec(2, 0.4, N)],
+                         ids=["full-line", "neumann"])
+def test_started_levels_take_one_sweep_per_eigenpair(monkeypatch, spec):
+    # every level after the first starts inverse iteration from the first
+    # level's interpolated eigenvectors: one sweep each and no polish
+    sweeps = []
+    level_sweeps = []
+    aligned_sweep = tridiag._aligned_sweep
+    level = eigensolver.refined_lowest_eigenvalues
+
+    def counted_sweep(sweep, v):
+        sweeps.append(len(v))
+        return aligned_sweep(sweep, v)
+
+    def counted_level(system, *args, **kwargs):
+        before = len(sweeps)
+        result = level(system, *args, **kwargs)
+        level_sweeps.append(len(sweeps) - before)
+        return result
+
+    monkeypatch.setattr(tridiag, "_aligned_sweep", counted_sweep)
+    monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", counted_level)
+    res = solve(spec, count=2, tol=1e-8)
+    assert res.iterations == len(level_sweeps) >= 5
+    assert level_sweeps[0] > 2 * 2  # flat starts and their polish
+    assert level_sweeps[1:] == [2] * (res.iterations - 1)
+
+
 def test_failed_first_level_check_bisects(monkeypatch):
     # k = 2, alpha = 0 keeps the pre-solve's interval, so the first level's
     # bisection repeats the pre-solve's and the result is unchanged
@@ -334,11 +372,11 @@ def test_failed_first_level_check_bisects(monkeypatch):
     sizes = _count_bisections(monkeypatch)
     probes = []
 
-    def fails_first(diag, offdiag, seeds):
+    def fails_first(diag, offdiag, values):
         probes.append(len(diag))
-        return None if len(probes) == 1 else seed_ceiling(diag, offdiag, seeds)
+        return len(probes) > 1 and are_lowest_eigenvalues(diag, offdiag, values)
 
-    monkeypatch.setattr(tridiag, "seed_ceiling", fails_first)
+    monkeypatch.setattr(tridiag, "are_lowest_eigenvalues", fails_first)
     res = solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)
     assert probes[0] == eigensolver._N_START
     assert sizes == [eigensolver._N_START, eigensolver._N_START]

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from montspec.eigensolver import GridSpec, assemble_hamiltonian, refined_lowest_eigenvalues
+from montspec.eigensolver import (
+    GridSpec,
+    StartShapes,
+    assemble_hamiltonian,
+    refined_lowest_eigenvalues,
+)
 from montspec.errors import SolverFailure
 from montspec.operators import Geometry, MontgomeryPotential
 from montspec.tridiag import (
@@ -21,7 +26,6 @@ from montspec.tridiag import (
     inverse_iteration,
     are_lowest_eigenvalues,
     lowest_eigenvalues,
-    seed_ceiling,
     separation_margin,
     shifted_solve,
 )
@@ -221,10 +225,10 @@ def test_lowest_eigenvalues_count_validation():
         lowest_eigenvalues([1.0], [], 1)
 
 
-def _saturated_system():
+def _saturated_system(n=255):
     # k = 200 on [-3, 3]: barrier samples saturate near 1e189, so the
     # Gershgorin top is astronomically far above the wanted eigenvalues
-    return assemble_hamiltonian(MontgomeryPotential(200, 0.0), GridSpec(-3.0, 3.0, 255))
+    return assemble_hamiltonian(MontgomeryPotential(200, 0.0), GridSpec(-3.0, 3.0, n))
 
 
 def test_lowest_eigenvalues_saturated_dirichlet():
@@ -235,11 +239,11 @@ def test_lowest_eigenvalues_saturated_dirichlet():
     assert ours == pytest.approx(reference, rel=1e-11)
 
 
-def _neumann_floor_system():
+def _neumann_floor_system(n=255):
     # the symmetrized Neumann row puts the Gershgorin floor near -0.4/h^2
     return assemble_hamiltonian(
         MontgomeryPotential(2, 0.0),
-        GridSpec(0.0, 3.0, 255),
+        GridSpec(0.0, 3.0, n),
         Geometry.HALF_LINE_NEUMANN,
     )
 
@@ -305,33 +309,68 @@ def test_inverse_iteration_rough_estimate():
         )
 
 
-def test_seed_ceiling_and_lowest_check():
+def test_lowest_eigenvalues_check():
     system = _saturated_system()
     lam = lowest_eigenvalues(system.diag, system.offdiag, 4)
     for count in (1, 2, 3):
-        ceiling = seed_ceiling(system.diag, system.offdiag, lam[:count])
-        assert lam[count - 1] < ceiling < lam[count]
-        assert are_lowest_eigenvalues(system.offdiag, lam[:count], ceiling)
-    # a prediction short by far more than the separation margin (the
-    # first seeded ladder level) raises the ceiling until it holds lam[1]
-    short = lam[:2] - 1e3 * separation_margin(system.offdiag)
-    assert lam[1] < seed_ceiling(system.diag, system.offdiag, short) < lam[2]
+        assert are_lowest_eigenvalues(system.diag, system.offdiag, lam[:count])
+    # values that are not the lowest distinct eigenvalues in order: one
+    # skipped below, a repeat, a swap
     for wrong in ([lam[1]], [lam[1], lam[2]], [lam[0], lam[2]], [lam[1], lam[0]],
                   [lam[0], lam[0]]):
-        assert seed_ceiling(system.diag, system.offdiag, wrong) is None
-    # the check rejects polished values that are not distinct eigenvalues
-    # under the ceiling: a repeated value, or one that escaped above it
-    ceiling = seed_ceiling(system.diag, system.offdiag, lam[:2])
-    assert not are_lowest_eigenvalues(system.offdiag, [lam[0], lam[0]], ceiling)
-    assert not are_lowest_eigenvalues(system.offdiag, [lam[0], lam[2]], ceiling)
-    assert not are_lowest_eigenvalues(system.offdiag, [lam[1], lam[0]], ceiling)
+        assert not are_lowest_eigenvalues(system.diag, system.offdiag, wrong)
+    # the count sits one margin above the last value, so values within a
+    # margin below their eigenvalues pass and values further below do not
+    margin = separation_margin(system.offdiag)
+    assert are_lowest_eigenvalues(system.diag, system.offdiag, lam[:2] - 0.9 * margin)
+    assert not are_lowest_eigenvalues(system.diag, system.offdiag, lam[:2] - 1.1 * margin)
 
 
-def test_seed_ceiling_near_degenerate_is_none():
-    # predictions closer than the separation margin are never confirmed
+def test_lowest_check_rejects_near_degenerate():
+    # values closer than the separation margin are never confirmed
     system = assemble_hamiltonian(MontgomeryPotential(1, 5.0), GridSpec(-8.0, 8.0, 4095))
     lam = lowest_eigenvalues(system.diag, system.offdiag, 2)
-    assert seed_ceiling(system.diag, system.offdiag, lam) is None
+    assert lam[1] - lam[0] < separation_margin(system.offdiag)
+    assert not are_lowest_eigenvalues(system.diag, system.offdiag, lam)
+
+
+@pytest.mark.parametrize("build", [_saturated_system, _neumann_floor_system])
+def test_started_inverse_iteration_matches_flat_start(build):
+    # a start from the eigenvectors of the grid with twice the spacing,
+    # interpolated onto this one, polishes to the flat start's Rayleigh
+    # quotient without polish sweeps
+    system = build()
+    shapes = StartShapes()
+    refined_lowest_eigenvalues(build(127), 3, shapes=shapes)
+    for j, lam in enumerate(lowest_eigenvalues(system.diag, system.offdiag, 3)):
+        flat = inverse_iteration(system.diag, system.offdiag, float(lam))
+        started = inverse_iteration(system.diag, system.offdiag, float(lam),
+                                    shapes.start(system, j))
+        assert system.rayleigh_quotient(started) == pytest.approx(
+            system.rayleigh_quotient(flat), rel=0.0, abs=1e-13
+        )
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (np.ones(4), "start must have 3 entries"),
+        (np.array([1.0, np.nan, 1.0]), "non-zero start, largest magnitude nan"),
+        (np.array([1.0, -np.inf, 1.0]), "non-zero start, largest magnitude inf"),
+        (np.zeros(3), "non-zero start, largest magnitude 0.0"),
+    ],
+    ids=["length", "nan", "inf", "zero"],
+)
+def test_inverse_iteration_rejects_bad_start(start, message):
+    with pytest.raises(ValueError, match=message):
+        inverse_iteration(np.array([1.0, 5.0, 9.0]), np.zeros(2), 1.0, start)
+
+
+def test_inverse_iteration_start_of_huge_entries():
+    # the start is scaled before its norm is taken, which would overflow
+    v = inverse_iteration(np.array([1.0, 5.0, 9.0]), np.zeros(2), 1.0,
+                          np.array([1e300, 1e300, 1.0]))
+    assert v == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
 
 
 def test_inverse_iteration_rejects_two_by_two():
