@@ -33,7 +33,15 @@ INTERVAL_PREC = 80
 # exclusion thresholds with room to spare.
 ALPHA_SCAN_MAX = 3.0
 
-FIGURE_KINDS = ("lambda1comp", "completeproof")
+# The summary figures, each as its CSV columns and its row of a
+# bounds.bounds_table: lambda1comp sets the alpha = 0 upper bound A_k
+# against the alpha >= 3/2 floor C_k, completeproof the exclusion radii
+# whose overlap closes the argument.
+FIGURES = {
+    "lambda1comp": (("k", "A_k", "C_k"), lambda t: (t.k, t.a_k, t.c_k)),
+    "completeproof": (("k", "two_alpha_star", "alpha_double_star"),
+                      lambda t: (t.k, 2.0 * t.alpha_star, t.alpha_double_star)),
+}
 
 
 class Regime(Enum):
@@ -254,19 +262,12 @@ def certify_large_k(k: int) -> CertificateReport:
 
 
 def figure_data(which: str) -> List[tuple]:
-    """Tables behind the two summary figures, for even k in [2, 68].
-
-      lambda1comp   -> rows (k, A_k, C_k): the alpha = 0 upper bound
-                       against the alpha >= 3/2 floor.
-      completeproof -> rows (k, 2 alpha_star, alpha_double_star): the
-                       exclusion radii whose overlap closes the argument.
-    """
-    if which not in FIGURE_KINDS:
-        raise ValueError(f"unknown figure {which!r}; expected one of {FIGURE_KINDS}")
-    tables = [bounds.bounds_table(k) for k in range(2, bounds.SMALL_K_MAX + 1, 2)]
-    if which == "lambda1comp":
-        return [(t.k, t.a_k, t.c_k) for t in tables]
-    return [(t.k, 2.0 * t.alpha_star, t.alpha_double_star) for t in tables]
+    """Rows of the summary figure `which` (a key of FIGURES), one per
+    even k in [2, 68]."""
+    if which not in FIGURES:
+        raise ValueError(f"unknown figure {which!r}; expected one of {tuple(FIGURES)}")
+    _, row = FIGURES[which]
+    return [row(bounds.bounds_table(k)) for k in range(2, bounds.SMALL_K_MAX + 1, 2)]
 
 
 def fmt(x) -> str:
@@ -291,9 +292,8 @@ def csv_table(columns, rows) -> str:
 def figure_csv(which: str) -> str:
     """CSV rendering of figure_data."""
     rows = figure_data(which)
-    if which == "lambda1comp":
-        return csv_table(("k", "A_k", "C_k"), rows)
-    return csv_table(("k", "two_alpha_star", "alpha_double_star"), rows)
+    columns, _ = FIGURES[which]
+    return csv_table(columns, rows)
 
 
 def scan_csv(rows: List[ScanRow]) -> str:

@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = sub.add_parser("figures", help="summary-figure tables as CSV")
-    p.add_argument("--which", choices=certify_mod.FIGURE_KINDS, required=True)
+    p.add_argument("--which", choices=tuple(certify_mod.FIGURES), required=True)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("theta0", help="the de Gennes constant")
@@ -134,13 +134,15 @@ def _cmd_eigen(args, stream) -> int:
 
 
 def _bounds_rows(args):
-    if args.k is not None:
+    ranged = (args.k_min, args.k_max)
+    if args.k is not None and ranged == (None, None):
         ks = [args.k]
-    elif args.k_min is not None and args.k_max is not None:
-        ks = list(range(args.k_min, args.k_max + 1))
-        ks = [k for k in ks if k % 2 == 0]
+    elif args.k is None and None not in ranged:
+        ks = range(args.k_min + args.k_min % 2, args.k_max + 1, 2)
+        if not ks:
+            raise ValueError(f"no even k in [{args.k_min}, {args.k_max}]")
     else:
-        raise ValueError("bounds needs either --k or both --k-min and --k-max")
+        raise ValueError("bounds needs either --k alone or both --k-min and --k-max")
     return [bounds_mod.bounds_table(k) for k in ks]
 
 

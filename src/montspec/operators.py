@@ -9,6 +9,11 @@ bound machinery (pure powers t^m, shifted harmonic wells (t - xi)^2 and
 the half-power model (t^(k/2) / (k/2))^2).  `Geometry` names the domain
 an operator acts on: the full line, or the half line t > 0 with a
 Dirichlet or Neumann condition at t = 0.
+
+Overflow has one rule: a potential is evaluated in floating point, where
+an overflow gives +-inf without a warning, and then clamped: V to
+min(V, SATURATION), and the Montgomery signed root to +-sqrt(SATURATION),
+so a saturated root keeps its sign.
 """
 
 import math
@@ -18,14 +23,13 @@ from typing import Union
 
 import numpy as np
 
-# Finite sentinel returned instead of an overflowing potential value.  The
-# eigensolver's truncation rule keeps all sampled points far below this, so
-# the sentinel only guards extreme (k, t) combinations.
+# The ceiling of every potential value, V = min(V, SATURATION).  The
+# eigensolver's truncation rule keeps all sampled points far below it, so
+# the clamp acts only at extreme (k, t).  An earlier log-domain mask sent
+# |t^n / n| from about 4.6e147 on to the ceiling; that band, V from about
+# 2e295 to 1e300, now reads its exact value.
 SATURATION = 1e300
-
-# t^n is evaluated directly only while n*log|t| stays below this, keeping
-# the squared potential below SATURATION.
-_LOG_LIMIT = 340.0
+_ROOT_CEILING = math.sqrt(SATURATION)
 
 
 class Geometry(Enum):
@@ -57,19 +61,15 @@ def int_power(t, n: int):
     return result
 
 
-def _eval_guarded_power(t, n: int, scale: float):
-    """(t^n / scale, overflow mask) with overflow detected in log domain."""
-    t_arr = np.asarray(t, dtype=float)
-    abs_t = np.maximum(np.abs(t_arr), 1.0)
-    unsafe = n * np.log(abs_t) > _LOG_LIMIT + np.log(scale)
-    t_safe = np.where(unsafe, 0.0, t_arr)
-    return int_power(t_safe, n) / scale, unsafe
-
-
 def _scalar_like(value, template):
     if np.isscalar(template) or np.ndim(template) == 0:
         return float(value)
     return value
+
+
+def _clamped(v, template):
+    """min(v, SATURATION), as a float for a scalar template."""
+    return _scalar_like(np.minimum(v, SATURATION), template)
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,23 @@ class MontgomeryPotential:
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        # from sqrt(SATURATION) on, alpha^2 meets the overflow sentinel
-        if not abs(self.alpha) < math.sqrt(SATURATION):  # nan fails too
+        # from sqrt(SATURATION) on, alpha^2 meets the clamp
+        if not abs(self.alpha) < _ROOT_CEILING:  # nan fails too
             raise ValueError(f"|alpha| must be below 1e150, got {self.alpha!r}")
 
+    def _root(self, t):
+        return int_power(t, self.k + 1) / float(self.k + 1) - self.alpha
+
     def signed_root(self, t):
-        """The signed square root t^(k+1)/(k+1) - alpha of the potential."""
-        w, unsafe = _eval_guarded_power(t, self.k + 1, float(self.k + 1))
-        w = w - self.alpha
-        w = np.where(unsafe, np.sqrt(SATURATION), w)
-        return _scalar_like(w, t)
+        """The signed square root t^(k+1)/(k+1) - alpha of the potential,
+        clipped to [-sqrt(SATURATION), sqrt(SATURATION)]."""
+        with np.errstate(over="ignore"):
+            w = self._root(t)
+        return _scalar_like(np.clip(w, -_ROOT_CEILING, _ROOT_CEILING), t)
 
     def value(self, t):
-        w, unsafe = _eval_guarded_power(t, self.k + 1, float(self.k + 1))
-        v = (w - self.alpha) ** 2
-        v = np.where(unsafe, SATURATION, v)
-        return _scalar_like(v, t)
+        with np.errstate(over="ignore"):
+            return _clamped(self._root(t) ** 2, t)
 
     def turning_point(self, energy: float) -> float:
         """Radius past which V >= energy: ((k+1)(|alpha| + sqrt(energy)))^(1/(k+1))."""
@@ -116,9 +117,8 @@ class PureAnharmonicPotential:
             raise ValueError(f"exponent must be a positive integer, got {self.m!r}")
 
     def value(self, t):
-        v, unsafe = _eval_guarded_power(t, self.m, 1.0)
-        v = np.where(unsafe, SATURATION, v)
-        return _scalar_like(v, t)
+        with np.errstate(over="ignore"):
+            return _clamped(int_power(t, self.m), t)
 
     def turning_point(self, energy: float) -> float:
         """Radius past which V >= energy: energy^(1/m)."""
@@ -132,9 +132,9 @@ class ShiftedHarmonicPotential:
     center: float
 
     def value(self, t):
-        d = np.asarray(t, dtype=float) - self.center
-        v = np.where(np.abs(d) > 1e150, SATURATION, d * d)
-        return _scalar_like(v, t)
+        with np.errstate(over="ignore"):
+            d = np.asarray(t, dtype=float) - self.center
+            return _clamped(d * d, t)
 
     def turning_point(self, energy: float) -> float:
         """Radius past which V >= energy: |center| + sqrt(energy)."""
@@ -153,9 +153,9 @@ class HalfPowerModelPotential:
 
     def value(self, t):
         half = self.k // 2
-        w, unsafe = _eval_guarded_power(t, half, float(half))
-        v = np.where(unsafe, SATURATION, w * w)
-        return _scalar_like(v, t)
+        with np.errstate(over="ignore"):
+            w = int_power(t, half) / float(half)
+            return _clamped(w * w, t)
 
     def turning_point(self, energy: float) -> float:
         """Radius past which V >= energy: ((k/2) sqrt(energy))^(2/k)."""

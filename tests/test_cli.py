@@ -67,9 +67,28 @@ def test_bounds_csv_and_json():
     assert payload[0]["a_k"] == pytest.approx(bounds.upper_bound_A(2))
 
 
-def test_bounds_requires_selection():
-    code, _ = _run(["bounds"])
-    assert code == EXIT_USAGE
+def test_bounds_requires_selection(capsys):
+    for argv in (
+        "bounds",
+        "bounds --k-min 2",
+        # --k and a range together: neither is silently dropped
+        "bounds --k 2 --k-min 4 --k-max 6",
+        "bounds --k 2 --k-max 6",
+        # a range that holds no even k
+        "bounds --k-min 68 --k-max 2",
+        "bounds --k-min 3 --k-max 3",
+        "bounds --k-min 3 --k-max 3 --format json",
+    ):
+        code, out = _run(argv.split())
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+
+
+def test_bounds_range_selects_even_k():
+    code, out = _run("bounds --k-min 3 --k-max 8 --format json".split())
+    assert code == EXIT_OK
+    assert [row["k"] for row in json.loads(out)] == [4, 6, 8]
 
 
 def test_scan_csv_output(tmp_path):

@@ -1,4 +1,4 @@
-"""Potential kinds, their symmetries, and the overflow guard."""
+"""Potential kinds, their symmetries, and the overflow clamp."""
 
 import math
 
@@ -38,15 +38,18 @@ def test_int_power_rejects_negative_exponent():
         int_power(2.0, -1)
 
 
-@pytest.mark.parametrize("k", [2, 4, 10, 30])
+@pytest.mark.parametrize("k", [2, 4, 10, 30, 300, 1000])
 def test_reflection_symmetry_pointwise(k):
-    # V(k, alpha; t) == V(k, -alpha; -t) exactly for even k
+    # for even k, W(k, -alpha; -t) == -W(k, alpha; t) and so
+    # V(k, -alpha; -t) == V(k, alpha; t) exactly; k = 300 and 1000
+    # saturate inside |t| <= 50
+    t_max = 10.0 if k <= 30 else 50.0
     rng = np.random.default_rng(k)
-    t = rng.uniform(-10.0, 10.0, size=50)
+    t = rng.uniform(-t_max, t_max, size=50)
     alpha = rng.uniform(-5.0, 5.0)
-    left = MontgomeryPotential(k, alpha).value(t)
-    right = MontgomeryPotential(k, -alpha).value(-t)
-    assert np.array_equal(left, right)
+    pot, mirror = MontgomeryPotential(k, alpha), MontgomeryPotential(k, -alpha)
+    assert np.array_equal(mirror.value(-t), pot.value(t))
+    assert np.array_equal(mirror.signed_root(-t), -pot.signed_root(t))
 
 
 def test_potentials_nonnegative():
@@ -74,10 +77,33 @@ def test_no_overflow_within_contract():
 
 
 def test_saturation_dominates_safe_values():
-    # saturated sentinel exceeds anything the guarded path can produce
+    # a value is clamped only where its square overflows: 137^71 / 71
+    # squared is 5.15e299, 200^71 / 71 squared is past double range
     v = MontgomeryPotential(70, 0.0).value(np.array([5.0, 137.0, 200.0]))
     assert v[0] < SATURATION
-    assert v[1] == SATURATION and v[2] == SATURATION
+    assert np.isfinite(v[1]) and v[1] < SATURATION
+    assert v[1] == pytest.approx(5.15e299, rel=1e-3)
+    assert v[2] == SATURATION
+
+
+@pytest.mark.parametrize("k", [1, 2, 70, 200, 999, 1000])
+def test_clamp_rule(k):
+    # every potential stays at or below SATURATION and reaches it exactly
+    # where its square overflows; the clipped signed root keeps its sign
+    t = np.linspace(-50.0, 50.0, 1001)
+    for pot in (MontgomeryPotential(k, 1.3), PureAnharmonicPotential(k),
+                HalfPowerModelPotential(k + k % 2), ShiftedHarmonicPotential(1e200)):
+        assert np.all(pot.value(t) <= SATURATION)
+    pot = MontgomeryPotential(k, 1.3)
+    with np.errstate(over="ignore"):
+        root = int_power(t, k + 1) / (k + 1) - 1.3
+        square = root * root
+    v, w = pot.value(t), pot.signed_root(t)
+    assert np.array_equal(v, np.minimum(square, SATURATION))
+    assert np.all(v[~np.isfinite(square)] == SATURATION)
+    assert np.all(np.abs(w) <= math.sqrt(SATURATION))
+    assert np.array_equal(np.sign(w), np.sign(root))
+    assert ShiftedHarmonicPotential(1e200).value(0.0) == SATURATION
 
 
 def test_scalar_and_array_agree():
