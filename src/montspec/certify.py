@@ -280,13 +280,15 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def csv_row(cells) -> str:
+    """One newline-terminated CSV line of fmt cells, None written as an
+    empty cell."""
+    return ",".join("" if x is None else fmt(x) for x in cells) + "\n"
+
+
 def csv_table(columns, rows) -> str:
-    """CSV text: a header line of column names, then one line of fmt
-    cells per row, None written as an empty cell; every line
-    newline-terminated."""
-    lines = [",".join(columns)]
-    lines.extend(",".join("" if x is None else fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """CSV text: a header line of column names, then one csv_row per row."""
+    return ",".join(columns) + "\n" + "".join(map(csv_row, rows))
 
 
 def figure_csv(which: str) -> str:

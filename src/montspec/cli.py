@@ -7,8 +7,10 @@ output.  Exit codes: 0 success, 1 usage error, 2 certification failure,
 output early, as `montspec certify --regime small | head -1` does; that
 case prints nothing to standard error.  Only the subcommands that solve
 (eigen, identities, scan, theta0) load the solver stack and with it
-numpy and scipy; bounds, certify and figures run on the closed-form
-modules alone.
+numpy and scipy's compiled LAPACK extension (not the scipy.linalg
+package; see tridiag); bounds, certify and figures run on the
+closed-form modules alone.  bounds writes each table's line as soon as
+the table is built, so a long k range streams with flat memory.
 """
 
 import argparse
@@ -19,7 +21,7 @@ from dataclasses import asdict, astuple, fields
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
-from .certify import csv_table, fmt
+from .certify import csv_row, csv_table, fmt
 from .errors import CertificationError, SolverFailure
 
 EXIT_OK = 0
@@ -133,7 +135,11 @@ def _cmd_eigen(args, stream) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(args):
+def _bounds_tables(args):
+    """The BoundsTables that args select, each built only when iterated
+    to, so that a range streams out with flat memory.  The selection is
+    checked first, at both ends of a range (every even k between two
+    valid ends is valid), so a bad one writes nothing."""
     ranged = (args.k_min, args.k_max)
     if args.k is not None and ranged == (None, None):
         ks = [args.k]
@@ -143,7 +149,9 @@ def _bounds_rows(args):
             raise ValueError(f"no even k in [{args.k_min}, {args.k_max}]")
     else:
         raise ValueError("bounds needs either --k alone or both --k-min and --k-max")
-    return [bounds_mod.bounds_table(k) for k in ks]
+    for k in (ks[0], ks[-1]):
+        bounds_mod._require_even_k(k)
+    return map(bounds_mod.bounds_table, ks)
 
 
 # Column labels are the BoundsTable field names, with the bounds capitalised.
@@ -151,14 +159,22 @@ _BOUNDS_LABELS = {"a_k": "A_k", "b_k": "B_k", "b_tilde_k": "B_tilde_k", "c_k": "
 
 
 def _cmd_bounds(args, stream) -> int:
-    tables = _bounds_rows(args)
+    # each table's line is written as soon as it is built
+    tables = _bounds_tables(args)
     if args.format == "json":
-        stream.write(json.dumps([asdict(t) for t in tables]) + "\n")
+        # the bytes of json.dumps of the whole list
+        opening = "["
+        for t in tables:
+            stream.write(opening + json.dumps(asdict(t)))
+            opening = ", "
+        stream.write("]\n")
         return EXIT_OK
     labels = [_BOUNDS_LABELS.get(f.name, f.name) for f in fields(bounds_mod.BoundsTable)]
-    rows = [astuple(t) for t in tables]
+    rows = map(astuple, tables)
     if args.format == "csv":
-        stream.write(csv_table(labels, rows))
+        stream.write(csv_table(labels, []))
+        for row in rows:
+            stream.write(csv_row(row))
     else:
         for row in rows:
             pairs = (

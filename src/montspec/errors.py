@@ -4,10 +4,12 @@
 class SolverFailure(RuntimeError):
     """Raised when an eigenvalue computation cannot reach the requested accuracy.
 
-    Every solver fault is one, LAPACK failures included (tridiag re-raises
-    scipy's LAPACK errors, which are ValueErrors, as this type), so a
-    ValueError means bad input.  Carries whatever partial information is available
-    so callers can report a best estimate instead of nothing.
+    Every solver fault is one, LAPACK faults included: tridiag calls
+    scipy's LAPACK wrappers directly and raises this type on a fault they
+    report (for stebz, with its info code), never scipy.linalg's
+    LinAlgError, which is a ValueError; so a ValueError means bad input.
+    Carries whatever partial information is available so callers can
+    report a best estimate instead of nothing.
     """
 
     def __init__(self, message, best_estimate=None, residual=None):

@@ -35,17 +35,57 @@ No other module calls LAPACK, and every LAPACK fault (stebz failing to
 converge, a singular factor, a NaN pivot) leaves this one as
 SolverFailure.
 
+The four LAPACK routines (dgttrf, dgttrs, dpttrf, dstebz) are the f2py
+wrappers in scipy's compiled LAPACK extension, scipy.linalg._flapack,
+the very objects scipy.linalg.lapack exports.  The extension is loaded
+from its file in scipy's linalg directory, not through the scipy.linalg
+package, whose __init__ pulls in numpy.f2py, numpy.testing and numpy.ma
+and costs about 0.33 s beyond numpy (scipy 1.17 on a 2-core VM), most
+of a solving subcommand's start-up.  A scipy.linalg imported before or
+after this module shares the one extension module.
+
 The test suite carries its own plain-Python Sturm counter and bisection
 solver as an independent reference on small matrices.
 """
 
+import importlib.util
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf
 
 from .errors import SolverFailure
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, from sys.modules or else from its file.
+
+    A module loaded here is entered in sys.modules under its full name,
+    so a later `import scipy.linalg` reuses it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf = _flapack.dgttrf
+dgttrs = _flapack.dgttrs
+dpttrf = _flapack.dpttrf
+dstebz = _flapack.dstebz
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -152,23 +192,16 @@ def lowest_eigenvalues(diag, offdiag, count: int):
     if not math.isnan(lower):
         while upper <= lower or _count_below(diag, offdiag, upper) < count:
             upper *= 2.0
-    # tol must be a tiny positive: at exactly 0 LAPACK substitutes
-    # ulp * max(|lower|, |upper|), which is far too loose at the Neumann
-    # floor; a tiny abstol switches it to the per-eigenvalue relative
-    # criterion (machine-tight brackets around each eigenvalue).
-    try:
-        vals = eigvalsh_tridiagonal(
-            diag,
-            offdiag,
-            select="v",
-            select_range=(lower, upper),
-            lapack_driver="stebz",
-            tol=1e-300,
-            check_finite=False,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(str(exc)) from exc
-    return np.sort(vals)[:count]
+    # Eigenvalues in (lower, upper] (range 1; il and iu unused), in
+    # ascending order ("E").  The abstol must be a tiny positive: at
+    # exactly 0 LAPACK substitutes ulp * max(|lower|, |upper|), which is
+    # far too loose at the Neumann floor; a tiny abstol switches it to the
+    # per-eigenvalue relative criterion (machine-tight brackets around
+    # each eigenvalue).
+    found, vals, _, _, info = dstebz(diag, offdiag, 1, lower, upper, 1, 1, 1e-300, "E")
+    if info != 0:
+        raise SolverFailure(f"stebz failed (LAPACK info={info})")
+    return np.sort(vals[:found])[:count]
 
 
 def are_separated(offdiag, values) -> bool:

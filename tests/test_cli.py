@@ -279,6 +279,9 @@ def test_nan_tol_is_usage_error(argv, capsys):
         "bounds --k 370000000000000000",
         "certify --regime large --k 1000000000000000000",
         "bounds --k 9007199254740992",
+        # a streamed range is checked at both ends before its first line
+        "bounds --k-min 9007199254740988 --k-max 9007199254740992",
+        "bounds --k-min 9007199254740988 --k-max 9007199254740992 --format csv",
     ],
 )
 def test_k_past_double_precision_is_usage_error(argv, capsys):
@@ -318,15 +321,18 @@ def test_k_past_float_range_is_usage_error(argv, capsys):
 def test_count_past_cap_is_usage_error(count, monkeypatch, capsys):
     # each ladder level polishes every requested eigenvalue, so a count in
     # the thousands would run for hours; it is refused before any solve
-    monkeypatch.setattr(tridiag, "eigvalsh_tridiagonal", _stebz_fails)
+    monkeypatch.setattr(tridiag, "dstebz", _stebz_fails)
     code, out = _run(["eigen", "--k", "2", "--alpha", "0", "--count", count])
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err == f"usage error: count must be in [1, 64], got {count}\n"
 
 
-def _stebz_fails(*args, **kwargs):
-    raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
+def _stebz_fails(d, *args):
+    # the shape of scipy's dstebz return with info = 1: some eigenvalues
+    # failed to converge
+    blocks = np.zeros(len(d), dtype=np.int32)
+    return 0, np.zeros(len(d)), blocks, blocks, 1
 
 
 def _singular_factor(dl, d, du):
@@ -336,16 +342,16 @@ def _singular_factor(dl, d, du):
 
 _LAPACK_FAILURES = {
     # (LAPACK wrapper made to fail, text the failure must carry)
-    "eigen --k 2 --alpha 0": ("eigvalsh_tridiagonal", _stebz_fails, "stebz"),
+    "eigen --k 2 --alpha 0": ("dstebz", _stebz_fails, "stebz"),
     "scan --k 2 --alpha-min 0 --alpha-max 1 --steps 2":
-        ("eigvalsh_tridiagonal", _stebz_fails, "stebz"),
+        ("dstebz", _stebz_fails, "stebz"),
     "identities --k 2 --alpha 0": ("dgttrf", _singular_factor, "singular matrix"),
 }
 
 
 @pytest.mark.parametrize("argv", list(_LAPACK_FAILURES))
 def test_lapack_failure_exit_code(argv, monkeypatch, capsys):
-    # LAPACK's LinAlgError subclasses ValueError, but it is a solver failure
+    # a LAPACK fault is a solver failure, not a usage error
     name, failing, text = _LAPACK_FAILURES[argv]
     monkeypatch.setattr(tridiag, name, failing)
     code, out = _run(argv.split())
@@ -412,4 +418,22 @@ def test_closed_stdout_exit_code(failing, capsys):
     code = run("certify --regime large --k 1000000000".split(), stream=_ClosedPipe(failing))
     assert EXIT_BROKEN_PIPE == 141
     assert code == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_bounds_range_streams_to_closed_pipe(fmt, monkeypatch, capsys):
+    # 5e14 tables: each line is written as soon as its table is built, so
+    # the first write meets the closed pipe before a second table is built
+    built = []
+    bounds_table = bounds.bounds_table
+
+    def counted(k):
+        built.append(k)
+        return bounds_table(k)
+
+    monkeypatch.setattr(bounds, "bounds_table", counted)
+    argv = ["bounds", "--k-min", "2", "--k-max", "1000000000000000", "--format", fmt]
+    assert run(argv, stream=_ClosedPipe("write")) == EXIT_BROKEN_PIPE
+    assert built in ([], [2])
     assert capsys.readouterr().err == ""

@@ -1,5 +1,8 @@
 """Import graph: the closed-form channel loads neither numpy nor scipy,
-and only the certificates load mpmath.
+and only the certificates load mpmath.  The solving subcommands load
+numpy and scipy's compiled LAPACK extension, scipy.linalg._flapack, but
+not the scipy.linalg package, whose import would be most of their
+start-up; the LAPACK routines they bind are still scipy's own.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported the solver stack.
@@ -23,6 +26,14 @@ CLOSED_FORM_ARGV = [
     (["bounds", "--k-min", "2", "--k-max", "68"], ""),
     (["figures", "--which", "lambda1comp"], ""),
     (["figures", "--which", "completeproof"], ""),
+]
+
+# each solving subcommand, at a small problem
+SOLVER_ARGV = [
+    ["eigen", "--k", "2", "--alpha", "0"],
+    ["identities", "--k", "2", "--alpha", "0"],
+    ["scan", "--k", "2", "--alpha-min", "0", "--alpha-max", "1", "--steps", "2"],
+    ["theta0"],
 ]
 
 _REPORT_HEAVY_MODULES = """
@@ -58,6 +69,43 @@ def test_closed_form_subcommand_loads_no_solver_stack(argv, loaded):
         f"assert cli.run({argv!r}, stream=io.StringIO()) == 0\n"
     )
     assert _heavy_modules_after(code) == loaded
+
+
+@pytest.mark.parametrize("argv", SOLVER_ARGV, ids=[" ".join(argv) for argv in SOLVER_ARGV])
+def test_solver_subcommand_loads_lapack_extension_not_scipy_linalg(argv):
+    code = (
+        "import io, sys\n"
+        "from montspec import cli\n"
+        f"assert cli.run({argv!r}, stream=io.StringIO()) == 0\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+    assert _heavy_modules_after(code) == "numpy,scipy"
+
+
+def test_lapack_routines_are_scipys():
+    code = (
+        "from montspec import tridiag\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "for name in ('dgttrf', 'dgttrs', 'dpttrf', 'dstebz'):\n"
+        "    assert getattr(tridiag, name) is getattr(lapack, name), name\n"
+    )
+    assert _heavy_modules_after(code) == "numpy,scipy"
+
+
+def test_scipy_linalg_imported_after_montspec_works():
+    code = (
+        "import numpy as np\n"
+        "from montspec import tridiag\n"
+        "import scipy.linalg\n"
+        "d, e = np.array([2.0, 3.0, 4.0]), np.array([-1.0, -1.0])\n"
+        "full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)\n"
+        "expected = np.linalg.eigvalsh(full)\n"
+        "assert np.allclose(scipy.linalg.eigh(full, eigvals_only=True), expected)\n"
+        "assert np.allclose(scipy.linalg.eigvalsh_tridiagonal(d, e), expected)\n"
+        "assert np.allclose(tridiag.lowest_eigenvalues(d, e, 3), expected)\n"
+    )
+    assert _heavy_modules_after(code) == "numpy,scipy"
 
 
 def test_every_export_resolves_and_is_listed():

@@ -471,8 +471,7 @@ def test_shifted_solve_residual():
 
 def test_lowest_eigenvalues_lapack_failure_is_solver_failure():
     # stebz does not converge on a NaN entry; that is a solver failure, not
-    # the ValueError (LinAlgError's base) that bad arguments raise
+    # the ValueError that bad arguments raise
     diag = np.array([1.0, np.nan, 3.0, 4.0])
-    with pytest.raises(SolverFailure, match="stebz") as info:
+    with pytest.raises(SolverFailure, match=r"stebz.*info="):
         lowest_eigenvalues(diag, -np.ones(3), 1)
-    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
