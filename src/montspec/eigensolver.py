@@ -118,6 +118,7 @@ def assemble_hamiltonian(
     potential,
     grid: GridSpec,
     geometry: Geometry = Geometry.FULL_LINE,
+    coarse_values: Optional[np.ndarray] = None,
 ) -> AssembledSystem:
     """Three-point discretization of -d2/dt2 + V on the grid, Dirichlet at
     the upper end; the lower end is Neumann for Geometry.HALF_LINE_NEUMANN
@@ -131,6 +132,14 @@ def assemble_hamiltonian(
     off-diagonal entry to -sqrt(2)/h^2 and leaves all eigenvalues intact.
     A side effect worth knowing: a unit vector in the symmetrized basis
     corresponds exactly to a trapezoid-normalized physical function.
+
+    `coarse_values` are the potential_values of the same potential and
+    geometry on the grid with (n - 1) / 2 points on the same interval (n
+    odd), the refinement ladder's level below this one.  That grid's
+    spacing is exactly twice this one's, so its points are every other
+    point of this grid, bit for bit (the odd-indexed points, or the
+    even-indexed ones with a Neumann boundary point), and V is evaluated
+    only at the n + 1 points between them.
     """
     if not isinstance(geometry, Geometry):
         raise ValueError(f"geometry must be a Geometry member, got {geometry!r}")
@@ -140,7 +149,17 @@ def assemble_hamiltonian(
     if neumann:
         pts = np.concatenate(([grid.lower], pts))
     inv_h2 = 1.0 / (h * h)
-    values = np.asarray(potential.value(pts), dtype=float)
+    if coarse_values is None:
+        values = np.asarray(potential.value(pts), dtype=float)
+    else:
+        carried = int(not neumann)  # index of the first coarse point
+        if grid.n % 2 == 0 or len(coarse_values) != len(pts[carried::2]):
+            raise ValueError(
+                f"{len(coarse_values)} coarse values do not fit a grid of n = {grid.n}"
+            )
+        values = np.empty(len(pts))
+        values[carried::2] = coarse_values
+        values[1 - carried::2] = potential.value(pts[1 - carried::2])
     diag = 2.0 * inv_h2 + values
     offdiag = np.full(len(pts) - 1, -inv_h2)
     if neumann:
@@ -273,20 +292,21 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     `seed` predicts lambda1 on the coarse level (say, lambda1 of a nearby
     potential) and seeds it; the fine level is seeded from the coarse
     one's value and starts inverse iteration from its vector, as in the
-    ladder.  A poor seed costs a bisection, not accuracy (see
+    ladder, and with an odd grid.n it reuses the coarse level's potential
+    samples.  A poor seed costs a bisection, not accuracy (see
     refined_lowest_eigenvalues).  Callers that evaluate several potentials
     on one grid see an O(h^2) error that is a smooth function of the
     potential parameters, so it cancels in finite differences and
     comparisons.  Dirichlet ends.
     """
-    coarse = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
+    coarse_grid = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
+    coarse = assemble_hamiltonian(potential, coarse_grid)
     shapes = StartShapes()
-    lam_c, _ = refined_lowest_eigenvalues(
-        assemble_hamiltonian(potential, coarse), 1, seeds=np.array([seed]), shapes=shapes
-    )
-    lam_f, _ = refined_lowest_eigenvalues(
-        assemble_hamiltonian(potential, grid), 1, seeds=lam_c, shapes=shapes
-    )
+    lam_c, _ = refined_lowest_eigenvalues(coarse, 1, seeds=np.array([seed]), shapes=shapes)
+    carried = coarse.potential_values if grid.n % 2 else None
+    del coarse  # its matrix is not held while the fine level is solved
+    fine = assemble_hamiltonian(potential, grid, coarse_values=carried)
+    lam_f, _ = refined_lowest_eigenvalues(fine, 1, seeds=lam_c, shapes=shapes)
     return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
 
 
@@ -348,9 +368,11 @@ def solve_on_interval(
     `geometry` (see assemble_hamiltonian) and Dirichlet at the upper end.
 
     Grids refine from _N_START points with n -> 2n + 1 (spacing exactly
-    halves), up to _N_CAP points, until raw eigenvalue changes drop below
-    tol/2 for every requested eigenvalue, then one Richardson step
-    removes the leading O(h^2) error from the reported values.
+    halves, so each level takes the level before it's potential samples
+    at every other point and evaluates V only between them), up to _N_CAP
+    points, until raw eigenvalue changes drop below tol/2 for every
+    requested eigenvalue, then one Richardson step removes the leading
+    O(h^2) error from the reported values.
     achieved_tol_estimate adds the last raw change and the extrapolation
     correction.  `seeds`, as in refined_lowest_eigenvalues, predict the
     first level's eigenvalues (solve passes its pre-solve's); from the
@@ -360,8 +382,8 @@ def solve_on_interval(
 
     The first level's eigenvectors (count vectors of _N_START points) are
     kept, and every later level starts inverse iteration for eigenpair j
-    from vector j, interpolated onto its points (StartShapes): one factor
-    and about one sweep per eigenpair, with no polish sweeps.  The first
+    from vector j, interpolated onto its points (StartShapes): about one
+    sweep (one tridiagonal solve) per eigenpair, with no polish sweeps.  The first
     level, with a flat start and its polish, keeps the vectors' far tails
     at rounding level for the levels after it.  Finer levels' vectors are
     not kept: holding count of them would raise peak memory with count.
@@ -374,8 +396,12 @@ def solve_on_interval(
     lam = None
     levels = 0
     shapes = StartShapes()
+    values = None
     while n <= _N_CAP:
-        system = assemble_hamiltonian(potential, GridSpec(lower, upper, n), geometry)
+        system = assemble_hamiltonian(
+            potential, GridSpec(lower, upper, n), geometry, coarse_values=values
+        )
+        values = system.potential_values
         # Predicted eigenvalues for this level: the error goes like h^2
         # and h halves each level, so each change is a quarter of the last.
         if prev is not None:

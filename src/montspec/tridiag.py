@@ -19,23 +19,26 @@ the eigenvalues (the coarse pre-solve in eigensolver.solve, whose values
 seed the first level of its refinement ladder), and as the fallback when
 predicted values fail their check.
 
-Inverse iteration factors A - shift I once (LAPACK gttrf, shared with
-shifted_solve) and reuses the factor for every sweep, polish sweeps
-included.  Its residual is taken at the iterate's Rayleigh quotient, so a
-shift from an eigenvalue predicted on coarser grids converges as well as
-one from a bisection bracket; a sweep's own norm bounds that residual,
-which spares most converged sweeps their matrix-vector product.  From the
-flat start it takes about 1.4 sweeps to converge and two polish sweeps
-that damp the flat vector's imprint in the far tails; from a start close
-to the eigenvector (a coarser grid's eigenvector, interpolated) it takes
-about one sweep and no polish.  are_lowest_eigenvalues confirms the
-polished values of predicted eigenvalues with one pivot count just above
-them instead of bisecting.
+Each inverse-iteration sweep, and each shifted_solve, is one LAPACK
+gtsv call on A - shift I: Gaussian elimination with partial pivoting
+fused with the solve, the same arithmetic (and bits) as a gttrf factor
+followed by a gttrs solve.  No factor is kept across sweeps: a start
+close to the eigenvector converges in one sweep, so a kept factor would
+save almost nothing.  The residual is taken at the iterate's Rayleigh
+quotient, so a shift from an eigenvalue predicted on coarser grids
+converges as well as one from a bisection bracket; a sweep's own norm
+bounds that residual, which spares most converged sweeps their
+matrix-vector product.  From the flat start it takes about 1.4 sweeps
+to converge and two polish sweeps that damp the flat vector's imprint in
+the far tails; from a start close to the eigenvector (a coarser grid's
+eigenvector, interpolated) it takes about one sweep and no polish.
+are_lowest_eigenvalues confirms the polished values of predicted
+eigenvalues with one pivot count just above them instead of bisecting.
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
-converge, a singular factor, a NaN pivot) leaves this one as
+converge, a singular shifted matrix, a NaN pivot) leaves this one as
 SolverFailure.
 
-The four LAPACK routines (dgttrf, dgttrs, dpttrf, dstebz) are the f2py
+The three LAPACK routines (dgtsv, dpttrf, dstebz) are the f2py
 wrappers in scipy's compiled LAPACK extension, scipy.linalg._flapack,
 the very objects scipy.linalg.lapack exports.  The extension is loaded
 from its file in scipy's linalg directory, not through the scipy.linalg
@@ -48,6 +51,7 @@ The test suite carries its own plain-Python Sturm counter and bisection
 solver as an independent reference on small matrices.
 """
 
+import functools
 import importlib.util
 import math
 import os
@@ -82,8 +86,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgttrf = _flapack.dgttrf
-dgttrs = _flapack.dgttrs
+dgtsv = _flapack.dgtsv
 dpttrf = _flapack.dpttrf
 dstebz = _flapack.dstebz
 
@@ -94,6 +97,23 @@ _TINY = np.finfo(float).tiny
 _MAX_SWEEPS = 50
 
 
+def _max_abs(x) -> float:
+    """max |x_i|, by two reductions instead of a temporary |x|; NaN if an
+    entry is NaN."""
+    return max(float(np.max(x)), -float(np.min(x)))
+
+
+def _all_finite(x) -> bool:
+    """Whether every entry of x is finite: NaN propagates through both
+    reductions, and an infinity is the largest or the smallest entry."""
+    return math.isfinite(np.min(x)) and math.isfinite(np.max(x))
+
+
+def _require_rows(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need at least 2 rows, got {n}")
+
+
 def _residual_floor(offdiag, eigenvalue: float) -> float:
     """Rounding floor of ||A v - eigenvalue v|| for a unit eigenvector v.
 
@@ -101,7 +121,7 @@ def _residual_floor(offdiag, eigenvalue: float) -> float:
     entries: the eigenvector is zero there, so they contribute nothing to
     a converged residual.
     """
-    scale = 4.0 * float(np.max(np.abs(offdiag))) + abs(eigenvalue) + 1.0
+    scale = 4.0 * _max_abs(offdiag) + abs(eigenvalue) + 1.0
     return 64.0 * _EPS * scale
 
 
@@ -121,7 +141,7 @@ def _window_floor(diag, offdiag) -> float:
     entries of the floor row, not with the saturated barrier samples.
     """
     lo, _ = _gershgorin_interval(diag, offdiag)
-    scale = abs(lo) + 2.0 * float(np.max(np.abs(offdiag))) + 1.0
+    scale = abs(lo) + 2.0 * _max_abs(offdiag) + 1.0
     return lo - 2.1 * len(diag) * _EPS * scale
 
 
@@ -181,8 +201,7 @@ def lowest_eigenvalues(diag, offdiag, count: int):
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     n = len(diag)
-    if n < 2:
-        raise ValueError(f"need at least 2 rows, got {n}")
+    _require_rows(n)
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
     lower = _window_floor(diag, offdiag)
@@ -243,15 +262,14 @@ def _rayleigh_residual(diag, offdiag, v) -> float:
     return float(np.linalg.norm(r))
 
 
-def _shifted_factor(diag, offdiag, shift: float):
-    """Factor A - shift I once (LAPACK gttrf, partial pivoting) and return
-    the solve x -> (A - shift I)^(-1) x through that factor (gttrs)."""
-    if len(diag) < 3:
-        raise ValueError(f"need at least 3 rows, got {len(diag)}")
-    dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
+def _gtsv(offdiag, shifted, rhs):
+    """(A - shift I)^(-1) rhs, for the diagonal `shifted` of A - shift I:
+    one LAPACK gtsv call (Gaussian elimination with partial pivoting,
+    fused with the solve), which leaves its arguments intact."""
+    *_, x, info = dgtsv(offdiag, shifted, offdiag, rhs)
     if info > 0:
         raise SolverFailure("singular matrix")
-    return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+    return x
 
 
 def _aligned_sweep(sweep, v):
@@ -272,9 +290,9 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
 
-    The shift is offset from the estimate by 1e-12 relative so the
-    factorization stays regular; A - shift I is factored once (LAPACK
-    gttrf, partial pivoting) and the factor serves every sweep.
+    The shift is offset from the estimate by 1e-12 relative so A - shift I
+    stays regular; each sweep is one LAPACK gtsv solve with it (see the
+    module docstring).
     Convergence is declared on the residual ||A v - rho v|| at the
     iterate's own Rayleigh quotient rho, measured against the rounding
     floor of the matrix-vector product, so an estimate off by more than
@@ -283,7 +301,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     A sweep w = (A - shift I)^(-1) v from a unit v bounds that residual
     by itself: ||(A - shift I) w/||w|| || = 1/||w||, and no shift gives a
     smaller residual than the Rayleigh quotient.  A sweep with 1/||w||
-    within half the floor is accepted on that bound (the factor's
+    within half the floor is accepted on that bound (the elimination's
     rounding adds a few eps ||A||); only the others pay for the explicit
     residual.
 
@@ -297,18 +315,15 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     converges in about one sweep and runs no polish sweeps.
 
     Returns a unit 2-norm vector with positive sign convention (sum of
-    entries > 0).  Needs at least 3 rows, as scipy's gttrf wrapper does,
-    and finite entries and estimate, and a finite non-zero start.
+    entries > 0).  Needs at least 2 rows, finite entries and estimate,
+    and a finite non-zero start.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
-    if not (
-        math.isfinite(eigenvalue)
-        and np.all(np.isfinite(diag))
-        and np.all(np.isfinite(offdiag))
-    ):
-        raise ValueError("inverse iteration needs finite entries and estimate")
     n = len(diag)
+    _require_rows(n)
+    if not (math.isfinite(eigenvalue) and _all_finite(diag) and _all_finite(offdiag)):
+        raise ValueError("inverse iteration needs finite entries and estimate")
     if start is None:
         v = np.full(n, 1.0 / np.sqrt(n))
     else:
@@ -316,7 +331,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
         if start.shape != (n,):
             raise ValueError(f"start must have {n} entries, got shape {start.shape}")
         # nan or inf if an entry is; scaling by it keeps the norm finite
-        scale = np.max(np.abs(start))
+        scale = _max_abs(start)
         if not 0.0 < scale < np.inf:
             raise ValueError(
                 f"inverse iteration needs a finite non-zero start, largest magnitude {scale}"
@@ -326,7 +341,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     polish = start is None
     del start  # not held through the sweeps: a temporary passed in is freed here
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
-    sweep = _shifted_factor(diag, offdiag, shift)
+    sweep = functools.partial(_gtsv, offdiag, diag - shift)
     floor = _residual_floor(offdiag, eigenvalue)
     residual = np.inf
     for _ in range(_MAX_SWEEPS):
@@ -355,7 +370,8 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
 
 def shifted_solve(diag, offdiag, shift: float, rhs):
     """Solve (A - shift I) x = rhs for a symmetric tridiagonal A with at
-    least 3 rows, by the gttrf factor inverse_iteration uses."""
+    least 2 rows: one LAPACK gtsv call, as an inverse-iteration sweep."""
     diag = np.asarray(diag, dtype=float)
+    _require_rows(len(diag))
     offdiag = np.asarray(offdiag, dtype=float)
-    return _shifted_factor(diag, offdiag, shift)(np.asarray(rhs, dtype=float))
+    return _gtsv(offdiag, diag - shift, np.asarray(rhs, dtype=float))

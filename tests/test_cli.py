@@ -335,9 +335,9 @@ def _stebz_fails(d, *args):
     return 0, np.zeros(len(d)), blocks, blocks, 1
 
 
-def _singular_factor(dl, d, du):
-    # the shape of scipy's dgttrf return with info = 1: U(1, 1) is zero
-    return dl, d, du, du[:-1], np.arange(1, len(d) + 1, dtype=np.int32), 1
+def _singular_factor(dl, d, du, b):
+    # the shape of scipy's dgtsv return with info = 1: U(1, 1) is zero
+    return dl, d, du, b, 1
 
 
 _LAPACK_FAILURES = {
@@ -345,7 +345,7 @@ _LAPACK_FAILURES = {
     "eigen --k 2 --alpha 0": ("dstebz", _stebz_fails, "stebz"),
     "scan --k 2 --alpha-min 0 --alpha-max 1 --steps 2":
         ("dstebz", _stebz_fails, "stebz"),
-    "identities --k 2 --alpha 0": ("dgttrf", _singular_factor, "singular matrix"),
+    "identities --k 2 --alpha 0": ("dgtsv", _singular_factor, "singular matrix"),
 }
 
 

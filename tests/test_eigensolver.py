@@ -337,6 +337,75 @@ def test_seeded_level_certified_after_polish_bisects_once(monkeypatch):
     assert sizes == [eigensolver._N_START]
 
 
+class _CountedPotential:
+    """A potential that records how many points each value() call samples."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def value(self, t):
+        self.sizes.append(np.size(t))
+        return self.inner.value(t)
+
+    def turning_point(self, energy):
+        return self.inner.turning_point(energy)
+
+
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, D, N], ids=["full", "dirichlet", "neumann"])
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_refined_levels_carry_potential_samples(monkeypatch, geometry, k):
+    # a level with 2n + 1 interior points reuses the samples of the level
+    # below at every other point, so V is evaluated at the n + 1 new points
+    # only, and every level's samples are V's own, bit for bit
+    potential = _CountedPotential(MontgomeryPotential(k, 0.3))
+    levels = []
+    assemble = eigensolver.assemble_hamiltonian
+
+    def recorded(*args, **kwargs):
+        before = len(potential.sizes)
+        system = assemble(*args, **kwargs)
+        levels.append((system, potential.sizes[before:]))
+        return system
+
+    monkeypatch.setattr(eigensolver, "assemble_hamiltonian", recorded)
+    res = solve(potential, count=2, tol=1e-6, geometry=geometry)
+    ladder = levels[1:]  # levels[0] is the pre-solve
+    assert len(ladder) == res.iterations >= 3
+    assert ladder[0][1] == [len(ladder[0][0].points)]
+    for (coarse, _), (_, sizes) in zip(ladder, ladder[1:]):
+        n = len(coarse.points) - int(geometry is N)  # its grid's interior points
+        assert sizes == [n + 1]
+    for system, _ in levels:
+        expected = potential.inner.value(system.points)
+        assert system.potential_values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, fine_points", [(4095, 2048), (4096, 4096)])
+def test_fixed_grid_fine_level_carries_samples(monkeypatch, n, fine_points):
+    # only an odd n puts the coarse level's points on every other fine point
+    potential = _CountedPotential(MontgomeryPotential(2, 0.3))
+    grid = GridSpec(-5.0, 5.0, n)
+    lam = fixed_grid_lambda1(potential, grid, 0.84)
+    assert potential.sizes == [(n - 1) // 2, fine_points]
+    plain = eigensolver.assemble_hamiltonian
+    monkeypatch.setattr(eigensolver, "assemble_hamiltonian",
+                        lambda potential, grid, coarse_values=None: plain(potential, grid))
+    assert fixed_grid_lambda1(potential.inner, grid, 0.84) == lam
+
+
+def test_coarse_values_must_fit_the_grid():
+    potential = MontgomeryPotential(2, 0.3)
+    coarse = assemble_hamiltonian(potential, GridSpec(-5.0, 5.0, 255))
+    for grid in (GridSpec(-5.0, 5.0, 512), GridSpec(-5.0, 5.0, 513)):
+        with pytest.raises(ValueError, match="255 coarse values do not fit"):
+            assemble_hamiltonian(potential, grid, coarse_values=coarse.potential_values)
+    # a Neumann grid of n = 511 keeps 256 coarse points, its boundary point among them
+    with pytest.raises(ValueError, match="255 coarse values do not fit a grid of n = 511"):
+        assemble_hamiltonian(potential, GridSpec(-5.0, 5.0, 511), N,
+                             coarse_values=coarse.potential_values)
+
+
 @pytest.mark.parametrize("spec", [OperatorSpec(2, 0.0), OperatorSpec(2, 0.4, N)],
                          ids=["full-line", "neumann"])
 def test_started_levels_take_one_sweep_per_eigenpair(monkeypatch, spec):

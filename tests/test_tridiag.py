@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from montspec.eigensolver import (
     GridSpec,
@@ -373,10 +374,25 @@ def test_inverse_iteration_start_of_huge_entries():
     assert v == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
 
 
-def test_inverse_iteration_rejects_two_by_two():
-    # scipy's gttrf wrapper, which factors the shifted matrix, needs n >= 3
-    with pytest.raises(ValueError, match="at least 3 rows"):
-        inverse_iteration(np.array([2.0, 2.0]), np.array([-1.0]), 1.0)
+def test_inverse_iteration_rejects_one_row():
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        inverse_iteration(np.array([2.0]), np.array([]), 2.0)
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        shifted_solve(np.array([2.0]), np.array([]), 1.0, np.ones(1))
+
+
+def test_two_by_two_closed_form():
+    # [[1, 1], [1, 3]] has eigenvalues 2 -+ sqrt(2), with eigenvectors
+    # along (1, 1 -+ sqrt(2)); both sum to more than 0
+    diag, offdiag = np.array([1.0, 3.0]), np.array([1.0])
+    for sign in (-1.0, 1.0):
+        v = inverse_iteration(diag, offdiag, 2.0 + sign * np.sqrt(2.0))
+        expected = np.array([1.0, 1.0 + sign * np.sqrt(2.0)])
+        assert v == pytest.approx(expected / np.linalg.norm(expected), rel=0.0, abs=1e-12)
+    # (A - 0.5 I)^(-1) (1, 0) = (2.5, -1) / 0.25
+    assert shifted_solve(diag, offdiag, 0.5, np.array([1.0, 0.0])) == pytest.approx(
+        [10.0, -4.0], rel=1e-14
+    )
 
 
 def test_inverse_iteration_singular_shift_raises():
@@ -441,6 +457,31 @@ def test_sweep_norm_bounds_rayleigh_residual(n, seed, index, offset, sweeps):
         v = w / np.linalg.norm(w)
     norm_a = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(offdiag)))
     assert _rayleigh_residual(diag, offdiag, v) <= 1.0 / np.linalg.norm(w) + 4.0 * _EPS * norm_a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 2),
+    offset=st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, -1e-4]),
+)
+def test_shifted_solve_matches_factor_and_solve(n, seed, index, offset):
+    # one gtsv call does the arithmetic of a gttrf factor and a gttrs solve
+    # through it, row interchanges included, so the bits agree; shifts
+    # next to an eigenvalue make the pivots small and the interchanges
+    # frequent (scipy's gttrf wrapper needs 3 rows)
+    rng = np.random.default_rng(seed)
+    diag, offdiag = _random_tridiag(rng, n)
+    shift = lowest_eigenvalues(diag, offdiag, index + 1)[index] + offset
+    dl, d, du, du2, ipiv, info = dgttrf(offdiag, diag - shift, offdiag)
+    for rhs in (np.full(n, 1.0 / np.sqrt(n)), rng.normal(size=n)):
+        if info > 0:  # an exactly zero pivot: both find the matrix singular
+            with pytest.raises(SolverFailure, match="singular matrix"):
+                shifted_solve(diag, offdiag, shift, rhs)
+            continue
+        reference = dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+        assert shifted_solve(diag, offdiag, shift, rhs).tobytes() == reference.tobytes()
 
 
 def test_inverse_iteration_diagonal():
