@@ -1,10 +1,10 @@
 """Adaptive eigenvalue solver for confining 1D Schrodinger operators.
 
-Second-order central differences on a truncated interval, eigenvalues
-polished by inverse iteration (started from the pre-solve's Sturm
-bisection on the first refinement level, and from values predicted by
-the coarser levels after it), and one Richardson extrapolation step on
-the reported eigenvalues.
+Second-order central differences on a truncated interval, refined on
+one ladder of grids (_ladder; each level's eigenvalues are polished by
+inverse iteration, seeded and started from the levels below it), and one
+Richardson extrapolation step on the reported eigenvalues: over as many
+levels as tol needs in solve_on_interval, over two in fixed_grid_lambda1.
 Covers the three operators.Geometry domains: the full line and the half
 line with a Dirichlet or Neumann condition at t=0 (the Neumann one gives
 the de Gennes constant).  Also the explicit step-well model, whose first
@@ -222,9 +222,9 @@ def refined_lowest_eigenvalues(
     Rayleigh quotient of an eigenvector with residual r is accurate to
     r^2 / gap, which lands near machine precision.
 
-    `seeds` are predicted eigenvalues: from coarser grids or the pre-solve
-    (see solve_on_interval) or from an adaptive solve of the same or a nearby
-    operator (fixed_grid_lambda1 and its callers, the identities).  Given
+    `seeds` are predicted eigenvalues: from the ladder's coarser levels
+    (_ladder), the pre-solve (solve), or an adaptive solve of the same or
+    a nearby operator (fixed_grid_lambda1's callers).  Given
     them, bisection is skipped: inverse iteration starts from each
     prediction, and the polished values must be strictly increasing, well
     separated and exactly as many as one Sturm count finds just above the
@@ -285,29 +285,58 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     return refined, vectors
 
 
-def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
-    """lambda1 on `grid` and on its (n - 1) / 2 coarsening (twice the
-    spacing), plus one Richardson step.
+def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
+    """The refinement ladder on (lower, upper): one level per size in
+    `sizes`, yielding (n, eigenvalues, system, ground vector) for each.
 
-    `seed` predicts lambda1 on the coarse level (say, lambda1 of a nearby
-    potential) and seeds it; the fine level is seeded from the coarse
-    one's value and starts inverse iteration from its vector, as in the
-    ladder, and with an odd grid.n it reuses the coarse level's potential
-    samples.  A poor seed costs a bisection, not accuracy (see
-    refined_lowest_eigenvalues).  Callers that evaluate several potentials
-    on one grid see an O(h^2) error that is a smooth function of the
-    potential parameters, so it cancels in finite differences and
-    comparisons.  Dirichlet ends.
+    A level takes from the level before it its potential samples when
+    n = 2m + 1 (see assemble_hamiltonian) and its seeds: `seeds` at the
+    first level, then the previous values, then prev + (prev - prev2) / 4
+    (the error goes like h^2, so each change is a quarter of the last).
+    Every level after the first starts inverse iteration from the first
+    level's eigenvectors (StartShapes).  A level's matrix is kept until
+    the next one is assembled, and its vector is freed before it, also
+    when the consumer stops there: of the orders measured, this one takes
+    the fewest page faults.
+
+    Consumer rule: drop the level's system and vector before asking for
+    the next level, and never iterate the ladder through `enumerate`,
+    whose last result tuple would hold both while the next level is solved.
     """
-    coarse_grid = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
-    coarse = assemble_hamiltonian(potential, coarse_grid)
     shapes = StartShapes()
-    lam_c, _ = refined_lowest_eigenvalues(coarse, 1, seeds=np.array([seed]), shapes=shapes)
-    carried = coarse.potential_values if grid.n % 2 else None
-    del coarse  # its matrix is not held while the fine level is solved
-    fine = assemble_hamiltonian(potential, grid, coarse_values=carried)
-    lam_f, _ = refined_lowest_eigenvalues(fine, 1, seeds=lam_c, shapes=shapes)
-    return float(lam_f[0] + (lam_f[0] - lam_c[0]) / 3.0)
+    prev = prev2 = system = None
+    for n in sizes:
+        # with n = 2m + 1 the level below's points are every other point
+        carry = system is not None and n == 2 * m + 1
+        system = assemble_hamiltonian(
+            potential, GridSpec(lower, upper, n), geometry,
+            coarse_values=system.potential_values if carry else None,
+        )
+        if prev is not None:
+            seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
+        lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds, shapes=shapes)
+        try:
+            yield n, lam, system, v
+        finally:
+            del v  # also when the consumer stops at this level
+        prev2, prev, m = prev, lam, n
+
+
+def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
+    """lambda1 from the two-level ladder on `grid`'s (n - 1) / 2
+    coarsening (twice the spacing) and `grid`, plus one Richardson step;
+    Dirichlet ends.  `seed` predicts the coarse level's lambda1 (say,
+    that of a nearby potential); a poor seed costs a bisection, not
+    accuracy.  Callers that evaluate several potentials on one grid see
+    an O(h^2) error that is a smooth function of the potential
+    parameters, so it cancels in finite differences and comparisons.
+    """
+    sizes = ((grid.n - 1) // 2, grid.n)
+    ladder = _ladder(potential, grid.lower, grid.upper, sizes, 1, Geometry.FULL_LINE,
+                     np.array([seed]))
+    # `_` holds the coarse vector while the fine level is solved, not its matrix
+    lam_c, lam_f = (lam[0] for _, lam, _, _ in ladder)
+    return float(lam_f + (lam_f - lam_c) / 3.0)
 
 
 def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
@@ -367,59 +396,29 @@ def solve_on_interval(
     """Adaptive solve on a fixed interval, with the lower-end condition of
     `geometry` (see assemble_hamiltonian) and Dirichlet at the upper end.
 
-    Grids refine from _N_START points with n -> 2n + 1 (spacing exactly
-    halves, so each level takes the level before it's potential samples
-    at every other point and evaluates V only between them), up to _N_CAP
+    Walks the ladder from _N_START points with n -> 2n + 1, up to _N_CAP
     points, until raw eigenvalue changes drop below tol/2 for every
     requested eigenvalue, then one Richardson step removes the leading
-    O(h^2) error from the reported values.
-    achieved_tol_estimate adds the last raw change and the extrapolation
-    correction.  `seeds`, as in refined_lowest_eigenvalues, predict the
-    first level's eigenvalues (solve passes its pre-solve's); from the
-    second level on, each level is seeded with eigenvalues predicted from
-    the levels before it.  A seeded level bisects only if its seeds fail
-    their check.
-
-    The first level's eigenvectors (count vectors of _N_START points) are
-    kept, and every later level starts inverse iteration for eigenpair j
-    from vector j, interpolated onto its points (StartShapes): about one
-    sweep (one tridiagonal solve) per eigenpair, with no polish sweeps.  The first
-    level, with a flat start and its polish, keeps the vectors' far tails
-    at rounding level for the levels after it.  Finer levels' vectors are
-    not kept: holding count of them would raise peak memory with count.
+    O(h^2) error from the reported values; achieved_tol_estimate adds the
+    last raw change and the extrapolation correction.  `seeds` predict the
+    first level's eigenvalues (solve passes its pre-solve's).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = _N_START
-    prev: Optional[np.ndarray] = None
-    prev2: Optional[np.ndarray] = None
-    lam = None
-    levels = 0
-    shapes = StartShapes()
-    values = None
-    while n <= _N_CAP:
-        system = assemble_hamiltonian(
-            potential, GridSpec(lower, upper, n), geometry, coarse_values=values
-        )
-        values = system.potential_values
-        # Predicted eigenvalues for this level: the error goes like h^2
-        # and h halves each level, so each change is a quarter of the last.
-        if prev is not None:
-            seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
-        lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds, shapes=shapes)
-        levels += 1
-        # Report the ground state from the last level up to _N_VECTOR_CAP
-        # (the first level, _N_START points, is below it): past it the
-        # eigenvector's rounding noise (eps/h^2) outgrows its
-        # discretization error.  Only the physical samples are kept, not
-        # the level's matrix.
+    sizes = [_N_START]
+    while 2 * sizes[-1] + 1 <= _N_CAP:
+        sizes.append(2 * sizes[-1] + 1)
+    prev = None
+    for n, lam, system, v in _ladder(potential, lower, upper, sizes, count, geometry, seeds):
+        # The ground state comes from the last level up to _N_VECTOR_CAP
+        # (the first level is below it), as physical samples only.
         if n <= _N_VECTOR_CAP:
             ground = (
                 system.points,
                 system.to_physical(v) / math.sqrt(system.spacing),
                 system.quadrature_weights(),
             )
-        del v  # not held while the next, larger level is solved
+        del system, v  # see _ladder's consumer rule
         if prev is not None:
             change = np.abs(lam - prev)
             if np.max(change) < 0.5 * tol:
@@ -439,13 +438,12 @@ def solve_on_interval(
                     quadrature_weights=weights,
                     achieved_tol_estimate=achieved,
                     grid_used=GridSpec(lower, upper, n),
-                    iterations=levels,
+                    iterations=sizes.index(n) + 1,
                 )
-        prev2, prev = prev, lam
-        n = 2 * n + 1
+        prev = lam
     raise SolverFailure(
         f"grid refinement cap n > {_N_CAP} reached before tolerance {tol}",
-        best_estimate=tuple(float(x) for x in lam) if lam is not None else None,
+        best_estimate=tuple(float(x) for x in prev),
     )
 
 

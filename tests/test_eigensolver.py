@@ -2,6 +2,7 @@
 the de Gennes constant machinery, and the step-well gluing equation."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -390,8 +391,49 @@ def test_fixed_grid_fine_level_carries_samples(monkeypatch, n, fine_points):
     assert potential.sizes == [(n - 1) // 2, fine_points]
     plain = eigensolver.assemble_hamiltonian
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian",
-                        lambda potential, grid, coarse_values=None: plain(potential, grid))
+                        lambda potential, grid, geometry=Geometry.FULL_LINE, coarse_values=None:
+                        plain(potential, grid, geometry))
     assert fixed_grid_lambda1(potential.inner, grid, 0.84) == lam
+
+
+def _record_liveness(monkeypatch):
+    """At the start of each level's solve, the indices of the earlier
+    assembled systems and returned ground vectors that are still alive."""
+    systems, vectors, alive = [], [], []
+    assemble = eigensolver.assemble_hamiltonian
+    level = eigensolver.refined_lowest_eigenvalues
+
+    def recorded_assemble(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        systems.append(weakref.ref(system))
+        return system
+
+    def recorded_level(system, *args, **kwargs):
+        earlier = [ref() for ref in systems]
+        alive.append(([i for i, s in enumerate(earlier) if s is not None and s is not system],
+                      [i for i, ref in enumerate(vectors) if ref() is not None]))
+        del earlier
+        lam, v = level(system, *args, **kwargs)
+        vectors.append(weakref.ref(v))
+        return lam, v
+
+    monkeypatch.setattr(eigensolver, "assemble_hamiltonian", recorded_assemble)
+    monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", recorded_level)
+    return alive
+
+
+def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
+    # a level's matrix and vector are dead once the next, larger level is
+    # solved; only the pre-solve's system (index 0) lives, held by solve
+    alive = _record_liveness(monkeypatch)
+    res = solve(OperatorSpec(2, 0.3), count=2, tol=1e-8)
+    assert res.iterations == len(alive) == 8
+    assert alive == [([0], [])] * 8
+    alive.clear()
+    # fixed_grid_lambda1's coarse matrix is dead while its fine level is
+    # solved; the coarse vector (4095 rows) may live
+    fixed_grid_lambda1(MontgomeryPotential(2, 0.3), GridSpec(-5.0, 5.0, 8191), 0.84)
+    assert [systems for systems, _ in alive] == [[], []]
 
 
 def test_coarse_values_must_fit_the_grid():
