@@ -39,7 +39,7 @@ _N_VECTOR_CAP = 66000
 _SQRT2 = math.sqrt(2.0)
 
 # Most eigenvalues one solve may ask for: every ladder level polishes
-# each of them by inverse iteration on its whole grid.
+# each of them by inverse iteration on its grid's coupled core.
 MAX_COUNT = 64
 
 
@@ -83,6 +83,19 @@ class AssembledSystem:
     potential_values: np.ndarray
     spacing: float
     neumann_lower: bool
+
+    def rows(self, lo: int, hi: int) -> "AssembledSystem":
+        """The principal submatrix on rows [lo, hi), as views of this
+        system's arrays: Dirichlet at each cut, Neumann at the lower end
+        only if it keeps row 0."""
+        return AssembledSystem(
+            diag=self.diag[lo:hi],
+            offdiag=self.offdiag[lo:hi - 1],
+            points=self.points[lo:hi],
+            potential_values=self.potential_values[lo:hi],
+            spacing=self.spacing,
+            neumann_lower=self.neumann_lower and lo == 0,
+        )
 
     def to_physical(self, v: np.ndarray) -> np.ndarray:
         u = np.array(v, dtype=float)
@@ -183,9 +196,12 @@ class StartShapes:
     Neumann row's symmetrizing scale drops out; the overall scale does
     not matter, as inverse iteration normalizes its start).  From then on,
     each level it is given starts eigenpair j from vector j, linearly
-    interpolated onto the level's own points.  Only that one level is
-    held: with the ladder's first level, `count` vectors of about
-    _N_START doubles.
+    interpolated onto the level's own points, or onto the points of the
+    coupled core that level is polished on (_polished).  The recorded
+    vectors are zero outside the recording level's core, which is no
+    wider than a finer level's: the core's threshold grows like 1/h^2.
+    Only that one level is held: with the ladder's first level, `count`
+    vectors of about _N_START doubles.
     """
 
     def __init__(self):
@@ -241,6 +257,13 @@ def refined_lowest_eigenvalues(
     a flat start's imprint (see tridiag.inverse_iteration).  A flat start
     and its polish serve the recording level and every bisection fallback.
 
+    Inverse iteration and the Rayleigh quotients run on the level's
+    coupled core (tridiag.barrier_core; see _polished); the returned
+    vectors are zero outside it.  The Sturm count that certifies the
+    values, and the bisection fallback, stay on the whole level: only
+    they can tell that no eigenvalue of the whole matrix lies below the
+    polished ones.
+
     Returns (eigenvalues, ground_state_matrix_vector).
     """
     record = shapes is not None and shapes.points is None
@@ -269,18 +292,56 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     """Rayleigh quotients of the inverse-iteration vectors at `estimates`,
     each started from `shapes` (a flat start without), and the vectors:
     all of them if `keep`, else only the first, so that a fine level
-    holds one vector at a time besides it."""
+    holds one full-length vector at a time besides them.
+
+    The iteration, the Rayleigh quotient and the starts run on the
+    level's coupled core (tridiag.barrier_core), views of its rows
+    between the saturated barriers of a steep well, where the
+    eigenvectors are below rounding; each vector comes back embedded in
+    zeros on the level's own points.  If a cut proves coupled after all
+    (_polished_rows), the whole level is polished instead.
+    """
+    n = len(system.diag)
+    lo, hi = tridiag.barrier_core(system.diag, system.offdiag)
+    if (lo, hi) != (0, n):
+        polished = _polished_rows(system, lo, hi, estimates, shapes, keep)
+        if polished is not None:
+            return polished
+    return _polished_rows(system, 0, n, estimates, shapes, keep)
+
+
+def _polished_rows(system: AssembledSystem, lo, hi, estimates, shapes, keep):
+    """_polished on rows [lo, hi) of `system`, or None if a cut is coupled.
+
+    Embedded in zeros, a core vector v has the whole level's residual of
+    the core plus |offdiag[cut] v[edge]| at each cut row, the coupling
+    that the cut drops; each must be within inverse iteration's residual
+    floor, so the embedded vector is as converged as one polished on the
+    whole level.
+    """
+    n = len(system.diag)
+    core = system if (lo, hi) == (0, n) else system.rows(lo, hi)
     refined = np.empty(len(estimates))
     vectors = []
     for j, lam in enumerate(estimates):
         # the start is passed as a temporary, so that inverse_iteration
         # holds the only reference and can drop it once it has normalized it
         v = tridiag.inverse_iteration(
-            system.diag, system.offdiag, float(lam),
-            None if shapes is None else shapes.start(system, j),
+            core.diag, core.offdiag, float(lam),
+            None if shapes is None else shapes.start(core, j),
         )
-        refined[j] = system.rayleigh_quotient(v)
+        if core is not system:
+            floor = tridiag._residual_floor(core.offdiag, float(lam))
+            if (lo > 0 and abs(system.offdiag[lo - 1] * v[0]) > floor) or (
+                hi < n and abs(system.offdiag[hi - 1] * v[-1]) > floor
+            ):
+                return None
+        refined[j] = core.rayleigh_quotient(v)
         if keep or j == 0:
+            if core is not system:
+                embedded = np.zeros(n)
+                embedded[lo:hi] = v
+                v = embedded
             vectors.append(v)
     return refined, vectors
 

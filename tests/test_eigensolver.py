@@ -495,6 +495,92 @@ def test_failed_first_level_check_bisects(monkeypatch):
     assert np.array_equal(res.ground_state_values, expected.ground_state_values)
 
 
+def _inverse_iteration_rows(monkeypatch):
+    """Record the rows of every tridiag.inverse_iteration call."""
+    rows = []
+    plain = tridiag.inverse_iteration
+
+    def counted(diag, offdiag, eigenvalue, start=None):
+        rows.append(len(diag))
+        return plain(diag, offdiag, eigenvalue, start)
+
+    monkeypatch.setattr(tridiag, "inverse_iteration", counted)
+    return rows
+
+
+def _level_sizes(monkeypatch):
+    """Record the rows of every ladder level's system."""
+    sizes = []
+    level = eigensolver.refined_lowest_eigenvalues
+
+    def recorded(system, *args, **kwargs):
+        sizes.append(len(system.diag))
+        return level(system, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", recorded)
+    return sizes
+
+
+def test_steep_well_polishes_its_coupled_core(monkeypatch):
+    # at k = 200 about half of every level's rows are saturated barrier
+    # rows; inverse iteration skips them, and the result moves by rounding
+    spec = OperatorSpec(200, 0.0)
+    rows = _inverse_iteration_rows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
+    res = solve(spec, count=2, tol=1e-6)
+    assert len(rows) == 2 * len(sizes)
+    assert sum(rows) < 0.6 * 2 * sum(sizes)
+    # the ground state is exactly 0 outside its level's core
+    points = res.ground_state_points
+    system = assemble_hamiltonian(spec.potential(),
+                                  GridSpec(res.grid_used.lower, res.grid_used.upper, len(points)))
+    assert np.array_equal(system.points, points)
+    lo, hi = tridiag.barrier_core(system.diag, system.offdiag)
+    assert 0 < lo < hi < len(points)
+    u = res.ground_state_values
+    assert not np.any(u[:lo]) and not np.any(u[hi:])
+    monkeypatch.setattr(tridiag, "barrier_core", lambda diag, offdiag: (0, len(diag)))
+    whole = solve(spec, count=2, tol=1e-6)
+    assert (whole.grid_used, whole.iterations) == (res.grid_used, res.iterations)
+    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=2e-14)
+
+
+def test_coupled_cut_polishes_the_whole_level(monkeypatch):
+    # a core cut inside the well drops a coupling far above the residual
+    # floor, so each level polishes its whole matrix, exactly as untrimmed
+    spec = OperatorSpec(200, 0.0)
+    monkeypatch.setattr(tridiag, "barrier_core", lambda diag, offdiag: (0, len(diag)))
+    whole = solve(spec, count=2, tol=1e-6)
+    monkeypatch.setattr(tridiag, "barrier_core",
+                        lambda diag, offdiag: (3 * len(diag) // 8, 5 * len(diag) // 8))
+    rows = _inverse_iteration_rows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
+    res = solve(spec, count=2, tol=1e-6)
+    assert rows == [r for n in sizes for r in (5 * n // 8 - 3 * n // 8, n, n)]
+    assert res.eigenvalues == whole.eigenvalues
+    assert np.array_equal(res.ground_state_values, whole.ground_state_values)
+
+
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
+def test_core_rayleigh_quotient_is_the_whole_levels(geometry):
+    # a core's Dirichlet cuts drop nothing from v.T H v of a vector that
+    # is zero outside it; a Neumann row 0 stays Neumann in a core keeping it
+    lower = -3.0 if geometry is Geometry.FULL_LINE else 0.0
+    system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), GridSpec(lower, 3.0, 4095),
+                                  geometry)
+    n = len(system.diag)
+    lo, hi = tridiag.barrier_core(system.diag, system.offdiag)
+    assert hi < n and (lo == 0) == (geometry is N)
+    core = system.rows(lo, hi)
+    assert core.neumann_lower == (geometry is N)
+    v = np.random.default_rng(0).standard_normal(hi - lo)
+    v /= np.linalg.norm(v)
+    embedded = np.zeros(n)
+    embedded[lo:hi] = v
+    assert core.rayleigh_quotient(v) == pytest.approx(system.rayleigh_quotient(embedded),
+                                                      rel=1e-13)
+
+
 def test_seed_count_must_match():
     system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 2047))
     with pytest.raises(ValueError, match="need 2 seeds, got 1"):

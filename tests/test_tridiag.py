@@ -16,6 +16,7 @@ from montspec.eigensolver import (
     StartShapes,
     assemble_hamiltonian,
     refined_lowest_eigenvalues,
+    truncation_interval,
 )
 from montspec.errors import SolverFailure
 from montspec.operators import Geometry, MontgomeryPotential
@@ -24,6 +25,7 @@ from montspec.tridiag import (
     _count_below,
     _gershgorin_interval,
     _rayleigh_residual,
+    barrier_core,
     inverse_iteration,
     are_lowest_eigenvalues,
     lowest_eigenvalues,
@@ -516,3 +518,55 @@ def test_lowest_eigenvalues_lapack_failure_is_solver_failure():
     diag = np.array([1.0, np.nan, 3.0, 4.0])
     with pytest.raises(SolverFailure, match=r"stebz.*info="):
         lowest_eigenvalues(diag, -np.ones(3), 1)
+
+
+def _full_line_level(k, n):
+    potential = MontgomeryPotential(k, 0.0)
+    lower, upper = truncation_interval(potential, Geometry.FULL_LINE, 0.0)
+    return assemble_hamiltonian(potential, GridSpec(lower, upper, n))
+
+
+@pytest.mark.parametrize("n", [2048, 524543])
+@pytest.mark.parametrize("k", [2, 10])
+def test_barrier_core_keeps_shallow_wells_whole(k, n):
+    system = _full_line_level(k, n)
+    assert barrier_core(system.diag, system.offdiag) == (0, n)
+
+
+@pytest.mark.parametrize("n", [2048, 524543])
+@pytest.mark.parametrize("k", [68, 200])
+def test_barrier_core_trims_steep_wells(k, n):
+    # the rows from the first to the last diagonal below max|e| / eps, one
+    # barrier row wider on each side: a strict inner range at every size
+    system = _full_line_level(k, n)
+    lo, hi = barrier_core(system.diag, system.offdiag)
+    threshold = np.max(np.abs(system.offdiag)) / _EPS
+    coupled = np.flatnonzero(system.diag < threshold)
+    assert 0 < lo < hi < n
+    assert (lo, hi) == (coupled[0] - 1, coupled[-1] + 2)
+    assert system.diag[lo] >= threshold and system.diag[hi - 1] >= threshold
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag, core",
+    [
+        ([1e20, 1e20, 1.0, 2.0, 1e20], [-1.0] * 4, (1, 5)),
+        # a barrier row inside the core stays in it
+        ([1e20, 1.0, 1e20, 2.0, 1e20, 1e20], [-1.0] * 5, (0, 5)),
+        # no coupled row, and coupled end rows (the O(1) check): the whole matrix
+        ([1e20, 1e20], [-1.0], (0, 2)),
+        ([1.0, 1e20, 1.0], [-1.0] * 2, (0, 3)),
+        # the threshold is the largest coupling's, not the end couplings'
+        ([1e20, 1.0, 1.0, 1e20], [-1.0, -1e10, -1.0], (0, 4)),
+        # a NaN diagonal entry counts as coupled
+        ([np.nan, 1e20, 1e20, 1.0], [-1.0] * 3, (0, 4)),
+        ([1e20, 1e20, np.nan, 1e20], [-1.0] * 3, (1, 4)),
+    ],
+)
+def test_barrier_core_rows(diag, offdiag, core):
+    assert barrier_core(np.array(diag), np.array(offdiag)) == core
+
+
+def test_barrier_core_rejects_one_row():
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        barrier_core(np.array([1.0]), np.array([]))
