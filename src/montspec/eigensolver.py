@@ -5,6 +5,9 @@ one ladder of grids (_ladder; each level's eigenvalues are polished by
 inverse iteration, seeded and started from the levels below it), and one
 Richardson extrapolation step on the reported eigenvalues: over as many
 levels as tol needs in solve_on_interval, over two in fixed_grid_lambda1.
+Past a ladder's first level, inverse iteration runs only on the level's
+decay window, the rows inside which the eigenvectors are above rounding
+(StartShapes, _polished).
 Covers the three operators.Geometry domains: the full line and the half
 line with a Dirichlet or Neumann condition at t=0 (the Neumann one gives
 the de Gennes constant).  Also the explicit step-well model, whose first
@@ -39,8 +42,13 @@ _N_VECTOR_CAP = 66000
 _SQRT2 = math.sqrt(2.0)
 
 # Most eigenvalues one solve may ask for: every ladder level polishes
-# each of them by inverse iteration on its grid's coupled core.
+# each of them by inverse iteration on its grid's decay window.
 MAX_COUNT = 64
+
+# A ladder level's decay window ends where the eigenvectors have decayed
+# by this many e-folds past the classical turning points (see
+# _decay_window); e^-36 is 2.3e-16.
+DECAY_EFOLDS = 36.0
 
 
 @dataclass(frozen=True)
@@ -196,21 +204,30 @@ class StartShapes:
     Neumann row's symmetrizing scale drops out; the overall scale does
     not matter, as inverse iteration normalizes its start).  From then on,
     each level it is given starts eigenpair j from vector j, linearly
-    interpolated onto the level's own points, or onto the points of the
-    coupled core that level is polished on (_polished).  The recorded
-    vectors are zero outside the recording level's core, which is no
-    wider than a finer level's: the core's threshold grows like 1/h^2.
+    interpolated onto the points that level is polished on (its decay
+    window, or the whole level).
     Only that one level is held: with the ladder's first level, `count`
     vectors of about _N_START doubles.
+
+    The same record fixes the ladder's decay window (t_lo, t_hi), two
+    floats (_decay_window): the stretch of the interval outside which the
+    eigenvectors have decayed by DECAY_EFOLDS e-folds past the classical
+    turning points of the energy E = max(10, 2 lambda_count + 3), the
+    truncation cap (_energy_cap) of the recording level's polished top
+    eigenvalue.  Every later level polishes only its rows inside it,
+    unless a cut drops a coupling above inverse iteration's residual
+    floor (_polished).
     """
 
     def __init__(self):
         self.points = None
         self.vectors = []
+        self.window = None
 
-    def record(self, system: AssembledSystem, vectors) -> None:
+    def record(self, system: AssembledSystem, vectors, top: float) -> None:
         self.points = system.points
         self.vectors = [system.to_physical(v) for v in vectors]
+        self.window = _decay_window(system, _energy_cap(top))
 
     def start(self, system: AssembledSystem, j: int):
         """The start of eigenpair j on `system`, or None (a flat start)
@@ -257,12 +274,17 @@ def refined_lowest_eigenvalues(
     a flat start's imprint (see tridiag.inverse_iteration).  A flat start
     and its polish serve the recording level and every bisection fallback.
 
-    Inverse iteration and the Rayleigh quotients run on the level's
-    coupled core (tridiag.barrier_core; see _polished); the returned
-    vectors are zero outside it.  The Sturm count that certifies the
-    values, and the bisection fallback, stay on the whole level: only
-    they can tell that no eigenvalue of the whole matrix lies below the
-    polished ones.
+    The recording level also fixes the decay window (StartShapes): where
+    the eigenvectors have decayed by DECAY_EFOLDS e-folds past the
+    turning points of the truncation cap of its polished top eigenvalue,
+    max(10, 2 lambda_count + 3).  On every later level, inverse
+    iteration, the Rayleigh quotients and the starts run on the level's
+    rows inside that window, and the returned vectors are zero outside
+    it; a cut that drops more than the residual floor puts the level
+    back on its whole matrix (see _polished).  The recording level, the
+    bisection fallback and the Sturm count that certifies the values stay
+    on the whole level: only a count on the whole matrix can tell that no
+    eigenvalue of it lies below the polished ones.
 
     Returns (eigenvalues, ground_state_matrix_vector).
     """
@@ -284,7 +306,7 @@ def refined_lowest_eigenvalues(
         polished = _polished(system, raw, keep=record)
     refined, vectors = polished
     if record:
-        shapes.record(system, vectors)
+        shapes.record(system, vectors, float(refined[-1]))
     return refined, vectors[0]
 
 
@@ -294,56 +316,98 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     all of them if `keep`, else only the first, so that a fine level
     holds one full-length vector at a time besides them.
 
-    The iteration, the Rayleigh quotient and the starts run on the
-    level's coupled core (tridiag.barrier_core), views of its rows
-    between the saturated barriers of a steep well, where the
-    eigenvectors are below rounding; each vector comes back embedded in
-    zeros on the level's own points.  If a cut proves coupled after all
-    (_polished_rows), the whole level is polished instead.
+    Once `shapes` holds a decay window (t_lo, t_hi), the iteration, the
+    Rayleigh quotient and the starts run on the level's rows with points
+    in [t_lo, t_hi] (found by searchsorted), as views of the level's
+    arrays: outside them the eigenvectors have decayed by DECAY_EFOLDS
+    e-folds past the turning points of the energy max(10, 2 lambda_count
+    + 3) and lie below rounding.  Each vector comes back embedded in
+    zeros on the level's own points.  A window of fewer than 2 rows, or
+    one whose cut proves coupled (_polished_rows), leaves the level to be
+    polished whole.
     """
     n = len(system.diag)
-    lo, hi = tridiag.barrier_core(system.diag, system.offdiag)
-    if (lo, hi) != (0, n):
-        polished = _polished_rows(system, lo, hi, estimates, shapes, keep)
-        if polished is not None:
-            return polished
+    if shapes is not None and shapes.window is not None:
+        t_lo, t_hi = shapes.window
+        lo = int(np.searchsorted(system.points, t_lo, "left"))
+        hi = int(np.searchsorted(system.points, t_hi, "right"))
+        if hi - lo >= 2 and (lo, hi) != (0, n):
+            polished = _polished_rows(system, lo, hi, estimates, shapes, keep)
+            if polished is not None:
+                return polished
     return _polished_rows(system, 0, n, estimates, shapes, keep)
 
 
 def _polished_rows(system: AssembledSystem, lo, hi, estimates, shapes, keep):
     """_polished on rows [lo, hi) of `system`, or None if a cut is coupled.
 
-    Embedded in zeros, a core vector v has the whole level's residual of
-    the core plus |offdiag[cut] v[edge]| at each cut row, the coupling
-    that the cut drops; each must be within inverse iteration's residual
-    floor, so the embedded vector is as converged as one polished on the
-    whole level.
+    Embedded in zeros, a window vector v has the whole level's residual
+    of the window plus |offdiag[cut] v[edge]| at each cut row, the
+    coupling that the cut drops; each must be within inverse iteration's
+    residual floor, so the embedded vector is as converged as one
+    polished on the whole level.
     """
     n = len(system.diag)
-    core = system if (lo, hi) == (0, n) else system.rows(lo, hi)
+    window = system if (lo, hi) == (0, n) else system.rows(lo, hi)
     refined = np.empty(len(estimates))
     vectors = []
     for j, lam in enumerate(estimates):
         # the start is passed as a temporary, so that inverse_iteration
         # holds the only reference and can drop it once it has normalized it
         v = tridiag.inverse_iteration(
-            core.diag, core.offdiag, float(lam),
-            None if shapes is None else shapes.start(core, j),
+            window.diag, window.offdiag, float(lam),
+            None if shapes is None else shapes.start(window, j),
         )
-        if core is not system:
-            floor = tridiag._residual_floor(core.offdiag, float(lam))
+        if window is not system:
+            floor = tridiag._residual_floor(window.offdiag, float(lam))
             if (lo > 0 and abs(system.offdiag[lo - 1] * v[0]) > floor) or (
                 hi < n and abs(system.offdiag[hi - 1] * v[-1]) > floor
             ):
                 return None
-        refined[j] = core.rayleigh_quotient(v)
+        refined[j] = window.rayleigh_quotient(v)
         if keep or j == 0:
-            if core is not system:
+            if window is not system:
                 embedded = np.zeros(n)
                 embedded[lo:hi] = v
                 v = embedded
             vectors.append(v)
     return refined, vectors
+
+
+def _decay_window(system: AssembledSystem, energy: float):
+    """(t_lo, t_hi): the stretch of the system's interval outside which
+    every eigenvector below `energy` has decayed by DECAY_EFOLDS e-folds;
+    -inf or inf at an end the decay does not reach.
+
+    Each end is walked outward from the outermost sample with V < energy,
+    summing the discrete decay per step, arccosh(1 + (V - energy) h^2 / 2)
+    (the decay rate of the three-point recurrence at a constant V), with
+    V at the inner end of each step, until the sum reaches DECAY_EFOLDS.
+    A level larger than _N_START is walked on every s-th sample, s =
+    n // _N_START, in steps of s h: the per-step decay is concave in the
+    step, so the stride undercounts the decay and only widens the window,
+    and the walk costs O(_N_START) samples however large the level.  A
+    Neumann lower end is never cut.
+    """
+    stride = max(1, len(system.points) // _N_START)
+    t = system.points[::stride]
+    excess = system.potential_values[::stride] - energy
+    inside = np.flatnonzero(excess < 0.0)
+    if len(inside) == 0:
+        return -math.inf, math.inf
+    step = stride * system.spacing
+    decay = np.arccosh(1.0 + np.maximum(excess, 0.0) * (0.5 * step * step))
+    first, last = inside[0], inside[-1]
+    # the step outward from sample i decays by decay[i]; the sums below
+    # reach samples first - 1, first - 2, ... and last + 1, last + 2, ...
+    down = np.cumsum(decay[first:0:-1]) >= DECAY_EFOLDS
+    up = np.cumsum(decay[last:-1]) >= DECAY_EFOLDS
+    t_lo, t_hi = -math.inf, math.inf
+    if np.any(down) and not system.neumann_lower:
+        t_lo = float(t[first - 1 - int(np.argmax(down))])
+    if np.any(up):
+        t_hi = float(t[last + 1 + int(np.argmax(up))])
+    return t_lo, t_hi
 
 
 def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
@@ -400,6 +464,13 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     return float(lam_f + (lam_f - lam_c) / 3.0)
 
 
+def _energy_cap(lambda_bound: float) -> float:
+    """The energy cap for eigenvalues up to lambda_bound, max(10,
+    2 lambda_bound + 3): truncation_interval ends the interval past its
+    turning points, and the decay window (StartShapes) walks from them."""
+    return max(10.0, 2.0 * lambda_bound + 3.0)
+
+
 def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
     """The solve interval for eigenvalues up to lambda_bound: out to
     where V exceeds cap = max(10, 2 lambda_bound + 3) by
@@ -410,7 +481,7 @@ def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
     below cap, so truncation error is negligible next to discretization
     error.
     """
-    cap = max(10.0, 2.0 * lambda_bound + 3.0)
+    cap = _energy_cap(lambda_bound)
     radius = potential.turning_point(cap + TRUNCATION_MARGIN) + TRUNCATION_PAD
     if geometry is Geometry.FULL_LINE:
         return -radius, radius

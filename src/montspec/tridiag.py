@@ -35,21 +35,6 @@ eigenvector, interpolated) it takes about one sweep and no polish.
 are_lowest_eigenvalues confirms the polished values of predicted
 eigenvalues with one pivot count just above them instead of bisecting.
 
-A steep well's matrix carries saturated barrier rows: a diagonal at or
-above max|offdiag| / eps, the ratio at which LAPACK's stebz splitting
-test drops the coupling between two such rows, and where the low
-eigenvectors are below rounding (at k = 68 and 200 about half the rows of every ladder
-level).  barrier_core returns the rows between them, the coupled core,
-so inverse iteration can run on that principal submatrix alone; its
-caller checks at each cut that the dropped coupling |offdiag * v| at the
-core's edge row is within the residual floor, so that the vector
-embedded in zeros is as converged on the whole matrix.  Pivot counts and
-bisection always take the whole matrix: they are what certifies that no
-eigenvalue of the whole matrix lies below the polished ones, which the
-core's own spectrum cannot show.  A matrix whose end rows are below
-their couplings' threshold is whole after an O(1) check, so every level
-of a shallow well (k <= 10, the shifted harmonic wells) skips the scan.
-
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
 converge, a singular shifted matrix, a NaN pivot) leaves this one as
 SolverFailure.
@@ -197,33 +182,6 @@ def _count_below(diag, offdiag, x: float) -> int:
         # unfactored value
         coupling = offdiag[start - 1] ** 2
         d[start] -= coupling / min(pivots[info - 1], -_TINY * max(1.0, coupling))
-
-
-def barrier_core(diag, offdiag):
-    """Rows [lo, hi) of the coupled core: from the first to the last row
-    whose diagonal is below max|offdiag| / eps, widened by one row on each
-    side.
-
-    Past it every diagonal entry is at least 1/eps times any coupling,
-    the ratio at which LAPACK's stebz splitting test drops the coupling
-    between two such rows, so an eigenvector of the low spectrum is below
-    rounding there.  When both
-    end rows are below the end couplings' own threshold, a lower bound on
-    the threshold, the whole matrix (0, n) is returned at once; so it is
-    when no row is below the threshold.  A NaN diagonal entry counts as
-    coupled.  Needs at least 2 rows.
-    """
-    n = len(diag)
-    _require_rows(n)
-    ends = max(abs(offdiag[0]), abs(offdiag[-1])) / _EPS
-    if diag[0] < ends and diag[-1] < ends:
-        return 0, n
-    coupled = ~(diag >= _max_abs(offdiag) / _EPS)
-    first = int(np.argmax(coupled))
-    if not coupled[first]:
-        return 0, n
-    last = n - 1 - int(np.argmax(coupled[::-1]))
-    return max(first - 1, 0), min(last + 2, n)
 
 
 def separation_margin(offdiag) -> float:

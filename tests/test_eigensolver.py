@@ -521,64 +521,153 @@ def _level_sizes(monkeypatch):
     return sizes
 
 
-def test_steep_well_polishes_its_coupled_core(monkeypatch):
-    # at k = 200 about half of every level's rows are saturated barrier
-    # rows; inverse iteration skips them, and the result moves by rounding
-    spec = OperatorSpec(200, 0.0)
+def _window_off(monkeypatch):
+    """Switch the decay window off: no walk reaches infinitely many e-folds."""
+    monkeypatch.setattr(eigensolver, "DECAY_EFOLDS", math.inf)
+
+
+def _recorded_windows(monkeypatch):
+    """Record every decay window the ladders compute."""
+    windows = []
+    plain = eigensolver._decay_window
+
+    def recorded(system, energy):
+        windows.append(plain(system, energy))
+        return windows[-1]
+
+    monkeypatch.setattr(eigensolver, "_decay_window", recorded)
+    return windows
+
+
+def _window_rows(points, window):
+    t_lo, t_hi = window
+    return int(np.searchsorted(points, t_lo, "left")), int(np.searchsorted(points, t_hi, "right"))
+
+
+@pytest.mark.parametrize(
+    "problem, geometry, count",
+    [
+        (OperatorSpec(2, 0.0), None, 2),
+        (OperatorSpec(2, 1.5), None, 2),
+        (ShiftedHarmonicPotential(0.8), N, 1),
+    ],
+    ids=["k2-alpha0", "k2-alpha1.5", "theta0"],
+)
+def test_shallow_wells_keep_the_whole_level(monkeypatch, problem, geometry, count):
+    # the eigenvectors of k = 2 and of the de Gennes wells do not decay by
+    # DECAY_EFOLDS inside the truncated interval: every level is polished
+    # whole, bit for bit as with the window switched off
+    def solve_it():
+        return solve(problem, count=count, tol=1e-8, geometry=geometry)
+
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
+    res = solve_it()
+    assert rows == [r for n in sizes for r in [n] * count]
+    _window_off(monkeypatch)
+    whole = solve_it()
+    assert res.eigenvalues == whole.eigenvalues
+    assert res.achieved_tol_estimate == whole.achieved_tol_estimate
+    assert np.array_equal(res.ground_state_values, whole.ground_state_values)
+
+
+@pytest.mark.parametrize("k", [10, 30, 200])
+def test_steep_wells_polish_their_decay_window(monkeypatch, k):
+    # past the first level inverse iteration runs on a strict inner window,
+    # and the result moves by rounding only
+    spec = OperatorSpec(k, 0.0)
+    rows = _inverse_iteration_rows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
+    windows = _recorded_windows(monkeypatch)
     res = solve(spec, count=2, tol=1e-6)
-    assert len(rows) == 2 * len(sizes)
-    assert sum(rows) < 0.6 * 2 * sum(sizes)
-    # the ground state is exactly 0 outside its level's core
+    assert len(windows) == 1 and len(rows) == 2 * len(sizes)
+    assert rows[:2] == [sizes[0]] * 2  # the recording level is whole
+    assert all(r < n for r, n in zip(rows[2:], [m for n in sizes[1:] for m in (n, n)]))
+    assert sum(rows) < 0.7 * 2 * sum(sizes)
+    # the ground state is exactly 0 outside the window, which is strict
     points = res.ground_state_points
-    system = assemble_hamiltonian(spec.potential(),
-                                  GridSpec(res.grid_used.lower, res.grid_used.upper, len(points)))
-    assert np.array_equal(system.points, points)
-    lo, hi = tridiag.barrier_core(system.diag, system.offdiag)
+    lo, hi = _window_rows(points, windows[0])
     assert 0 < lo < hi < len(points)
     u = res.ground_state_values
-    assert not np.any(u[:lo]) and not np.any(u[hi:])
-    monkeypatch.setattr(tridiag, "barrier_core", lambda diag, offdiag: (0, len(diag)))
+    assert not np.any(u[:lo]) and not np.any(u[hi:]) and np.all(u[lo + 1:hi - 1] > 0)
+    _window_off(monkeypatch)
     whole = solve(spec, count=2, tol=1e-6)
     assert (whole.grid_used, whole.iterations) == (res.grid_used, res.iterations)
     assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=2e-14)
 
 
 def test_coupled_cut_polishes_the_whole_level(monkeypatch):
-    # a core cut inside the well drops a coupling far above the residual
+    # a window cut inside the well drops a coupling far above the residual
     # floor, so each level polishes its whole matrix, exactly as untrimmed
     spec = OperatorSpec(200, 0.0)
-    monkeypatch.setattr(tridiag, "barrier_core", lambda diag, offdiag: (0, len(diag)))
+    _window_off(monkeypatch)
     whole = solve(spec, count=2, tol=1e-6)
-    monkeypatch.setattr(tridiag, "barrier_core",
-                        lambda diag, offdiag: (3 * len(diag) // 8, 5 * len(diag) // 8))
+    monkeypatch.setattr(eigensolver, "_decay_window", lambda system, energy: (-0.5, 0.5))
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
     res = solve(spec, count=2, tol=1e-6)
-    assert rows == [r for n in sizes for r in (5 * n // 8 - 3 * n // 8, n, n)]
+    lower, upper = res.grid_used.lower, res.grid_used.upper
+    inner = [np.count_nonzero(np.abs(GridSpec(lower, upper, n).interior_points()) <= 0.5)
+             for n in sizes[1:]]
+    assert rows == [sizes[0]] * 2 + [r for n, m in zip(sizes[1:], inner) for r in (m, n, n)]
     assert res.eigenvalues == whole.eigenvalues
     assert np.array_equal(res.ground_state_values, whole.ground_state_values)
 
 
+@pytest.mark.parametrize("k", [1000, 4068])
+def test_very_steep_wells_never_fall_back(monkeypatch, k):
+    # every window cut passes its check and every seeded level its count:
+    # the pre-solve is the only bisection
+    bisections = _count_bisections(monkeypatch)
+    rows = _inverse_iteration_rows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
+    try:
+        solve(OperatorSpec(k, 0.0), count=2, tol=1e-6)
+    except SolverFailure as err:  # k = 4068 runs to the grid cap
+        assert "grid refinement cap" in str(err)
+    assert len(bisections) == 1
+    assert len(rows) == 2 * len(sizes) and sum(rows) < 0.4 * 2 * sum(sizes)
+
+
+def test_neumann_half_line_is_never_cut_at_zero(monkeypatch):
+    # the window cuts the far Dirichlet end only; the Neumann row stays
+    spec = OperatorSpec(30, 0.0, N)
+    windows = _recorded_windows(monkeypatch)
+    cuts = []
+    plain = eigensolver._polished_rows
+
+    def recorded(system, lo, hi, *args):
+        cuts.append((lo, hi, len(system.diag)))
+        return plain(system, lo, hi, *args)
+
+    monkeypatch.setattr(eigensolver, "_polished_rows", recorded)
+    res = solve(spec, count=3, tol=1e-6)
+    assert windows[0][0] == -math.inf and windows[0][1] < res.grid_used.upper
+    assert len(cuts) == res.iterations and cuts[0] == (0, cuts[0][2], cuts[0][2])
+    assert all(lo == 0 and hi < n for lo, hi, n in cuts[1:])
+    _window_off(monkeypatch)
+    whole = solve(spec, count=3, tol=1e-6)
+    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=5e-14)
+
+
 @pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
-def test_core_rayleigh_quotient_is_the_whole_levels(geometry):
-    # a core's Dirichlet cuts drop nothing from v.T H v of a vector that
-    # is zero outside it; a Neumann row 0 stays Neumann in a core keeping it
+def test_window_rayleigh_quotient_is_the_whole_levels(geometry):
+    # a window's Dirichlet cuts drop nothing from v.T H v of a vector that
+    # is zero outside it; a Neumann row 0 stays Neumann in the window
     lower = -3.0 if geometry is Geometry.FULL_LINE else 0.0
     system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), GridSpec(lower, 3.0, 4095),
                                   geometry)
     n = len(system.diag)
-    lo, hi = tridiag.barrier_core(system.diag, system.offdiag)
+    lo, hi = _window_rows(system.points, eigensolver._decay_window(system, 10.0))
     assert hi < n and (lo == 0) == (geometry is N)
-    core = system.rows(lo, hi)
-    assert core.neumann_lower == (geometry is N)
+    window = system.rows(lo, hi)
+    assert window.neumann_lower == (geometry is N)
     v = np.random.default_rng(0).standard_normal(hi - lo)
     v /= np.linalg.norm(v)
     embedded = np.zeros(n)
     embedded[lo:hi] = v
-    assert core.rayleigh_quotient(v) == pytest.approx(system.rayleigh_quotient(embedded),
-                                                      rel=1e-13)
+    assert window.rayleigh_quotient(v) == pytest.approx(system.rayleigh_quotient(embedded),
+                                                        rel=1e-13)
 
 
 def test_seed_count_must_match():

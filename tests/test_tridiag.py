@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from montspec import eigensolver
 from montspec.eigensolver import (
+    DECAY_EFOLDS,
+    AssembledSystem,
     GridSpec,
     StartShapes,
     assemble_hamiltonian,
@@ -25,7 +28,6 @@ from montspec.tridiag import (
     _count_below,
     _gershgorin_interval,
     _rayleigh_residual,
-    barrier_core,
     inverse_iteration,
     are_lowest_eigenvalues,
     lowest_eigenvalues,
@@ -520,53 +522,83 @@ def test_lowest_eigenvalues_lapack_failure_is_solver_failure():
         lowest_eigenvalues(diag, -np.ones(3), 1)
 
 
-def _full_line_level(k, n):
-    potential = MontgomeryPotential(k, 0.0)
+def _full_line_level(k, n, alpha=0.0):
+    potential = MontgomeryPotential(k, alpha)
     lower, upper = truncation_interval(potential, Geometry.FULL_LINE, 0.0)
     return assemble_hamiltonian(potential, GridSpec(lower, upper, n))
 
 
-@pytest.mark.parametrize("n", [2048, 524543])
-@pytest.mark.parametrize("k", [2, 10])
-def test_barrier_core_keeps_shallow_wells_whole(k, n):
-    system = _full_line_level(k, n)
-    assert barrier_core(system.diag, system.offdiag) == (0, n)
+def _decay(system, energy, lo, hi):
+    """The discrete decay, in e-folds, summed over rows [lo, hi)."""
+    excess = np.maximum(system.potential_values[lo:hi] - energy, 0.0)
+    return float(np.sum(np.arccosh(1.0 + excess * system.spacing**2 / 2.0)))
 
 
 @pytest.mark.parametrize("n", [2048, 524543])
-@pytest.mark.parametrize("k", [68, 200])
-def test_barrier_core_trims_steep_wells(k, n):
-    # the rows from the first to the last diagonal below max|e| / eps, one
-    # barrier row wider on each side: a strict inner range at every size
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_decay_window_keeps_shallow_wells_whole(n, alpha):
+    # k = 2 decays by fewer than DECAY_EFOLDS e-folds inside its pad
+    system = _full_line_level(2, n, alpha)
+    assert eigensolver._decay_window(system, 10.0) == (-np.inf, np.inf)
+
+
+@pytest.mark.parametrize("n", [2048, 524543])
+@pytest.mark.parametrize("k", [10, 30, 68, 200])
+def test_decay_window_trims_steep_wells(k, n):
+    # a strict inner window at every size, whose rows past each edge lie
+    # DECAY_EFOLDS e-folds past the outermost row where V < E
+    energy = 10.0
     system = _full_line_level(k, n)
-    lo, hi = barrier_core(system.diag, system.offdiag)
-    threshold = np.max(np.abs(system.offdiag)) / _EPS
-    coupled = np.flatnonzero(system.diag < threshold)
+    t_lo, t_hi = eigensolver._decay_window(system, energy)
+    points = system.points
+    lo, hi = np.searchsorted(points, t_lo), np.searchsorted(points, t_hi, "right")
     assert 0 < lo < hi < n
-    assert (lo, hi) == (coupled[0] - 1, coupled[-1] + 2)
-    assert system.diag[lo] >= threshold and system.diag[hi - 1] >= threshold
+    allowed = np.flatnonzero(system.potential_values < energy)
+    assert lo < allowed[0] and allowed[-1] < hi - 1
+    assert _decay(system, energy, lo + 1, allowed[0]) >= DECAY_EFOLDS
+    assert _decay(system, energy, allowed[-1], hi - 1) >= DECAY_EFOLDS
+
+
+@pytest.mark.parametrize("k", [10, 200])
+def test_strided_walk_only_widens_the_window(monkeypatch, k):
+    # every 256th sample in steps of 256 h undercounts the decay, so the
+    # strided window holds the one walked row by row
+    system = _full_line_level(k, 524543)
+    t_lo, t_hi = eigensolver._decay_window(system, 10.0)
+    monkeypatch.setattr(eigensolver, "_N_START", len(system.points))
+    row_lo, row_hi = eigensolver._decay_window(system, 10.0)
+    assert t_lo < row_lo < row_hi < t_hi
+
+
+def _stepped_system(values, neumann=False):
+    """A system on points 0, 1, 2, ... with the given potential samples."""
+    values = np.array(values, dtype=float)
+    n = len(values)
+    return AssembledSystem(diag=2.0 + values, offdiag=-np.ones(n - 1),
+                           points=np.arange(n, dtype=float), potential_values=values,
+                           spacing=1.0, neumann_lower=neumann)
+
+
+# V = E + 2 (cosh 10 - 1) decays by arccosh(1 + (V - E) h^2 / 2) = 10 e-folds
+# a step at h = 1; the step out of the outermost row with V < E = 0 decays
+# by nothing, so 36 e-folds are reached 5 rows past it
+_TEN = 2.0 * (np.cosh(10.0) - 1.0)
 
 
 @pytest.mark.parametrize(
-    "diag, offdiag, core",
+    "values, neumann, window",
     [
-        ([1e20, 1e20, 1.0, 2.0, 1e20], [-1.0] * 4, (1, 5)),
-        # a barrier row inside the core stays in it
-        ([1e20, 1.0, 1e20, 2.0, 1e20, 1e20], [-1.0] * 5, (0, 5)),
-        # no coupled row, and coupled end rows (the O(1) check): the whole matrix
-        ([1e20, 1e20], [-1.0], (0, 2)),
-        ([1.0, 1e20, 1.0], [-1.0] * 2, (0, 3)),
-        # the threshold is the largest coupling's, not the end couplings'
-        ([1e20, 1.0, 1.0, 1e20], [-1.0, -1e10, -1.0], (0, 4)),
-        # a NaN diagonal entry counts as coupled
-        ([np.nan, 1e20, 1e20, 1.0], [-1.0] * 3, (0, 4)),
-        ([1e20, 1e20, np.nan, 1e20], [-1.0] * 3, (1, 4)),
+        ([_TEN] * 6 + [-1.0] * 3 + [_TEN] * 6, False, (1.0, 13.0)),
+        ([_TEN] * 7 + [-1.0] * 3 + [_TEN] * 4, False, (2.0, np.inf)),
+        # a barrier between two wells stays inside the window
+        ([_TEN] * 6 + [-1.0, _TEN, _TEN, -1.0] + [_TEN] * 6, False, (1.0, 14.0)),
+        # a Neumann lower end is never cut
+        ([_TEN] * 7 + [-1.0] * 3 + [_TEN] * 6, True, (-np.inf, 14.0)),
+        # nowhere below E, everywhere below E, or a NaN sample on the walk
+        ([_TEN] * 8, False, (-np.inf, np.inf)),
+        ([-1.0] * 8, False, (-np.inf, np.inf)),
+        ([_TEN] * 6 + [-1.0] * 3 + [_TEN, np.nan] + [_TEN] * 4, False, (1.0, np.inf)),
     ],
 )
-def test_barrier_core_rows(diag, offdiag, core):
-    assert barrier_core(np.array(diag), np.array(offdiag)) == core
-
-
-def test_barrier_core_rejects_one_row():
-    with pytest.raises(ValueError, match="at least 2 rows"):
-        barrier_core(np.array([1.0]), np.array([]))
+def test_decay_window_rows(values, neumann, window):
+    assert eigensolver._decay_window(_stepped_system(values, neumann), 0.0) == window
