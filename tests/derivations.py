@@ -1,10 +1,13 @@
 """Independent derivation routes that only the tests read: the commutator
 constant h by direct maximization over sigma, the minimizing width of
-the k = 2 trial state, and the reflection t -> -t of an operator.  Each
-cross-checks a closed form or symmetry the library relies on."""
+the k = 2 trial state, the reflection t -> -t of an operator, and the
+saturated-barrier core of a level.  Each cross-checks a closed form,
+symmetry or bound the library relies on."""
 
 import math
 from dataclasses import replace
+
+import numpy as np
 
 from montspec.operators import Geometry, OperatorSpec
 from montspec.optimize import minimize_golden
@@ -73,3 +76,15 @@ def reflection_conjugate(spec: OperatorSpec) -> OperatorSpec:
         raise ValueError("reflection conjugation is only defined on the full line")
     new_alpha = -spec.alpha if spec.alpha != 0.0 else 0.0
     return replace(spec, alpha=new_alpha)
+
+
+def barrier_core(diag, offdiag):
+    """(lo, hi): the rows from the first to the last diagonal entry below
+    max|offdiag| / eps, one row wider on each side.  Outside them every
+    row is a saturated barrier, where the diagonal swamps its couplings in
+    floating point; the decay window must trim at least those rows."""
+    threshold = np.max(np.abs(offdiag)) / np.finfo(float).eps
+    coupled = np.flatnonzero(~(np.asarray(diag) >= threshold))
+    if len(coupled) == 0:
+        return 0, len(diag)
+    return max(int(coupled[0]) - 1, 0), min(int(coupled[-1]) + 2, len(diag))

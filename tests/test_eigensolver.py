@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from derivations import barrier_core
 from montspec import eigensolver, tridiag
 from montspec.errors import SolverFailure
 from montspec.eigensolver import (
@@ -596,6 +597,23 @@ def test_steep_wells_polish_their_decay_window(monkeypatch, k):
     assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=2e-14)
 
 
+def test_steep_well_polishes_its_coupled_core(monkeypatch):
+    # at k = 200 about half of every level's rows are saturated barrier
+    # rows; past the first level, inverse iteration runs on strictly fewer
+    # rows than the barrier core between them holds
+    spec = OperatorSpec(200, 0.0)
+    rows = _inverse_iteration_rows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
+    res = solve(spec, count=2, tol=1e-6)
+    assert len(rows) == 2 * len(sizes)
+    assert sum(rows) < 0.6 * 2 * sum(sizes)
+    lower, upper = res.grid_used.lower, res.grid_used.upper
+    for n, polished in zip(sizes[1:], zip(rows[2::2], rows[3::2])):
+        system = assemble_hamiltonian(spec.potential(), GridSpec(lower, upper, n))
+        lo, hi = barrier_core(system.diag, system.offdiag)
+        assert max(polished) < hi - lo < n
+
+
 def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     # a window cut inside the well drops a coupling far above the residual
     # floor, so each level polishes its whole matrix, exactly as untrimmed
@@ -651,7 +669,7 @@ def test_neumann_half_line_is_never_cut_at_zero(monkeypatch):
 
 
 @pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
-def test_window_rayleigh_quotient_is_the_whole_levels(geometry):
+def test_core_rayleigh_quotient_is_the_whole_levels(geometry):
     # a window's Dirichlet cuts drop nothing from v.T H v of a vector that
     # is zero outside it; a Neumann row 0 stays Neumann in the window
     lower = -3.0 if geometry is Geometry.FULL_LINE else 0.0

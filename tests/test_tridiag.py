@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from derivations import barrier_core
 from montspec import eigensolver
 from montspec.eigensolver import (
     DECAY_EFOLDS,
@@ -557,6 +558,45 @@ def test_decay_window_trims_steep_wells(k, n):
     assert lo < allowed[0] and allowed[-1] < hi - 1
     assert _decay(system, energy, lo + 1, allowed[0]) >= DECAY_EFOLDS
     assert _decay(system, energy, allowed[-1], hi - 1) >= DECAY_EFOLDS
+
+
+def _ladder_window_rows(system, eigenvalues):
+    """The rows [lo, hi) of the decay window that a ladder recording this
+    level with these polished eigenvalues would fix."""
+    energy = eigensolver._energy_cap(float(eigenvalues[-1]))
+    t_lo, t_hi = eigensolver._decay_window(system, energy)
+    return (int(np.searchsorted(system.points, t_lo, "left")),
+            int(np.searchsorted(system.points, t_hi, "right")))
+
+
+@pytest.mark.parametrize("n", [2048, 524543])
+@pytest.mark.parametrize("k", [2, 10])
+def test_barrier_core_keeps_shallow_wells_whole(k, n):
+    # shallow wells have no saturated barrier row, so their barrier core is
+    # the whole level; the decay window (whole at k = 2, strict at k = 10)
+    # keeps the whole of each well: the lowest two eigenvectors exceed
+    # 1e-15 of their peak only inside it
+    system = _full_line_level(k, n)
+    assert barrier_core(system.diag, system.offdiag) == (0, n)
+    eigenvalues = lowest_eigenvalues(system.diag, system.offdiag, 2)
+    lo, hi = _ladder_window_rows(system, eigenvalues)
+    assert (lo, hi) == (0, n) if k == 2 else 0 < lo < hi < n
+    for value in eigenvalues:
+        v = np.abs(inverse_iteration(system.diag, system.offdiag, float(value)))
+        held = np.flatnonzero(v > 1e-15 * np.max(v))
+        assert lo <= held[0] and held[-1] < hi
+
+
+@pytest.mark.parametrize("n", [2048, 524543])
+@pytest.mark.parametrize("k", [68, 200])
+def test_barrier_core_trims_steep_wells(k, n):
+    # the barrier core is a strict inner range at every size, and the decay
+    # window lies strictly inside it: it trims every saturated barrier row
+    system = _full_line_level(k, n)
+    core_lo, core_hi = barrier_core(system.diag, system.offdiag)
+    lo, hi = _ladder_window_rows(system, lowest_eigenvalues(system.diag, system.offdiag, 2))
+    assert 0 < core_lo < lo < hi < core_hi < n
+    assert system.diag[core_lo] >= np.max(np.abs(system.offdiag)) / _EPS
 
 
 @pytest.mark.parametrize("k", [10, 200])
