@@ -2,9 +2,11 @@
 
 Second-order central differences on a truncated interval, refined on
 one ladder of grids (_ladder; each level's eigenvalues are polished by
-inverse iteration, seeded and started from the levels below it), and one
-Richardson extrapolation step on the reported eigenvalues: over as many
-levels as tol needs in solve_on_interval, over two in fixed_grid_lambda1.
+inverse iteration, seeded and started from the levels below it, with
+bisection of the whole level as the one fallback), and one Richardson
+extrapolation step on the reported eigenvalues, from the O(h^2) step
+that _ladder yields: over as many levels as tol needs in
+solve_on_interval, over two in fixed_grid_lambda1.
 Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows inside which the eigenvectors are above rounding
 (StartShapes, _polished).
@@ -214,9 +216,10 @@ class StartShapes:
     eigenvectors have decayed by DECAY_EFOLDS e-folds past the classical
     turning points of the energy E = max(10, 2 lambda_count + 3), the
     truncation cap (_energy_cap) of the recording level's polished top
-    eigenvalue.  Every later level polishes only its rows inside it,
-    unless a cut drops a coupling above inverse iteration's residual
-    floor (_polished).
+    eigenvalue.  Every later seeded level polishes only its rows inside
+    it; a cut that drops a coupling above inverse iteration's residual
+    floor (_polished) sends the level to its one fallback, bisection of
+    the whole level and flat starts (refined_lowest_eigenvalues).
     """
 
     def __init__(self):
@@ -257,33 +260,30 @@ def refined_lowest_eigenvalues(
 
     `seeds` are predicted eigenvalues: from the ladder's coarser levels
     (_ladder), the pre-solve (solve), or an adaptive solve of the same or
-    a nearby operator (fixed_grid_lambda1's callers).  Given
-    them, bisection is skipped: inverse iteration starts from each
-    prediction, and the polished values must be strictly increasing, well
-    separated and exactly as many as one Sturm count finds just above the
-    last of them (tridiag.are_lowest_eigenvalues), which makes them the
-    lowest `count` in order.  If inverse iteration fails or the check does
-    (a prediction nearer another eigenvalue), the level falls back to
-    bisection; so do predictions that are not a separation margin apart
-    (near-degenerate pairs), without polishing them first.
+    a nearby operator (fixed_grid_lambda1's callers).  Given them,
+    bisection is skipped: inverse iteration starts from each prediction,
+    and one check judges the polished values: they must be strictly
+    increasing, well separated and exactly as many as one Sturm count
+    finds just above the last of them (tridiag.are_lowest_eigenvalues),
+    which makes them the lowest `count` in order.  The level has one
+    fallback: if a window cut proves coupled (_polished), inverse
+    iteration fails or the check does (a prediction nearer another
+    eigenvalue, or near-degenerate predictions polished onto one
+    eigenvalue), it bisects the whole level and polishes from flat starts.
 
     `shapes` carries eigenvectors between the levels of one interval.
     While it is empty, this level's vectors are recorded in it.  Once it
     holds vectors, the seeded iteration for eigenpair j starts from its
     vector j, needs about one sweep and skips the polish sweeps that damp
     a flat start's imprint (see tridiag.inverse_iteration).  A flat start
-    and its polish serve the recording level and every bisection fallback.
+    and its polish serve the recording level and the fallback.
 
-    The recording level also fixes the decay window (StartShapes): where
-    the eigenvectors have decayed by DECAY_EFOLDS e-folds past the
-    turning points of the truncation cap of its polished top eigenvalue,
-    max(10, 2 lambda_count + 3).  On every later level, inverse
-    iteration, the Rayleigh quotients and the starts run on the level's
-    rows inside that window, and the returned vectors are zero outside
-    it; a cut that drops more than the residual floor puts the level
-    back on its whole matrix (see _polished).  The recording level, the
-    bisection fallback and the Sturm count that certifies the values stay
-    on the whole level: only a count on the whole matrix can tell that no
+    The recording level also fixes the decay window (StartShapes).  On
+    every later seeded level, inverse iteration, the Rayleigh quotients
+    and the starts run on the level's rows inside that window, and the
+    returned vectors are zero outside it.  The recording level, the
+    fallback and the Sturm count that certifies the values stay on the
+    whole level: only a count on the whole matrix can tell that no
     eigenvalue of it lies below the polished ones.
 
     Returns (eigenvalues, ground_state_matrix_vector).
@@ -292,7 +292,7 @@ def refined_lowest_eigenvalues(
     polished = None
     if seeds is not None and len(seeds) != count:
         raise ValueError(f"need {count} seeds, got {len(seeds)}")
-    if seeds is not None and tridiag.are_separated(system.offdiag, seeds):
+    if seeds is not None:
         try:
             polished = _polished(system, seeds, shapes, keep=record)
         except SolverFailure:
@@ -314,40 +314,29 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     """Rayleigh quotients of the inverse-iteration vectors at `estimates`,
     each started from `shapes` (a flat start without), and the vectors:
     all of them if `keep`, else only the first, so that a fine level
-    holds one full-length vector at a time besides them.
+    holds one full-length vector at a time besides them.  None if a
+    window cut proves coupled.
 
-    Once `shapes` holds a decay window (t_lo, t_hi), the iteration, the
-    Rayleigh quotient and the starts run on the level's rows with points
-    in [t_lo, t_hi] (found by searchsorted), as views of the level's
-    arrays: outside them the eigenvectors have decayed by DECAY_EFOLDS
-    e-folds past the turning points of the energy max(10, 2 lambda_count
-    + 3) and lie below rounding.  Each vector comes back embedded in
-    zeros on the level's own points.  A window of fewer than 2 rows, or
-    one whose cut proves coupled (_polished_rows), leaves the level to be
-    polished whole.
+    Once `shapes` holds a decay window (t_lo, t_hi) (StartShapes), the
+    iteration, the Rayleigh quotient and the starts run on the level's
+    rows with points in [t_lo, t_hi] (found by searchsorted), as views of
+    the level's arrays; a window of fewer than 2 rows leaves the level
+    whole.  Each vector comes back embedded in zeros on the level's own
+    points, where it has the window's residual plus |offdiag[cut] v[edge]|
+    at each cut row, the coupling that the cut drops.  Each must be within
+    inverse iteration's residual floor, so the embedded vector is as
+    converged as one polished on the whole level; a cut that drops more
+    proves coupled, and the level takes the one fallback of
+    refined_lowest_eigenvalues.
     """
     n = len(system.diag)
+    lo, hi = 0, n
     if shapes is not None and shapes.window is not None:
         t_lo, t_hi = shapes.window
         lo = int(np.searchsorted(system.points, t_lo, "left"))
         hi = int(np.searchsorted(system.points, t_hi, "right"))
-        if hi - lo >= 2 and (lo, hi) != (0, n):
-            polished = _polished_rows(system, lo, hi, estimates, shapes, keep)
-            if polished is not None:
-                return polished
-    return _polished_rows(system, 0, n, estimates, shapes, keep)
-
-
-def _polished_rows(system: AssembledSystem, lo, hi, estimates, shapes, keep):
-    """_polished on rows [lo, hi) of `system`, or None if a cut is coupled.
-
-    Embedded in zeros, a window vector v has the whole level's residual
-    of the window plus |offdiag[cut] v[edge]| at each cut row, the
-    coupling that the cut drops; each must be within inverse iteration's
-    residual floor, so the embedded vector is as converged as one
-    polished on the whole level.
-    """
-    n = len(system.diag)
+        if hi - lo < 2:
+            lo, hi = 0, n
     window = system if (lo, hi) == (0, n) else system.rows(lo, hi)
     refined = np.empty(len(estimates))
     vectors = []
@@ -412,24 +401,29 @@ def _decay_window(system: AssembledSystem, energy: float):
 
 def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
     """The refinement ladder on (lower, upper): one level per size in
-    `sizes`, yielding (n, eigenvalues, system, ground vector) for each.
+    `sizes`, yielding (n, eigenvalues, step, system, ground vector) for
+    each, where step is the change of the eigenvalues from the level
+    before (None at the first level).
 
     A level takes from the level before it its potential samples when
     n = 2m + 1 (see assemble_hamiltonian) and its seeds: `seeds` at the
-    first level, then the previous values, then prev + (prev - prev2) / 4
-    (the error goes like h^2, so each change is a quarter of the last).
+    first level, then the previous values, then eigenvalues + step / 4
+    (the error goes like h^2, so each step is a quarter of the last).
     Every level after the first starts inverse iteration from the first
-    level's eigenvectors (StartShapes).  A level's matrix is kept until
+    level's eigenvectors (StartShapes); a seeded level whose window cut,
+    polish or check fails takes the one fallback, bisection of the whole
+    level (refined_lowest_eigenvalues).  A level's matrix is kept until
     the next one is assembled, and its vector is freed before it, also
     when the consumer stops there: of the orders measured, this one takes
     the fewest page faults.
 
     Consumer rule: drop the level's system and vector before asking for
-    the next level, and never iterate the ladder through `enumerate`,
-    whose last result tuple would hold both while the next level is solved.
+    the next level, and never iterate the ladder through `enumerate` or
+    collect its records, which would hold both while the next level is
+    solved.
     """
     shapes = StartShapes()
-    prev = prev2 = system = None
+    lam = step = system = None
     for n in sizes:
         # with n = 2m + 1 the level below's points are every other point
         carry = system is not None and n == 2 * m + 1
@@ -437,14 +431,15 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
             potential, GridSpec(lower, upper, n), geometry,
             coarse_values=system.potential_values if carry else None,
         )
-        if prev is not None:
-            seeds = prev if prev2 is None else prev + (prev - prev2) / 4.0
-        lam, v = refined_lowest_eigenvalues(system, count, seeds=seeds, shapes=shapes)
+        if lam is not None:
+            seeds = lam if step is None else lam + step / 4.0
+        refined, v = refined_lowest_eigenvalues(system, count, seeds=seeds, shapes=shapes)
+        step = None if lam is None else refined - lam
+        lam, m = refined, n
         try:
-            yield n, lam, system, v
+            yield n, lam, step, system, v
         finally:
             del v  # also when the consumer stops at this level
-        prev2, prev, m = prev, lam, n
 
 
 def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
@@ -460,8 +455,9 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     ladder = _ladder(potential, grid.lower, grid.upper, sizes, 1, Geometry.FULL_LINE,
                      np.array([seed]))
     # `_` holds the coarse vector while the fine level is solved, not its matrix
-    lam_c, lam_f = (lam[0] for _, lam, _, _ in ladder)
-    return float(lam_f + (lam_f - lam_c) / 3.0)
+    for _, lam, step, _, _ in ladder:
+        pass
+    return float(lam[0] + step[0] / 3.0)
 
 
 def _energy_cap(lambda_bound: float) -> float:
@@ -529,19 +525,19 @@ def solve_on_interval(
     `geometry` (see assemble_hamiltonian) and Dirichlet at the upper end.
 
     Walks the ladder from _N_START points with n -> 2n + 1, up to _N_CAP
-    points, until raw eigenvalue changes drop below tol/2 for every
-    requested eigenvalue, then one Richardson step removes the leading
-    O(h^2) error from the reported values; achieved_tol_estimate adds the
-    last raw change and the extrapolation correction.  `seeds` predict the
-    first level's eigenvalues (solve passes its pre-solve's).
+    points, until a level's step (its raw eigenvalue change, see _ladder)
+    drops below tol/2 for every requested eigenvalue, then one Richardson
+    step, step / 3, removes the leading O(h^2) error from that level's
+    values; achieved_tol_estimate adds the step and the correction.
+    `seeds` predict the first level's eigenvalues (solve passes its
+    pre-solve's).  count and tol are checked as in solve.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_request(count, tol)
     sizes = [_N_START]
     while 2 * sizes[-1] + 1 <= _N_CAP:
         sizes.append(2 * sizes[-1] + 1)
-    prev = None
-    for n, lam, system, v in _ladder(potential, lower, upper, sizes, count, geometry, seeds):
+    for n, lam, step, system, v in _ladder(potential, lower, upper, sizes, count, geometry,
+                                           seeds):
         # The ground state comes from the last level up to _N_VECTOR_CAP
         # (the first level is below it), as physical samples only.
         if n <= _N_VECTOR_CAP:
@@ -551,32 +547,38 @@ def solve_on_interval(
                 system.quadrature_weights(),
             )
         del system, v  # see _ladder's consumer rule
-        if prev is not None:
-            change = np.abs(lam - prev)
-            if np.max(change) < 0.5 * tol:
-                correction = (lam - prev) / 3.0
-                extrapolated = lam + correction
-                achieved = float(np.max(change + np.abs(correction)))
-                points, u, weights = ground
-                if np.min(u) < -1e-10 * np.max(u):
-                    raise SolverFailure(
-                        "ground state came out with a sign change",
-                        best_estimate=tuple(extrapolated),
-                    )
-                return EigenResult(
-                    eigenvalues=tuple(float(x) for x in extrapolated),
-                    ground_state_points=points,
-                    ground_state_values=u,
-                    quadrature_weights=weights,
-                    achieved_tol_estimate=achieved,
-                    grid_used=GridSpec(lower, upper, n),
-                    iterations=sizes.index(n) + 1,
+        if step is not None and np.max(np.abs(step)) < 0.5 * tol:
+            correction = step / 3.0
+            extrapolated = lam + correction
+            achieved = float(np.max(np.abs(step) + np.abs(correction)))
+            points, u, weights = ground
+            if np.min(u) < -1e-10 * np.max(u):
+                raise SolverFailure(
+                    "ground state came out with a sign change",
+                    best_estimate=tuple(extrapolated),
                 )
-        prev = lam
+            return EigenResult(
+                eigenvalues=tuple(float(x) for x in extrapolated),
+                ground_state_points=points,
+                ground_state_values=u,
+                quadrature_weights=weights,
+                achieved_tol_estimate=achieved,
+                grid_used=GridSpec(lower, upper, n),
+                iterations=sizes.index(n) + 1,
+            )
     raise SolverFailure(
         f"grid refinement cap n > {_N_CAP} reached before tolerance {tol}",
-        best_estimate=tuple(float(x) for x in prev),
+        best_estimate=tuple(float(x) for x in lam),
     )
+
+
+def _check_request(count: int, tol: float) -> None:
+    """Reject a count outside [1, MAX_COUNT] and a tol below 1e-11 (nan
+    included) with ValueError, before any eigenvalue work."""
+    if not tol >= 1e-11:  # written so that nan fails too
+        raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
 
 
 def solve(
@@ -598,10 +600,7 @@ def solve(
     the first ladder level, which bisects again only if they fail its
     check, so a solve normally bisects once.
     """
-    if not tol >= 1e-11:  # written so that nan fails too
-        raise ValueError(f"tol must be at least 1e-11 for this discretization, got {tol}")
-    if not 1 <= count <= MAX_COUNT:
-        raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
+    _check_request(count, tol)
     if isinstance(problem, OperatorSpec):
         if geometry is not None:
             raise ValueError("geometry is read from the OperatorSpec")

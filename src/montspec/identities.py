@@ -92,10 +92,10 @@ def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
 def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
     """d2_exact on the ground-state level of a count=2 solve, the ladder
     level whose vector the solve reports (its final grid, or the last
-    level under eigensolver._N_VECTOR_CAP, past which the vector's eps/h^2
-    rounding outgrows its discretization error): project W u off u, solve
-    the shifted tridiagonal system with a 1e-12 relative regularizing
-    offset, re-project."""
+    level small enough that the vector's eps/h^2 rounding stays below its
+    discretization error; its size is len(ground_state_points)): project
+    W u off u, solve the shifted tridiagonal system with a 1e-12 relative
+    regularizing offset, re-project."""
     lam = result.eigenvalues
     if lam[1] - lam[0] < 1e-6:
         raise SolverFailure(

@@ -25,9 +25,7 @@ import numpy as np
 
 # The ceiling of every potential value, V = min(V, SATURATION).  The
 # eigensolver's truncation rule keeps all sampled points far below it, so
-# the clamp acts only at extreme (k, t).  An earlier log-domain mask sent
-# |t^n / n| from about 4.6e147 on to the ceiling; that band, V from about
-# 2e295 to 1e300, now reads its exact value.
+# the clamp acts only at extreme (k, t).
 SATURATION = 1e300
 _ROOT_CEILING = math.sqrt(SATURATION)
 

@@ -16,13 +16,13 @@ doubling from there would pull most of the spectrum into the window.
 
 Brackets are machine-tight.  Bisection runs only where nothing predicts
 the eigenvalues (the coarse pre-solve in eigensolver.solve, whose values
-seed the first level of its refinement ladder), and as the fallback when
-predicted values fail their check.
+seed the first level of its refinement ladder), and as a seeded level's
+one fallback: when its window cut proves coupled, its polish fails or
+its polished values fail their check, the level is bisected whole.
 
 Each inverse-iteration sweep, and each shifted_solve, is one LAPACK
 gtsv call on A - shift I: Gaussian elimination with partial pivoting
-fused with the solve, the same arithmetic (and bits) as a gttrf factor
-followed by a gttrs solve.  No factor is kept across sweeps: a start
+fused with the solve.  No factor is kept across sweeps: a start
 close to the eigenvector converges in one sweep, so a kept factor would
 save almost nothing.  The residual is taken at the iterate's Rayleigh
 quotient, so a shift from an eigenvalue predicted on coarser grids
@@ -32,8 +32,9 @@ matrix-vector product.  From the flat start it takes about 1.4 sweeps
 to converge and two polish sweeps that damp the flat vector's imprint in
 the far tails; from a start close to the eigenvector (a coarser grid's
 eigenvector, interpolated) it takes about one sweep and no polish.
-are_lowest_eigenvalues confirms the polished values of predicted
-eigenvalues with one pivot count just above them instead of bisecting.
+are_lowest_eigenvalues is the one check on the polished values of
+predicted eigenvalues: their separation and one pivot count just above
+them, instead of bisecting.
 
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
 converge, a singular shifted matrix, a NaN pivot) leaves this one as
@@ -185,8 +186,8 @@ def _count_below(diag, offdiag, x: float) -> int:
 
 
 def separation_margin(offdiag) -> float:
-    """Gap below which two predicted or polished eigenvalues count as too
-    close to tell apart: 125 of inverse iteration's residual floors."""
+    """Gap below which two polished eigenvalues count as too close to
+    tell apart: 125 of inverse iteration's residual floors."""
     return 125.0 * _residual_floor(offdiag, 0.0)
 
 
@@ -224,11 +225,6 @@ def lowest_eigenvalues(diag, offdiag, count: int):
     return np.sort(vals[:found])[:count]
 
 
-def are_separated(offdiag, values) -> bool:
-    """Whether values increase by more than a separation margin each."""
-    return bool(np.all(np.diff(values) > separation_margin(offdiag)))
-
-
 def are_lowest_eigenvalues(diag, offdiag, values) -> bool:
     """Whether polished values are the lowest len(values) eigenvalues, in
     order.
@@ -244,8 +240,9 @@ def are_lowest_eigenvalues(diag, offdiag, values) -> bool:
     level's O(h^2) change costs nothing.
     """
     values = np.asarray(values, dtype=float)
-    return are_separated(offdiag, values) and _count_below(
-        diag, offdiag, values[-1] + separation_margin(offdiag)
+    margin = separation_margin(offdiag)
+    return bool(np.all(np.diff(values) > margin)) and _count_below(
+        diag, offdiag, values[-1] + margin
     ) == len(values)
 
 

@@ -232,6 +232,8 @@ def test_count_out_of_range_is_rejected(monkeypatch, count):
     monkeypatch.setattr(tridiag, "dstebz", _stebz_fails)
     with pytest.raises(ValueError, match=r"count must be in \[1, 64\]"):
         solve(OperatorSpec(2, 0.0), count=count)
+    with pytest.raises(ValueError, match=r"count must be in \[1, 64\]"):
+        solve_on_interval(MontgomeryPotential(2, 0.0), -4.15, 4.15, count=count, tol=1e-2)
 
 
 def test_nan_tol_is_rejected():
@@ -239,6 +241,8 @@ def test_nan_tol_is_rejected():
     # instead of climbing the ladder to the grid cap
     with pytest.raises(ValueError):
         solve(OperatorSpec(2, 0.0), tol=float("nan"))
+    with pytest.raises(ValueError, match="tol must be at least 1e-11"):
+        solve_on_interval(MontgomeryPotential(2, 0.0), -4.15, 4.15, tol=float("nan"))
     with pytest.raises(ValueError):
         de_gennes_theta0(float("nan"))
 
@@ -616,11 +620,14 @@ def test_steep_well_polishes_its_coupled_core(monkeypatch):
 
 def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     # a window cut inside the well drops a coupling far above the residual
-    # floor, so each level polishes its whole matrix, exactly as untrimmed
+    # floor, so each later level takes the one fallback: it bisects and
+    # polishes its whole matrix from flat starts, the untrimmed result to
+    # rounding
     spec = OperatorSpec(200, 0.0)
     _window_off(monkeypatch)
     whole = solve(spec, count=2, tol=1e-6)
     monkeypatch.setattr(eigensolver, "_decay_window", lambda system, energy: (-0.5, 0.5))
+    bisections = _count_bisections(monkeypatch)
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
     res = solve(spec, count=2, tol=1e-6)
@@ -628,8 +635,12 @@ def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     inner = [np.count_nonzero(np.abs(GridSpec(lower, upper, n).interior_points()) <= 0.5)
              for n in sizes[1:]]
     assert rows == [sizes[0]] * 2 + [r for n, m in zip(sizes[1:], inner) for r in (m, n, n)]
-    assert res.eigenvalues == whole.eigenvalues
-    assert np.array_equal(res.ground_state_values, whole.ground_state_values)
+    assert bisections == [eigensolver._N_START] + sizes[1:]
+    assert (res.grid_used, res.iterations) == (whole.grid_used, whole.iterations)
+    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=1e-14)
+    # flat and interpolated starts converge to vectors 1.4e-11 apart
+    assert np.allclose(res.ground_state_values, whole.ground_state_values,
+                       rtol=0.0, atol=1e-10 * np.max(whole.ground_state_values))
 
 
 @pytest.mark.parametrize("k", [1000, 4068])
@@ -651,18 +662,20 @@ def test_neumann_half_line_is_never_cut_at_zero(monkeypatch):
     # the window cuts the far Dirichlet end only; the Neumann row stays
     spec = OperatorSpec(30, 0.0, N)
     windows = _recorded_windows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
     cuts = []
-    plain = eigensolver._polished_rows
+    plain = eigensolver.AssembledSystem.rows
 
-    def recorded(system, lo, hi, *args):
+    def recorded(system, lo, hi):
         cuts.append((lo, hi, len(system.diag)))
-        return plain(system, lo, hi, *args)
+        return plain(system, lo, hi)
 
-    monkeypatch.setattr(eigensolver, "_polished_rows", recorded)
+    monkeypatch.setattr(eigensolver.AssembledSystem, "rows", recorded)
     res = solve(spec, count=3, tol=1e-6)
     assert windows[0][0] == -math.inf and windows[0][1] < res.grid_used.upper
-    assert len(cuts) == res.iterations and cuts[0] == (0, cuts[0][2], cuts[0][2])
-    assert all(lo == 0 and hi < n for lo, hi, n in cuts[1:])
+    # the recording level is whole; every later level is cut once
+    assert len(sizes) == res.iterations and [n for _, _, n in cuts] == sizes[1:]
+    assert all(lo == 0 and hi < n for lo, hi, n in cuts)
     _window_off(monkeypatch)
     whole = solve(spec, count=3, tol=1e-6)
     assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=5e-14)
@@ -721,6 +734,41 @@ def test_fixed_grid_lambda1_matches_bisected_pair(seed):
     expected = fine[0] + (fine[0] - coarse[0]) / 3.0
     value = {"coarse-lambda1": coarse[0], "far-below": 0.0, "coarse-lambda2": coarse[1]}[seed]
     assert fixed_grid_lambda1(pot, grid, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+
+def _recorded_ladder(monkeypatch):
+    """Record (n, eigenvalues, step) of every ladder level."""
+    records = []
+    plain = eigensolver._ladder
+
+    def recorded(*args):
+        for record in plain(*args):
+            records.append(record[:3])
+            yield record
+
+    monkeypatch.setattr(eigensolver, "_ladder", recorded)
+    return records
+
+
+def test_consumers_read_the_ladders_step(monkeypatch):
+    # the ladder computes each level's step once; fixed_grid_lambda1 and
+    # solve_on_interval extrapolate from the record they stop at, bit for bit
+    records = _recorded_ladder(monkeypatch)
+    value = fixed_grid_lambda1(MontgomeryPotential(2, 0.5), GridSpec(-6.0, 6.0, 8191), 0.84)
+    (_, coarse, first_step), (_, fine, step) = records
+    assert first_step is None and np.array_equal(step, fine - coarse)
+    assert value == float(fine[0] + step[0] / 3.0)
+    records.clear()
+    tol = 1e-6
+    res = solve(OperatorSpec(2, 0.0), count=2, tol=tol)
+    assert len(records) == res.iterations >= 3
+    for (_, below, _), (_, lam, step) in zip(records, records[1:]):
+        assert np.array_equal(step, lam - below)
+    assert all(np.max(np.abs(step)) >= 0.5 * tol for _, _, step in records[1:-1])
+    n, lam, step = records[-1]
+    assert res.grid_used.n == n
+    assert res.eigenvalues == tuple(float(x) for x in lam + step / 3.0)
+    assert res.achieved_tol_estimate == float(np.max(np.abs(step) + np.abs(step / 3.0)))
 
 
 def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
