@@ -2,10 +2,12 @@
 Montgomery operator family -d2/dt2 + (t^(k+1)/(k+1) - alpha)^2.
 
 The package splits along the paper's two channels.  The closed-form
-channel (`bounds`, `certify`'s certificates and figure tables) is plain
-arithmetic and loads neither numpy nor scipy.  The numerical channel
-(`operators`, `eigensolver`, `tridiag`, `identities`, `certify.scan` and
-`certify.locate_minimum`) needs them and loads them on first use.
+channel (`bounds`, with the de Gennes constant from its Weber-equation
+root, and `certify`'s certificates and figure tables) is plain
+arithmetic and mpmath, and loads neither numpy nor scipy.  The
+numerical channel (`operators`, `eigensolver`, `tridiag`, `identities`,
+`certify.scan` and `certify.locate_minimum`) needs them and loads them
+on first use.
 Every name below, and each of these submodules, is imported on first
 access (PEP 562), so `import montspec` itself loads neither channel.
 """
@@ -20,6 +22,7 @@ _EXPORTS = {
         "THETA0_LOWER",
         "bounds_table",
         "c_bound_terms",
+        "de_gennes_theta0",
         "h_closed",
         "lower_bound_B",
         "lower_bound_B_tilde",
@@ -44,7 +47,6 @@ _EXPORTS = {
         "EigenResult",
         "GridSpec",
         "assemble_hamiltonian",
-        "de_gennes_theta0",
         "dirichlet_well_lambda",
         "solve",
         "solve_on_interval",

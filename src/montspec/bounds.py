@@ -10,6 +10,10 @@ minima from explicit alpha intervals.  `chain` is the one place the
 certificate chain (constants, gap floor, radii) is put together for a
 k; bounds_table, certificates, figure tables and the CLI read it, and
 SMALL_K_MAX is the one definition of the chain's regime split.
+The de Gennes constant itself enters only as the floor THETA0_LOWER;
+de_gennes_theta0 computes it as evidence for that floor, again without
+a solve: it is the square of one root of Weber's equation, evaluated
+in mpmath.
 
 Each formula the chain reads is written once, against a number
 namespace `m` (`pi`, `exp`, `log`, `expm1`, `sqrt`, `atan`, `min`, and
@@ -26,11 +30,11 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import CertificationError
+from .errors import CertificationError, SolverFailure
 
 # The de Gennes constant enters every certified inequality through this
-# floor, not through its computed value (~0.59011); the computed value is
-# reported separately for information.
+# floor, not through its computed value (~0.59011, de_gennes_theta0);
+# the computed value is reported separately for information.
 THETA0_LOWER = 0.59
 
 # Fixed barrier position for the B~ bound; deliberately not optimized.
@@ -57,6 +61,50 @@ def _require_even_k(k: int, minimum: int = 2) -> None:
     # every formula here reads k + 1 as a double, exact only below 2^53
     if k >= 2**53:
         raise ValueError(f"k = {k} is past double precision: k + 1 is inexact from 2^53 on")
+
+
+def de_gennes_theta0(tol: float = 1e-7) -> float:
+    """The de Gennes constant theta0: min over xi of the lowest Neumann
+    half-line eigenvalue mu(xi) of -d2/dt2 + (t - xi)^2.
+
+    In z = sqrt(2) (t - xi) the operator is Weber's equation: its
+    decaying solutions are the parabolic-cylinder functions D_nu(z), with
+    eigenvalue 2 nu + 1, and the Neumann condition at t = 0 reads
+    D_nu'(-sqrt(2) xi) = 0, where D_nu'(z) = (z/2) D_nu(z) - D_(nu+1)(z).
+    At the minimizer xi0, mu(xi0) = xi0^2 (Dauge and Helffer 1993), so
+    with nu = (xi^2 - 1)/2 that condition is one equation in xi, whose
+    root in (0.6, 0.9) is xi0; theta0 = xi0^2, from mpmath.pcfd at 20
+    digits and exact to double precision whatever the tol.
+
+    tol below 1e-9, or nan, is a ValueError.  An mpmath failure, a root
+    outside (0.6, 0.9) and a value not above THETA0_LOWER are each a
+    SolverFailure.
+    """
+    if not tol >= 1e-9:  # written so that nan fails too
+        raise ValueError(f"tol must be at least 1e-9, got {tol}")
+    import mpmath  # on first use, as certify's interval namespace does
+
+    def neumann(xi):
+        nu = (xi * xi - 1) / 2
+        z = -mpmath.sqrt(2) * xi
+        return z / 2 * mpmath.pcfd(nu, z) - mpmath.pcfd(nu + 1, z)
+
+    # findroot reports no convergence as a ValueError and pcfd as
+    # NoConvergence: either is a failed root, not bad input
+    try:
+        with mpmath.workdps(20):
+            xi0 = mpmath.findroot(neumann, mpmath.mpf("0.77"))
+            value = float(xi0 * xi0)
+    except (ArithmeticError, ValueError, mpmath.libmp.NoConvergence) as exc:
+        raise SolverFailure(f"Weber-equation root failed: {exc}") from exc
+    # findroot is not confined to a bracket, so the bracket is checked here
+    if not 0.6 < xi0 < 0.9:
+        raise SolverFailure(f"Weber-equation root {xi0} is outside (0.6, 0.9)",
+                            best_estimate=value)
+    if not value > THETA0_LOWER:
+        raise SolverFailure(f"computed de Gennes constant {value} fails the "
+                            f"{THETA0_LOWER} floor", best_estimate=value)
+    return value
 
 
 def h_closed(a: float) -> float:

@@ -6,11 +6,12 @@ output.  Exit codes: 0 success, 1 usage error, 2 certification failure,
 3 solver failure, 141 (128 + SIGPIPE) when the reader closed standard
 output early, as `montspec certify --regime small | head -1` does; that
 case prints nothing to standard error.  Only the subcommands that solve
-(eigen, identities, scan, theta0) load the solver stack and with it
-numpy and scipy's compiled LAPACK extension (not the scipy.linalg
-package; see tridiag); bounds, certify and figures run on the
-closed-form modules alone.  bounds writes each table's line as soon as
-the table is built, so a long k range streams with flat memory.
+(eigen, identities, scan) load the solver stack and with it numpy and
+scipy's compiled LAPACK extension (not the scipy.linalg package; see
+tridiag); bounds, certify, figures and theta0 run on the closed-form
+modules alone, and certify and theta0 load mpmath.  bounds writes each
+table's line as soon as the table is built, so a long k range streams
+with flat memory.
 """
 
 import argparse
@@ -258,9 +259,7 @@ def _cmd_figures(args, stream) -> int:
 
 
 def _cmd_theta0(args, stream) -> int:
-    from .eigensolver import de_gennes_theta0
-
-    value = de_gennes_theta0(tol=args.tol)
+    value = bounds_mod.de_gennes_theta0(tol=args.tol)
     if args.format == "json":
         stream.write(json.dumps({"theta0": value, "tol": args.tol}) + "\n")
     else:

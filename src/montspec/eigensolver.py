@@ -11,9 +11,11 @@ Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows inside which the eigenvectors are above rounding
 (StartShapes, _polished).
 Covers the three operators.Geometry domains: the full line and the half
-line with a Dirichlet or Neumann condition at t=0 (the Neumann one gives
-the de Gennes constant).  Also the explicit step-well model, whose first
-eigenvalue solves a transcendental gluing equation.
+line with a Dirichlet or Neumann condition at t=0 (the Neumann one is the
+de Gennes model, whose constant bounds.de_gennes_theta0 takes from its
+Weber-equation root and the tests check against this solver).  Also the
+explicit step-well model, whose first eigenvalue solves a
+transcendental gluing equation.
 """
 
 import math
@@ -23,9 +25,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import tridiag
+# re-exported for callers that still look theta0 up here; it is computed
+# in bounds, from its Weber-equation root, without a solve
+from .bounds import de_gennes_theta0  # noqa: F401
 from .errors import SolverFailure
-from .operators import Geometry, OperatorSpec, PotentialKind, ShiftedHarmonicPotential
-from .optimize import minimize_golden
+from .operators import Geometry, OperatorSpec, PotentialKind
 
 # The truncated domain reaches where V exceeds the eigenvalue cap by
 # TRUNCATION_MARGIN, plus TRUNCATION_PAD beyond that classical turning
@@ -622,42 +626,6 @@ def solve(
         geometry=geometry,
         seeds=lam_coarse,
     )
-
-
-def de_gennes_theta0(tol: float = 1e-7) -> float:
-    """The de Gennes constant: min over xi of the lowest Neumann half-line
-    eigenvalue of -d2/dt2 + (t - xi)^2.
-
-    Brent's line search (optimize.minimize_golden) on xi in [0, 2]; the
-    minimizer is interior and the map is smooth and unimodal there, so
-    parabolic steps take it in about 8 solves.  The returned minimum is a
-    hair above 0.59.
-    """
-    if not tol >= 1e-9:  # written so that nan fails too
-        raise ValueError(f"tol must be at least 1e-9, got {tol}")
-    inner_tol = max(tol / 10.0, 1e-11)
-
-    def lam1(xi: float) -> float:
-        res = solve(
-            ShiftedHarmonicPotential(xi),
-            count=1,
-            tol=inner_tol,
-            geometry=Geometry.HALF_LINE_NEUMANN,
-        )
-        return res.eigenvalues[0]
-
-    xtol = max(1e-6, 0.5 * math.sqrt(tol))
-    xi_min, value = minimize_golden(lam1, 0.0, 2.0, xtol=xtol)
-    if not 0.2 < xi_min < 1.8:
-        raise SolverFailure(
-            f"minimizer {xi_min} hit the search bracket edge", best_estimate=value
-        )
-    if not value > 0.59:
-        raise SolverFailure(
-            f"computed de Gennes constant {value} fails the 0.59 floor",
-            best_estimate=value,
-        )
-    return float(value)
 
 
 def dirichlet_well_lambda(T: float, k: int) -> float:

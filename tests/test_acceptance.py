@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from montspec import bounds, certify, identities
-from montspec.eigensolver import de_gennes_theta0, dirichlet_well_lambda, solve
-from montspec.operators import OperatorSpec, ShiftedHarmonicPotential
+from montspec.bounds import de_gennes_theta0
+from montspec.eigensolver import dirichlet_well_lambda, solve
+from montspec.operators import Geometry, OperatorSpec, ShiftedHarmonicPotential
 
 from derivations import h_maximized, h_maximizer, trial_width_k2
 
@@ -72,10 +73,13 @@ def test_criterion_06_small_k_certificates():
 
 def test_criterion_07_theta0():
     value = de_gennes_theta0(1e-7)
-    refined = de_gennes_theta0(1e-8)
-    ok = value > 0.59 and abs(value - refined) < 1e-6
-    _report(7, f"theta0 = {value:.8f} > 0.59, refinement drift "
-               f"{abs(value - refined):.2e} < 1e-6", ok)
+    # the Neumann eigenvalue at xi0 = sqrt(theta0) is theta0 (Dauge-Helffer)
+    res = solve(ShiftedHarmonicPotential(math.sqrt(value)), count=1, tol=1e-9,
+                geometry=Geometry.HALF_LINE_NEUMANN)
+    gap = abs(res.lambda1 - value)
+    ok = value > 0.59 and gap <= res.achieved_tol_estimate
+    _report(7, f"theta0 = {value:.8f} > 0.59, Neumann solve at sqrt(theta0) "
+               f"off by {gap:.2e} <= {res.achieved_tol_estimate:.2e}", ok)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])

