@@ -44,7 +44,7 @@ for alpha in (0.4, 1.1):
 
 print()
 print("=" * 70)
-print("4. Half-line geometries (used by the de Gennes machinery)")
+print("4. Half-line geometries (Neumann: the de Gennes model the tests check theta0 against)")
 print("=" * 70)
 neumann = solve(ShiftedHarmonicPotential(0.0), count=2, tol=1e-8,
                 geometry=Geometry.HALF_LINE_NEUMANN)

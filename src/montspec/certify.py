@@ -105,40 +105,47 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
     """Uniformly sampled (lambda1, lambda2, d lambda1) over an alpha range.
 
     Each row comes from a converged adaptive solve; the derivative column
-    is the Feynman-Hellmann integral on that solve's grid.  Deterministic.
-    A k or an endpoint alpha that OperatorSpec rejects raises ValueError
-    before the first solve.
+    is the Feynman-Hellmann integral on that solve's grid.  The solves
+    run as one sweep (eigensolver._sweep): only the first bisects its
+    pre-solve.  Every later one seeds it with the earlier rows' pre-solve
+    values, linearly extrapolated in alpha, starts it from the last
+    seeded one's eigenvectors and checks it, falling back to bisection
+    if the check fails.  The interval, ladder and stop rule are each
+    row's own, so a row matches an independent solve at its alpha to
+    rounding.  Deterministic.  A k or an endpoint alpha that OperatorSpec
+    rejects raises ValueError before the first solve.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
     if steps < 2:
         raise ValueError("need at least 2 steps")
     from . import identities
-    from .eigensolver import solve
+    from .eigensolver import _sweep, solve
     from .operators import OperatorSpec
 
     OperatorSpec(k, alpha_min), OperatorSpec(k, alpha_max)  # raise before any solve
     rows = []
-    for i in range(steps):
-        alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
-        try:
-            res = solve(OperatorSpec(k, alpha), count=2, tol=tol)
-        except SolverFailure as exc:
-            raise SolverFailure(
-                f"scan failed at alpha={alpha}: {exc}",
-                best_estimate=exc.best_estimate,
-                residual=exc.residual,
-            ) from exc
-        lam1, lam2 = res.eigenvalues[0], res.eigenvalues[1]
-        rows.append(
-            ScanRow(
-                alpha=alpha,
-                lambda1=lam1,
-                lambda2=lam2,
-                d_lambda1=identities._fh_from_result(res, k, alpha),
-                gap_ok=bounds.gap_ratio(k) * lam2 > lam1,
+    with _sweep():
+        for i in range(steps):
+            alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
+            try:
+                res = solve(OperatorSpec(k, alpha), count=2, tol=tol)
+            except SolverFailure as exc:
+                raise SolverFailure(
+                    f"scan failed at alpha={alpha}: {exc}",
+                    best_estimate=exc.best_estimate,
+                    residual=exc.residual,
+                ) from exc
+            lam1, lam2 = res.eigenvalues[0], res.eigenvalues[1]
+            rows.append(
+                ScanRow(
+                    alpha=alpha,
+                    lambda1=lam1,
+                    lambda2=lam2,
+                    d_lambda1=identities._fh_from_result(res, k, alpha),
+                    gap_ok=bounds.gap_ratio(k) * lam2 > lam1,
+                )
             )
-        )
     return rows
 
 
@@ -154,12 +161,15 @@ def locate_minimum(k: int) -> Tuple[float, float]:
     of alpha instead of per-solve adaptation noise; the grid is symmetric,
     so the discrete problem inherits the alpha -> -alpha symmetry to
     rounding, keeping the discrete minimizer at 0.  The grid pair takes
-    its size from an adaptive solve at alpha = 0 to tol 1e-7.  Expected
-    minimizer within 1e-6 of 0.
+    its size from an adaptive solve at alpha = 0 to tol 1e-7, the one
+    bisection: every evaluation is seeded with that solve's lambda1, and
+    the evaluations run as one chain (eigensolver._fixed_grid_chain),
+    each starting its coarse level's inverse iteration from the
+    eigenvector of the one before.  Expected minimizer within 1e-6 of 0.
     """
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
-    from .eigensolver import GridSpec, fixed_grid_lambda1, solve, truncation_interval
+    from .eigensolver import GridSpec, _fixed_grid_chain, solve, truncation_interval
     from .operators import Geometry, MontgomeryPotential, OperatorSpec
 
     # Domain must confine the worst case over the bracket: the trial
@@ -168,10 +178,10 @@ def locate_minimum(k: int) -> Tuple[float, float]:
     bound = ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4
     lower, upper = truncation_interval(worst, Geometry.FULL_LINE, bound)
     probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
-    grid = GridSpec(lower, upper, probe.grid_used.n)
+    chain = _fixed_grid_chain(GridSpec(lower, upper, probe.grid_used.n))
 
     def lam1(alpha: float) -> float:
-        return fixed_grid_lambda1(MontgomeryPotential(k, alpha), grid, probe.lambda1)
+        return chain(MontgomeryPotential(k, alpha), probe.lambda1)
 
     return minimize_golden(lam1, -ALPHA_SCAN_MAX, ALPHA_SCAN_MAX, xtol=1e-5)
 

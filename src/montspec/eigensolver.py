@@ -10,6 +10,14 @@ solve_on_interval, over two in fixed_grid_lambda1.
 Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows inside which the eigenvectors are above rounding
 (StartShapes, _polished).
+Sweeps along a parameter carry what they can from one point to the next
+(predictor-corrector continuation): a sweep of solves (_sweep) seeds
+each pre-solve after the first with the earlier ones' eigenvalues,
+extrapolated, and starts it from their eigenvectors, and a chain of
+fixed-grid evaluations (_fixed_grid_chain) starts each coarse level
+from the eigenvector of the one before.  Every carried value is only a
+prediction, checked as the ladder checks its own, so a sweep bisects
+once unless a prediction fails.
 Covers the three operators.Geometry domains: the full line and the half
 line with a Dirichlet or Neumann condition at t=0 (the Neumann one is the
 de Gennes model, whose constant bounds.de_gennes_theta0 takes from its
@@ -18,8 +26,11 @@ explicit step-well model, whose first eigenvalue solves a
 transcendental gluing equation.
 """
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
@@ -215,6 +226,12 @@ class StartShapes:
     Only that one level is held: with the ladder's first level, `count`
     vectors of about _N_START doubles.
 
+    `carried` is the record of a nearby operator's first level: the
+    previous call's on the same grid (_fixed_grid_chain), or the
+    previous pre-solve's of a sweep of solves (_sweep).  Until this one
+    records, it starts the recording level, which then runs no polish
+    sweeps, and it is dropped once this one records.
+
     The same record fixes the ladder's decay window (t_lo, t_hi), two
     floats (_decay_window): the stretch of the interval outside which the
     eigenvectors have decayed by DECAY_EFOLDS e-folds past the classical
@@ -226,22 +243,26 @@ class StartShapes:
     the whole level and flat starts (refined_lowest_eigenvalues).
     """
 
-    def __init__(self):
+    def __init__(self, carried: Optional["StartShapes"] = None):
         self.points = None
         self.vectors = []
         self.window = None
+        self.carried = carried
 
     def record(self, system: AssembledSystem, vectors, top: float) -> None:
         self.points = system.points
         self.vectors = [system.to_physical(v) for v in vectors]
         self.window = _decay_window(system, _energy_cap(top))
+        self.carried = None
 
     def start(self, system: AssembledSystem, j: int):
-        """The start of eigenpair j on `system`, or None (a flat start)
-        while nothing is recorded."""
-        if self.points is None:
+        """The start of eigenpair j on `system`, from this record or,
+        before it is made, the carried one; None (a flat start) while
+        neither is there."""
+        source = self if self.points is not None else self.carried
+        if source is None:
             return None
-        start = np.interp(system.points, self.points, self.vectors[j])
+        start = np.interp(system.points, source.points, source.vectors[j])
         if system.neumann_lower:  # undo to_physical
             start[0] /= _SQRT2
         return start
@@ -263,8 +284,9 @@ def refined_lowest_eigenvalues(
     r^2 / gap, which lands near machine precision.
 
     `seeds` are predicted eigenvalues: from the ladder's coarser levels
-    (_ladder), the pre-solve (solve), or an adaptive solve of the same or
-    a nearby operator (fixed_grid_lambda1's callers).  Given them,
+    (_ladder), the pre-solve (solve), a sweep's earlier pre-solves
+    (_sweep), or an adaptive solve of the same or a nearby operator
+    (fixed_grid_lambda1's callers).  Given them,
     bisection is skipped: inverse iteration starts from each prediction,
     and one check judges the polished values: they must be strictly
     increasing, well separated and exactly as many as one Sturm count
@@ -279,8 +301,10 @@ def refined_lowest_eigenvalues(
     While it is empty, this level's vectors are recorded in it.  Once it
     holds vectors, the seeded iteration for eigenpair j starts from its
     vector j, needs about one sweep and skips the polish sweeps that damp
-    a flat start's imprint (see tridiag.inverse_iteration).  A flat start
-    and its polish serve the recording level and the fallback.
+    a flat start's imprint (see tridiag.inverse_iteration).  The
+    recording level starts from the vectors `shapes` carries from a
+    nearby operator, if any (_fixed_grid_chain, _sweep); a flat start
+    and its polish serve it otherwise, and the fallback always.
 
     The recording level also fixes the decay window (StartShapes).  On
     every later seeded level, inverse iteration, the Rayleigh quotients
@@ -403,7 +427,7 @@ def _decay_window(system: AssembledSystem, energy: float):
     return t_lo, t_hi
 
 
-def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
+def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None):
     """The refinement ladder on (lower, upper): one level per size in
     `sizes`, yielding (n, eigenvalues, step, system, ground vector) for
     each, where step is the change of the eigenvalues from the level
@@ -414,7 +438,9 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
     first level, then the previous values, then eigenvalues + step / 4
     (the error goes like h^2, so each step is a quarter of the last).
     Every level after the first starts inverse iteration from the first
-    level's eigenvectors (StartShapes); a seeded level whose window cut,
+    level's eigenvectors, recorded in `shapes` (a new StartShapes if
+    None; one that carries another ladder's record starts the first
+    level from it too); a seeded level whose window cut,
     polish or check fails takes the one fallback, bisection of the whole
     level (refined_lowest_eigenvalues).  A level's matrix is kept until
     the next one is assembled, and its vector is freed before it, also
@@ -426,7 +452,7 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
     collect its records, which would hold both while the next level is
     solved.
     """
-    shapes = StartShapes()
+    shapes = StartShapes() if shapes is None else shapes
     lam = step = system = None
     for n in sizes:
         # with n = 2m + 1 the level below's points are every other point
@@ -451,17 +477,42 @@ def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
     coarsening (twice the spacing) and `grid`, plus one Richardson step;
     Dirichlet ends.  `seed` predicts the coarse level's lambda1 (say,
     that of a nearby potential); a poor seed costs a bisection, not
-    accuracy.  Callers that evaluate several potentials on one grid see
+    accuracy.  The coarse level starts inverse iteration flat; callers
+    that evaluate a chain of nearby potentials on one grid start each
+    from the one before instead (_fixed_grid_chain).  Such callers see
     an O(h^2) error that is a smooth function of the potential
     parameters, so it cancels in finite differences and comparisons.
     """
+    return _fixed_grid_chain(grid)(potential, seed)
+
+
+def _fixed_grid_chain(grid: GridSpec):
+    """fixed_grid_lambda1 on `grid` for a chain of nearby potentials:
+    a function (potential, seed) -> lambda1.  From its second call on,
+    the coarse level starts inverse iteration from the coarse
+    eigenvector of the call before (StartShapes' carried record), as
+    finer ladder levels start from coarser ones: it runs no polish
+    sweeps, and takes about one sweep where the potentials are close
+    (the stencil's points, Brent's last steps).  The start only speeds
+    the iteration: each value is checked as any seeded level's
+    (refined_lowest_eigenvalues) and comes out the same to rounding.
+    One coarse vector is held between calls.
+    """
     sizes = ((grid.n - 1) // 2, grid.n)
-    ladder = _ladder(potential, grid.lower, grid.upper, sizes, 1, Geometry.FULL_LINE,
-                     np.array([seed]))
-    # `_` holds the coarse vector while the fine level is solved, not its matrix
-    for _, lam, step, _, _ in ladder:
-        pass
-    return float(lam[0] + step[0] / 3.0)
+    previous = None
+
+    def lambda1(potential, seed: float) -> float:
+        nonlocal previous
+        shapes = StartShapes(carried=previous)
+        ladder = _ladder(potential, grid.lower, grid.upper, sizes, 1, Geometry.FULL_LINE,
+                         np.array([seed]), shapes)
+        # `_` holds the coarse vector while the fine level is solved, not its matrix
+        for _, lam, step, _, _ in ladder:
+            pass
+        previous = shapes
+        return float(lam[0] + step[0] / 3.0)
+
+    return lambda1
 
 
 def _energy_cap(lambda_bound: float) -> float:
@@ -585,6 +636,42 @@ def _check_request(count: int, tol: float) -> None:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
 
 
+# The sweep of solves the caller is inside (_sweep), None outside one:
+# `values`, the eigenvalues of its last two pre-solves, and `shapes`, the
+# eigenvectors of its last seeded pre-solve (StartShapes), or None.
+_SWEEP = contextvars.ContextVar("montspec_sweep", default=None)
+
+
+@contextlib.contextmanager
+def _sweep():
+    """A sweep of solves at evenly spaced values of one parameter
+    (certify.scan's alpha), each asking for the same count of
+    eigenvalues.  Inside it, every solve after the first seeds its
+    pre-solve with _extrapolated's prediction from the sweep's earlier
+    pre-solves instead of bisecting it, and starts its inverse iteration
+    from the last seeded pre-solve's eigenvectors (the first seeded one
+    starts flat).  A seeded pre-solve is polished and checked as any
+    seeded ladder level (refined_lowest_eigenvalues) and bisects only if
+    that fails, so a sweep normally bisects once.  Only the pre-solve
+    changes: the interval, the ladder and the stop rule are each solve's
+    own.
+    """
+    token = _SWEEP.set(SimpleNamespace(values=[], shapes=None))
+    try:
+        yield
+    finally:
+        _SWEEP.reset(token)
+
+
+def _extrapolated(previous):
+    """The next pre-solve eigenvalues of a sweep at evenly spaced points,
+    linearly extrapolated from the last two of `previous` (the last one
+    itself after the first)."""
+    if len(previous) == 1:
+        return previous[-1]
+    return 2.0 * previous[-1] - previous[-2]
+
+
 def solve(
     problem: Union[OperatorSpec, PotentialKind],
     count: int = 2,
@@ -597,12 +684,14 @@ def solve(
     potential kind with a `geometry` keyword (default the full line); a
     geometry that is not a Geometry member is a ValueError, and so is a
     count outside [1, MAX_COUNT].  The domain comes
-    from a coarse pre-solve: bisect once on truncation_interval's interval
-    for cap 10 at the first ladder level's size, then re-truncate at the
-    highest eigenvalue it found, so the potential dominates every
-    requested eigenvalue with margin.  The pre-solve's eigenvalues seed
-    the first ladder level, which bisects again only if they fail its
-    check, so a solve normally bisects once.
+    from a coarse pre-solve on truncation_interval's interval for cap 10
+    at the first ladder level's size, then re-truncates at the highest
+    eigenvalue it found, so the potential dominates every requested
+    eigenvalue with margin.  The pre-solve bisects, unless the solve is
+    inside a sweep (_sweep) that predicts its eigenvalues.  Its
+    eigenvalues seed the first ladder level, which bisects again only if
+    they fail its check, so a solve normally bisects once, and a sweep
+    of solves normally once in all.
     """
     _check_request(count, tol)
     if isinstance(problem, OperatorSpec):
@@ -615,7 +704,16 @@ def solve(
 
     lower, upper = truncation_interval(potential, geometry, 0.0)
     coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), geometry)
-    lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
+    sweep = _SWEEP.get()
+    if sweep is not None and sweep.values:
+        sweep.shapes = StartShapes(carried=sweep.shapes)
+        lam_coarse, _ = refined_lowest_eigenvalues(
+            coarse, count, seeds=_extrapolated(sweep.values), shapes=sweep.shapes
+        )
+    else:
+        lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
+    if sweep is not None:
+        sweep.values = sweep.values[-1:] + [lam_coarse]
     lower, upper = truncation_interval(potential, geometry, float(lam_coarse[-1]))
     return solve_on_interval(
         potential,

@@ -22,8 +22,8 @@ from .bounds import gap_ratio
 from .eigensolver import (
     EigenResult,
     GridSpec,
+    _fixed_grid_chain,
     assemble_hamiltonian,
-    fixed_grid_lambda1,
     solve,
 )
 from .errors import SolverFailure
@@ -119,25 +119,30 @@ def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     """All identity diagnostics for one (k, alpha), read from one count=2
-    adaptive solve at alpha.  Every stencil point of both finite-difference
-    oracles is a fixed_grid_lambda1 on GridSpec(lower, upper, (n - 1) // 2)
-    of that solve's final grid, the ladder level below it, seeded with the
-    solve's lambda1; one level down keeps the stencil cheap.
+    adaptive solve at alpha, its one bisection.  Every stencil point of
+    both finite-difference oracles is a fixed_grid_lambda1 on
+    GridSpec(lower, upper, (n - 1) // 2) of that solve's final grid, the
+    ladder level below it; one level down keeps the stencil cheap.  The
+    point at a is seeded with lambda1 + (a - alpha) * fh_integral, and the
+    five points run as one chain (eigensolver._fixed_grid_chain): each
+    after the first starts its coarse level's inverse iteration from the
+    eigenvector of the point before.
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
     w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
+    fh_integral = _fh_from_result(result, k, alpha)
     gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
     grid = result.grid_used
-    stencil = GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2)
+    stencil = _fixed_grid_chain(GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2))
 
     def lam(a: float) -> float:
-        return fixed_grid_lambda1(MontgomeryPotential(k, a), stencil, result.lambda1)
+        return stencil(MontgomeryPotential(k, a), result.lambda1 + (a - alpha) * fh_integral)
 
     h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     return IdentityReport(
         k=k,
         alpha=alpha,
-        fh_integral=_fh_from_result(result, k, alpha),
+        fh_integral=fh_integral,
         virial_lhs=_weighted(w * w, result),
         virial_rhs=result.eigenvalues[0] / (k + 2.0),
         d1_fd=(lam(alpha + h1) - lam(alpha - h1)) / (2.0 * h1),

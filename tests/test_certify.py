@@ -3,7 +3,7 @@
 import mpmath
 import pytest
 
-from montspec import bounds, certify, eigensolver
+from montspec import bounds, certify, eigensolver, identities, tridiag
 from montspec.certify import (
     CertCheck,
     CertificateReport,
@@ -68,6 +68,54 @@ def test_scan_unique_critical_point():
     assert a.gap_ok and b.gap_ok
 
 
+@pytest.mark.parametrize("k, alpha_min, alpha_max, steps",
+                         [(2, 0.05, 3.05, 21), (30, -1.0, 2.0, 11)])
+def test_swept_rows_match_independent_solves(k, alpha_min, alpha_max, steps):
+    # the sweep changes only the pre-solve's seeds and starts: each row
+    # is an independent solve at its alpha to rounding
+    for row in scan(k, alpha_min, alpha_max, steps, tol=1e-6):
+        res = solve(OperatorSpec(k, row.alpha), count=2, tol=1e-6)
+        assert (row.lambda1, row.lambda2) == pytest.approx(res.eigenvalues, rel=0.0, abs=1e-13)
+        assert row.d_lambda1 == pytest.approx(
+            identities._fh_from_result(res, k, row.alpha), rel=0.0, abs=1e-9
+        )
+
+
+def _count_bisections(monkeypatch):
+    calls = []
+    plain = tridiag.lowest_eigenvalues
+
+    def counted(diag, offdiag, count):
+        calls.append(len(diag))
+        return plain(diag, offdiag, count)
+
+    monkeypatch.setattr(tridiag, "lowest_eigenvalues", counted)
+    return calls
+
+
+def test_scan_bisects_once(monkeypatch):
+    calls = _count_bisections(monkeypatch)
+    scan(2, 0.05, 3.05, 21, tol=1e-6)
+    assert calls == [eigensolver._N_START]
+
+
+@pytest.mark.parametrize("poison", [lambda previous: previous[-1] + 100.0,
+                                    lambda previous: previous[-1][::-1]],
+                         ids=["far", "swapped"])
+def test_poisoned_prediction_falls_back_to_bisection(monkeypatch, poison):
+    expected = scan(2, 0.0, 1.0, 5, tol=1e-6)
+    calls = _count_bisections(monkeypatch)
+    monkeypatch.setattr(eigensolver, "_extrapolated", poison)
+    rows = scan(2, 0.0, 1.0, 5, tol=1e-6)
+    assert calls == [eigensolver._N_START] * 5
+    for row, want in zip(rows, expected):
+        assert row.alpha == want.alpha
+        assert (row.lambda1, row.lambda2) == pytest.approx(
+            (want.lambda1, want.lambda2), rel=0.0, abs=1e-13
+        )
+        assert row.d_lambda1 == pytest.approx(want.d_lambda1, rel=0.0, abs=1e-9)
+
+
 def test_scan_row_lost_ordering_is_solver_failure():
     with pytest.raises(SolverFailure) as info:
         ScanRow(alpha=0.0, lambda1=2.0, lambda2=1.0, d_lambda1=0.0, gap_ok=False)
@@ -92,16 +140,21 @@ def test_locate_minimum_at_zero(k):
 def test_locate_minimum_parabolic_steps(monkeypatch):
     # golden-section steps alone on [0, 3] take 29 evaluations and stop at 2.6e-6
     calls = []
-    original = eigensolver.fixed_grid_lambda1
+    chain = eigensolver._fixed_grid_chain
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_chain(grid):
+        lambda1 = chain(grid)
 
-    monkeypatch.setattr(eigensolver, "fixed_grid_lambda1", counted)
+        def counted(*args):
+            calls.append(args)
+            return lambda1(*args)
+
+        return counted
+
+    monkeypatch.setattr(eigensolver, "_fixed_grid_chain", counted_chain)
     alpha_min, _ = locate_minimum(2)
     assert abs(alpha_min) <= 1e-6
-    assert len(calls) <= 10
+    assert 0 < len(calls) <= 10
 
 
 def test_locate_minimum_rejects_odd_k():

@@ -144,3 +144,23 @@ def test_report_runs_one_adaptive_solve(monkeypatch):
     monkeypatch.setattr(identities, "solve", counted)
     identity_report(2, 0.0, tol=TOL)
     assert len(calls) == 1
+
+
+def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
+    # inverse iteration starts flat on the solve's first ladder level and
+    # on the first stencil point's coarse level; every later level starts
+    # from the level below, and every later stencil point's coarse level
+    # from the point before
+    expected = solve(OperatorSpec(2, 0.4), count=2, tol=TOL)
+    flat = []
+    plain = tridiag.inverse_iteration
+
+    def recorded(diag, offdiag, eigenvalue, start=None):
+        flat.append(start is None)
+        return plain(diag, offdiag, eigenvalue, start)
+
+    monkeypatch.setattr(tridiag, "inverse_iteration", recorded)
+    identity_report(2, 0.4, tol=TOL)
+    ladder = [True, True] + [False, False] * (expected.iterations - 1)
+    stencil = [True, False] + [False, False] * 4
+    assert flat == ladder + stencil
