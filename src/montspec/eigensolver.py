@@ -6,10 +6,10 @@ inverse iteration, seeded and started from the levels below it, with
 bisection of the whole level as the one fallback), and one Richardson
 extrapolation step on the reported eigenvalues, from the O(h^2) step
 that _ladder yields: over as many levels as tol needs in
-solve_on_interval, over two in fixed_grid_lambda1.
+solve_on_interval, over two in _fixed_grid_chain.
 Past a ladder's first level, inverse iteration runs only on the level's
-decay window, the rows inside which the eigenvectors are above rounding
-(StartShapes, _polished).
+decay window, the rows where the first level's eigenvectors are above
+rounding (StartShapes, _polished).
 Sweeps along a parameter carry what they can from one point to the next
 (predictor-corrector continuation): a sweep of solves (_sweep) seeds
 each pre-solve after the first with the earlier ones' eigenvalues,
@@ -62,10 +62,9 @@ _SQRT2 = math.sqrt(2.0)
 # each of them by inverse iteration on its grid's decay window.
 MAX_COUNT = 64
 
-# A ladder level's decay window ends where the eigenvectors have decayed
-# by this many e-folds past the classical turning points (see
-# _decay_window); e^-36 is 2.3e-16.
-DECAY_EFOLDS = 36.0
+# A ladder's decay window holds the rows where its first level's
+# eigenvectors exceed this fraction of their peak (_decay_window).
+DECAY_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -216,53 +215,44 @@ class StartShapes:
     """One refinement level's polished eigenvectors, kept to start inverse
     iteration on the finer grids of the same interval.
 
-    Empty until the first refined_lowest_eigenvalues call given it records
-    that level's vectors, as physical samples on its points (so the
-    Neumann row's symmetrizing scale drops out; the overall scale does
-    not matter, as inverse iteration normalizes its start).  From then on,
-    each level it is given starts eigenpair j from vector j, linearly
+    A record holds physical samples of the vectors on their level's
+    points (so the Neumann row's symmetrizing scale drops out; the overall
+    scale does not matter, as inverse iteration normalizes its start).
+    Each level it is given starts eigenpair j from vector j, linearly
     interpolated onto the points that level is polished on (its decay
-    window, or the whole level).
-    Only that one level is held: with the ladder's first level, `count`
-    vectors of about _N_START doubles.
+    window, or the whole level); with no vectors, a level starts flat.
+    Only one level's vectors are held: with the ladder's first level,
+    `count` vectors of about _N_START doubles.
 
-    `carried` is the record of a nearby operator's first level: the
-    previous call's on the same grid (_fixed_grid_chain), or the
-    previous pre-solve's of a sweep of solves (_sweep).  Until this one
-    records, it starts the recording level, which then runs no polish
-    sweeps, and it is dropped once this one records.
-
-    The same record fixes the ladder's decay window (t_lo, t_hi), two
-    floats (_decay_window): the stretch of the interval outside which the
-    eigenvectors have decayed by DECAY_EFOLDS e-folds past the classical
-    turning points of the energy E = max(10, 2 lambda_count + 3), the
-    truncation cap (_energy_cap) of the recording level's polished top
-    eigenvalue.  Every later seeded level polishes only its rows inside
-    it; a cut that drops a coupling above inverse iteration's residual
-    floor (_polished) sends the level to its one fallback, bisection of
-    the whole level and flat starts (refined_lowest_eigenvalues).
+    A new record starts from the vectors of the record it continues,
+    `previous`: a nearby operator's first level, the previous call's on
+    the same grid (_fixed_grid_chain) or the previous pre-solve's of a
+    sweep of solves (_sweep).  The first level given it records its own
+    vectors (refined_lowest_eigenvalues), and with them the ladder's
+    decay window (t_lo, t_hi), two floats (_decay_window): the stretch of
+    the interval where those vectors exceed DECAY_FLOOR of their peak.
+    Every later seeded level polishes only its rows inside it; a cut that
+    drops a coupling above inverse iteration's residual floor (_polished)
+    sends the level to its one fallback, bisection of the whole level and
+    flat starts (refined_lowest_eigenvalues).
     """
 
-    def __init__(self, carried: Optional["StartShapes"] = None):
-        self.points = None
-        self.vectors = []
+    def __init__(self, previous: Optional["StartShapes"] = None):
+        self.points = None if previous is None else previous.points
+        self.vectors = [] if previous is None else previous.vectors
         self.window = None
-        self.carried = carried
 
-    def record(self, system: AssembledSystem, vectors, top: float) -> None:
+    def record(self, system: AssembledSystem, vectors) -> None:
         self.points = system.points
         self.vectors = [system.to_physical(v) for v in vectors]
-        self.window = _decay_window(system, _energy_cap(top))
-        self.carried = None
+        self.window = _decay_window(system, self.vectors)
 
     def start(self, system: AssembledSystem, j: int):
-        """The start of eigenpair j on `system`, from this record or,
-        before it is made, the carried one; None (a flat start) while
-        neither is there."""
-        source = self if self.points is not None else self.carried
-        if source is None:
+        """The start of eigenpair j on `system`, or None (a flat start)
+        while this record holds no vectors."""
+        if self.points is None:
             return None
-        start = np.interp(system.points, source.points, source.vectors[j])
+        start = np.interp(system.points, self.points, self.vectors[j])
         if system.neumann_lower:  # undo to_physical
             start[0] /= _SQRT2
         return start
@@ -286,7 +276,7 @@ def refined_lowest_eigenvalues(
     `seeds` are predicted eigenvalues: from the ladder's coarser levels
     (_ladder), the pre-solve (solve), a sweep's earlier pre-solves
     (_sweep), or an adaptive solve of the same or a nearby operator
-    (fixed_grid_lambda1's callers).  Given them,
+    (_fixed_grid_chain's callers).  Given them,
     bisection is skipped: inverse iteration starts from each prediction,
     and one check judges the polished values: they must be strictly
     increasing, well separated and exactly as many as one Sturm count
@@ -298,25 +288,25 @@ def refined_lowest_eigenvalues(
     eigenvalue), it bisects the whole level and polishes from flat starts.
 
     `shapes` carries eigenvectors between the levels of one interval.
-    While it is empty, this level's vectors are recorded in it.  Once it
-    holds vectors, the seeded iteration for eigenpair j starts from its
-    vector j, needs about one sweep and skips the polish sweeps that damp
-    a flat start's imprint (see tridiag.inverse_iteration).  The
-    recording level starts from the vectors `shapes` carries from a
-    nearby operator, if any (_fixed_grid_chain, _sweep); a flat start
-    and its polish serve it otherwise, and the fallback always.
+    While it has no decay window, this level's vectors are recorded in
+    it, and with them the window (StartShapes).  Once it holds vectors,
+    the seeded iteration for eigenpair j starts from its vector j, needs
+    about one sweep and skips the polish sweeps that damp a flat start's
+    imprint (see tridiag.inverse_iteration).  The recording level starts
+    from the vectors of the record `shapes` continues, if any
+    (_fixed_grid_chain, _sweep); a flat start and its polish serve it
+    otherwise, and the fallback always.
 
-    The recording level also fixes the decay window (StartShapes).  On
-    every later seeded level, inverse iteration, the Rayleigh quotients
-    and the starts run on the level's rows inside that window, and the
-    returned vectors are zero outside it.  The recording level, the
-    fallback and the Sturm count that certifies the values stay on the
-    whole level: only a count on the whole matrix can tell that no
-    eigenvalue of it lies below the polished ones.
+    On every seeded level after the recording one, inverse iteration,
+    the Rayleigh quotients and the starts run on the level's rows inside
+    the window, and the returned vectors are zero outside it.  The
+    recording level, the fallback and the Sturm count that certifies the
+    values stay on the whole level: only a count on the whole matrix can
+    tell that no eigenvalue of it lies below the polished ones.
 
     Returns (eigenvalues, ground_state_matrix_vector).
     """
-    record = shapes is not None and shapes.points is None
+    record = shapes is not None and shapes.window is None
     polished = None
     if seeds is not None and len(seeds) != count:
         raise ValueError(f"need {count} seeds, got {len(seeds)}")
@@ -334,7 +324,7 @@ def refined_lowest_eigenvalues(
         polished = _polished(system, raw, keep=record)
     refined, vectors = polished
     if record:
-        shapes.record(system, vectors, float(refined[-1]))
+        shapes.record(system, vectors)
     return refined, vectors[0]
 
 
@@ -345,13 +335,14 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     holds one full-length vector at a time besides them.  None if a
     window cut proves coupled.
 
-    Once `shapes` holds a decay window (t_lo, t_hi) (StartShapes), the
-    iteration, the Rayleigh quotient and the starts run on the level's
-    rows with points in [t_lo, t_hi] (found by searchsorted), as views of
-    the level's arrays; a window of fewer than 2 rows leaves the level
-    whole.  Each vector comes back embedded in zeros on the level's own
-    points, where it has the window's residual plus |offdiag[cut] v[edge]|
-    at each cut row, the coupling that the cut drops.  Each must be within
+    Once `shapes` holds a decay window (t_lo, t_hi), read off the
+    recording level's eigenvectors (StartShapes), the iteration, the
+    Rayleigh quotient and the starts run on the level's rows with points
+    in [t_lo, t_hi] (found by searchsorted), as views of the level's
+    arrays; a window of fewer than 2 rows leaves the level whole.  Each
+    vector comes back embedded in zeros on the level's own points, where
+    it has the window's residual plus |offdiag[cut] v[edge]| at each cut
+    row, the coupling that the cut drops.  Each must be within
     inverse iteration's residual floor, so the embedded vector is as
     converged as one polished on the whole level; a cut that drops more
     proves coupled, and the level takes the one fallback of
@@ -391,39 +382,18 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     return refined, vectors
 
 
-def _decay_window(system: AssembledSystem, energy: float):
-    """(t_lo, t_hi): the stretch of the system's interval outside which
-    every eigenvector below `energy` has decayed by DECAY_EFOLDS e-folds;
-    -inf or inf at an end the decay does not reach.
-
-    Each end is walked outward from the outermost sample with V < energy,
-    summing the discrete decay per step, arccosh(1 + (V - energy) h^2 / 2)
-    (the decay rate of the three-point recurrence at a constant V), with
-    V at the inner end of each step, until the sum reaches DECAY_EFOLDS.
-    A level larger than _N_START is walked on every s-th sample, s =
-    n // _N_START, in steps of s h: the per-step decay is concave in the
-    step, so the stride undercounts the decay and only widens the window,
-    and the walk costs O(_N_START) samples however large the level.  A
-    Neumann lower end is never cut.
+def _decay_window(system: AssembledSystem, vectors):
+    """(t_lo, t_hi): the stretch of the system's interval from one sample
+    outside the first row to one sample outside the last row where the
+    envelope of the physical `vectors` (the largest |v_j| at each row)
+    exceeds DECAY_FLOOR of its peak; -inf or inf at an end that holds
+    such a row.  A Neumann lower end is never cut.
     """
-    stride = max(1, len(system.points) // _N_START)
-    t = system.points[::stride]
-    excess = system.potential_values[::stride] - energy
-    inside = np.flatnonzero(excess < 0.0)
-    if len(inside) == 0:
-        return -math.inf, math.inf
-    step = stride * system.spacing
-    decay = np.arccosh(1.0 + np.maximum(excess, 0.0) * (0.5 * step * step))
-    first, last = inside[0], inside[-1]
-    # the step outward from sample i decays by decay[i]; the sums below
-    # reach samples first - 1, first - 2, ... and last + 1, last + 2, ...
-    down = np.cumsum(decay[first:0:-1]) >= DECAY_EFOLDS
-    up = np.cumsum(decay[last:-1]) >= DECAY_EFOLDS
-    t_lo, t_hi = -math.inf, math.inf
-    if np.any(down) and not system.neumann_lower:
-        t_lo = float(t[first - 1 - int(np.argmax(down))])
-    if np.any(up):
-        t_hi = float(t[last + 1 + int(np.argmax(up))])
+    envelope = np.max(np.abs(vectors), axis=0)
+    held = np.flatnonzero(envelope > DECAY_FLOOR * np.max(envelope))
+    first, last = held[0] - 1, held[-1] + 1
+    t_lo = -math.inf if first < 0 or system.neumann_lower else float(system.points[first])
+    t_hi = math.inf if last == len(envelope) else float(system.points[last])
     return t_lo, t_hi
 
 
@@ -439,8 +409,8 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     (the error goes like h^2, so each step is a quarter of the last).
     Every level after the first starts inverse iteration from the first
     level's eigenvectors, recorded in `shapes` (a new StartShapes if
-    None; one that carries another ladder's record starts the first
-    level from it too); a seeded level whose window cut,
+    None; one that continues another ladder's record starts the first
+    level from its vectors); a seeded level whose window cut,
     polish or check fails takes the one fallback, bisection of the whole
     level (refined_lowest_eigenvalues).  A level's matrix is kept until
     the next one is assembled, and its vector is freed before it, also
@@ -472,29 +442,23 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
             del v  # also when the consumer stops at this level
 
 
-def fixed_grid_lambda1(potential, grid: GridSpec, seed: float) -> float:
-    """lambda1 from the two-level ladder on `grid`'s (n - 1) / 2
-    coarsening (twice the spacing) and `grid`, plus one Richardson step;
-    Dirichlet ends.  `seed` predicts the coarse level's lambda1 (say,
-    that of a nearby potential); a poor seed costs a bisection, not
-    accuracy.  The coarse level starts inverse iteration flat; callers
-    that evaluate a chain of nearby potentials on one grid start each
-    from the one before instead (_fixed_grid_chain).  Such callers see
-    an O(h^2) error that is a smooth function of the potential
-    parameters, so it cancels in finite differences and comparisons.
-    """
-    return _fixed_grid_chain(grid)(potential, seed)
-
-
 def _fixed_grid_chain(grid: GridSpec):
-    """fixed_grid_lambda1 on `grid` for a chain of nearby potentials:
-    a function (potential, seed) -> lambda1.  From its second call on,
-    the coarse level starts inverse iteration from the coarse
-    eigenvector of the call before (StartShapes' carried record), as
-    finer ladder levels start from coarser ones: it runs no polish
-    sweeps, and takes about one sweep where the potentials are close
-    (the stencil's points, Brent's last steps).  The start only speeds
-    the iteration: each value is checked as any seeded level's
+    """lambda1 on `grid` for a chain of nearby potentials: a function
+    (potential, seed) -> lambda1, from the two-level ladder on `grid`'s
+    (n - 1) / 2 coarsening (twice the spacing) and `grid`, plus one
+    Richardson step; Dirichlet ends.  `seed` predicts the coarse level's
+    lambda1 (say, that of a nearby potential); a poor seed costs a
+    bisection, not accuracy.  Callers see an O(h^2) error that is a
+    smooth function of the potential parameters, so it cancels in finite
+    differences and comparisons.
+
+    The first call's coarse level starts inverse iteration flat.  From
+    the second call on, it starts from the coarse eigenvector of the
+    call before (the record its StartShapes continues), as finer ladder
+    levels start from coarser ones: it runs no polish sweeps, and takes
+    about one sweep where the potentials are close (the stencil's
+    points, Brent's last steps).  The start only speeds the iteration:
+    each value is checked as any seeded level's
     (refined_lowest_eigenvalues) and comes out the same to rounding.
     One coarse vector is held between calls.
     """
@@ -503,7 +467,7 @@ def _fixed_grid_chain(grid: GridSpec):
 
     def lambda1(potential, seed: float) -> float:
         nonlocal previous
-        shapes = StartShapes(carried=previous)
+        shapes = StartShapes(previous)
         ladder = _ladder(potential, grid.lower, grid.upper, sizes, 1, Geometry.FULL_LINE,
                          np.array([seed]), shapes)
         # `_` holds the coarse vector while the fine level is solved, not its matrix
@@ -513,13 +477,6 @@ def _fixed_grid_chain(grid: GridSpec):
         return float(lam[0] + step[0] / 3.0)
 
     return lambda1
-
-
-def _energy_cap(lambda_bound: float) -> float:
-    """The energy cap for eigenvalues up to lambda_bound, max(10,
-    2 lambda_bound + 3): truncation_interval ends the interval past its
-    turning points, and the decay window (StartShapes) walks from them."""
-    return max(10.0, 2.0 * lambda_bound + 3.0)
 
 
 def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
@@ -532,7 +489,7 @@ def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
     below cap, so truncation error is negligible next to discretization
     error.
     """
-    cap = _energy_cap(lambda_bound)
+    cap = max(10.0, 2.0 * lambda_bound + 3.0)
     radius = potential.turning_point(cap + TRUNCATION_MARGIN) + TRUNCATION_PAD
     if geometry is Geometry.FULL_LINE:
         return -radius, radius
@@ -706,7 +663,7 @@ def solve(
     coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), geometry)
     sweep = _SWEEP.get()
     if sweep is not None and sweep.values:
-        sweep.shapes = StartShapes(carried=sweep.shapes)
+        sweep.shapes = StartShapes(sweep.shapes)
         lam_coarse, _ = refined_lowest_eigenvalues(
             coarse, count, seeds=_extrapolated(sweep.values), shapes=sweep.shapes
         )

@@ -119,13 +119,13 @@ def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     """All identity diagnostics for one (k, alpha), read from one count=2
-    adaptive solve at alpha, its one bisection.  Every stencil point of
-    both finite-difference oracles is a fixed_grid_lambda1 on
-    GridSpec(lower, upper, (n - 1) // 2) of that solve's final grid, the
-    ladder level below it; one level down keeps the stencil cheap.  The
-    point at a is seeded with lambda1 + (a - alpha) * fh_integral, and the
-    five points run as one chain (eigensolver._fixed_grid_chain): each
-    after the first starts its coarse level's inverse iteration from the
+    adaptive solve at alpha, its one bisection.  Both finite-difference
+    oracles read lambda1 at five stencil points from one fixed-grid chain
+    (eigensolver._fixed_grid_chain) on GridSpec(lower, upper,
+    (n - 1) // 2) of that solve's final grid, the ladder level below it;
+    one level down keeps the stencil cheap.  The point at a is seeded
+    with lambda1 + (a - alpha) * fh_integral, and each point after the
+    first starts its coarse level's inverse iteration from the
     eigenvector of the point before.
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)

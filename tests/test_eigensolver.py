@@ -16,9 +16,10 @@ from montspec.errors import SolverFailure
 from montspec.eigensolver import (
     TRUNCATION_PAD,
     GridSpec,
+    StartShapes,
+    _fixed_grid_chain,
     assemble_hamiltonian,
     dirichlet_well_lambda,
-    fixed_grid_lambda1,
     refined_lowest_eigenvalues,
     solve,
     solve_on_interval,
@@ -393,13 +394,13 @@ def test_fixed_grid_fine_level_carries_samples(monkeypatch, n, fine_points):
     # only an odd n puts the coarse level's points on every other fine point
     potential = _CountedPotential(MontgomeryPotential(2, 0.3))
     grid = GridSpec(-5.0, 5.0, n)
-    lam = fixed_grid_lambda1(potential, grid, 0.84)
+    lam = _fixed_grid_chain(grid)(potential, 0.84)
     assert potential.sizes == [(n - 1) // 2, fine_points]
     plain = eigensolver.assemble_hamiltonian
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian",
                         lambda potential, grid, geometry=Geometry.FULL_LINE, coarse_values=None:
                         plain(potential, grid, geometry))
-    assert fixed_grid_lambda1(potential.inner, grid, 0.84) == lam
+    assert _fixed_grid_chain(grid)(potential.inner, 0.84) == lam
 
 
 def _record_liveness(monkeypatch):
@@ -436,9 +437,9 @@ def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
     assert res.iterations == len(alive) == 8
     assert alive == [([0], [])] * 8
     alive.clear()
-    # fixed_grid_lambda1's coarse matrix is dead while its fine level is
+    # a fixed-grid chain's coarse matrix is dead while its fine level is
     # solved; the coarse vector (4095 rows) may live
-    fixed_grid_lambda1(MontgomeryPotential(2, 0.3), GridSpec(-5.0, 5.0, 8191), 0.84)
+    _fixed_grid_chain(GridSpec(-5.0, 5.0, 8191))(MontgomeryPotential(2, 0.3), 0.84)
     assert [systems for systems, _ in alive] == [[], []]
 
 
@@ -528,8 +529,9 @@ def _level_sizes(monkeypatch):
 
 
 def _window_off(monkeypatch):
-    """Switch the decay window off: no walk reaches infinitely many e-folds."""
-    monkeypatch.setattr(eigensolver, "DECAY_EFOLDS", math.inf)
+    """Switch the decay window off: every ladder polishes every level whole."""
+    monkeypatch.setattr(eigensolver, "_decay_window",
+                        lambda system, vectors: (-math.inf, math.inf))
 
 
 def _recorded_windows(monkeypatch):
@@ -537,8 +539,8 @@ def _recorded_windows(monkeypatch):
     windows = []
     plain = eigensolver._decay_window
 
-    def recorded(system, energy):
-        windows.append(plain(system, energy))
+    def recorded(system, vectors):
+        windows.append(plain(system, vectors))
         return windows[-1]
 
     monkeypatch.setattr(eigensolver, "_decay_window", recorded)
@@ -554,15 +556,14 @@ def _window_rows(points, window):
     "problem, geometry, count",
     [
         (OperatorSpec(2, 0.0), None, 2),
-        (OperatorSpec(2, 1.5), None, 2),
         (ShiftedHarmonicPotential(0.8), N, 1),
     ],
-    ids=["k2-alpha0", "k2-alpha1.5", "theta0"],
+    ids=["k2-alpha0", "theta0"],
 )
 def test_shallow_wells_keep_the_whole_level(monkeypatch, problem, geometry, count):
-    # the eigenvectors of k = 2 and of the de Gennes wells do not decay by
-    # DECAY_EFOLDS inside the truncated interval: every level is polished
-    # whole, bit for bit as with the window switched off
+    # the eigenvectors of k = 2 at alpha = 0 and of the de Gennes wells stay
+    # above DECAY_FLOOR across the truncated interval: every level is
+    # polished whole, bit for bit as with the window switched off
     def solve_it():
         return solve(problem, count=count, tol=1e-8, geometry=geometry)
 
@@ -575,6 +576,26 @@ def test_shallow_wells_keep_the_whole_level(monkeypatch, problem, geometry, coun
     assert res.eigenvalues == whole.eigenvalues
     assert res.achieved_tol_estimate == whole.achieved_tol_estimate
     assert np.array_equal(res.ground_state_values, whole.ground_state_values)
+
+
+def test_offset_shallow_well_trims_its_far_tail(monkeypatch):
+    # at alpha = 1.5 the k = 2 well sits right of centre, and its
+    # eigenvectors fall below DECAY_FLOOR in the far left of the interval:
+    # every level after the first polishes fewer rows than it holds, and
+    # the eigenvalues are those of the window switched off, bit for bit
+    spec = OperatorSpec(2, 1.5)
+    rows = _inverse_iteration_rows(monkeypatch)
+    sizes = _level_sizes(monkeypatch)
+    windows = _recorded_windows(monkeypatch)
+    res = solve(spec, count=2, tol=1e-8)
+    assert len(windows) == 1 and len(rows) == 2 * len(sizes)
+    assert windows[0][0] > res.grid_used.lower and windows[0][1] == math.inf
+    assert rows[:2] == [sizes[0]] * 2  # the recording level is whole
+    assert all(r < n for r, n in zip(rows[2:], [m for n in sizes[1:] for m in (n, n)]))
+    _window_off(monkeypatch)
+    whole = solve(spec, count=2, tol=1e-8)
+    assert (whole.grid_used, whole.iterations) == (res.grid_used, res.iterations)
+    assert res.eigenvalues == whole.eigenvalues
 
 
 @pytest.mark.parametrize("k", [10, 30, 200])
@@ -627,7 +648,7 @@ def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     spec = OperatorSpec(200, 0.0)
     _window_off(monkeypatch)
     whole = solve(spec, count=2, tol=1e-6)
-    monkeypatch.setattr(eigensolver, "_decay_window", lambda system, energy: (-0.5, 0.5))
+    monkeypatch.setattr(eigensolver, "_decay_window", lambda system, vectors: (-0.5, 0.5))
     bisections = _count_bisections(monkeypatch)
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
@@ -690,7 +711,9 @@ def test_core_rayleigh_quotient_is_the_whole_levels(geometry):
     system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), GridSpec(lower, 3.0, 4095),
                                   geometry)
     n = len(system.diag)
-    lo, hi = _window_rows(system.points, eigensolver._decay_window(system, 10.0))
+    shapes = StartShapes()
+    refined_lowest_eigenvalues(system, 2, shapes=shapes)
+    lo, hi = _window_rows(system.points, shapes.window)
     assert hi < n and (lo == 0) == (geometry is N)
     window = system.rows(lo, hi)
     assert window.neumann_lower == (geometry is N)
@@ -734,7 +757,7 @@ def test_fixed_grid_lambda1_matches_bisected_pair(seed):
     fine, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, grid), 1)
     expected = fine[0] + (fine[0] - coarse[0]) / 3.0
     value = {"coarse-lambda1": coarse[0], "far-below": 0.0, "coarse-lambda2": coarse[1]}[seed]
-    assert fixed_grid_lambda1(pot, grid, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
+    assert _fixed_grid_chain(grid)(pot, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
 def _recorded_ladder(monkeypatch):
@@ -752,10 +775,10 @@ def _recorded_ladder(monkeypatch):
 
 
 def test_consumers_read_the_ladders_step(monkeypatch):
-    # the ladder computes each level's step once; fixed_grid_lambda1 and
+    # the ladder computes each level's step once; a fixed-grid chain and
     # solve_on_interval extrapolate from the record they stop at, bit for bit
     records = _recorded_ladder(monkeypatch)
-    value = fixed_grid_lambda1(MontgomeryPotential(2, 0.5), GridSpec(-6.0, 6.0, 8191), 0.84)
+    value = _fixed_grid_chain(GridSpec(-6.0, 6.0, 8191))(MontgomeryPotential(2, 0.5), 0.84)
     (_, coarse, first_step), (_, fine, step) = records
     assert first_step is None and np.array_equal(step, fine - coarse)
     assert value == float(fine[0] + step[0] / 3.0)
@@ -779,7 +802,7 @@ def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
     coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 2)
     monkeypatch.setattr(tridiag, "dstebz", _stebz_fails)
     with pytest.raises(SolverFailure, match=r"stebz.*info=1"):
-        fixed_grid_lambda1(pot, GridSpec(-6.0, 6.0, 8191), coarse[1])
+        _fixed_grid_chain(GridSpec(-6.0, 6.0, 8191))(pot, coarse[1])
 
 
 def _count_stebz_calls(monkeypatch):
@@ -808,7 +831,7 @@ def test_well_seeded_fixed_grid_never_reaches_stebz(monkeypatch):
     pot = MontgomeryPotential(2, 0.5)
     coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 1)
     stebz_calls = _count_stebz_calls(monkeypatch)
-    fixed_grid_lambda1(pot, GridSpec(-6.0, 6.0, 8191), coarse[0])
+    _fixed_grid_chain(GridSpec(-6.0, 6.0, 8191))(pot, coarse[0])
     assert stebz_calls == []
 
 

@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from derivations import barrier_core
 from montspec import eigensolver
 from montspec.eigensolver import (
-    DECAY_EFOLDS,
+    DECAY_FLOOR,
     AssembledSystem,
     GridSpec,
     StartShapes,
@@ -357,6 +357,24 @@ def test_started_inverse_iteration_matches_flat_start(build):
         )
 
 
+def test_a_record_starts_from_the_one_it_continues():
+    # until it records, a new record starts each eigenpair from the vectors
+    # of the record it continues, with no window; the first level given it
+    # records its own vectors and the window read off them, and leaves the
+    # record it continued as it was
+    first = StartShapes()
+    refined_lowest_eigenvalues(_saturated_system(127), 2, shapes=first)
+    system = _saturated_system()
+    shapes = StartShapes(first)
+    assert shapes.window is None
+    for j in range(2):
+        assert np.array_equal(shapes.start(system, j), first.start(system, j))
+    refined_lowest_eigenvalues(system, 2, shapes=shapes)
+    assert shapes.points is system.points and len(shapes.vectors) == 2
+    assert shapes.window == eigensolver._decay_window(system, shapes.vectors)
+    assert len(first.points) == 127
+
+
 @pytest.mark.parametrize(
     "start, message",
     [
@@ -529,44 +547,47 @@ def _full_line_level(k, n, alpha=0.0):
     return assemble_hamiltonian(potential, GridSpec(lower, upper, n))
 
 
-def _decay(system, energy, lo, hi):
-    """The discrete decay, in e-folds, summed over rows [lo, hi)."""
-    excess = np.maximum(system.potential_values[lo:hi] - energy, 0.0)
-    return float(np.sum(np.arccosh(1.0 + excess * system.spacing**2 / 2.0)))
+def _recorded_window(k, n, alpha=0.0):
+    """The full-line level of n points and the rows [lo, hi) of the decay
+    window that a ladder recording its lowest two eigenvectors fixes.  The
+    level is seeded with the 2048-point level's eigenvalues, so that a
+    large level is polished and counted, not bisected."""
+    coarse = _full_line_level(k, 2048, alpha)
+    seeds = lowest_eigenvalues(coarse.diag, coarse.offdiag, 2)
+    system = _full_line_level(k, n, alpha)
+    shapes = StartShapes()
+    refined_lowest_eigenvalues(system, 2, seeds=seeds, shapes=shapes)
+    t_lo, t_hi = shapes.window
+    return system, (int(np.searchsorted(system.points, t_lo, "left")),
+                    int(np.searchsorted(system.points, t_hi, "right")))
+
+
+def _holds_the_well(system, lo, hi):
+    """Whether every row where V < 10 lies strictly inside rows [lo, hi)."""
+    allowed = np.flatnonzero(system.potential_values < 10.0)
+    return lo < allowed[0] and allowed[-1] < hi - 1
 
 
 @pytest.mark.parametrize("n", [2048, 524543])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_decay_window_keeps_shallow_wells_whole(n, alpha):
-    # k = 2 decays by fewer than DECAY_EFOLDS e-folds inside its pad
-    system = _full_line_level(2, n, alpha)
-    assert eigensolver._decay_window(system, 10.0) == (-np.inf, np.inf)
+    # the k = 2 eigenvectors stay above DECAY_FLOOR across the whole
+    # level at alpha = 0; at alpha = 1.5 the well sits right of centre, and
+    # the window trims the far left tail, well past every row where V < 10
+    system, (lo, hi) = _recorded_window(2, n, alpha)
+    if alpha == 0.0:
+        assert (lo, hi) == (0, n)
+    else:
+        assert 0 < lo and _holds_the_well(system, lo, hi)
 
 
 @pytest.mark.parametrize("n", [2048, 524543])
 @pytest.mark.parametrize("k", [10, 30, 68, 200])
 def test_decay_window_trims_steep_wells(k, n):
-    # a strict inner window at every size, whose rows past each edge lie
-    # DECAY_EFOLDS e-folds past the outermost row where V < E
-    energy = 10.0
-    system = _full_line_level(k, n)
-    t_lo, t_hi = eigensolver._decay_window(system, energy)
-    points = system.points
-    lo, hi = np.searchsorted(points, t_lo), np.searchsorted(points, t_hi, "right")
+    # a strict inner window at every size, past every row where V < 10
+    system, (lo, hi) = _recorded_window(k, n)
     assert 0 < lo < hi < n
-    allowed = np.flatnonzero(system.potential_values < energy)
-    assert lo < allowed[0] and allowed[-1] < hi - 1
-    assert _decay(system, energy, lo + 1, allowed[0]) >= DECAY_EFOLDS
-    assert _decay(system, energy, allowed[-1], hi - 1) >= DECAY_EFOLDS
-
-
-def _ladder_window_rows(system, eigenvalues):
-    """The rows [lo, hi) of the decay window that a ladder recording this
-    level with these polished eigenvalues would fix."""
-    energy = eigensolver._energy_cap(float(eigenvalues[-1]))
-    t_lo, t_hi = eigensolver._decay_window(system, energy)
-    return (int(np.searchsorted(system.points, t_lo, "left")),
-            int(np.searchsorted(system.points, t_hi, "right")))
+    assert _holds_the_well(system, lo, hi)
 
 
 @pytest.mark.parametrize("n", [2048, 524543])
@@ -574,17 +595,11 @@ def _ladder_window_rows(system, eigenvalues):
 def test_barrier_core_keeps_shallow_wells_whole(k, n):
     # shallow wells have no saturated barrier row, so their barrier core is
     # the whole level; the decay window (whole at k = 2, strict at k = 10)
-    # keeps the whole of each well: the lowest two eigenvectors exceed
-    # 1e-15 of their peak only inside it
-    system = _full_line_level(k, n)
+    # keeps the whole of each well
+    system, (lo, hi) = _recorded_window(k, n)
     assert barrier_core(system.diag, system.offdiag) == (0, n)
-    eigenvalues = lowest_eigenvalues(system.diag, system.offdiag, 2)
-    lo, hi = _ladder_window_rows(system, eigenvalues)
     assert (lo, hi) == (0, n) if k == 2 else 0 < lo < hi < n
-    for value in eigenvalues:
-        v = np.abs(inverse_iteration(system.diag, system.offdiag, float(value)))
-        held = np.flatnonzero(v > 1e-15 * np.max(v))
-        assert lo <= held[0] and held[-1] < hi
+    assert _holds_the_well(system, lo, hi)
 
 
 @pytest.mark.parametrize("n", [2048, 524543])
@@ -592,53 +607,69 @@ def test_barrier_core_keeps_shallow_wells_whole(k, n):
 def test_barrier_core_trims_steep_wells(k, n):
     # the barrier core is a strict inner range at every size, and the decay
     # window lies strictly inside it: it trims every saturated barrier row
-    system = _full_line_level(k, n)
+    system, (lo, hi) = _recorded_window(k, n)
     core_lo, core_hi = barrier_core(system.diag, system.offdiag)
-    lo, hi = _ladder_window_rows(system, lowest_eigenvalues(system.diag, system.offdiag, 2))
     assert 0 < core_lo < lo < hi < core_hi < n
     assert system.diag[core_lo] >= np.max(np.abs(system.offdiag)) / _EPS
 
 
-@pytest.mark.parametrize("k", [10, 200])
-def test_strided_walk_only_widens_the_window(monkeypatch, k):
-    # every 256th sample in steps of 256 h undercounts the decay, so the
-    # strided window holds the one walked row by row
-    system = _full_line_level(k, 524543)
-    t_lo, t_hi = eigensolver._decay_window(system, 10.0)
-    monkeypatch.setattr(eigensolver, "_N_START", len(system.points))
-    row_lo, row_hi = eigensolver._decay_window(system, 10.0)
-    assert t_lo < row_lo < row_hi < t_hi
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 3.0])
+@pytest.mark.parametrize("k", [2, 10, 68, 200])
+def test_recorded_window_holds_the_finest_levels_eigenvectors(k, alpha):
+    # the window a solve's ladder records at 2048 points holds every row
+    # where the lowest two eigenvectors of its 524 543-point level, polished
+    # whole from flat starts, exceed 1e-14 of their peak.  At 1e-15 this
+    # fails for k = 2 at alpha = 3: there the fine level's far tail carries
+    # entries of up to 1.3e-15 of the peak just outside the window (9.5e-16
+    # at alpha = 1.5).  The couplings such entries give a cut, about 1e-8,
+    # lie four orders of magnitude below the residual floor that _polished's
+    # cut check admits (1.7e-4 there), so no level falls back on them and
+    # the eigenvalues do not move.
+    potential = MontgomeryPotential(k, alpha)
+    presolve = _full_line_level(k, 2048, alpha)
+    top = lowest_eigenvalues(presolve.diag, presolve.offdiag, 2)[-1]
+    lower, upper = truncation_interval(potential, Geometry.FULL_LINE, float(top))
+    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, 2048))
+    shapes = StartShapes()
+    seeds, _ = refined_lowest_eigenvalues(coarse, 2, shapes=shapes)
+    t_lo, t_hi = shapes.window
+    fine = assemble_hamiltonian(potential, GridSpec(lower, upper, 524543))
+    for seed in seeds:
+        v = np.abs(inverse_iteration(fine.diag, fine.offdiag, float(seed)))
+        held = fine.points[v > 1e-14 * np.max(v)]
+        assert t_lo <= held[0] and held[-1] <= t_hi
 
 
-def _stepped_system(values, neumann=False):
-    """A system on points 0, 1, 2, ... with the given potential samples."""
-    values = np.array(values, dtype=float)
-    n = len(values)
-    return AssembledSystem(diag=2.0 + values, offdiag=-np.ones(n - 1),
-                           points=np.arange(n, dtype=float), potential_values=values,
+def _system_on(n, neumann=False):
+    """A system on points 0, 1, ..., n - 1 (only its points and its lower
+    end matter to a decay window)."""
+    return AssembledSystem(diag=np.full(n, 2.0), offdiag=-np.ones(n - 1),
+                           points=np.arange(n, dtype=float), potential_values=np.zeros(n),
                            spacing=1.0, neumann_lower=neumann)
 
 
-# V = E + 2 (cosh 10 - 1) decays by arccosh(1 + (V - E) h^2 / 2) = 10 e-folds
-# a step at h = 1; the step out of the outermost row with V < E = 0 decays
-# by nothing, so 36 e-folds are reached 5 rows past it
-_TEN = 2.0 * (np.cosh(10.0) - 1.0)
+_F = DECAY_FLOOR
 
 
 @pytest.mark.parametrize(
     "values, neumann, window",
     [
-        ([_TEN] * 6 + [-1.0] * 3 + [_TEN] * 6, False, (1.0, 13.0)),
-        ([_TEN] * 7 + [-1.0] * 3 + [_TEN] * 4, False, (2.0, np.inf)),
-        # a barrier between two wells stays inside the window
-        ([_TEN] * 6 + [-1.0, _TEN, _TEN, -1.0] + [_TEN] * 6, False, (1.0, 14.0)),
+        # the rows above the floor and one sample outside them
+        ([[0.0, 0.0, 0.1 * _F, 0.5, 1.0, 0.5, 0.1 * _F, 0.0]], False, (2.0, 6.0)),
+        ([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], False, (4.0, np.inf)),
+        # the envelope is the largest |v_j|: a sign, a second vector and the
+        # rows between them count
+        ([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0]], False, (1.0, 6.0)),
         # a Neumann lower end is never cut
-        ([_TEN] * 7 + [-1.0] * 3 + [_TEN] * 6, True, (-np.inf, 14.0)),
-        # nowhere below E, everywhere below E, or a NaN sample on the walk
-        ([_TEN] * 8, False, (-np.inf, np.inf)),
-        ([-1.0] * 8, False, (-np.inf, np.inf)),
-        ([_TEN] * 6 + [-1.0] * 3 + [_TEN, np.nan] + [_TEN] * 4, False, (1.0, np.inf)),
+        ([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]], True, (-np.inf, 5.0)),
+        # the floor is relative to the peak, and a row at it is not held
+        ([[4.0 * _F, 4.0 * _F, 4.0, 8.0 * _F, 4.0 * _F, 0.0, 0.0, 0.0]], False, (1.0, 4.0)),
+        # every row held, or the first
+        ([[1.0] * 8], False, (-np.inf, np.inf)),
+        ([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], False, (-np.inf, 2.0)),
     ],
 )
 def test_decay_window_rows(values, neumann, window):
-    assert eigensolver._decay_window(_stepped_system(values, neumann), 0.0) == window
+    system = _system_on(len(values[0]), neumann)
+    assert eigensolver._decay_window(system, values) == window
