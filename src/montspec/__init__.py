@@ -21,15 +21,11 @@ _EXPORTS = {
         "BoundsTable",
         "THETA0_LOWER",
         "bounds_table",
-        "c_bound_terms",
         "de_gennes_theta0",
         "h_closed",
         "lower_bound_B",
         "lower_bound_B_tilde",
-        "lower_bound_C",
         "upper_bound_A",
-        "upper_bound_A_general",
-        "verify_A_increasing",
     ),
     "certify": (
         "CertificateReport",
@@ -47,7 +43,6 @@ _EXPORTS = {
         "EigenResult",
         "GridSpec",
         "assemble_hamiltonian",
-        "dirichlet_well_lambda",
         "solve",
         "solve_on_interval",
     ),

@@ -133,6 +133,8 @@ def _upper_bound_A(k, m):
 
 
 def _upper_bound_A_general(k, m):
+    # the trial-state bound of every even k >= 2: (pi^2/4) ((k+2)/(k+1))
+    # ((1/4)(k+1)(2k+3)(2k+4)(2k+5))^(-1/(k+2))
     k = m.num(k)
     log_prod = (
         m.log(0.25)
@@ -142,14 +144,6 @@ def _upper_bound_A_general(k, m):
         + m.log(2.0 * k + 5.0)
     )
     return m.pi**2 / 4.0 * (k + 2.0) / (k + 1.0) * m.exp(-log_prod / (k + 2.0))
-
-
-def upper_bound_A_general(k: int) -> float:
-    """The general trial-state bound, valid for every even k >= 2:
-    (pi^2/4) ((k+2)/(k+1)) ((1/4)(k+1)(2k+3)(2k+4)(2k+5))^(-1/(k+2)).
-    """
-    _require_even_k(k)
-    return _upper_bound_A_general(k, FLOATS)
 
 
 def upper_bound_A(k: int) -> float:
@@ -162,30 +156,6 @@ def upper_bound_A(k: int) -> float:
     """
     _require_even_k(k)
     return _upper_bound_A(k, FLOATS)
-
-
-def logderiv_cubic(k: float) -> float:
-    """p(k) = 3.73 k^3 + 10.69 k^2 - 5.02 k - 17.98.
-
-    Floor polynomial for the logarithmic derivative of the general A
-    formula; p > 0 on k >= 2 is what makes A_k increasing.  p(2) = 44.58.
-    """
-    return 3.73 * k**3 + 10.69 * k**2 - 5.02 * k - 17.98
-
-
-def verify_A_increasing(k_max: int) -> Tuple[bool, list]:
-    """Check A_(k+2) > A_k along even k up to k_max with the general formula.
-
-    Returns (all_increasing, margins) where margins[i] is the increment
-    from the i-th even k to the next.  Together with the k -> infinity
-    limit pi^2/4 this pins A_k < pi^2/4 for all even k.
-    """
-    if not k_max >= 4:
-        raise ValueError(f"k_max must be at least 4, got {k_max!r}")
-    ks = range(2, k_max + 1, 2)
-    values = [upper_bound_A_general(k) for k in ks]
-    margins = [b - a for a, b in zip(values, values[1:])]
-    return all(m > 0.0 for m in margins), margins
 
 
 def _lower_bound_B(k, m):
@@ -210,28 +180,6 @@ def lower_bound_B(k: int) -> float:
     return _lower_bound_B(k, FLOATS)
 
 
-def optimal_harmonic_T(k: int) -> float:
-    """The barrier position optimizing lower_bound_B_at_T: (3 sqrt(2k)/4)^(2/(k+2))."""
-    _require_even_k(k)
-    return (3.0 * math.sqrt(2.0 * k) / 4.0) ** (2.0 / (k + 2.0))
-
-
-def lower_bound_B_at_T(k: int, T: float) -> float:
-    """The unoptimized second-eigenvalue floor as a function of T > 0:
-    h(k) * (3 omega - (2k-4)/k^2 * T^k) with omega = sqrt(2 T^(k-2) / k).
-
-    The half-power model potential dominates the tangent parabola
-    omega^2 t^2 - const, whose second eigenvalue is 3 omega - const.
-    Maximizing over T recovers lower_bound_B exactly.
-    """
-    _require_even_k(k)
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"T must be finite and positive, got {T!r}")
-    omega = math.sqrt(2.0 * math.exp((k - 2) * math.log(T)) / k)
-    const = (2.0 * k - 4.0) / (k * k) * math.exp(k * math.log(T))
-    return h_closed(k) * (3.0 * omega - const)
-
-
 def _lower_bound_B_tilde(k, m):
     T = m.num(B_TILDE_T)
     # exponent clamp: past 700 the arctan argument underflows to zero in
@@ -253,8 +201,8 @@ def lower_bound_B_tilde(k: int) -> float:
 
     Certified for even k >= 70; computable whenever T^k > (pi/T)^2, which
     holds from k = 23.  The arctan expression under-estimates the exact
-    step-well eigenvalue, so this floor sits below
-    ((sqrt(5)-1)/2) * dirichlet_well_lambda(T, k).
+    step-well eigenvalue, so this floor sits below ((sqrt(5)-1)/2) times
+    that eigenvalue, the gluing-equation root in tests/derivations.py.
     """
     if not (math.isfinite(k) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -262,6 +210,12 @@ def lower_bound_B_tilde(k: int) -> float:
 
 
 def _c_bound_terms(k, alpha0, m):
+    # the two competing floors on the bottom eigenvalue for alpha >= alpha0
+    # (C_k is the smaller): the well bottom (alpha0 - 1/(k+1))^2 for t < 1,
+    # and the de Gennes comparison (alpha0 (k+1) - 1) / ((k+1)
+    # ((alpha0 (k+1))^(1/(k+1)) - 1)) THETA0_LOWER for t >= 1.  The root
+    # less one is expm1(log(alpha0 (k+1)) / (k+1)): written as exp(...) - 1
+    # it cancels, losing digits from k ~ 1e9 and rounding to 0 near k ~ 3.7e17
     k = m.num(k)
     first = (alpha0 - 1.0 / (k + 1.0)) ** 2
     scaled = alpha0 * (k + 1.0)
@@ -270,37 +224,11 @@ def _c_bound_terms(k, alpha0, m):
     return first, second
 
 
-def c_bound_terms(k: int, alpha0: float = 1.5) -> Tuple[float, float]:
-    """The two competing floors behind lower_bound_C, for alpha >= alpha0:
-
-      first  = (alpha0 - 1/(k+1))^2                     (well bottom, t < 1)
-      second = (alpha0 (k+1) - 1) /
-               ((k+1) ((alpha0 (k+1))^(1/(k+1)) - 1)) * 0.59
-                                                (de Gennes comparison, t >= 1)
-
-    The root less one is expm1(log(alpha0 (k+1)) / (k+1)): written as
-    exp(...) - 1 it cancels, losing digits from k ~ 1e9 and rounding to 0
-    near k ~ 3.7e17.
-    """
-    _require_even_k(k)
-    if not (math.isfinite(alpha0) and alpha0 >= 1.5):
-        raise ValueError(f"alpha0 must be finite and at least 3/2, got {alpha0!r}")
-    return _c_bound_terms(k, alpha0, FLOATS)
-
-
 def gap_ratio(k):
     """(k+2)/(k+6): the gap criterion (k+2)/(k+6) lambda2 > lambda1 rules
     out a local maximum of lambda1(alpha) (see identities.IdentityReport).
     k may be a number of any namespace."""
     return (k + 2.0) / (k + 6.0)
-
-
-def lower_bound_C(k: int, alpha0: float = 1.5) -> float:
-    """Floor on the bottom eigenvalue for alpha >= alpha0 (alpha0 >= 3/2).
-
-    Certified uses are alpha0 = 3/2 (small k) and alpha0 = 2.8 (large k).
-    """
-    return min(c_bound_terms(k, alpha0))
 
 
 class Chain(NamedTuple):

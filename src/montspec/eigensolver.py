@@ -21,9 +21,7 @@ once unless a prediction fails.
 Covers the three operators.Geometry domains: the full line and the half
 line with a Dirichlet or Neumann condition at t=0 (the Neumann one is the
 de Gennes model, whose constant bounds.de_gennes_theta0 takes from its
-Weber-equation root and the tests check against this solver).  Also the
-explicit step-well model, whose first eigenvalue solves a
-transcendental gluing equation.
+Weber-equation root and the tests check against this solver).
 """
 
 import contextlib
@@ -681,41 +679,3 @@ def solve(
         geometry=geometry,
         seeds=lam_coarse,
     )
-
-
-def dirichlet_well_lambda(T: float, k: int) -> float:
-    """First eigenvalue of -d2/dt2 + T^k on {t > T}, Dirichlet at t=0.
-
-    The ground state is sin(sqrt(lambda) t) glued to a decaying
-    exponential at t=T, which forces tan(sqrt(lambda) T) = -sqrt(lambda)/omega
-    with omega = sqrt(T^k - lambda).  That equation has a unique root with
-    sqrt(lambda) in (pi/2T, pi/T); bisection pins it to 1e-12.
-    """
-    if not T > 1.0:
-        raise ValueError("need T > 1")
-    # exponent clamp: a barrier past e^700 acts as a hard wall in double
-    # precision, so the clamp does not move the root
-    barrier = math.exp(min(k * math.log(T), 700.0))
-    ceiling = (math.pi / T) ** 2
-    if not barrier > ceiling:
-        raise ValueError("need T^k above the Dirichlet-box ceiling (pi/T)^2")
-
-    def gluing(s: float) -> float:
-        omega = math.sqrt(barrier - s * s)
-        return math.tan(s * T) + s / omega
-
-    a = (math.pi / (2.0 * T)) * (1.0 + 1e-9)
-    # upper end nudged one ulp past pi/T: for enormous barriers the root
-    # sits within rounding of pi/T itself and tan(pi_float) < 0
-    b = (math.pi / T) * (1.0 + 8e-16)
-    fa = gluing(a)
-    if not fa < 0.0 < gluing(b):
-        raise SolverFailure("gluing equation failed to bracket a root")
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        if gluing(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    s = 0.5 * (a + b)
-    return s * s

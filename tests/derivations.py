@@ -1,7 +1,9 @@
 """Independent derivation routes that only the tests read: the commutator
 constant h by direct maximization over sigma, the minimizing width of
-the k = 2 trial state, the reflection t -> -t of an operator, and the
-saturated-barrier core of a level.  Each cross-checks a closed form,
+the k = 2 trial state, the unoptimized harmonic floor B_k(T) and its
+maximizing T, the first eigenvalue of the Dirichlet step well as the
+root of its gluing equation, the reflection t -> -t of an operator, and
+the saturated-barrier core of a level.  Each cross-checks a closed form,
 symmetry or bound the library relies on."""
 
 import math
@@ -9,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from montspec.bounds import h_closed
+from montspec.errors import SolverFailure
 from montspec.operators import Geometry, OperatorSpec
 from montspec.optimize import minimize_golden
 
@@ -64,6 +68,61 @@ def trial_width_k2() -> float:
     pi = math.pi
     numerator = 4.0 * pi**6 - 210.0 * pi**4 + 4410.0 * pi**2 - 26775.0
     return 2.0**0.25 * pi * (numerator / 7.0) ** (-1.0 / 8.0)
+
+
+def optimal_harmonic_T(k: int) -> float:
+    """The barrier position maximizing lower_bound_B_at_T: (3 sqrt(2k)/4)^(2/(k+2))."""
+    return (3.0 * math.sqrt(2.0 * k) / 4.0) ** (2.0 / (k + 2.0))
+
+
+def lower_bound_B_at_T(k: int, T: float) -> float:
+    """The unoptimized second-eigenvalue floor as a function of T > 0:
+    h(k) * (3 omega - (2k-4)/k^2 * T^k) with omega = sqrt(2 T^(k-2) / k).
+
+    The half-power model potential dominates the tangent parabola
+    omega^2 t^2 - const, whose second eigenvalue is 3 omega - const.
+    Maximizing over T recovers bounds.lower_bound_B exactly.
+    """
+    omega = math.sqrt(2.0 * math.exp((k - 2) * math.log(T)) / k)
+    const = (2.0 * k - 4.0) / (k * k) * math.exp(k * math.log(T))
+    return h_closed(k) * (3.0 * omega - const)
+
+
+def dirichlet_well_lambda(T: float, k: int) -> float:
+    """First eigenvalue of -d2/dt2 + T^k on {t > T}, Dirichlet at t=0.
+
+    The ground state is sin(sqrt(lambda) t) glued to a decaying
+    exponential at t=T, which forces tan(sqrt(lambda) T) = -sqrt(lambda)/omega
+    with omega = sqrt(T^k - lambda).  That equation has a unique root with
+    sqrt(lambda) in (pi/2T, pi/T); bisection pins it to 1e-12.
+    """
+    if not T > 1.0:
+        raise ValueError("need T > 1")
+    # exponent clamp: a barrier past e^700 acts as a hard wall in double
+    # precision, so the clamp does not move the root
+    barrier = math.exp(min(k * math.log(T), 700.0))
+    ceiling = (math.pi / T) ** 2
+    if not barrier > ceiling:
+        raise ValueError("need T^k above the Dirichlet-box ceiling (pi/T)^2")
+
+    def gluing(s: float) -> float:
+        omega = math.sqrt(barrier - s * s)
+        return math.tan(s * T) + s / omega
+
+    a = (math.pi / (2.0 * T)) * (1.0 + 1e-9)
+    # upper end nudged one ulp past pi/T: for enormous barriers the root
+    # sits within rounding of pi/T itself and tan(pi_float) < 0
+    b = (math.pi / T) * (1.0 + 8e-16)
+    if not gluing(a) < 0.0 < gluing(b):
+        raise SolverFailure("gluing equation failed to bracket a root")
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        if gluing(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    s = 0.5 * (a + b)
+    return s * s
 
 
 def reflection_conjugate(spec: OperatorSpec) -> OperatorSpec:

@@ -8,10 +8,10 @@ import pytest
 
 from montspec import bounds, certify, identities
 from montspec.bounds import de_gennes_theta0
-from montspec.eigensolver import dirichlet_well_lambda, solve
+from montspec.eigensolver import solve
 from montspec.operators import Geometry, OperatorSpec, ShiftedHarmonicPotential
 
-from derivations import h_maximized, h_maximizer, trial_width_k2
+from derivations import dirichlet_well_lambda, h_maximized, h_maximizer, trial_width_k2
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PI2_4 = math.pi**2 / 4.0
@@ -57,7 +57,7 @@ def test_criterion_04_b_tilde_floor():
 def test_criterion_05_large_k_chain():
     bt = bounds.lower_bound_B_tilde(70)
     two_alpha_star = 2.0 * math.sqrt(72.0 / 76.0 * bt - PI2_4)
-    first, second = bounds.c_bound_terms(70, alpha0=2.8)
+    first, second = bounds.chain(70, bounds.FLOATS).large_c_terms
     ok = two_alpha_star >= 2.83 and first >= 7.76 and second >= 21.2
     _report(5, f"2 sqrt(72/76 B~ - pi^2/4) = {two_alpha_star:.5f} >= 2.83, "
                f"(2.8 - 1/71)^2 = {first:.5f} >= 7.76, second C term = "
@@ -108,8 +108,9 @@ def test_criterion_09_uniqueness_evidence():
 
 
 def test_criterion_10_monotonicity_and_limits():
-    increasing, _ = bounds.verify_A_increasing(200)
-    below = all(bounds.upper_bound_A(k) < PI2_4 for k in range(2, 202, 2))
+    values = [bounds.upper_bound_A(k) for k in range(2, 202, 2)]
+    increasing = all(a < b for a, b in zip(values, values[1:]))
+    below = all(a < PI2_4 for a in values)
     b_dev = abs(bounds.lower_bound_B(10**4) - 2.25)
     ok = increasing and below and b_dev < 1e-2
     _report(10, f"A_k increasing to k=200, all below pi^2/4; "

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from derivations import barrier_core
+from derivations import barrier_core, dirichlet_well_lambda
 from montspec import eigensolver, tridiag
 from montspec.bounds import de_gennes_theta0
 from montspec.errors import SolverFailure
@@ -19,7 +19,6 @@ from montspec.eigensolver import (
     StartShapes,
     _fixed_grid_chain,
     assemble_hamiltonian,
-    dirichlet_well_lambda,
     refined_lowest_eigenvalues,
     solve,
     solve_on_interval,

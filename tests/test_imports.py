@@ -123,3 +123,28 @@ def test_every_export_resolves_and_is_listed():
         assert name in listed
     with pytest.raises(AttributeError):
         montspec.potential_value
+
+
+PUBLIC_NAMES = [
+    "BoundsTable", "CertificateReport", "CertificationError", "EigenResult", "Geometry",
+    "GridSpec", "HalfPowerModelPotential", "IdentityReport", "MontgomeryPotential",
+    "OperatorSpec", "PotentialKind", "PureAnharmonicPotential", "Regime", "ScanRow",
+    "ShiftedHarmonicPotential", "SolverFailure", "THETA0_LOWER", "assemble_hamiltonian",
+    "bounds_table", "certify_large_k", "certify_small_k", "de_gennes_theta0", "figure_csv",
+    "figure_data", "h_closed", "identity_report", "inverse_iteration", "locate_minimum",
+    "lower_bound_B", "lower_bound_B_tilde", "lowest_eigenvalues", "scan", "scan_csv", "solve",
+    "solve_on_interval", "upper_bound_A",
+]
+
+
+def test_public_surface_is_pinned():
+    assert montspec.__all__ == PUBLIC_NAMES
+
+
+# kept out of the library: only tests read these routes, from
+# tests/derivations.py or off bounds.chain
+@pytest.mark.parametrize("name", ["c_bound_terms", "dirichlet_well_lambda", "lower_bound_C",
+                                  "upper_bound_A_general", "verify_A_increasing"])
+def test_removed_name_is_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(montspec, name)
