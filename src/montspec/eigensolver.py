@@ -7,6 +7,9 @@ bisection of the whole level as the one fallback), and one Richardson
 extrapolation step on the reported eigenvalues, from the O(h^2) step
 that _ladder yields: over as many levels as tol needs in
 solve_on_interval, over two in _fixed_grid_chain.
+solve_on_interval stops a ladder early only to fail: once its steps
+shrink at the O(h^2) rate, a forecast (_cap_forecast) tells when the
+levels left below the grid cap cannot reach tol.
 Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows where the first level's eigenvectors are above
 rounding (StartShapes, _polished).
@@ -48,6 +51,12 @@ TRUNCATION_PAD = 2.0
 
 _N_START = 2048
 _N_CAP = 2**20
+
+# A ladder is in its O(h^2) regime when every eigenvalue's step shrank
+# by a factor strictly between these two from the level before; there,
+# no later level shrinks a step by _RATE_BOUND or more (_cap_forecast).
+_RATIO_RANGE = (3.5, 4.5)
+_RATE_BOUND = 6.0
 
 # The reported ground state is sampled on a ladder level at most this
 # size: eigenvector rounding noise grows like eps/h^2, so on very fine
@@ -539,6 +548,13 @@ def solve_on_interval(
     drops below tol/2 for every requested eigenvalue, then one Richardson
     step, step / 3, removes the leading O(h^2) error from that level's
     values; achieved_tol_estimate adds the step and the correction.
+    A level whose step is still too large, and whose steps shrank from the
+    level before at the O(h^2) rate, fails at once if even the levels
+    left below _N_CAP could not bring its largest step under tol/2
+    (_cap_forecast): the cap is known to come first, so those levels are
+    not built.  A success is the same either way; a cap failure, forecast
+    or reached, carries the last level's Richardson value as its best
+    estimate (the raw values if only one level ran).
     `seeds` predict the first level's eigenvalues (solve passes its
     pre-solve's).  count and tol are checked as in solve.
     """
@@ -546,6 +562,7 @@ def solve_on_interval(
     sizes = [_N_START]
     while 2 * sizes[-1] + 1 <= _N_CAP:
         sizes.append(2 * sizes[-1] + 1)
+    previous = None
     for n, lam, step, system, v in _ladder(potential, lower, upper, sizes, count, geometry,
                                            seeds):
         # The ground state comes from the last level up to _N_VECTOR_CAP
@@ -557,9 +574,11 @@ def solve_on_interval(
                 system.quadrature_weights(),
             )
         del system, v  # see _ladder's consumer rule
-        if step is not None and np.max(np.abs(step)) < 0.5 * tol:
-            correction = step / 3.0
-            extrapolated = lam + correction
+        if step is None:
+            continue
+        correction = step / 3.0
+        extrapolated = lam + correction
+        if np.max(np.abs(step)) < 0.5 * tol:
             achieved = float(np.max(np.abs(step) + np.abs(correction)))
             points, u, weights = ground
             if np.min(u) < -1e-10 * np.max(u):
@@ -576,10 +595,47 @@ def solve_on_interval(
                 grid_used=GridSpec(lower, upper, n),
                 iterations=sizes.index(n) + 1,
             )
+        levels_left = len(sizes) - 1 - sizes.index(n)
+        if previous is not None and levels_left > 0:
+            floor = _cap_forecast(previous, step, levels_left)
+            if floor is not None and floor >= 0.5 * tol:
+                j = int(np.argmax(np.abs(step)))
+                raise SolverFailure(
+                    f"grid refinement cap n > {_N_CAP} would be reached before tolerance "
+                    f"{tol}: at n = {n} the largest step {abs(step[j]):.3g} shrinks "
+                    f"{abs(previous[j] / step[j]):.2f}-fold per level; the {levels_left} "
+                    f"levels left bring it no lower than {floor:.2g} "
+                    f"(needs < {0.5 * tol:.2g})",
+                    best_estimate=tuple(float(x) for x in extrapolated),
+                )
+        previous = step
     raise SolverFailure(
         f"grid refinement cap n > {_N_CAP} reached before tolerance {tol}",
-        best_estimate=tuple(float(x) for x in lam),
+        best_estimate=tuple(float(x) for x in (lam if step is None else extrapolated)),
     )
+
+
+def _cap_forecast(previous_step, step, levels_left: int) -> Optional[float]:
+    """The least that `levels_left` more ladder levels can bring the
+    largest |step|, or None while the steps do not show the O(h^2) rate.
+
+    The finite-difference eigenvalues carry the error expansion
+    c2 h^2 + c4 h^4 + ... (Paine, de Hoog & Anderssen 1981), and h halves
+    per level, so the ratio of consecutive steps is 4 (1 + d), with d of
+    order h^2: its deviation from 4 shrinks about 4-fold per level.  The
+    ladder is taken to be in that regime when every eigenvalue's ratio
+    |previous_step| / |step| lies strictly inside _RATIO_RANGE, (3.5, 4.5):
+    then |d| < 1/8 now, below about 1/32 a level later, and no later level
+    divides a step by more than about 4.2, so the remaining levels leave at
+    least max |step| / _RATE_BOUND**levels_left with _RATE_BOUND = 6.
+    The test is written multiplied out, so that a zero or nan step fails
+    it without a division (and without a RuntimeWarning).
+    """
+    before, now = np.abs(previous_step), np.abs(step)
+    low, high = _RATIO_RANGE
+    if not (np.all(low * now < before) and np.all(before < high * now)):
+        return None
+    return float(np.max(now)) / _RATE_BOUND ** levels_left
 
 
 def _check_request(count: int, tol: float) -> None:

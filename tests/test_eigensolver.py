@@ -2,8 +2,11 @@
 Neumann half line of the de Gennes model, and the step-well gluing
 equation."""
 
+import json
 import math
+import warnings
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +38,9 @@ from montspec.tridiag import are_lowest_eigenvalues, inverse_iteration, lowest_e
 
 D = Geometry.HALF_LINE_DIRICHLET
 N = Geometry.HALF_LINE_NEUMANN
+
+# the sinc collocation table the benchmark scores against, read only
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_grid_spec_validation():
@@ -297,6 +303,87 @@ def test_solver_failure_at_grid_cap_carries_best_estimate(monkeypatch):
         solve_on_interval(MontgomeryPotential(2, 0.0), -6.0, 6.0, count=1, tol=1e-8)
     assert info.value.best_estimate is not None
     assert info.value.best_estimate[0] == pytest.approx(0.66095, abs=1e-4)
+
+
+def test_cap_forecast_reads_the_h2_rate():
+    step = np.array([1e-5, 4e-5])
+    # 4e-5 / 6^5 = 5.1e-9: five more levels cannot bring it under 5e-9
+    floor = eigensolver._cap_forecast(4.0 * step, step, 5)
+    assert floor == pytest.approx(4e-5 / 6.0**5, rel=1e-15) and floor >= 0.5e-8
+    # a tenth of that step is within their reach
+    assert eigensolver._cap_forecast(0.4 * step, 0.1 * step, 5) < 0.5e-8
+
+
+@pytest.mark.parametrize(
+    "previous, step",
+    [
+        ([2e-5, 8e-5], [1e-5, 4e-5]),  # ratio 2
+        ([4e-5, 32e-5], [1e-5, 4e-5]),  # ratio 4, then 8
+        ([4e-5, 1e-5], [1e-5, 0.0]),
+        ([0.0, 16e-5], [0.0, 4e-5]),
+        ([4e-5, 16e-5], [1e-5, math.nan]),
+        ([math.nan, 16e-5], [1e-5, 4e-5]),
+    ],
+    ids=["ratio-2", "ratio-8", "zero-step", "zero-steps", "nan-step", "nan-previous"],
+)
+def test_cap_forecast_needs_the_h2_rate_everywhere(previous, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigensolver._cap_forecast(np.array(previous), np.array(step), 5) is None
+
+
+def test_steep_well_fails_on_its_cap_forecast(monkeypatch):
+    # k = 200 at tol 1e-8 stops at n = 16391, five levels under the cap,
+    # and reports the Richardson value of that level
+    sizes = []
+    plain = eigensolver.assemble_hamiltonian
+
+    def recorded(potential, grid, *args, **kwargs):
+        sizes.append(grid.n)
+        return plain(potential, grid, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "assemble_hamiltonian", recorded)
+    with pytest.raises(SolverFailure, match="grid refinement cap") as info:
+        solve(OperatorSpec(200, 0.0), count=2, tol=1e-8)
+    assert max(sizes) <= 32783
+    row = next(r for r in json.loads(REFERENCE.read_text())["rows"]
+               if (r["k"], r["alpha"]) == (200, 0.0))
+    assert info.value.best_estimate == pytest.approx(row["eigenvalues"], rel=0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        (OperatorSpec(2, 0.0), 2),
+        (OperatorSpec(10, 1.5), 2),  # ends at n = 524543
+        (OperatorSpec(30, 1.5), 2),  # its last step clears tol / 2 by 6 %
+        (OperatorSpec(4, 0.0), 3),
+        (OperatorSpec(4, 0.0, D), 2),
+        (OperatorSpec(30, 0.0, N), 2),
+    ],
+    ids=["k2", "k10-alpha1.5", "k30-alpha1.5", "k4-count3", "dirichlet", "neumann"],
+)
+def test_cap_forecast_leaves_successes_bit_identical(monkeypatch, spec, count):
+    res = solve(spec, count=count, tol=1e-8)
+    monkeypatch.setattr(eigensolver, "_RATE_BOUND", math.inf)  # never forecasts
+    plain = solve(spec, count=count, tol=1e-8)
+    assert res.eigenvalues == plain.eigenvalues
+    assert res.achieved_tol_estimate == plain.achieved_tol_estimate
+    assert (res.grid_used, res.iterations) == (plain.grid_used, plain.iterations)
+    assert np.array_equal(res.ground_state_values, plain.ground_state_values)
+
+
+def test_near_miss_runs_to_the_cap(monkeypatch):
+    # k = 34's last step, 5.3e-9, misses tol / 2 by 6 %: from the level
+    # before, 2.1e-8 shrinking 6-fold would clear it, so no forecast fires
+    sizes = _level_sizes(monkeypatch)
+    with pytest.raises(SolverFailure, match="grid refinement cap n > 1048576 reached") as info:
+        solve(OperatorSpec(34, 0.0), count=2, tol=1e-8)
+    assert sizes[-1] == 524543
+    monkeypatch.setattr(eigensolver, "_RATE_BOUND", math.inf)
+    with pytest.raises(SolverFailure) as plain:
+        solve(OperatorSpec(34, 0.0), count=2, tol=1e-8)
+    assert info.value.best_estimate == plain.value.best_estimate
 
 
 @pytest.mark.parametrize("k", [2, 30, 200])
