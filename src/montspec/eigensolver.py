@@ -93,27 +93,66 @@ class GridSpec:
         return (self.upper - self.lower) / (self.n + 1)
 
     def interior_points(self) -> np.ndarray:
-        h = self.spacing
-        return self.lower + h * np.arange(1, self.n + 1)
+        return _grid_points(self.lower, self.spacing, 1, self.n + 1)
+
+
+def _grid_points(lower: float, spacing: float, start: int, stop: int, step: int = 1):
+    """The grid points lower + spacing * i for i in range(start, stop, step)."""
+    return lower + spacing * np.arange(start, stop, step)
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
     """Symmetric tridiagonal discretization of -d2/dt2 + V.
 
-    `points` are the sample locations of the unknowns.  The upper end is
-    Dirichlet.  A Neumann lower end includes its boundary point among the
-    unknowns; the returned matrix is the symmetrized form (see
-    assemble_hamiltonian), and `to_physical` undoes the symmetrizing
+    Row i samples the grid point lower + spacing * (first + i), rounded
+    as GridSpec.interior_points rounds it: `first` is 1 on a grid's
+    Dirichlet lower end, whose boundary point is no unknown, 0 on a
+    Neumann one, plus the rows a window cuts off below (`rows`).  The
+    upper end is Dirichlet.  A Neumann lower end includes its boundary
+    point among the unknowns; the returned matrix is the symmetrized form
+    (see assemble_hamiltonian), and `to_physical` undoes the symmetrizing
     change of basis.
+
+    The points are derived, not stored (`points`, `point`,
+    `searchsorted`), so a system holds three arrays of its size: diag,
+    offdiag and potential_values.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    points: np.ndarray
     potential_values: np.ndarray
     spacing: float
     neumann_lower: bool
+    lower: float
+    first: int
+
+    @property
+    def points(self) -> np.ndarray:
+        """The sample locations of the unknowns, built afresh on each access."""
+        return _grid_points(self.lower, self.spacing, self.first, self.first + len(self.diag))
+
+    def point(self, i: int) -> float:
+        """The sample location of row i, as `points[i]` without the array."""
+        return self.lower + self.spacing * (self.first + i)
+
+    def searchsorted(self, t: float, side: str) -> int:
+        """np.searchsorted(self.points, t, side), for t a float or +-inf,
+        found from the row nearest t and checked against the rows beside
+        it, without building the points."""
+        n = len(self.diag)
+
+        def before(i):  # whether row i sorts before t
+            x = self.point(i)
+            return x < t if side == "left" else x <= t
+
+        guess = (t - self.lower) / self.spacing - self.first
+        i = 0 if not guess > 0 else n if guess >= n else math.ceil(guess)
+        while i < n and before(i):
+            i += 1
+        while i > 0 and not before(i - 1):
+            i -= 1
+        return i
 
     def rows(self, lo: int, hi: int) -> "AssembledSystem":
         """The principal submatrix on rows [lo, hi), as views of this
@@ -122,10 +161,11 @@ class AssembledSystem:
         return AssembledSystem(
             diag=self.diag[lo:hi],
             offdiag=self.offdiag[lo:hi - 1],
-            points=self.points[lo:hi],
             potential_values=self.potential_values[lo:hi],
             spacing=self.spacing,
             neumann_lower=self.neumann_lower and lo == 0,
+            lower=self.lower,
+            first=self.first + lo,
         )
 
     def to_physical(self, v: np.ndarray) -> np.ndarray:
@@ -133,13 +173,6 @@ class AssembledSystem:
         if self.neumann_lower:
             u[0] *= _SQRT2
         return u
-
-    def quadrature_weights(self) -> np.ndarray:
-        """Trapezoid weights matching the physical sample points."""
-        w = np.full(len(self.points), self.spacing)
-        if self.neumann_lower:
-            w[0] *= 0.5
-        return w
 
     def rayleigh_quotient(self, v: np.ndarray) -> float:
         """v.T H v for a unit vector v, evaluated without cancellation.
@@ -154,8 +187,8 @@ class AssembledSystem:
         first = _SQRT2 * v[0] - v[1] if self.neumann_lower else v[0]
         lo = 1 if self.neumann_lower else 0
         bonds = np.diff(v[lo:])
-        kinetic = inv_h2 * (first * first + np.dot(bonds, bonds) + v[-1] * v[-1])
-        return float(kinetic + np.dot(self.potential_values, v * v))
+        kinetic = inv_h2 * (first * first + tridiag.dot(bonds, bonds) + v[-1] * v[-1])
+        return float(kinetic + tridiag.dot(self.potential_values, v, v))
 
 
 def assemble_hamiltonian(
@@ -188,33 +221,35 @@ def assemble_hamiltonian(
     if not isinstance(geometry, Geometry):
         raise ValueError(f"geometry must be a Geometry member, got {geometry!r}")
     h = grid.spacing
-    pts = grid.interior_points()
     neumann = geometry is Geometry.HALF_LINE_NEUMANN
-    if neumann:
-        pts = np.concatenate(([grid.lower], pts))
+    first = int(not neumann)  # the grid index of row 0
+    size = grid.n + 1 - first
     inv_h2 = 1.0 / (h * h)
     if coarse_values is None:
-        values = np.asarray(potential.value(pts), dtype=float)
+        values = np.asarray(potential.value(_grid_points(grid.lower, h, first, grid.n + 1)),
+                            dtype=float)
     else:
-        carried = int(not neumann)  # index of the first coarse point
-        if grid.n % 2 == 0 or len(coarse_values) != len(pts[carried::2]):
+        # the coarse points are the even grid indices, rows first, first + 2, ...
+        if grid.n % 2 == 0 or len(coarse_values) != len(range(first, size, 2)):
             raise ValueError(
                 f"{len(coarse_values)} coarse values do not fit a grid of n = {grid.n}"
             )
-        values = np.empty(len(pts))
-        values[carried::2] = coarse_values
-        values[1 - carried::2] = potential.value(pts[1 - carried::2])
+        values = np.empty(size)
+        values[first::2] = coarse_values
+        # only the odd grid indices between them are built and sampled
+        values[1 - first::2] = potential.value(_grid_points(grid.lower, h, 1, grid.n + 1, 2))
     diag = 2.0 * inv_h2 + values
-    offdiag = np.full(len(pts) - 1, -inv_h2)
+    offdiag = np.full(size - 1, -inv_h2)
     if neumann:
         offdiag[0] *= _SQRT2
     return AssembledSystem(
         diag=diag,
         offdiag=offdiag,
-        points=pts,
         potential_values=values,
         spacing=h,
         neumann_lower=neumann,
+        lower=grid.lower,
+        first=first,
     )
 
 
@@ -224,7 +259,9 @@ class StartShapes:
 
     A record holds physical samples of the vectors on their level's
     points (so the Neumann row's symmetrizing scale drops out; the overall
-    scale does not matter, as inverse iteration normalizes its start).
+    scale does not matter, as inverse iteration normalizes its start),
+    and the grid indices of those points, from which `points` rebuilds
+    them for each start.
     Each level it is given starts eigenpair j from vector j, linearly
     interpolated onto the points that level is polished on (its decay
     window, or the whole level); with no vectors, a level starts flat.
@@ -245,19 +282,26 @@ class StartShapes:
     """
 
     def __init__(self, previous: Optional["StartShapes"] = None):
-        self.points = None if previous is None else previous.points
+        # (lower, spacing, start, stop) of the recorded points (_grid_points)
+        self.grid = None if previous is None else previous.grid
         self.vectors = [] if previous is None else previous.vectors
         self.window = None
 
+    @property
+    def points(self):
+        """The recorded vectors' points, or None while there are none."""
+        return None if self.grid is None else _grid_points(*self.grid)
+
     def record(self, system: AssembledSystem, vectors) -> None:
-        self.points = system.points
+        self.grid = (system.lower, system.spacing, system.first,
+                     system.first + len(system.diag))
         self.vectors = [system.to_physical(v) for v in vectors]
         self.window = _decay_window(system, self.vectors)
 
     def start(self, system: AssembledSystem, j: int):
         """The start of eigenpair j on `system`, or None (a flat start)
         while this record holds no vectors."""
-        if self.points is None:
+        if self.grid is None:
             return None
         start = np.interp(system.points, self.points, self.vectors[j])
         if system.neumann_lower:  # undo to_physical
@@ -311,15 +355,20 @@ def refined_lowest_eigenvalues(
     values stay on the whole level: only a count on the whole matrix can
     tell that no eigenvalue of it lies below the polished ones.
 
-    Returns (eigenvalues, ground_state_matrix_vector).
+    Returns (eigenvalues, ground_state_matrix_vector).  The vector is None
+    on a system of more than _N_VECTOR_CAP rows: no consumer reads one
+    there (_ladder), so such a level keeps no eigenvector but the ones
+    it records, and holds at most one other at a time.
     """
     record = shapes is not None and shapes.window is None
+    ground = len(system.diag) <= _N_VECTOR_CAP
+    keep = count if record else int(ground)
     polished = None
     if seeds is not None and len(seeds) != count:
         raise ValueError(f"need {count} seeds, got {len(seeds)}")
     if seeds is not None:
         try:
-            polished = _polished(system, seeds, shapes, keep=record)
+            polished = _polished(system, seeds, shapes, keep)
         except SolverFailure:
             pass
         if polished is not None and not tridiag.are_lowest_eigenvalues(
@@ -328,28 +377,29 @@ def refined_lowest_eigenvalues(
             polished = None
     if polished is None:
         raw = tridiag.lowest_eigenvalues(system.diag, system.offdiag, count)
-        polished = _polished(system, raw, keep=record)
+        polished = _polished(system, raw, keep=keep)
     refined, vectors = polished
     if record:
         shapes.record(system, vectors)
-    return refined, vectors[0]
+    return refined, vectors[0] if ground else None
 
 
-def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
+def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     """Rayleigh quotients of the inverse-iteration vectors at `estimates`,
-    each started from `shapes` (a flat start without), and the vectors:
-    all of them if `keep`, else only the first, so that a fine level
-    holds one full-length vector at a time besides them.  None if a
-    window cut proves coupled.
+    each started from `shapes` (a flat start without), and the first
+    `keep` vectors; each other one is dropped before the next eigenpair
+    is polished.  None if a window cut proves coupled.
 
     Once `shapes` holds a decay window (t_lo, t_hi), read off the
     recording level's eigenvectors (StartShapes), the iteration, the
     Rayleigh quotient and the starts run on the level's rows with points
-    in [t_lo, t_hi] (found by searchsorted), as views of the level's
-    arrays; a window of fewer than 2 rows leaves the level whole.  Each
-    vector comes back embedded in zeros on the level's own points, where
-    it has the window's residual plus |offdiag[cut] v[edge]| at each cut
-    row, the coupling that the cut drops.  Each must be within
+    in [t_lo, t_hi] (AssembledSystem.searchsorted), as views of the
+    level's arrays; a window of fewer than 2 rows leaves the level whole.
+    The window's largest coupling, max |offdiag|, is read once, for every
+    residual floor below.  Each kept vector comes back embedded in zeros
+    on the level's own points, where it has the window's residual plus
+    |offdiag[cut] v[edge]| at each cut row, the coupling that the cut
+    drops.  Each must be within
     inverse iteration's residual floor, so the embedded vector is as
     converged as one polished on the whole level; a cut that drops more
     proves coupled, and the level takes the one fallback of
@@ -359,11 +409,12 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
     lo, hi = 0, n
     if shapes is not None and shapes.window is not None:
         t_lo, t_hi = shapes.window
-        lo = int(np.searchsorted(system.points, t_lo, "left"))
-        hi = int(np.searchsorted(system.points, t_hi, "right"))
+        lo = system.searchsorted(t_lo, "left")
+        hi = system.searchsorted(t_hi, "right")
         if hi - lo < 2:
             lo, hi = 0, n
     window = system if (lo, hi) == (0, n) else system.rows(lo, hi)
+    coupling = tridiag._max_abs(window.offdiag)
     refined = np.empty(len(estimates))
     vectors = []
     for j, lam in enumerate(estimates):
@@ -371,21 +422,22 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=False):
         # holds the only reference and can drop it once it has normalized it
         v = tridiag.inverse_iteration(
             window.diag, window.offdiag, float(lam),
-            None if shapes is None else shapes.start(window, j),
+            None if shapes is None else shapes.start(window, j), coupling=coupling,
         )
         if window is not system:
-            floor = tridiag._residual_floor(window.offdiag, float(lam))
+            floor = tridiag._residual_floor(window.offdiag, float(lam), coupling)
             if (lo > 0 and abs(system.offdiag[lo - 1] * v[0]) > floor) or (
                 hi < n and abs(system.offdiag[hi - 1] * v[-1]) > floor
             ):
                 return None
         refined[j] = window.rayleigh_quotient(v)
-        if keep or j == 0:
+        if j < keep:
             if window is not system:
                 embedded = np.zeros(n)
                 embedded[lo:hi] = v
                 v = embedded
             vectors.append(v)
+        del v  # not held while the next eigenpair is polished
     return refined, vectors
 
 
@@ -399,8 +451,8 @@ def _decay_window(system: AssembledSystem, vectors):
     envelope = np.max(np.abs(vectors), axis=0)
     held = np.flatnonzero(envelope > DECAY_FLOOR * np.max(envelope))
     first, last = held[0] - 1, held[-1] + 1
-    t_lo = -math.inf if first < 0 or system.neumann_lower else float(system.points[first])
-    t_hi = math.inf if last == len(envelope) else float(system.points[last])
+    t_lo = -math.inf if first < 0 or system.neumann_lower else float(system.point(first))
+    t_hi = math.inf if last == len(envelope) else float(system.point(last))
     return t_lo, t_hi
 
 
@@ -408,7 +460,8 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     """The refinement ladder on (lower, upper): one level per size in
     `sizes`, yielding (n, eigenvalues, step, system, ground vector) for
     each, where step is the change of the eigenvalues from the level
-    before (None at the first level).
+    before (None at the first level), and the ground vector is None on a
+    level of more than _N_VECTOR_CAP rows (refined_lowest_eigenvalues).
 
     A level takes from the level before it its potential samples when
     n = 2m + 1 (see assemble_hamiltonian) and its seeds: `seeds` at the
@@ -424,10 +477,17 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     when the consumer stops there: of the orders measured, this one takes
     the fewest page faults.
 
-    Consumer rule: drop the level's system and vector before asking for
-    the next level, and never iterate the ladder through `enumerate` or
-    collect its records, which would hold both while the next level is
-    solved.
+    At its peak a level of n rows holds about eight arrays of n doubles:
+    its system's three (AssembledSystem), the vector being polished, and
+    the four that each inverse-iteration sweep hands LAPACK
+    (tridiag.inverse_iteration); the ground vector, where there is one,
+    is a ninth.
+
+    Consumer rule: read a ground vector only up to _N_VECTOR_CAP rows
+    (there is none above), drop the level's system and vector before
+    asking for the next level, and never iterate the ladder through
+    `enumerate` or collect its records, which would hold both while the
+    next level is solved.
     """
     shapes = StartShapes() if shapes is None else shapes
     lam = step = system = None
@@ -552,9 +612,14 @@ def solve_on_interval(
     level before at the O(h^2) rate, fails at once if even the levels
     left below _N_CAP could not bring its largest step under tol/2
     (_cap_forecast): the cap is known to come first, so those levels are
-    not built.  A success is the same either way; a cap failure, forecast
-    or reached, carries the last level's Richardson value as its best
-    estimate (the raw values if only one level ran).
+    not built.  A success is the same either way.  A forecast failure
+    carries the last level's Richardson values as its best estimate; a
+    failure at the cap carries those of the last level whose steps showed
+    the O(h^2) rate (_shows_h2_rate), the regime where Richardson's step
+    is sound.  A near-degenerate pair can leave that regime on the finest
+    levels, where rounding drifts the polished values apart; without such
+    a level it carries the last level's (the raw values if only one level
+    ran).
     `seeds` predict the first level's eigenvalues (solve passes its
     pre-solve's).  count and tol are checked as in solve.
     """
@@ -562,17 +627,15 @@ def solve_on_interval(
     sizes = [_N_START]
     while 2 * sizes[-1] + 1 <= _N_CAP:
         sizes.append(2 * sizes[-1] + 1)
-    previous = None
+    previous = trusted = None
     for n, lam, step, system, v in _ladder(potential, lower, upper, sizes, count, geometry,
                                            seeds):
         # The ground state comes from the last level up to _N_VECTOR_CAP
-        # (the first level is below it), as physical samples only.
-        if n <= _N_VECTOR_CAP:
-            ground = (
-                system.points,
-                system.to_physical(v) / math.sqrt(system.spacing),
-                system.quadrature_weights(),
-            )
+        # (the first level is below it), as physical samples only; their
+        # points and weights are built once a result is returned.
+        if v is not None:
+            ground = (system.to_physical(v) / math.sqrt(system.spacing), system.first,
+                      system.spacing)
         del system, v  # see _ladder's consumer rule
         if step is None:
             continue
@@ -580,7 +643,10 @@ def solve_on_interval(
         extrapolated = lam + correction
         if np.max(np.abs(step)) < 0.5 * tol:
             achieved = float(np.max(np.abs(step) + np.abs(correction)))
-            points, u, weights = ground
+            u, first, h = ground
+            weights = np.full(len(u), h)  # the trapezoid rule's
+            if geometry is Geometry.HALF_LINE_NEUMANN:
+                weights[0] *= 0.5
             if np.min(u) < -1e-10 * np.max(u):
                 raise SolverFailure(
                     "ground state came out with a sign change",
@@ -588,13 +654,15 @@ def solve_on_interval(
                 )
             return EigenResult(
                 eigenvalues=tuple(float(x) for x in extrapolated),
-                ground_state_points=points,
+                ground_state_points=_grid_points(lower, h, first, first + len(u)),
                 ground_state_values=u,
                 quadrature_weights=weights,
                 achieved_tol_estimate=achieved,
                 grid_used=GridSpec(lower, upper, n),
                 iterations=sizes.index(n) + 1,
             )
+        if previous is not None and _shows_h2_rate(previous, step):
+            trusted = extrapolated
         levels_left = len(sizes) - 1 - sizes.index(n)
         if previous is not None and levels_left > 0:
             floor = _cap_forecast(previous, step, levels_left)
@@ -609,9 +677,11 @@ def solve_on_interval(
                     best_estimate=tuple(float(x) for x in extrapolated),
                 )
         previous = step
+    if trusted is None:
+        trusted = lam if step is None else extrapolated
     raise SolverFailure(
         f"grid refinement cap n > {_N_CAP} reached before tolerance {tol}",
-        best_estimate=tuple(float(x) for x in (lam if step is None else extrapolated)),
+        best_estimate=tuple(float(x) for x in trusted),
     )
 
 
@@ -628,14 +698,19 @@ def _cap_forecast(previous_step, step, levels_left: int) -> Optional[float]:
     then |d| < 1/8 now, below about 1/32 a level later, and no later level
     divides a step by more than about 4.2, so the remaining levels leave at
     least max |step| / _RATE_BOUND**levels_left with _RATE_BOUND = 6.
-    The test is written multiplied out, so that a zero or nan step fails
-    it without a division (and without a RuntimeWarning).
     """
+    if not _shows_h2_rate(previous_step, step):
+        return None
+    return float(np.max(np.abs(step))) / _RATE_BOUND ** levels_left
+
+
+def _shows_h2_rate(previous_step, step) -> bool:
+    """Whether every |previous_step| / |step| lies strictly inside
+    _RATIO_RANGE.  The test is written multiplied out, so that a zero or
+    nan step fails it without a division (and without a RuntimeWarning)."""
     before, now = np.abs(previous_step), np.abs(step)
     low, high = _RATIO_RANGE
-    if not (np.all(low * now < before) and np.all(before < high * now)):
-        return None
-    return float(np.max(now)) / _RATE_BOUND ** levels_left
+    return bool(np.all(low * now < before) and np.all(before < high * now))
 
 
 def _check_request(count: int, tol: float) -> None:

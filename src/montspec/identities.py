@@ -109,12 +109,12 @@ def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
     lam1 = system.rayleigh_quotient(u * math.sqrt(h))
     w = MontgomeryPotential(k, alpha).signed_root(system.points)
     f = w * u
-    f_perp = f - (h * np.dot(f, u)) * u
+    f_perp = f - (h * tridiag.dot(f, u)) * u
     shift = lam1 + 1e-12 * max(1.0, abs(lam1))
     g = tridiag.shifted_solve(system.diag, system.offdiag, shift, f_perp)
-    g = g - (h * np.dot(g, u)) * u
+    g = g - (h * tridiag.dot(g, u)) * u
     du = 2.0 * g
-    return 2.0 - 4.0 * h * float(np.dot(f, du))
+    return 2.0 - 4.0 * h * tridiag.dot(f, du)
 
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:

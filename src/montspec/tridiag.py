@@ -28,9 +28,13 @@ Each inverse-iteration sweep, and each shifted_solve, is one LAPACK
 gtsv call on A - shift I: Gaussian elimination with partial pivoting
 fused with the solve.  No factor is kept across sweeps: a start
 close to the eigenvector converges in one sweep, so a kept factor would
-save almost nothing.  The residual is taken at the iterate's Rayleigh
-quotient, so a shift from an eigenvalue predicted on coarser grids
-converges as well as one from a bisection bracket; a sweep's own norm
+save almost nothing.  Nor is A - shift I: a sweep builds the four arrays
+gtsv overwrites (the two off-diagonals, the shifted diagonal and the
+right-hand side) and frees them on return, so a sweep holds those four
+and its iterate, and nothing is held between sweeps.  The residual is
+taken at the iterate's Rayleigh quotient, so a shift from an eigenvalue
+predicted on coarser grids converges as well as one from a bisection
+bracket; a sweep's own norm
 bounds that residual, which spares most converged sweeps their
 matrix-vector product.  From the flat start it takes about 1.4 sweeps
 to converge and two polish sweeps that damp the flat vector's imprint in
@@ -41,6 +45,9 @@ and takes more sweeps the farther the predicted eigenvalue is off.
 are_lowest_eigenvalues is the one check on the polished values of
 predicted eigenvalues: their separation and one pivot count just above
 them, instead of bisecting.
+
+Every sum over a vector goes through dot (np.einsum), never through
+BLAS, so no result depends on the BLAS thread count.
 
 No other module calls LAPACK, and every LAPACK fault (stebz failing to
 converge, a singular shifted matrix, a NaN pivot) leaves this one as
@@ -111,6 +118,24 @@ def _max_abs(x) -> float:
     return max(float(np.max(x)), -float(np.min(x)))
 
 
+def dot(*vectors) -> float:
+    """sum_i of the product of the vectors' entries i, by np.einsum.
+
+    Every reduction over solver vectors goes through here (norm below,
+    the Rayleigh quotients, the identities' projections): np.dot and
+    np.linalg.norm reduce through BLAS, whose partial sums split by
+    thread count, so their results would move at rounding with
+    OPENBLAS_NUM_THREADS.  einsum sums in an order of its own, and a
+    three-vector product takes no temporary.
+    """
+    return float(np.einsum(",".join(["i"] * len(vectors)) + "->", *vectors))
+
+
+def norm(x) -> float:
+    """The 2-norm of the vector x (see dot)."""
+    return math.sqrt(dot(x, x))
+
+
 def _all_finite(x) -> bool:
     """Whether every entry of x is finite: NaN propagates through both
     reductions, and an infinity is the largest or the smallest entry."""
@@ -122,14 +147,17 @@ def _require_rows(n: int) -> None:
         raise ValueError(f"need at least 2 rows, got {n}")
 
 
-def _residual_floor(offdiag, eigenvalue: float) -> float:
+def _residual_floor(offdiag, eigenvalue: float, coupling=None) -> float:
     """Rounding floor of ||A v - eigenvalue v|| for a unit eigenvector v.
 
-    Driven by the kinetic scale of the matrix, not by saturated potential
+    Driven by the kinetic scale of the matrix, max |offdiag| (`coupling`,
+    if the caller has already read it), not by saturated potential
     entries: the eigenvector is zero there, so they contribute nothing to
     a converged residual.
     """
-    scale = 4.0 * _max_abs(offdiag) + abs(eigenvalue) + 1.0
+    if coupling is None:
+        coupling = _max_abs(offdiag)
+    scale = 4.0 * coupling + abs(eigenvalue) + 1.0
     return 64.0 * _EPS * scale
 
 
@@ -262,15 +290,20 @@ def _tridiag_matvec(diag, offdiag, v):
 def _rayleigh_residual(diag, offdiag, v) -> float:
     """||A v - rho v|| at the Rayleigh quotient rho of the unit vector v."""
     r = _tridiag_matvec(diag, offdiag, v)
-    r -= np.dot(v, r) * v
-    return float(np.linalg.norm(r))
+    r -= dot(v, r) * v
+    return norm(r)
 
 
-def _gtsv(offdiag, shifted, rhs):
-    """(A - shift I)^(-1) rhs, for the diagonal `shifted` of A - shift I:
-    one LAPACK gtsv call (Gaussian elimination with partial pivoting,
-    fused with the solve), which leaves its arguments intact."""
-    *_, x, info = dgtsv(offdiag, shifted, offdiag, rhs)
+def _gtsv(diag, offdiag, shift: float, rhs):
+    """(A - shift I)^(-1) rhs: one LAPACK gtsv call (Gaussian elimination
+    with partial pivoting, fused with the solve), which leaves its
+    arguments intact.  gtsv overwrites its four arrays, so it is handed
+    fresh ones, built here and freed on return, instead of the copies
+    f2py would make beside a kept diag - shift."""
+    *_, x, info = dgtsv(
+        offdiag.copy(), diag - shift, offdiag.copy(), np.array(rhs, dtype=float),
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )
     if info > 0:
         raise SolverFailure("singular matrix")
     return x
@@ -281,16 +314,16 @@ def _aligned_sweep(sweep, v):
     agree with v, and the sweep's norm before scaling.  A norm of 0, inf
     or NaN can never converge: it raises."""
     w = sweep(v)
-    norm = np.linalg.norm(w)
-    if not 0.0 < norm < np.inf:  # written so that nan fails too
-        raise SolverFailure(f"inverse iteration sweep has norm {norm}")
-    w /= norm
-    if np.dot(w, v) < 0.0:
+    size = norm(w)
+    if not 0.0 < size < math.inf:  # written so that nan fails too
+        raise SolverFailure(f"inverse iteration sweep has norm {size}")
+    w /= size
+    if dot(w, v) < 0.0:
         w = -w
-    return w, norm
+    return w, size
 
 
-def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
+def inverse_iteration(diag, offdiag, eigenvalue: float, start=None, coupling=None):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
 
@@ -318,6 +351,10 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     grid interpolated onto this one): its tails already decay, so it
     converges in about one sweep and runs no polish sweeps.
 
+    `coupling` is max |offdiag|, for a caller that has read it already
+    (the residual floor scales with it); without it the iteration reads
+    it itself.
+
     Returns a unit 2-norm vector with positive sign convention (sum of
     entries > 0).  Needs at least 2 rows, finite entries and estimate,
     and a finite non-zero start.
@@ -341,19 +378,19 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
                 f"inverse iteration needs a finite non-zero start, largest magnitude {scale}"
             )
         v = start / scale
-        v /= np.linalg.norm(v)
+        v /= norm(v)
     polish = start is None
     del start  # not held through the sweeps: a temporary passed in is freed here
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
-    sweep = functools.partial(_gtsv, offdiag, diag - shift)
-    floor = _residual_floor(offdiag, eigenvalue)
+    sweep = functools.partial(_gtsv, diag, offdiag, shift)
+    floor = _residual_floor(offdiag, eigenvalue, coupling)
     residual = np.inf
     for _ in range(_MAX_SWEEPS):
-        w, norm = _aligned_sweep(sweep, v)
-        if 1.0 / norm <= 0.5 * floor:
+        w, size = _aligned_sweep(sweep, v)
+        if 1.0 / size <= 0.5 * floor:
             v = w
             break
-        delta = np.linalg.norm(w - v)
+        delta = norm(w - v)
         v = w
         residual = _rayleigh_residual(diag, offdiag, v)
         if residual <= floor or delta < 1e-12:
@@ -378,4 +415,4 @@ def shifted_solve(diag, offdiag, shift: float, rhs):
     diag = np.asarray(diag, dtype=float)
     _require_rows(len(diag))
     offdiag = np.asarray(offdiag, dtype=float)
-    return _gtsv(offdiag, diag - shift, np.asarray(rhs, dtype=float))
+    return _gtsv(diag, offdiag, shift, rhs)

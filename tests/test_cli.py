@@ -369,7 +369,7 @@ def _stebz_fails(d, *args):
     return 0, np.zeros(len(d)), blocks, blocks, 1
 
 
-def _singular_factor(dl, d, du, b):
+def _singular_factor(dl, d, du, b, **overwrite):
     # the shape of scipy's dgtsv return with info = 1: U(1, 1) is zero
     return dl, d, du, b, 1
 

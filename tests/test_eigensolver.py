@@ -4,6 +4,10 @@ equation."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -386,6 +390,26 @@ def test_near_miss_runs_to_the_cap(monkeypatch):
     assert info.value.best_estimate == plain.value.best_estimate
 
 
+def test_cap_failure_reports_the_last_level_at_the_h2_rate(monkeypatch):
+    # k = 1, alpha = 5: the 5.3e-8 gap lies below the residual floor on the
+    # finest levels, where rounding drifts the polished lambda2 and its
+    # steps leave the O(h^2) rate.  The cap failure reports the Richardson
+    # values of the last level still at that rate, in order and within
+    # 1e-9 of the tol = 1e-6 pair, not the last level's out-of-order ones
+    coarse = solve(OperatorSpec(1, 5.0), count=2, tol=1e-6)
+    records = _recorded_ladder(monkeypatch)
+    with pytest.raises(SolverFailure, match="grid refinement cap n > 1048576 reached") as info:
+        solve(OperatorSpec(1, 5.0), count=2, tol=1e-8)
+    best = info.value.best_estimate
+    assert best[0] < best[1]
+    assert best == pytest.approx(coarse.eigenvalues, rel=0.0, abs=1e-9)
+    at_rate = [i for i in range(2, len(records))
+               if eigensolver._shows_h2_rate(records[i - 1][2], records[i][2])]
+    _, lam, step = records[at_rate[-1]]
+    assert at_rate[-1] < len(records) - 1
+    assert best == tuple(float(x) for x in lam + step / 3.0)
+
+
 @pytest.mark.parametrize("k", [2, 30, 200])
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_seeded_ladder_matches_bisected_ladder(monkeypatch, k, alpha):
@@ -507,7 +531,8 @@ def _record_liveness(monkeypatch):
                       [i for i, ref in enumerate(vectors) if ref() is not None]))
         del earlier
         lam, v = level(system, *args, **kwargs)
-        vectors.append(weakref.ref(v))
+        if v is not None:  # none above _N_VECTOR_CAP rows
+            vectors.append(weakref.ref(v))
         return lam, v
 
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian", recorded_assemble)
@@ -527,6 +552,131 @@ def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
     # solved; the coarse vector (4095 rows) may live
     _fixed_grid_chain(GridSpec(-5.0, 5.0, 8191))(MontgomeryPotential(2, 0.3), 0.84)
     assert [systems for systems, _ in alive] == [[], []]
+
+
+def test_a_level_holds_at_most_nine_of_its_arrays():
+    # at its peak the finest level (262 271 rows) holds its system's three
+    # arrays, the vector being polished and one sweep's four LAPACK
+    # arrays, besides the 65 567-point ground state: not its points, nor a
+    # ground vector, nor a kept shifted diagonal beside LAPACK's copies
+    solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        res = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.grid_used.n == 262271
+    assert peak <= 9 * 8 * 262271
+
+
+@pytest.mark.parametrize("spec", [OperatorSpec(10, 0.0), OperatorSpec(3, 0.7, N)],
+                         ids=["full-line", "neumann"])
+def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
+    # only levels of at most _N_VECTOR_CAP rows return a ground vector; the
+    # result's ground state is sampled on the last of them, with the
+    # points and trapezoid weights of that level
+    vectors = []
+    level = eigensolver.refined_lowest_eigenvalues
+
+    def recorded(system, *args, **kwargs):
+        lam, v = level(system, *args, **kwargs)
+        vectors.append((len(system.diag), None if v is None else len(v)))
+        return lam, v
+
+    monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", recorded)
+    res = solve(spec, count=2, tol=1e-8)
+    cap = eigensolver._N_VECTOR_CAP
+    assert res.grid_used.n > 2 * cap
+    assert all((length is None) == (rows > cap) for rows, length in vectors)
+    assert all(length in (None, rows) for rows, length in vectors)
+    rows = max(r for r, _ in vectors if r <= cap)
+    grid = GridSpec(res.grid_used.lower, res.grid_used.upper, rows - int(spec.geometry is N))
+    points = grid.interior_points()
+    weights = np.full(rows, grid.spacing)
+    if spec.geometry is N:
+        points = np.concatenate(([grid.lower], points))
+        weights[0] *= 0.5
+    assert len(res.ground_state_values) == rows
+    assert res.ground_state_points.tobytes() == points.tobytes()
+    assert res.quadrature_weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
+@pytest.mark.parametrize("n", [2048, 4097, 65567, 524543])
+def test_derived_rows_match_the_materialized_points(geometry, n):
+    # a system derives its points from its grid's lower end, spacing and
+    # row index, bit for bit as the grid builds them, and finds a window's
+    # rows as searchsorted on those points would, at a point, between two,
+    # past either end and at +-inf, also on a window of the level
+    lower = -3.7 if geometry is Geometry.FULL_LINE else 0.0
+    grid = GridSpec(lower, 3.7, n)
+    system = assemble_hamiltonian(MontgomeryPotential(10, 0.3), grid, geometry)
+    points = system.points
+    expected = grid.interior_points()
+    if geometry is N:
+        expected = np.concatenate(([lower], expected))
+    assert points.tobytes() == expected.tobytes()
+    rows = len(points)
+    for view, lo in ((system, 0), (system.rows(rows // 5, rows - 7), rows // 5)):
+        inside = points[lo:lo + len(view.diag)]
+        assert view.points.tobytes() == inside.tobytes()
+        probes = [-math.inf, math.inf, lower - 1.0, 4.0]
+        for i in range(0, len(inside), max(1, len(inside) // 97)):
+            t = float(inside[i])
+            assert view.point(i) == t
+            probes += [t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf),
+                       t + 0.5 * grid.spacing]
+        for t in probes:
+            for side in ("left", "right"):
+                assert view.searchsorted(t, side) == int(np.searchsorted(inside, t, side))
+
+
+def test_a_seeded_level_reads_its_largest_coupling_twice(monkeypatch):
+    # max |offdiag| bounds every residual floor of a level: _polished reads
+    # it once for its window (each eigenpair's inverse iteration and cut
+    # check), and the level's check once for its separation margin
+    sizes = _level_sizes(monkeypatch)
+    reads = []
+    plain = tridiag._max_abs
+
+    def counted(x):
+        reads.append(len(x))
+        return plain(x)
+
+    monkeypatch.setattr(tridiag, "_max_abs", counted)
+    solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)  # every level is whole
+    assert len(sizes) >= 4
+    for n in sizes[1:]:
+        assert reads.count(n - 1) == 2
+
+
+_THREADS_PROBE = """
+import hashlib
+from montspec import OperatorSpec, identities, solve
+res = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
+ground = hashlib.sha256(res.ground_state_values.tobytes()).hexdigest()
+print(repr((res.eigenvalues, res.achieved_tol_estimate, ground)))
+print(repr(identities.identity_report(2, 0.7)))
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # np.dot and np.linalg.norm reduce through OpenBLAS, whose partial sums
+    # split by thread count; the solver's reductions run through
+    # tridiag.dot instead, so one and two BLAS threads give the same bits.
+    # On a single-core host OpenBLAS may run one thread either way, and
+    # then this cannot tell the two apart.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_coarse_values_must_fit_the_grid():
@@ -593,9 +743,9 @@ def _inverse_iteration_rows(monkeypatch):
     rows = []
     plain = tridiag.inverse_iteration
 
-    def counted(diag, offdiag, eigenvalue, start=None):
+    def counted(diag, offdiag, eigenvalue, start=None, **kwargs):
         rows.append(len(diag))
-        return plain(diag, offdiag, eigenvalue, start)
+        return plain(diag, offdiag, eigenvalue, start, **kwargs)
 
     monkeypatch.setattr(tridiag, "inverse_iteration", counted)
     return rows
@@ -668,7 +818,8 @@ def test_offset_shallow_well_trims_its_far_tail(monkeypatch):
     # at alpha = 1.5 the k = 2 well sits right of centre, and its
     # eigenvectors fall below DECAY_FLOOR in the far left of the interval:
     # every level after the first polishes fewer rows than it holds, and
-    # the eigenvalues are those of the window switched off, bit for bit
+    # the eigenvalues are those of the window switched off to rounding (the
+    # window's sums run over fewer rows, so their order differs)
     spec = OperatorSpec(2, 1.5)
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
@@ -681,7 +832,7 @@ def test_offset_shallow_well_trims_its_far_tail(monkeypatch):
     _window_off(monkeypatch)
     whole = solve(spec, count=2, tol=1e-8)
     assert (whole.grid_used, whole.iterations) == (res.grid_used, res.iterations)
-    assert res.eigenvalues == whole.eigenvalues
+    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=2e-14)
 
 
 @pytest.mark.parametrize("k", [10, 30, 200])
@@ -745,7 +896,7 @@ def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     assert rows == [sizes[0]] * 2 + [r for n, m in zip(sizes[1:], inner) for r in (m, n, n)]
     assert bisections == [eigensolver._N_START] + sizes[1:]
     assert (res.grid_used, res.iterations) == (whole.grid_used, whole.iterations)
-    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=1e-14)
+    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=2e-14)
     # flat and interpolated starts converge to vectors 1.4e-11 apart
     assert np.allclose(res.ground_state_values, whole.ground_state_values,
                        rtol=0.0, atol=1e-10 * np.max(whole.ground_state_values))

@@ -155,9 +155,9 @@ def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
     flat = []
     plain = tridiag.inverse_iteration
 
-    def recorded(diag, offdiag, eigenvalue, start=None):
+    def recorded(diag, offdiag, eigenvalue, start=None, **kwargs):
         flat.append(start is None)
-        return plain(diag, offdiag, eigenvalue, start)
+        return plain(diag, offdiag, eigenvalue, start, **kwargs)
 
     monkeypatch.setattr(tridiag, "inverse_iteration", recorded)
     identity_report(2, 0.4, tol=TOL)

@@ -370,7 +370,7 @@ def test_a_record_starts_from_the_one_it_continues():
     for j in range(2):
         assert np.array_equal(shapes.start(system, j), first.start(system, j))
     refined_lowest_eigenvalues(system, 2, shapes=shapes)
-    assert shapes.points is system.points and len(shapes.vectors) == 2
+    assert np.array_equal(shapes.points, system.points) and len(shapes.vectors) == 2
     assert shapes.window == eigensolver._decay_window(system, shapes.vectors)
     assert len(first.points) == 127
 
@@ -642,10 +642,11 @@ def test_recorded_window_holds_the_finest_levels_eigenvectors(k, alpha):
 
 def _system_on(n, neumann=False):
     """A system on points 0, 1, ..., n - 1 (only its points and its lower
-    end matter to a decay window)."""
+    end matter to a decay window): grid indices from 1 on a grid from -1,
+    or from 0 on a grid from 0 with a Neumann end."""
     return AssembledSystem(diag=np.full(n, 2.0), offdiag=-np.ones(n - 1),
-                           points=np.arange(n, dtype=float), potential_values=np.zeros(n),
-                           spacing=1.0, neumann_lower=neumann)
+                           potential_values=np.zeros(n), spacing=1.0, neumann_lower=neumann,
+                           lower=0.0 if neumann else -1.0, first=int(not neumann))
 
 
 _F = DECAY_FLOOR
