@@ -105,47 +105,41 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
     """Uniformly sampled (lambda1, lambda2, d lambda1) over an alpha range.
 
     Each row comes from a converged adaptive solve; the derivative column
-    is the Feynman-Hellmann integral on that solve's grid.  The solves
-    run as one sweep (eigensolver._sweep): only the first bisects its
-    pre-solve.  Every later one seeds it with the earlier rows' pre-solve
-    values, linearly extrapolated in alpha, starts it from the last
-    seeded one's eigenvectors and checks it, falling back to bisection
-    if the check fails.  The interval, ladder and stop rule are each
-    row's own, so a row matches an independent solve at its alpha to
-    rounding.  Deterministic.  A k or an endpoint alpha that OperatorSpec
-    rejects raises ValueError before the first solve.
+    is the Feynman-Hellmann integral on that solve's grid.  Each row is
+    an independent solve at its alpha, bit for bit; nothing is carried
+    from one row to the next.  Deterministic.  A k or an endpoint alpha
+    that OperatorSpec rejects raises ValueError before the first solve.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
     if steps < 2:
         raise ValueError("need at least 2 steps")
     from . import identities
-    from .eigensolver import _sweep, solve
+    from .eigensolver import solve
     from .operators import OperatorSpec
 
     OperatorSpec(k, alpha_min), OperatorSpec(k, alpha_max)  # raise before any solve
     rows = []
-    with _sweep():
-        for i in range(steps):
-            alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
-            try:
-                res = solve(OperatorSpec(k, alpha), count=2, tol=tol)
-            except SolverFailure as exc:
-                raise SolverFailure(
-                    f"scan failed at alpha={alpha}: {exc}",
-                    best_estimate=exc.best_estimate,
-                    residual=exc.residual,
-                ) from exc
-            lam1, lam2 = res.eigenvalues[0], res.eigenvalues[1]
-            rows.append(
-                ScanRow(
-                    alpha=alpha,
-                    lambda1=lam1,
-                    lambda2=lam2,
-                    d_lambda1=identities._fh_from_result(res, k, alpha),
-                    gap_ok=bounds.gap_ratio(k) * lam2 > lam1,
-                )
+    for i in range(steps):
+        alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
+        try:
+            res = solve(OperatorSpec(k, alpha), count=2, tol=tol)
+        except SolverFailure as exc:
+            raise SolverFailure(
+                f"scan failed at alpha={alpha}: {exc}",
+                best_estimate=exc.best_estimate,
+                residual=exc.residual,
+            ) from exc
+        lam1, lam2 = res.eigenvalues[0], res.eigenvalues[1]
+        rows.append(
+            ScanRow(
+                alpha=alpha,
+                lambda1=lam1,
+                lambda2=lam2,
+                d_lambda1=identities._fh_from_result(res, k, alpha),
+                gap_ok=bounds.gap_ratio(k) * lam2 > lam1,
             )
+        )
     return rows
 
 

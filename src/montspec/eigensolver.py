@@ -13,25 +13,19 @@ levels left below the grid cap cannot reach tol.
 Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows where the first level's eigenvectors are above
 rounding (StartShapes, _polished).
-Sweeps along a parameter carry what they can from one point to the next
-(predictor-corrector continuation): a sweep of solves (_sweep) seeds
-each pre-solve after the first with the earlier ones' eigenvalues,
-extrapolated, and starts it from their eigenvectors, and a chain of
-fixed-grid evaluations (_fixed_grid_chain) starts each coarse level
-from the eigenvector of the one before.  Every carried value is only a
-prediction, checked as the ladder checks its own, so a sweep bisects
-once unless a prediction fails.
+Every solve bisects once, on a small pre-solve grid (solve), whose
+values seed the ladder.  A chain of fixed-grid evaluations
+(_fixed_grid_chain) starts each coarse level from the eigenvector of
+the call before; that carried vector, like every seed, is only a
+prediction, checked as the ladder checks its own.
 Covers the three operators.Geometry domains: the full line and the half
 line with a Dirichlet or Neumann condition at t=0 (the Neumann one is the
 de Gennes model, whose constant bounds.de_gennes_theta0 takes from its
 Weber-equation root and the tests check against this solver).
 """
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
@@ -49,6 +43,9 @@ from .operators import Geometry, OperatorSpec, PotentialKind
 TRUNCATION_MARGIN = 1.0
 TRUNCATION_PAD = 2.0
 
+# solve's pre-solve bisects on _N_PRESOLVE points to choose the interval
+# and seed the ladder, whose first level has _N_START points.
+_N_PRESOLVE = 512
 _N_START = 2048
 _N_CAP = 2**20
 
@@ -269,9 +266,9 @@ class StartShapes:
     `count` vectors of about _N_START doubles.
 
     A new record starts from the vectors of the record it continues,
-    `previous`: a nearby operator's first level, the previous call's on
-    the same grid (_fixed_grid_chain) or the previous pre-solve's of a
-    sweep of solves (_sweep).  The first level given it records its own
+    `previous`: in a chain of fixed-grid evaluations (_fixed_grid_chain),
+    the previous call's coarse level, a nearby operator's on the same
+    grid.  The first level given it records its own
     vectors (refined_lowest_eigenvalues), and with them the ladder's
     decay window (t_lo, t_hi), two floats (_decay_window): the stretch of
     the interval where those vectors exceed DECAY_FLOOR of their peak.
@@ -325,9 +322,8 @@ def refined_lowest_eigenvalues(
     r^2 / gap, which lands near machine precision.
 
     `seeds` are predicted eigenvalues: from the ladder's coarser levels
-    (_ladder), the pre-solve (solve), a sweep's earlier pre-solves
-    (_sweep), or an adaptive solve of the same or a nearby operator
-    (_fixed_grid_chain's callers).  Given them,
+    (_ladder), the pre-solve (solve), or an adaptive solve of the same or
+    a nearby operator (_fixed_grid_chain's callers).  Given them,
     bisection is skipped: inverse iteration starts from each prediction,
     and one check judges the polished values: they must be strictly
     increasing, well separated and exactly as many as one Sturm count
@@ -345,8 +341,8 @@ def refined_lowest_eigenvalues(
     about one sweep and skips the polish sweeps that damp a flat start's
     imprint (see tridiag.inverse_iteration).  The recording level starts
     from the vectors of the record `shapes` continues, if any
-    (_fixed_grid_chain, _sweep); a flat start and its polish serve it
-    otherwise, and the fallback always.
+    (_fixed_grid_chain); a flat start and its polish serve it otherwise,
+    and the fallback always.
 
     On every seeded level after the recording one, inverse iteration,
     the Rayleigh quotients and the starts run on the level's rows inside
@@ -722,42 +718,6 @@ def _check_request(count: int, tol: float) -> None:
         raise ValueError(f"count must be in [1, {MAX_COUNT}], got {count}")
 
 
-# The sweep of solves the caller is inside (_sweep), None outside one:
-# `values`, the eigenvalues of its last two pre-solves, and `shapes`, the
-# eigenvectors of its last seeded pre-solve (StartShapes), or None.
-_SWEEP = contextvars.ContextVar("montspec_sweep", default=None)
-
-
-@contextlib.contextmanager
-def _sweep():
-    """A sweep of solves at evenly spaced values of one parameter
-    (certify.scan's alpha), each asking for the same count of
-    eigenvalues.  Inside it, every solve after the first seeds its
-    pre-solve with _extrapolated's prediction from the sweep's earlier
-    pre-solves instead of bisecting it, and starts its inverse iteration
-    from the last seeded pre-solve's eigenvectors (the first seeded one
-    starts flat).  A seeded pre-solve is polished and checked as any
-    seeded ladder level (refined_lowest_eigenvalues) and bisects only if
-    that fails, so a sweep normally bisects once.  Only the pre-solve
-    changes: the interval, the ladder and the stop rule are each solve's
-    own.
-    """
-    token = _SWEEP.set(SimpleNamespace(values=[], shapes=None))
-    try:
-        yield
-    finally:
-        _SWEEP.reset(token)
-
-
-def _extrapolated(previous):
-    """The next pre-solve eigenvalues of a sweep at evenly spaced points,
-    linearly extrapolated from the last two of `previous` (the last one
-    itself after the first)."""
-    if len(previous) == 1:
-        return previous[-1]
-    return 2.0 * previous[-1] - previous[-2]
-
-
 def solve(
     problem: Union[OperatorSpec, PotentialKind],
     count: int = 2,
@@ -770,14 +730,12 @@ def solve(
     potential kind with a `geometry` keyword (default the full line); a
     geometry that is not a Geometry member is a ValueError, and so is a
     count outside [1, MAX_COUNT].  The domain comes
-    from a coarse pre-solve on truncation_interval's interval for cap 10
-    at the first ladder level's size, then re-truncates at the highest
-    eigenvalue it found, so the potential dominates every requested
-    eigenvalue with margin.  The pre-solve bisects, unless the solve is
-    inside a sweep (_sweep) that predicts its eigenvalues.  Its
-    eigenvalues seed the first ladder level, which bisects again only if
-    they fail its check, so a solve normally bisects once, and a sweep
-    of solves normally once in all.
+    from a coarse pre-solve, one bisection on _N_PRESOLVE points of
+    truncation_interval's interval for cap 10, then re-truncates at the
+    highest eigenvalue it found, so the potential dominates every
+    requested eigenvalue with margin.  The pre-solve's eigenvalues seed
+    the first ladder level, which bisects again only if they fail its
+    check, so a solve normally bisects once.
     """
     _check_request(count, tol)
     if isinstance(problem, OperatorSpec):
@@ -789,17 +747,8 @@ def solve(
         geometry = Geometry.FULL_LINE if geometry is None else geometry
 
     lower, upper = truncation_interval(potential, geometry, 0.0)
-    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_START), geometry)
-    sweep = _SWEEP.get()
-    if sweep is not None and sweep.values:
-        sweep.shapes = StartShapes(sweep.shapes)
-        lam_coarse, _ = refined_lowest_eigenvalues(
-            coarse, count, seeds=_extrapolated(sweep.values), shapes=sweep.shapes
-        )
-    else:
-        lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
-    if sweep is not None:
-        sweep.values = sweep.values[-1:] + [lam_coarse]
+    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_PRESOLVE), geometry)
+    lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
     lower, upper = truncation_interval(potential, geometry, float(lam_coarse[-1]))
     return solve_on_interval(
         potential,

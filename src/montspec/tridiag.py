@@ -17,12 +17,9 @@ doubling from there would pull most of the spectrum into the window.
 Brackets are machine-tight.  Bisection runs only where nothing predicts
 the eigenvalues, and as a seeded level's one fallback: when its window
 cut proves coupled, its polish fails or its polished values fail their
-check, the level is bisected whole.  Nothing predicts the coarse
-pre-solve of an independent eigensolver.solve (its values seed the
-first level of its refinement ladder), nor the first solve of a sweep
-along alpha (eigensolver._sweep); each later solve of a sweep has its
-pre-solve predicted from the ones before.  So a solve normally bisects
-once, and a sweep normally once in all.
+check, the level is bisected whole.  Nothing predicts the small coarse
+pre-solve of eigensolver.solve, whose values seed the first level of its
+refinement ladder, so a solve normally bisects once, there.
 
 Each inverse-iteration sweep, and each shifted_solve, is one LAPACK
 gtsv call on A - shift I: Gaussian elimination with partial pivoting
@@ -40,8 +37,9 @@ matrix-vector product.  From the flat start it takes about 1.4 sweeps
 to converge and two polish sweeps that damp the flat vector's imprint in
 the far tails; from a start close to the eigenvector (a coarser grid's
 eigenvector, interpolated) it takes about one sweep and no polish.  A
-nearby operator's eigenvector (a sweep along alpha) also runs no polish,
-and takes more sweeps the farther the predicted eigenvalue is off.
+nearby operator's eigenvector (a fixed-grid chain's previous call) also
+runs no polish, and takes more sweeps the farther the predicted
+eigenvalue is off.
 are_lowest_eigenvalues is the one check on the polished values of
 predicted eigenvalues: their separation and one pivot count just above
 them, instead of bisecting.

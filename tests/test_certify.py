@@ -70,15 +70,13 @@ def test_scan_unique_critical_point():
 
 @pytest.mark.parametrize("k, alpha_min, alpha_max, steps",
                          [(2, 0.05, 3.05, 21), (30, -1.0, 2.0, 11)])
-def test_swept_rows_match_independent_solves(k, alpha_min, alpha_max, steps):
-    # the sweep changes only the pre-solve's seeds and starts: each row
-    # is an independent solve at its alpha to rounding
+def test_scan_rows_are_independent_solves(k, alpha_min, alpha_max, steps):
+    # nothing is carried from one row to the next: each row is the solve
+    # at its alpha, bit for bit
     for row in scan(k, alpha_min, alpha_max, steps, tol=1e-6):
         res = solve(OperatorSpec(k, row.alpha), count=2, tol=1e-6)
-        assert (row.lambda1, row.lambda2) == pytest.approx(res.eigenvalues, rel=0.0, abs=1e-13)
-        assert row.d_lambda1 == pytest.approx(
-            identities._fh_from_result(res, k, row.alpha), rel=0.0, abs=1e-9
-        )
+        assert (row.lambda1, row.lambda2) == res.eigenvalues
+        assert row.d_lambda1 == identities._fh_from_result(res, k, row.alpha)
 
 
 def _count_bisections(monkeypatch):
@@ -94,26 +92,10 @@ def _count_bisections(monkeypatch):
 
 
 def test_scan_bisects_once(monkeypatch):
+    # every row's solve bisects its pre-solve, and only that
     calls = _count_bisections(monkeypatch)
     scan(2, 0.05, 3.05, 21, tol=1e-6)
-    assert calls == [eigensolver._N_START]
-
-
-@pytest.mark.parametrize("poison", [lambda previous: previous[-1] + 100.0,
-                                    lambda previous: previous[-1][::-1]],
-                         ids=["far", "swapped"])
-def test_poisoned_prediction_falls_back_to_bisection(monkeypatch, poison):
-    expected = scan(2, 0.0, 1.0, 5, tol=1e-6)
-    calls = _count_bisections(monkeypatch)
-    monkeypatch.setattr(eigensolver, "_extrapolated", poison)
-    rows = scan(2, 0.0, 1.0, 5, tol=1e-6)
-    assert calls == [eigensolver._N_START] * 5
-    for row, want in zip(rows, expected):
-        assert row.alpha == want.alpha
-        assert (row.lambda1, row.lambda2) == pytest.approx(
-            (want.lambda1, want.lambda2), rel=0.0, abs=1e-13
-        )
-        assert row.d_lambda1 == pytest.approx(want.d_lambda1, rel=0.0, abs=1e-9)
+    assert calls == [eigensolver._N_PRESOLVE] * 21
 
 
 def test_scan_row_lost_ordering_is_solver_failure():

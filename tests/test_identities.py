@@ -101,7 +101,12 @@ def test_fd_oracles_respect_alpha_symmetry(alpha):
     # -alpha each run on the grid of their own solve
     plus, minus = report(2, alpha), report(2, -alpha)
     assert abs(plus.d1_fd + minus.d1_fd) < 1e-10
-    assert abs(plus.d2_fd - minus.d2_fd) < 1e-8
+    # the two stencils' values agree to rounding, 64 eps lambda1 each
+    # (tridiag._residual_floor's factor), and a second difference sums
+    # four such errors over FD_STEP_SECOND^2; lambda1 = (k + 2) virial_rhs
+    lam1 = 4.0 * plus.virial_rhs
+    rounding = 4.0 * 64.0 * np.finfo(float).eps * lam1 / identities.FD_STEP_SECOND**2
+    assert abs(plus.d2_fd - minus.d2_fd) < rounding
 
 
 def test_gap_criterion_k2():
