@@ -55,9 +55,9 @@ FLOATS = SimpleNamespace(num=float, pi=math.pi, exp=math.exp, log=math.log,
                          expm1=math.expm1, sqrt=math.sqrt, atan=math.atan, min=min)
 
 
-def _require_even_k(k: int, minimum: int = 2) -> None:
-    if not isinstance(k, int) or k < minimum or k % 2 != 0:
-        raise ValueError(f"k must be an even integer >= {minimum}, got {k!r}")
+def _require_even_k(k: int) -> None:
+    if not isinstance(k, int) or k < 2 or k % 2 != 0:
+        raise ValueError(f"k must be an even integer >= 2, got {k!r}")
     # every formula here reads k + 1 as a double, exact only below 2^53
     if k >= 2**53:
         raise ValueError(f"k = {k} is past double precision: k + 1 is inexact from 2^53 on")

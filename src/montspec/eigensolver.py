@@ -89,9 +89,6 @@ class GridSpec:
     def spacing(self) -> float:
         return (self.upper - self.lower) / (self.n + 1)
 
-    def interior_points(self) -> np.ndarray:
-        return _grid_points(self.lower, self.spacing, 1, self.n + 1)
-
 
 def _grid_points(lower: float, spacing: float, start: int, stop: int, step: int = 1):
     """The grid points lower + spacing * i for i in range(start, stop, step)."""
@@ -103,7 +100,7 @@ class AssembledSystem:
     """Symmetric tridiagonal discretization of -d2/dt2 + V.
 
     Row i samples the grid point lower + spacing * (first + i), rounded
-    as GridSpec.interior_points rounds it: `first` is 1 on a grid's
+    as _grid_points rounds it: `first` is 1 on a grid's
     Dirichlet lower end, whose boundary point is no unknown, 0 on a
     Neumann one, plus the rows a window cuts off below (`rows`).  The
     upper end is Dirichlet.  A Neumann lower end includes its boundary
@@ -257,13 +254,14 @@ class StartShapes:
     A record holds physical samples of the vectors on their level's
     points (so the Neumann row's symmetrizing scale drops out; the overall
     scale does not matter, as inverse iteration normalizes its start),
-    and the grid indices of those points, from which `points` rebuilds
-    them for each start.
+    and those points (`points`), stored once rather than rebuilt for each
+    start: one more array of the recorded level's size, a ladder's first
+    level or a fixed-grid chain's coarse level.
     Each level it is given starts eigenpair j from vector j, linearly
     interpolated onto the points that level is polished on (its decay
     window, or the whole level); with no vectors, a level starts flat.
-    Only one level's vectors are held: with the ladder's first level,
-    `count` vectors of about _N_START doubles.
+    Only one level's vectors and points are held: with the ladder's first
+    level, `count` + 1 arrays of about _N_START doubles.
 
     A new record starts from the vectors of the record it continues,
     `previous`: in a chain of fixed-grid evaluations (_fixed_grid_chain),
@@ -279,26 +277,20 @@ class StartShapes:
     """
 
     def __init__(self, previous: Optional["StartShapes"] = None):
-        # (lower, spacing, start, stop) of the recorded points (_grid_points)
-        self.grid = None if previous is None else previous.grid
+        # the recorded vectors' points, None while there are none
+        self.points = None if previous is None else previous.points
         self.vectors = [] if previous is None else previous.vectors
         self.window = None
 
-    @property
-    def points(self):
-        """The recorded vectors' points, or None while there are none."""
-        return None if self.grid is None else _grid_points(*self.grid)
-
     def record(self, system: AssembledSystem, vectors) -> None:
-        self.grid = (system.lower, system.spacing, system.first,
-                     system.first + len(system.diag))
+        self.points = system.points
         self.vectors = [system.to_physical(v) for v in vectors]
         self.window = _decay_window(system, self.vectors)
 
     def start(self, system: AssembledSystem, j: int):
         """The start of eigenpair j on `system`, or None (a flat start)
         while this record holds no vectors."""
-        if self.grid is None:
+        if self.points is None:
             return None
         start = np.interp(system.points, self.points, self.vectors[j])
         if system.neumann_lower:  # undo to_physical
@@ -523,7 +515,7 @@ def _fixed_grid_chain(grid: GridSpec):
     points, Brent's last steps).  The start only speeds the iteration:
     each value is checked as any seeded level's
     (refined_lowest_eigenvalues) and comes out the same to rounding.
-    One coarse vector is held between calls.
+    One coarse vector and its points are held between calls.
     """
     sizes = ((grid.n - 1) // 2, grid.n)
     previous = None

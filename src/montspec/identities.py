@@ -83,31 +83,31 @@ def _weighted(values: np.ndarray, result: EigenResult) -> float:
 
 
 def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
-    """fh_integral on the ground state of one solve (certify.scan reads it
-    too)."""
+    """fh_integral on the ground state of one solve, for certify.scan's
+    rows (identity_report computes it from the W it already holds)."""
     w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
     return -2.0 * _weighted(w, result)
 
 
-def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
-    """d2_exact on the ground-state level of a count=2 solve, the ladder
-    level whose vector the solve reports (its final grid, or the last
-    level small enough that the vector's eps/h^2 rounding stays below its
-    discretization error; its size is len(ground_state_points)): project
-    W u off u, solve the shifted tridiagonal system with a 1e-12 relative
-    regularizing offset, re-project."""
+def _second_derivative_on(result: EigenResult, potential, w: np.ndarray) -> float:
+    """d2_exact on the ground-state level of a count=2 solve of
+    `potential`, given w = W on that level's points
+    (result.ground_state_points, so len(w) is the level's size).  That
+    level is the one whose vector the solve reports: its final grid, or
+    the last level small enough that the vector's eps/h^2 rounding stays
+    below its discretization error.  Project W u off u, solve the
+    shifted tridiagonal system with a 1e-12 relative regularizing
+    offset, re-project."""
     lam = result.eigenvalues
     if lam[1] - lam[0] < 1e-6:
         raise SolverFailure(
             f"spectral gap {lam[1] - lam[0]} too small to invert the reduced resolvent"
         )
     grid = result.grid_used
-    level = GridSpec(grid.lower, grid.upper, len(result.ground_state_points))
-    system = assemble_hamiltonian(MontgomeryPotential(k, alpha), level)
+    system = assemble_hamiltonian(potential, GridSpec(grid.lower, grid.upper, len(w)))
     h = system.spacing
     u = result.ground_state_values
     lam1 = system.rayleigh_quotient(u * math.sqrt(h))
-    w = MontgomeryPotential(k, alpha).signed_root(system.points)
     f = w * u
     f_perp = f - (h * tridiag.dot(f, u)) * u
     shift = lam1 + 1e-12 * max(1.0, abs(lam1))
@@ -119,7 +119,9 @@ def _second_derivative_on(result: EigenResult, k: int, alpha: float) -> float:
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     """All identity diagnostics for one (k, alpha), read from one count=2
-    adaptive solve at alpha, its one bisection.  Both finite-difference
+    adaptive solve at alpha, its one bisection.  W is evaluated once, on
+    the solve's ground-state points, for fh_integral, virial_lhs and
+    d2_exact (_second_derivative_on).  Both finite-difference
     oracles read lambda1 at five stencil points from one fixed-grid chain
     (eigensolver._fixed_grid_chain) on GridSpec(lower, upper,
     (n - 1) // 2) of that solve's final grid, the ladder level below it;
@@ -129,8 +131,9 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     eigenvector of the point before.
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
-    w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
-    fh_integral = _fh_from_result(result, k, alpha)
+    potential = MontgomeryPotential(k, alpha)
+    w = potential.signed_root(result.ground_state_points)
+    fh_integral = -2.0 * _weighted(w, result)
     gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
     grid = result.grid_used
     stencil = _fixed_grid_chain(GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2))
@@ -147,7 +150,7 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
         virial_rhs=result.eigenvalues[0] / (k + 2.0),
         d1_fd=(lam(alpha + h1) - lam(alpha - h1)) / (2.0 * h1),
         d2_fd=(lam(alpha + h2) - 2.0 * lam(alpha) + lam(alpha - h2)) / (h2 * h2),
-        d2_exact=_second_derivative_on(result, k, alpha),
+        d2_exact=_second_derivative_on(result, potential, w),
         gap_criterion=gap_margin > 0.0,
         gap_margin=gap_margin,
         quadrature_error_estimate=result.achieved_tol_estimate,

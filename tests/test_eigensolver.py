@@ -54,7 +54,12 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 8)
     g = GridSpec(0.0, 1.0, 99)
     assert g.spacing == pytest.approx(0.01)
-    assert g.interior_points()[0] == pytest.approx(0.01)
+    assert _interior_points(g)[0] == pytest.approx(0.01)
+
+
+def _interior_points(grid):
+    """The grid's n interior points, as the solver builds them."""
+    return eigensolver._grid_points(grid.lower, grid.spacing, 1, grid.n + 1)
 
 
 def test_assemble_harmonic_spectrum():
@@ -550,13 +555,31 @@ def _record_liveness(monkeypatch):
     return alive
 
 
+def _ladder_levels(spec, levels):
+    """The first `levels` levels of spec's count=2 ladder, n -> 2n + 1 from
+    _N_START points, on its cap-10 truncation interval and unseeded: an
+    explicit ladder, whatever level solve's stop rule ends at.  Callers
+    drop each level's system and vector before asking for the next
+    (_ladder's consumer rule)."""
+    potential = spec.potential()
+    sizes = [eigensolver._N_START]
+    while len(sizes) < levels:
+        sizes.append(2 * sizes[-1] + 1)
+    lower, upper = truncation_interval(potential, spec.geometry, 0.0)
+    return eigensolver._ladder(potential, lower, upper, sizes, 2, spec.geometry, None)
+
+
 def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
     # a level's matrix and vector are dead once the next, larger level is
-    # solved; only the pre-solve's system (index 0) lives, held by solve
+    # solved; in solve only the pre-solve's system (index 0) lives, held
+    # by solve
     alive = _record_liveness(monkeypatch)
-    res = solve(OperatorSpec(2, 0.3), count=2, tol=1e-8)
-    assert res.iterations == len(alive) == 8
-    assert alive == [([0], [])] * 8
+    res = solve(OperatorSpec(2, 0.3), count=2, tol=1e-6)
+    assert alive == [([0], [])] * res.iterations
+    alive.clear()
+    for _, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.3), 8):
+        del system, v
+    assert alive == [([], [])] * 8
     alive.clear()
     # a fixed-grid chain's coarse matrix is dead while its fine level is
     # solved; the coarse vector (4095 rows) may live
@@ -572,19 +595,24 @@ def test_a_level_holds_at_most_nine_of_its_arrays():
     solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)  # imports and first-call caches
     tracemalloc.start()
     try:
-        res = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
+        for n, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.0), 8):
+            if v is not None:  # kept as solve_on_interval keeps its ground state
+                ground = system.to_physical(v)
+            del system, v
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.grid_used.n == 262271
+    assert (n, len(ground)) == (262271, 65567)
     assert peak <= 9 * 8 * 262271
 
 
 @pytest.mark.parametrize("spec", [OperatorSpec(10, 0.0), OperatorSpec(3, 0.7, N)],
                          ids=["full-line", "neumann"])
 def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
-    # only levels of at most _N_VECTOR_CAP rows return a ground vector; the
-    # result's ground state is sampled on the last of them, with the
+    # only levels of at most _N_VECTOR_CAP rows return a ground vector: on
+    # eight levels of an explicit ladder, and in solve with a cap small
+    # enough that its final grid is past it whatever level it stops at;
+    # the result's ground state is sampled on the last of them, with the
     # points and trapezoid weights of that level
     vectors = []
     level = eigensolver.refined_lowest_eigenvalues
@@ -595,14 +623,23 @@ def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
         return lam, v
 
     monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", recorded)
-    res = solve(spec, count=2, tol=1e-8)
-    cap = eigensolver._N_VECTOR_CAP
-    assert res.grid_used.n > 2 * cap
-    assert all((length is None) == (rows > cap) for rows, length in vectors)
-    assert all(length in (None, rows) for rows, length in vectors)
+
+    def check(final_n, cap):
+        assert final_n > 2 * cap
+        assert all((length is None) == (rows > cap) for rows, length in vectors)
+        assert all(length in (None, rows) for rows, length in vectors)
+
+    for n, _, _, system, v in _ladder_levels(spec, 8):
+        del system, v
+    check(n, eigensolver._N_VECTOR_CAP)
+    vectors.clear()
+    cap = 3000
+    monkeypatch.setattr(eigensolver, "_N_VECTOR_CAP", cap)
+    res = solve(spec, count=2, tol=1e-6)
+    check(res.grid_used.n, cap)
     rows = max(r for r, _ in vectors if r <= cap)
     grid = GridSpec(res.grid_used.lower, res.grid_used.upper, rows - int(spec.geometry is N))
-    points = grid.interior_points()
+    points = _interior_points(grid)
     weights = np.full(rows, grid.spacing)
     if spec.geometry is N:
         points = np.concatenate(([grid.lower], points))
@@ -623,7 +660,7 @@ def test_derived_rows_match_the_materialized_points(geometry, n):
     grid = GridSpec(lower, 3.7, n)
     system = assemble_hamiltonian(MontgomeryPotential(10, 0.3), grid, geometry)
     points = system.points
-    expected = grid.interior_points()
+    expected = _interior_points(grid)
     if geometry is N:
         expected = np.concatenate(([lower], expected))
     assert points.tobytes() == expected.tobytes()
@@ -655,8 +692,9 @@ def test_a_seeded_level_reads_its_largest_coupling_twice(monkeypatch):
         return plain(x)
 
     monkeypatch.setattr(tridiag, "_max_abs", counted)
-    solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)  # every level is whole
-    assert len(sizes) >= 4
+    for _, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.0), 4):  # every level is whole
+        del system, v
+    assert len(sizes) == 4
     for n in sizes[1:]:
         assert reads.count(n - 1) == 2
 
@@ -723,10 +761,11 @@ def test_started_levels_take_one_sweep_per_eigenpair(monkeypatch, spec):
 
     monkeypatch.setattr(tridiag, "_aligned_sweep", counted_sweep)
     monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", counted_level)
-    res = solve(spec, count=2, tol=1e-8)
-    assert res.iterations == len(level_sweeps) >= 5
+    for _, _, _, system, v in _ladder_levels(spec, 5):
+        del system, v
+    assert len(level_sweeps) == 5
     assert level_sweeps[0] > 2 * 2  # flat starts and their polish
-    assert level_sweeps[1:] == [2] * (res.iterations - 1)
+    assert level_sweeps[1:] == [2] * 4
 
 
 def test_failed_first_level_check_bisects(monkeypatch):
@@ -903,7 +942,7 @@ def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     sizes = _level_sizes(monkeypatch)
     res = solve(spec, count=2, tol=1e-6)
     lower, upper = res.grid_used.lower, res.grid_used.upper
-    inner = [np.count_nonzero(np.abs(GridSpec(lower, upper, n).interior_points()) <= 0.5)
+    inner = [np.count_nonzero(np.abs(_interior_points(GridSpec(lower, upper, n))) <= 0.5)
              for n in sizes[1:]]
     assert rows == [sizes[0]] * 2 + [r for n, m in zip(sizes[1:], inner) for r in (m, n, n)]
     assert bisections == [eigensolver._N_PRESOLVE] + sizes[1:]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from montspec import bounds, identities, tridiag
+from montspec import bounds, eigensolver, identities, tridiag
 from montspec.eigensolver import GridSpec, assemble_hamiltonian, refined_lowest_eigenvalues, solve
 from montspec.identities import identity_report
 from montspec.operators import MontgomeryPotential, OperatorSpec
@@ -68,13 +68,16 @@ def _ground_state_level(result):
     return GridSpec(grid.lower, grid.upper, len(result.ground_state_points))
 
 
-def test_ground_state_level_rebuilds_bit_for_bit():
-    # at tol 1e-8 the final grid (262 271 points) is past the vector cap,
+def test_ground_state_level_rebuilds_bit_for_bit(monkeypatch):
+    # with a vector cap between the first level (2048 points) and the
+    # third, the final grid is past it whatever level the solve stops at,
     # so the reported ground state comes from a level below it
+    monkeypatch.setattr(eigensolver, "_N_VECTOR_CAP", 5000)
     result = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
     level = _ground_state_level(result)
     assert level.n < result.grid_used.n
-    assert np.array_equal(level.interior_points(), result.ground_state_points)
+    points = eigensolver._grid_points(level.lower, level.spacing, 1, level.n + 1)
+    assert np.array_equal(points, result.ground_state_points)
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-8])
@@ -82,17 +85,35 @@ def test_second_derivative_matches_bisected_resolve(tol):
     # the same reduced-resolvent formula on an unseeded (bisected) re-solve
     # of the ground-state level, independent of the ladder's vector
     result = solve(OperatorSpec(2, 0.0), count=2, tol=tol)
-    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), _ground_state_level(result))
+    potential = MontgomeryPotential(2, 0.0)
+    system = assemble_hamiltonian(potential, _ground_state_level(result))
     lam, v = refined_lowest_eigenvalues(system, 2)
     h = system.spacing
     u = v / math.sqrt(h)
-    f = MontgomeryPotential(2, 0.0).signed_root(system.points) * u
+    f = potential.signed_root(system.points) * u
     f_perp = f - (h * np.dot(f, u)) * u
     g = tridiag.shifted_solve(system.diag, system.offdiag, lam[0] * (1.0 + 1e-12), f_perp)
     g = g - (h * np.dot(g, u)) * u
     bisected = 2.0 - 8.0 * h * float(np.dot(f, g))
-    assert identities._second_derivative_on(result, 2, 0.0) == pytest.approx(
+    w = potential.signed_root(result.ground_state_points)
+    assert identities._second_derivative_on(result, potential, w) == pytest.approx(
         bisected, rel=0.0, abs=1e-9)
+
+
+def test_a_report_evaluates_w_once(monkeypatch):
+    # fh_integral, virial_lhs and d2_exact all read W on the ground state's
+    # points, from one evaluation; the stencil's solves read only V
+    result = solve(OperatorSpec(2, 0.9), count=2, tol=TOL)
+    sizes = []
+    plain = MontgomeryPotential.signed_root
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return plain(self, t)
+
+    monkeypatch.setattr(MontgomeryPotential, "signed_root", counted)
+    identity_report(2, 0.9, tol=TOL)
+    assert sizes == [len(result.ground_state_points)]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.3])
