@@ -4,11 +4,11 @@
 one count=2 adaptive solve: the first-derivative (Feynman-Hellmann)
 integral, the virial identity, the exact second derivative through the
 reduced resolvent and the spectral-gap criterion that forces that
-derivative positive, and the grid pair on which both finite-difference
-oracles run (the ladder level below the solve's final grid and the one
-below that).  Every stencil point uses that one grid pair so
-discretization error cancels in the differences; without that the
-eigenvalue tolerance would be amplified by 1/h^2 and drown the
+derivative positive, and the interval for both finite-difference
+oracles, which run on the solve's first two ladder levels (2048 and 4097
+points) whatever its final grid.  Every stencil point uses that one grid
+pair so discretization error cancels in the differences; without that
+the eigenvalue tolerance would be amplified by 1/h^2 and drown the
 derivatives.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 from . import tridiag
 from .bounds import gap_ratio
 from .eigensolver import (
+    _N_START,
     EigenResult,
     GridSpec,
     _fixed_grid_chain,
@@ -124,8 +125,13 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     d2_exact (_second_derivative_on).  Both finite-difference
     oracles read lambda1 at five stencil points from one fixed-grid chain
     (eigensolver._fixed_grid_chain) on GridSpec(lower, upper,
-    (n - 1) // 2) of that solve's final grid, the ladder level below it;
-    one level down keeps the stencil cheap.  The point at a is seeded
+    2 * _N_START + 1) of that solve's interval, the solve's own first two
+    ladder levels.  The stencil only differences lambda1 along alpha on
+    that one grid pair, and the error left after the chain's Richardson
+    step is smooth in alpha, so it cancels in the differences and no
+    finer grid is needed: the stencil costs the same whatever the final
+    grid, never runs finer than the solve and does not depend on where
+    the solve's stop rule ends.  The point at a is seeded
     with lambda1 + (a - alpha) * fh_integral, and each point after the
     first starts its coarse level's inverse iteration from the
     eigenvector of the point before.
@@ -136,7 +142,7 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     fh_integral = -2.0 * _weighted(w, result)
     gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
     grid = result.grid_used
-    stencil = _fixed_grid_chain(GridSpec(grid.lower, grid.upper, (grid.n - 1) // 2))
+    stencil = _fixed_grid_chain(GridSpec(grid.lower, grid.upper, 2 * _N_START + 1))
 
     def lam(a: float) -> float:
         return stencil(MontgomeryPotential(k, a), result.lambda1 + (a - alpha) * fh_integral)

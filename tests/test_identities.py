@@ -27,9 +27,9 @@ def test_first_derivative_vanishes_at_zero(k):
     assert abs(rep.d1_fd) < 1e-6
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0])
-def test_fh_matches_finite_difference(alpha):
-    rep = report(2, alpha)
+@pytest.mark.parametrize("k, alpha", [(2, 0.2), (2, 0.5), (2, 1.0), (30, 1.5), (200, 0.5)])
+def test_fh_matches_finite_difference(k, alpha):
+    rep = report(k, alpha)
     assert abs(rep.fh_integral - rep.d1_fd) < max(1e-6, 10.0 * TOL)
     # the minimum sits at alpha = 0, so lambda1 increases to the right
     assert rep.fh_integral > 0.0 and rep.d1_fd > 0.0
@@ -46,7 +46,7 @@ def test_virial_off_critical_reported_only():
     assert rep.virial_lhs > 0.0 and rep.virial_rhs > 0.0
 
 
-@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 4, 6, 30, 200])
 def test_second_derivative_positive_and_matches_fd(k):
     rep = report(k, 0.0)
     assert rep.d2_exact > 0.0
@@ -157,6 +157,29 @@ def test_report_consistency():
     assert abs(rep.virial_lhs - rep.virial_rhs) < 1e-6
     assert abs(rep.d2_exact - rep.d2_fd) < 1e-4
     assert rep.quadrature_error_estimate < 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_stencil_runs_on_the_solves_first_two_levels(monkeypatch, tol):
+    # the stencil's chain is the solve's own 2048- and 4097-point levels on
+    # the solve's interval, however many levels the solve's ladder climbs
+    solves, grids = [], []
+    plain_solve, plain_chain = identities.solve, identities._fixed_grid_chain
+
+    def recorded_solve(*args, **kwargs):
+        solves.append(plain_solve(*args, **kwargs))
+        return solves[-1]
+
+    def recorded_chain(grid):
+        grids.append(grid)
+        return plain_chain(grid)
+
+    monkeypatch.setattr(identities, "solve", recorded_solve)
+    monkeypatch.setattr(identities, "_fixed_grid_chain", recorded_chain)
+    identity_report(2, 0.3, tol=tol)
+    (result,), (grid,) = solves, grids
+    assert grid.n == 2 * eigensolver._N_START + 1
+    assert (grid.lower, grid.upper) == (result.grid_used.lower, result.grid_used.upper)
 
 
 def test_report_runs_one_adaptive_solve(monkeypatch):
