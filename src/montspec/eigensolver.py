@@ -6,7 +6,7 @@ inverse iteration, seeded and started from the levels below it, with
 bisection of the whole level as the one fallback), and one Richardson
 extrapolation step on the reported eigenvalues, from the O(h^2) step
 that _ladder yields: over as many levels as tol needs in
-solve_on_interval, over two in _fixed_grid_chain.
+solve_on_interval, over its first two in _fixed_grid_chain.
 solve_on_interval stops a ladder early only to fail: once its steps
 shrink at the O(h^2) rate, a forecast (_cap_forecast) tells when the
 levels left below the grid cap cannot reach tol.
@@ -451,8 +451,9 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     before (None at the first level), and the ground vector is None on a
     level of more than _N_VECTOR_CAP rows (refined_lowest_eigenvalues).
 
-    A level takes from the level before it its potential samples when
-    n = 2m + 1 (see assemble_hamiltonian) and its seeds: `seeds` at the
+    Every ladder is nested, n = 2m + 1 for the level below's m (else
+    assemble_hamiltonian raises ValueError), and a level takes from the
+    level before it its potential samples and its seeds: `seeds` at the
     first level, then the previous values, then eigenvalues + step / 4
     (the error goes like h^2, so each step is a quarter of the last).
     Every level after the first starts inverse iteration from the first
@@ -480,32 +481,33 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     shapes = StartShapes() if shapes is None else shapes
     lam = step = system = None
     for n in sizes:
-        # with n = 2m + 1 the level below's points are every other point
-        carry = system is not None and n == 2 * m + 1
+        # the level below's points are every other point
         system = assemble_hamiltonian(
             potential, GridSpec(lower, upper, n), geometry,
-            coarse_values=system.potential_values if carry else None,
+            coarse_values=None if system is None else system.potential_values,
         )
         if lam is not None:
             seeds = lam if step is None else lam + step / 4.0
         refined, v = refined_lowest_eigenvalues(system, count, seeds=seeds, shapes=shapes)
         step = None if lam is None else refined - lam
-        lam, m = refined, n
+        lam = refined
         try:
             yield n, lam, step, system, v
         finally:
             del v  # also when the consumer stops at this level
 
 
-def _fixed_grid_chain(grid: GridSpec):
-    """lambda1 on `grid` for a chain of nearby potentials: a function
-    (potential, seed) -> lambda1, from the two-level ladder on `grid`'s
-    (n - 1) / 2 coarsening (twice the spacing) and `grid`, plus one
-    Richardson step; Dirichlet ends.  `seed` predicts the coarse level's
-    lambda1 (say, that of a nearby potential); a poor seed costs a
-    bisection, not accuracy.  Callers see an O(h^2) error that is a
-    smooth function of the potential parameters, so it cancels in finite
-    differences and comparisons.
+def _fixed_grid_chain(lower: float, upper: float):
+    """lambda1 for a chain of nearby potentials: a function
+    (potential, seed) -> lambda1, from the ladder's first two levels,
+    _N_START and 2 _N_START + 1 points on (lower, upper), plus one
+    Richardson step; Dirichlet ends.  Every chain runs on that one grid
+    pair: its callers only compare lambda1 along a parameter of the
+    potential, and the O(h^2) error left after the Richardson step is a
+    smooth function of that parameter, so it cancels in finite
+    differences and comparisons and no finer grid is needed.  `seed`
+    predicts the coarse level's lambda1 (say, that of a nearby
+    potential); a poor seed costs a bisection, not accuracy.
 
     The first call's coarse level starts inverse iteration flat.  From
     the second call on, it starts from the coarse eigenvector of the
@@ -517,13 +519,13 @@ def _fixed_grid_chain(grid: GridSpec):
     (refined_lowest_eigenvalues) and comes out the same to rounding.
     One coarse vector and its points are held between calls.
     """
-    sizes = ((grid.n - 1) // 2, grid.n)
+    sizes = (_N_START, 2 * _N_START + 1)
     previous = None
 
     def lambda1(potential, seed: float) -> float:
         nonlocal previous
         shapes = StartShapes(previous)
-        ladder = _ladder(potential, grid.lower, grid.upper, sizes, 1, Geometry.FULL_LINE,
+        ladder = _ladder(potential, lower, upper, sizes, 1, Geometry.FULL_LINE,
                          np.array([seed]), shapes)
         # `_` holds the coarse vector while the fine level is solved, not its matrix
         for _, lam, step, _, _ in ladder:

@@ -20,7 +20,6 @@ import numpy as np
 from . import tridiag
 from .bounds import gap_ratio
 from .eigensolver import (
-    _N_START,
     EigenResult,
     GridSpec,
     _fixed_grid_chain,
@@ -124,16 +123,12 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     the solve's ground-state points, for fh_integral, virial_lhs and
     d2_exact (_second_derivative_on).  Both finite-difference
     oracles read lambda1 at five stencil points from one fixed-grid chain
-    (eigensolver._fixed_grid_chain) on GridSpec(lower, upper,
-    2 * _N_START + 1) of that solve's interval, the solve's own first two
-    ladder levels.  The stencil only differences lambda1 along alpha on
-    that one grid pair, and the error left after the chain's Richardson
-    step is smooth in alpha, so it cancels in the differences and no
-    finer grid is needed: the stencil costs the same whatever the final
-    grid, never runs finer than the solve and does not depend on where
-    the solve's stop rule ends.  The point at a is seeded
-    with lambda1 + (a - alpha) * fh_integral, and each point after the
-    first starts its coarse level's inverse iteration from the
+    (eigensolver._fixed_grid_chain) on that solve's interval, which runs
+    on the solve's own first two ladder levels: the stencil costs the
+    same whatever the final grid, never runs finer than the solve and
+    does not depend on where the solve's stop rule ends.  The point at a
+    is seeded with lambda1 + (a - alpha) * fh_integral, and each point
+    after the first starts its coarse level's inverse iteration from the
     eigenvector of the point before.
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
@@ -141,8 +136,7 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     w = potential.signed_root(result.ground_state_points)
     fh_integral = -2.0 * _weighted(w, result)
     gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
-    grid = result.grid_used
-    stencil = _fixed_grid_chain(GridSpec(grid.lower, grid.upper, 2 * _N_START + 1))
+    stencil = _fixed_grid_chain(result.grid_used.lower, result.grid_used.upper)
 
     def lam(a: float) -> float:
         return stencil(MontgomeryPotential(k, a), result.lambda1 + (a - alpha) * fh_integral)

@@ -111,21 +111,26 @@ def test_scan_validation():
         scan(2, 0.0, 1.0, 1)
 
 
-@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("k", [2, 4, 30, 200])
 def test_locate_minimum_at_zero(k):
     alpha_min, lam_min = locate_minimum(k)
     assert abs(alpha_min) < 1e-4
     model = solve(HalfPowerModelPotential(k), count=1, tol=1e-6)
     assert bounds.h_closed(k) * model.eigenvalues[0] <= lam_min <= bounds.upper_bound_A(k)
+    # lambda_min is anchored on the adaptive solve at alpha = 0, not on
+    # the chain's coarse grid pair
+    probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
+    assert lam_min == pytest.approx(probe.lambda1, rel=0.0, abs=1e-12)
 
 
 def test_locate_minimum_parabolic_steps(monkeypatch):
-    # golden-section steps alone on [0, 3] take 29 evaluations and stop at 2.6e-6
+    # golden-section steps alone on [0, 3] take 29 evaluations and stop at
+    # 2.6e-6; Brent takes 6, and the anchor at alpha = 0 one more
     calls = []
     chain = eigensolver._fixed_grid_chain
 
-    def counted_chain(grid):
-        lambda1 = chain(grid)
+    def counted_chain(lower, upper):
+        lambda1 = chain(lower, upper)
 
         def counted(*args):
             calls.append(args)

@@ -514,18 +514,17 @@ def test_refined_levels_carry_potential_samples(monkeypatch, geometry, k):
         assert system.potential_values.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("n, fine_points", [(4095, 2048), (4096, 4096)])
-def test_fixed_grid_fine_level_carries_samples(monkeypatch, n, fine_points):
-    # only an odd n puts the coarse level's points on every other fine point
+def test_fixed_grid_fine_level_carries_samples(monkeypatch):
+    # the coarse level's points are every other fine point, so the fine
+    # level samples V only at the 2049 points between them
     potential = _CountedPotential(MontgomeryPotential(2, 0.3))
-    grid = GridSpec(-5.0, 5.0, n)
-    lam = _fixed_grid_chain(grid)(potential, 0.84)
-    assert potential.sizes == [(n - 1) // 2, fine_points]
+    lam = _fixed_grid_chain(-5.0, 5.0)(potential, 0.84)
+    assert potential.sizes == [eigensolver._N_START, eigensolver._N_START + 1]
     plain = eigensolver.assemble_hamiltonian
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian",
                         lambda potential, grid, geometry=Geometry.FULL_LINE, coarse_values=None:
                         plain(potential, grid, geometry))
-    assert _fixed_grid_chain(grid)(potential.inner, 0.84) == lam
+    assert _fixed_grid_chain(-5.0, 5.0)(potential.inner, 0.84) == lam
 
 
 def _record_liveness(monkeypatch):
@@ -582,8 +581,8 @@ def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
     assert alive == [([], [])] * 8
     alive.clear()
     # a fixed-grid chain's coarse matrix is dead while its fine level is
-    # solved; the coarse vector (4095 rows) may live
-    _fixed_grid_chain(GridSpec(-5.0, 5.0, 8191))(MontgomeryPotential(2, 0.3), 0.84)
+    # solved; the coarse vector (2048 rows) may live
+    _fixed_grid_chain(-5.0, 5.0)(MontgomeryPotential(2, 0.3), 0.84)
     assert [systems for systems, _ in alive] == [[], []]
 
 
@@ -1040,12 +1039,11 @@ def test_fixed_grid_lambda1_matches_bisected_pair(seed):
     # a seed far below lambda1 still polishes to it; one at lambda2 fails
     # the ceiling probe and falls back to bisection
     pot = MontgomeryPotential(2, 0.5)
-    grid = GridSpec(-6.0, 6.0, 8191)
-    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 2)
-    fine, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, grid), 1)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 2048)), 2)
+    fine, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4097)), 1)
     expected = fine[0] + (fine[0] - coarse[0]) / 3.0
     value = {"coarse-lambda1": coarse[0], "far-below": 0.0, "coarse-lambda2": coarse[1]}[seed]
-    assert _fixed_grid_chain(grid)(pot, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
+    assert _fixed_grid_chain(-6.0, 6.0)(pot, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
 def _recorded_ladder(monkeypatch):
@@ -1066,7 +1064,7 @@ def test_consumers_read_the_ladders_step(monkeypatch):
     # the ladder computes each level's step once; a fixed-grid chain and
     # solve_on_interval extrapolate from the record they stop at, bit for bit
     records = _recorded_ladder(monkeypatch)
-    value = _fixed_grid_chain(GridSpec(-6.0, 6.0, 8191))(MontgomeryPotential(2, 0.5), 0.84)
+    value = _fixed_grid_chain(-6.0, 6.0)(MontgomeryPotential(2, 0.5), 0.84)
     (_, coarse, first_step), (_, fine, step) = records
     assert first_step is None and np.array_equal(step, fine - coarse)
     assert value == float(fine[0] + step[0] / 3.0)
@@ -1087,10 +1085,10 @@ def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
     # a seed at the coarse lambda2 fails the ceiling count, so the coarse
     # level falls back to bisection, the only caller of stebz there
     pot = MontgomeryPotential(2, 0.5)
-    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 2)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 2048)), 2)
     monkeypatch.setattr(tridiag, "dstebz", _stebz_fails)
     with pytest.raises(SolverFailure, match=r"stebz.*info=1"):
-        _fixed_grid_chain(GridSpec(-6.0, 6.0, 8191))(pot, coarse[1])
+        _fixed_grid_chain(-6.0, 6.0)(pot, coarse[1])
 
 
 def _count_stebz_calls(monkeypatch):
@@ -1117,9 +1115,9 @@ def test_seeded_solve_reaches_stebz_once(monkeypatch):
 
 def test_well_seeded_fixed_grid_never_reaches_stebz(monkeypatch):
     pot = MontgomeryPotential(2, 0.5)
-    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4095)), 1)
+    coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 2048)), 1)
     stebz_calls = _count_stebz_calls(monkeypatch)
-    _fixed_grid_chain(GridSpec(-6.0, 6.0, 8191))(pot, coarse[0])
+    _fixed_grid_chain(-6.0, 6.0)(pot, coarse[0])
     assert stebz_calls == []
 
 

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from montspec import bounds, eigensolver, identities, tridiag
-from montspec.eigensolver import GridSpec, assemble_hamiltonian, refined_lowest_eigenvalues, solve
+from montspec.certify import locate_minimum
+from montspec.eigensolver import (
+    GridSpec,
+    assemble_hamiltonian,
+    refined_lowest_eigenvalues,
+    solve,
+    truncation_interval,
+)
 from montspec.identities import identity_report
-from montspec.operators import MontgomeryPotential, OperatorSpec
+from montspec.operators import Geometry, MontgomeryPotential, OperatorSpec
 
 TOL = 1e-7
 
@@ -159,27 +166,37 @@ def test_report_consistency():
     assert rep.quadrature_error_estimate < 1e-6
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9])
-def test_stencil_runs_on_the_solves_first_two_levels(monkeypatch, tol):
-    # the stencil's chain is the solve's own 2048- and 4097-point levels on
-    # the solve's interval, however many levels the solve's ladder climbs
-    solves, grids = [], []
-    plain_solve, plain_chain = identities.solve, identities._fixed_grid_chain
+@pytest.mark.parametrize("consumer, tol", [("report", 1e-6), ("report", 1e-9), ("locate", None)])
+def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, consumer, tol):
+    # both consumers' chains run on the ladder's 2048- and 4097-point
+    # levels: the report's on its solve's interval, however many levels
+    # that solve's ladder climbs, and locate_minimum's on the interval
+    # that confines its bracket's worst case, alpha = 3
+    chains, solves = [], []
+    plain_ladder, plain_solve = eigensolver._ladder, identities.solve
+
+    def recorded_ladder(potential, lower, upper, sizes, *args):
+        if len(sizes) == 2:  # solve_on_interval's ladder lists every size up to the cap
+            chains.append((tuple(sizes), lower, upper))
+        return plain_ladder(potential, lower, upper, sizes, *args)
 
     def recorded_solve(*args, **kwargs):
         solves.append(plain_solve(*args, **kwargs))
         return solves[-1]
 
-    def recorded_chain(grid):
-        grids.append(grid)
-        return plain_chain(grid)
-
+    monkeypatch.setattr(eigensolver, "_ladder", recorded_ladder)
     monkeypatch.setattr(identities, "solve", recorded_solve)
-    monkeypatch.setattr(identities, "_fixed_grid_chain", recorded_chain)
-    identity_report(2, 0.3, tol=tol)
-    (result,), (grid,) = solves, grids
-    assert grid.n == 2 * eigensolver._N_START + 1
-    assert (grid.lower, grid.upper) == (result.grid_used.lower, result.grid_used.upper)
+    if consumer == "report":
+        identity_report(2, 0.3, tol=tol)
+        (result,) = solves
+        interval = (result.grid_used.lower, result.grid_used.upper)
+    else:
+        locate_minimum(2)
+        interval = truncation_interval(MontgomeryPotential(2, 3.0), Geometry.FULL_LINE,
+                                       9.0 + math.pi**2 / 4.0)
+    sizes = (eigensolver._N_START, 2 * eigensolver._N_START + 1)
+    assert len(chains) >= 5
+    assert set(chains) == {(sizes, *interval)}
 
 
 def test_report_runs_one_adaptive_solve(monkeypatch):
