@@ -82,6 +82,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError("need lower < upper")
+        if not math.isfinite(self.upper - self.lower):  # an infinite end or width
+            raise ValueError(f"need a finite interval, got ({self.lower}, {self.upper})")
         if self.n < 16:
             raise ValueError("need at least 16 interior points")
 
@@ -99,18 +101,18 @@ def _grid_points(lower: float, spacing: float, start: int, stop: int, step: int 
 class AssembledSystem:
     """Symmetric tridiagonal discretization of -d2/dt2 + V.
 
-    Row i samples the grid point lower + spacing * (first + i), rounded
-    as _grid_points rounds it: `first` is 1 on a grid's
-    Dirichlet lower end, whose boundary point is no unknown, 0 on a
+    Row i samples the grid point of grid index first + i (lower +
+    spacing * (first + i), as _grid_points builds it): `first` is 1 on a
+    grid's Dirichlet lower end, whose boundary point is no unknown, 0 on a
     Neumann one, plus the rows a window cuts off below (`rows`).  The
     upper end is Dirichlet.  A Neumann lower end includes its boundary
     point among the unknowns; the returned matrix is the symmetrized form
     (see assemble_hamiltonian), and `to_physical` undoes the symmetrizing
     change of basis.
 
-    The points are derived, not stored (`points`, `point`,
-    `searchsorted`), so a system holds three arrays of its size: diag,
-    offdiag and potential_values.
+    A system holds three arrays of its size, diag, offdiag and
+    potential_values, and no points: the ladder hands over between its
+    levels by grid index (StartShapes).
     """
 
     diag: np.ndarray
@@ -118,35 +120,7 @@ class AssembledSystem:
     potential_values: np.ndarray
     spacing: float
     neumann_lower: bool
-    lower: float
     first: int
-
-    @property
-    def points(self) -> np.ndarray:
-        """The sample locations of the unknowns, built afresh on each access."""
-        return _grid_points(self.lower, self.spacing, self.first, self.first + len(self.diag))
-
-    def point(self, i: int) -> float:
-        """The sample location of row i, as `points[i]` without the array."""
-        return self.lower + self.spacing * (self.first + i)
-
-    def searchsorted(self, t: float, side: str) -> int:
-        """np.searchsorted(self.points, t, side), for t a float or +-inf,
-        found from the row nearest t and checked against the rows beside
-        it, without building the points."""
-        n = len(self.diag)
-
-        def before(i):  # whether row i sorts before t
-            x = self.point(i)
-            return x < t if side == "left" else x <= t
-
-        guess = (t - self.lower) / self.spacing - self.first
-        i = 0 if not guess > 0 else n if guess >= n else math.ceil(guess)
-        while i < n and before(i):
-            i += 1
-        while i > 0 and not before(i - 1):
-            i -= 1
-        return i
 
     def rows(self, lo: int, hi: int) -> "AssembledSystem":
         """The principal submatrix on rows [lo, hi), as views of this
@@ -158,7 +132,6 @@ class AssembledSystem:
             potential_values=self.potential_values[lo:hi],
             spacing=self.spacing,
             neumann_lower=self.neumann_lower and lo == 0,
-            lower=self.lower,
             first=self.first + lo,
         )
 
@@ -242,7 +215,6 @@ def assemble_hamiltonian(
         potential_values=values,
         spacing=h,
         neumann_lower=neumann,
-        lower=grid.lower,
         first=first,
     )
 
@@ -251,25 +223,29 @@ class StartShapes:
     """One refinement level's polished eigenvectors, kept to start inverse
     iteration on the finer grids of the same interval.
 
-    A record holds physical samples of the vectors on their level's
-    points (so the Neumann row's symmetrizing scale drops out; the overall
-    scale does not matter, as inverse iteration normalizes its start),
-    and those points (`points`), stored once rather than rebuilt for each
-    start: one more array of the recorded level's size, a ladder's first
-    level or a fixed-grid chain's coarse level.
+    A record holds physical samples of the vectors (so the Neumann row's
+    symmetrizing scale drops out; the overall scale does not matter, as
+    inverse iteration normalizes its start), and of their level its grid
+    size `n` and the grid index of its row 0, `first`: no points.  A record
+    is only continued on its own interval (_ladder, _fixed_grid_chain), so
+    a level of n' interior points is the recorded grid refined
+    ratio = (n' + 1) / (n + 1) times, an exact power of two, and its grid
+    index g sits at g / ratio on the recorded grid, bit for bit.
     Each level it is given starts eigenpair j from vector j, linearly
-    interpolated onto the points that level is polished on (its decay
-    window, or the whole level); with no vectors, a level starts flat.
-    Only one level's vectors and points are held: with the ladder's first
-    level, `count` + 1 arrays of about _N_START doubles.
+    interpolated in those index units onto the rows that level is
+    polished on (its decay window, or the whole level); at ratio 1 that is
+    vector j itself.  With no vectors, a level starts flat.  Only one
+    level's vectors are held: with the ladder's first level, `count`
+    arrays of about _N_START doubles.
 
     A new record starts from the vectors of the record it continues,
     `previous`: in a chain of fixed-grid evaluations (_fixed_grid_chain),
     the previous call's coarse level, a nearby operator's on the same
     grid.  The first level given it records its own
     vectors (refined_lowest_eigenvalues), and with them the ladder's
-    decay window (t_lo, t_hi), two floats (_decay_window): the stretch of
-    the interval where those vectors exceed DECAY_FLOOR of their peak.
+    decay window (g_lo, g_hi), two grid indices of the recorded level
+    (_decay_window): the stretch of the grid where those vectors exceed
+    DECAY_FLOOR of their peak.
     Every later seeded level polishes only its rows inside it; a cut that
     drops a coupling above inverse iteration's residual floor (_polished)
     sends the level to its one fallback, bisection of the whole level and
@@ -277,22 +253,27 @@ class StartShapes:
     """
 
     def __init__(self, previous: Optional["StartShapes"] = None):
-        # the recorded vectors' points, None while there are none
-        self.points = None if previous is None else previous.points
         self.vectors = [] if previous is None else previous.vectors
+        self.n = None if previous is None else previous.n
+        self.first = None if previous is None else previous.first
         self.window = None
 
     def record(self, system: AssembledSystem, vectors) -> None:
-        self.points = system.points
+        """Record a whole level's vectors, grid and decay window."""
         self.vectors = [system.to_physical(v) for v in vectors]
+        self.n = system.first + len(system.diag) - 1  # the upper end is Dirichlet
+        self.first = system.first
         self.window = _decay_window(system, self.vectors)
 
-    def start(self, system: AssembledSystem, j: int):
-        """The start of eigenpair j on `system`, or None (a flat start)
-        while this record holds no vectors."""
-        if self.points is None:
+    def start(self, system: AssembledSystem, j: int, ratio: int):
+        """The start of eigenpair j on `system`, a level refined `ratio`
+        times from the recorded one or rows of such a level, or None (a
+        flat start) while this record holds no vectors."""
+        if not self.vectors:
             return None
-        start = np.interp(system.points, self.points, self.vectors[j])
+        vector = self.vectors[j]
+        start = np.interp(np.arange(system.first, system.first + len(system.diag)) / ratio,
+                          np.arange(self.first, self.first + len(vector)), vector)
         if system.neumann_lower:  # undo to_physical
             start[0] /= _SQRT2
         return start
@@ -378,14 +359,15 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     `keep` vectors; each other one is dropped before the next eigenpair
     is polished.  None if a window cut proves coupled.
 
-    Once `shapes` holds a decay window (t_lo, t_hi), read off the
-    recording level's eigenvectors (StartShapes), the iteration, the
-    Rayleigh quotient and the starts run on the level's rows with points
-    in [t_lo, t_hi] (AssembledSystem.searchsorted), as views of the
-    level's arrays; a window of fewer than 2 rows leaves the level whole.
+    Once `shapes` holds a decay window (g_lo, g_hi), grid indices of the
+    recording level (StartShapes), this level, `ratio` times as fine,
+    holds them at grid indices g_lo * ratio and g_hi * ratio, and the
+    iteration, the Rayleigh quotient and the starts run on its rows from
+    the one to the other, as views of the level's arrays; a window of
+    fewer than 2 rows leaves the level whole.
     The window's largest coupling, max |offdiag|, is read once, for every
     residual floor below.  Each kept vector comes back embedded in zeros
-    on the level's own points, where it has the window's residual plus
+    on the level's own rows, where it has the window's residual plus
     |offdiag[cut] v[edge]| at each cut row, the coupling that the cut
     drops.  Each must be within
     inverse iteration's residual floor, so the embedded vector is as
@@ -395,10 +377,15 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     """
     n = len(system.diag)
     lo, hi = 0, n
+    ratio = 1  # read only once shapes holds vectors
+    if shapes is not None and shapes.vectors:
+        ratio = (system.first + n) // (shapes.n + 1)
     if shapes is not None and shapes.window is not None:
-        t_lo, t_hi = shapes.window
-        lo = system.searchsorted(t_lo, "left")
-        hi = system.searchsorted(t_hi, "right")
+        g_lo, g_hi = shapes.window
+        if g_lo is not None:
+            lo = max(g_lo * ratio - system.first, 0)
+        if g_hi is not None:
+            hi = min(g_hi * ratio - system.first + 1, n)
         if hi - lo < 2:
             lo, hi = 0, n
     window = system if (lo, hi) == (0, n) else system.rows(lo, hi)
@@ -410,7 +397,7 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
         # holds the only reference and can drop it once it has normalized it
         v = tridiag.inverse_iteration(
             window.diag, window.offdiag, float(lam),
-            None if shapes is None else shapes.start(window, j), coupling=coupling,
+            None if shapes is None else shapes.start(window, j, ratio), coupling=coupling,
         )
         if window is not system:
             floor = tridiag._residual_floor(window.offdiag, float(lam), coupling)
@@ -430,18 +417,18 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
 
 
 def _decay_window(system: AssembledSystem, vectors):
-    """(t_lo, t_hi): the stretch of the system's interval from one sample
-    outside the first row to one sample outside the last row where the
-    envelope of the physical `vectors` (the largest |v_j| at each row)
-    exceeds DECAY_FLOOR of its peak; -inf or inf at an end that holds
-    such a row.  A Neumann lower end is never cut.
+    """(g_lo, g_hi): the grid indices of the whole level `system` one
+    sample outside its first and its last row where the envelope of the
+    physical `vectors` (the largest |v_j| at each row) exceeds DECAY_FLOOR
+    of its peak; None at an end that holds such a row, and at a Neumann
+    lower end, which is never cut.
     """
     envelope = np.max(np.abs(vectors), axis=0)
     held = np.flatnonzero(envelope > DECAY_FLOOR * np.max(envelope))
-    first, last = held[0] - 1, held[-1] + 1
-    t_lo = -math.inf if first < 0 or system.neumann_lower else float(system.point(first))
-    t_hi = math.inf if last == len(envelope) else float(system.point(last))
-    return t_lo, t_hi
+    first, last = int(held[0]) - 1, int(held[-1]) + 1
+    g_lo = None if first < 0 or system.neumann_lower else system.first + first
+    g_hi = None if last == len(envelope) else system.first + last
+    return g_lo, g_hi
 
 
 def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None):
@@ -517,7 +504,8 @@ def _fixed_grid_chain(lower: float, upper: float):
     points, Brent's last steps).  The start only speeds the iteration:
     each value is checked as any seeded level's
     (refined_lowest_eigenvalues) and comes out the same to rounding.
-    One coarse vector and its points are held between calls.
+    One coarse vector is held between calls, and with it the grid
+    index of its row 0 and its grid size (StartShapes), no points.
     """
     sizes = (_N_START, 2 * _N_START + 1)
     previous = None

@@ -2,15 +2,17 @@
 constant h by direct maximization over sigma, the minimizing width of
 the k = 2 trial state, the unoptimized harmonic floor B_k(T) and its
 maximizing T, the first eigenvalue of the Dirichlet step well as the
-root of its gluing equation, the reflection t -> -t of an operator, and
-the saturated-barrier core of a level.  Each cross-checks a closed form,
-symmetry or bound the library relies on."""
+root of its gluing equation, the reflection t -> -t of an operator, the
+saturated-barrier core of a level, and a level's points and a decay
+window's rows materialized from floats.  Each cross-checks a closed form,
+symmetry, bound or grid-index rule the library relies on."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 
+from montspec import eigensolver
 from montspec.bounds import h_closed
 from montspec.errors import SolverFailure
 from montspec.operators import Geometry, OperatorSpec
@@ -147,3 +149,22 @@ def barrier_core(diag, offdiag):
     if len(coupled) == 0:
         return 0, len(diag)
     return max(int(coupled[0]) - 1, 0), min(int(coupled[-1]) + 2, len(diag))
+
+
+def system_points(system, lower: float):
+    """The sample points of a system's rows on a grid from `lower`, built as
+    eigensolver._grid_points builds a grid's."""
+    return eigensolver._grid_points(lower, system.spacing, system.first,
+                                    system.first + len(system.diag))
+
+
+def window_rows(points, window, recorded):
+    """The rows [lo, hi) of a level with sample `points` that hold a decay
+    window (g_lo, g_hi) of the recorded grid (a GridSpec), found by
+    searchsorted on the materialized points at the window's two ends; an
+    end that is None is not cut."""
+    ends = eigensolver._grid_points(recorded.lower, recorded.spacing, 0, recorded.n + 2)
+    g_lo, g_hi = window
+    t_lo = -math.inf if g_lo is None else ends[g_lo]
+    t_hi = math.inf if g_hi is None else ends[g_hi]
+    return int(np.searchsorted(points, t_lo, "left")), int(np.searchsorted(points, t_hi, "right"))

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from derivations import barrier_core, dirichlet_well_lambda
+from derivations import barrier_core, dirichlet_well_lambda, system_points, window_rows
 from montspec import eigensolver, tridiag
 from montspec.bounds import de_gennes_theta0
 from montspec.errors import SolverFailure
@@ -55,6 +55,19 @@ def test_grid_spec_validation():
     g = GridSpec(0.0, 1.0, 99)
     assert g.spacing == pytest.approx(0.01)
     assert _interior_points(g)[0] == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("lower, upper", [(-math.inf, 5.0), (-5.0, math.inf), (-1e308, 1e308)],
+                         ids=["infinite-lower", "infinite-upper", "infinite-width"])
+def test_grid_spec_rejects_non_finite_intervals(lower, upper):
+    # an infinite end, or a width that overflows, is a ValueError before
+    # any sample is taken, not a LAPACK failure after a RuntimeWarning
+    with pytest.raises(ValueError, match="finite interval"):
+        GridSpec(lower, upper, 2048)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite interval"):
+            solve_on_interval(MontgomeryPotential(2, 0.0), lower, upper)
 
 
 def _interior_points(grid):
@@ -495,22 +508,22 @@ def test_refined_levels_carry_potential_samples(monkeypatch, geometry, k):
     levels = []
     assemble = eigensolver.assemble_hamiltonian
 
-    def recorded(*args, **kwargs):
+    def recorded(potential_, grid, *args, **kwargs):
         before = len(potential.sizes)
-        system = assemble(*args, **kwargs)
-        levels.append((system, potential.sizes[before:]))
+        system = assemble(potential_, grid, *args, **kwargs)
+        levels.append((system, grid.lower, potential.sizes[before:]))
         return system
 
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian", recorded)
     res = solve(potential, count=2, tol=1e-6, geometry=geometry)
     ladder = levels[1:]  # levels[0] is the pre-solve
     assert len(ladder) == res.iterations >= 3
-    assert ladder[0][1] == [len(ladder[0][0].points)]
-    for (coarse, _), (_, sizes) in zip(ladder, ladder[1:]):
-        n = len(coarse.points) - int(geometry is N)  # its grid's interior points
+    assert ladder[0][2] == [len(ladder[0][0].diag)]
+    for (coarse, _, _), (_, _, sizes) in zip(ladder, ladder[1:]):
+        n = len(coarse.diag) - int(geometry is N)  # its grid's interior points
         assert sizes == [n + 1]
-    for system, _ in levels:
-        expected = potential.inner.value(system.points)
+    for system, lower, _ in levels:
+        expected = potential.inner.value(system_points(system, lower))
         assert system.potential_values.tobytes() == expected.tobytes()
 
 
@@ -651,14 +664,12 @@ def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
 @pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
 @pytest.mark.parametrize("n", [2048, 4097, 65567, 524543])
 def test_derived_rows_match_the_materialized_points(geometry, n):
-    # a system derives its points from its grid's lower end, spacing and
-    # row index, bit for bit as the grid builds them, and finds a window's
-    # rows as searchsorted on those points would, at a point, between two,
-    # past either end and at +-inf, also on a window of the level
+    # a system's rows are its grid's points from grid index `first` on,
+    # bit for bit as the grid builds them, also on a window of the level
     lower = -3.7 if geometry is Geometry.FULL_LINE else 0.0
     grid = GridSpec(lower, 3.7, n)
     system = assemble_hamiltonian(MontgomeryPotential(10, 0.3), grid, geometry)
-    points = system.points
+    points = system_points(system, lower)
     expected = _interior_points(grid)
     if geometry is N:
         expected = np.concatenate(([lower], expected))
@@ -666,16 +677,7 @@ def test_derived_rows_match_the_materialized_points(geometry, n):
     rows = len(points)
     for view, lo in ((system, 0), (system.rows(rows // 5, rows - 7), rows // 5)):
         inside = points[lo:lo + len(view.diag)]
-        assert view.points.tobytes() == inside.tobytes()
-        probes = [-math.inf, math.inf, lower - 1.0, 4.0]
-        for i in range(0, len(inside), max(1, len(inside) // 97)):
-            t = float(inside[i])
-            assert view.point(i) == t
-            probes += [t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf),
-                       t + 0.5 * grid.spacing]
-        for t in probes:
-            for side in ("left", "right"):
-                assert view.searchsorted(t, side) == int(np.searchsorted(inside, t, side))
+        assert system_points(view, lower).tobytes() == inside.tobytes()
 
 
 def test_a_seeded_level_reads_its_largest_coupling_twice(monkeypatch):
@@ -816,8 +818,7 @@ def _level_sizes(monkeypatch):
 
 def _window_off(monkeypatch):
     """Switch the decay window off: every ladder polishes every level whole."""
-    monkeypatch.setattr(eigensolver, "_decay_window",
-                        lambda system, vectors: (-math.inf, math.inf))
+    monkeypatch.setattr(eigensolver, "_decay_window", lambda system, vectors: (None, None))
 
 
 def _recorded_windows(monkeypatch):
@@ -831,11 +832,6 @@ def _recorded_windows(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_decay_window", recorded)
     return windows
-
-
-def _window_rows(points, window):
-    t_lo, t_hi = window
-    return int(np.searchsorted(points, t_lo, "left")), int(np.searchsorted(points, t_hi, "right"))
 
 
 @pytest.mark.parametrize(
@@ -876,7 +872,7 @@ def test_offset_shallow_well_trims_its_far_tail(monkeypatch):
     windows = _recorded_windows(monkeypatch)
     res = solve(spec, count=2, tol=1e-8)
     assert len(windows) == 1 and len(rows) == 2 * len(sizes)
-    assert windows[0][0] > res.grid_used.lower and windows[0][1] == math.inf
+    assert windows[0][0] is not None and windows[0][1] is None
     assert rows[:2] == [sizes[0]] * 2  # the recording level is whole
     assert all(r < n for r, n in zip(rows[2:], [m for n in sizes[1:] for m in (n, n)]))
     _window_off(monkeypatch)
@@ -900,7 +896,8 @@ def test_steep_wells_polish_their_decay_window(monkeypatch, k):
     assert sum(rows) < 0.7 * 2 * sum(sizes)
     # the ground state is exactly 0 outside the window, which is strict
     points = res.ground_state_points
-    lo, hi = _window_rows(points, windows[0])
+    recorded = GridSpec(res.grid_used.lower, res.grid_used.upper, sizes[0])
+    lo, hi = window_rows(points, windows[0], recorded)
     assert 0 < lo < hi < len(points)
     u = res.ground_state_values
     assert not np.any(u[:lo]) and not np.any(u[hi:]) and np.all(u[lo + 1:hi - 1] > 0)
@@ -935,14 +932,25 @@ def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     spec = OperatorSpec(200, 0.0)
     _window_off(monkeypatch)
     whole = solve(spec, count=2, tol=1e-6)
-    monkeypatch.setattr(eigensolver, "_decay_window", lambda system, vectors: (-0.5, 0.5))
+    windows = []
+
+    def central(system, vectors):
+        # the grid indices of the recording level's points nearest -0.5 and 0.5
+        middle, half = (len(system.diag) + 1) / 2, 0.5 / system.spacing
+        windows.append((round(middle - half), round(middle + half)))
+        return windows[-1]
+
+    monkeypatch.setattr(eigensolver, "_decay_window", central)
     bisections = _count_bisections(monkeypatch)
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
     res = solve(spec, count=2, tol=1e-6)
     lower, upper = res.grid_used.lower, res.grid_used.upper
-    inner = [np.count_nonzero(np.abs(_interior_points(GridSpec(lower, upper, n))) <= 0.5)
-             for n in sizes[1:]]
+    recorded = GridSpec(lower, upper, sizes[0])
+    inner = []
+    for n in sizes[1:]:
+        lo, hi = window_rows(_interior_points(GridSpec(lower, upper, n)), windows[0], recorded)
+        inner.append(hi - lo)
     assert rows == [sizes[0]] * 2 + [r for n, m in zip(sizes[1:], inner) for r in (m, n, n)]
     assert bisections == [eigensolver._N_PRESOLVE] + sizes[1:]
     assert (res.grid_used, res.iterations) == (whole.grid_used, whole.iterations)
@@ -967,6 +975,104 @@ def test_very_steep_wells_never_fall_back(monkeypatch, k):
     assert len(rows) == 2 * len(sizes) and sum(rows) < 0.4 * 2 * sum(sizes)
 
 
+def _windowed_levels(monkeypatch):
+    """Record, for every level polished on a decay window, the interval and
+    first size of its ladder, the level's first grid index and rows, the
+    window and the rows [lo, hi) inverse iteration ran on."""
+    ladders, levels = [], []
+    plain_ladder, plain_polished = eigensolver._ladder, eigensolver._polished
+    plain_rows = eigensolver.AssembledSystem.rows
+
+    def ladder(potential, lower, upper, sizes, *args):
+        ladders.append((lower, upper, sizes[0]))
+        return plain_ladder(potential, lower, upper, sizes, *args)
+
+    def polished(system, estimates, shapes=None, keep=0):
+        if shapes is not None and shapes.window is not None:
+            levels.append([ladders[-1], system.first, len(system.diag), shapes.window,
+                           (0, len(system.diag))])
+        return plain_polished(system, estimates, shapes, keep)
+
+    def rows(system, lo, hi):
+        if levels:
+            levels[-1][4] = (lo, hi)
+        return plain_rows(system, lo, hi)
+
+    monkeypatch.setattr(eigensolver, "_ladder", ladder)
+    monkeypatch.setattr(eigensolver, "_polished", polished)
+    monkeypatch.setattr(eigensolver.AssembledSystem, "rows", rows)
+    return levels
+
+
+@pytest.mark.parametrize(
+    "k, alpha, geometry",
+    [(k, alpha, g) for g in (Geometry.FULL_LINE, D, N) for k in (2, 30, 200) for alpha in (0.0, 1.5)]
+    + [(1, 5.0, Geometry.FULL_LINE), (30, None, Geometry.FULL_LINE)],
+    ids=lambda x: x.name.lower() if isinstance(x, Geometry) else str(x),
+)
+def test_windows_hand_off_by_grid_index(monkeypatch, k, alpha, geometry):
+    # the decay window is two grid indices of the ladder's first level (or
+    # None, uncut), and each later level polishes the rows np.searchsorted
+    # finds on the materialized points at the recorded points of those
+    # indices: its own grid indices g_lo * ratio and g_hi * ratio.  alpha
+    # None is a fixed-grid chain along alpha at k
+    levels = _windowed_levels(monkeypatch)
+    if alpha is None:
+        lower, upper = truncation_interval(MontgomeryPotential(k, 0.0), geometry, 2.0)
+        chain = _fixed_grid_chain(lower, upper)
+        for a in (0.0, 1e-3, 2e-3):
+            chain(MontgomeryPotential(k, a), 1.59)
+    else:
+        try:
+            solve(OperatorSpec(k, alpha, geometry), count=2, tol=1e-6)
+        except SolverFailure:  # k = 1 at alpha = 5 is near-degenerate
+            pass
+    assert levels
+    for (lower, upper, n_recorded), first, n, window, polished in levels:
+        assert len(window) == 2 and all(g is None or type(g) is int for g in window)
+        recorded = GridSpec(lower, upper, n_recorded)
+        level = GridSpec(lower, upper, first + n - 1)
+        points = eigensolver._grid_points(lower, level.spacing, first, first + n)
+        lo, hi = window_rows(points, window, recorded)
+        assert polished == ((lo, hi) if hi - lo >= 2 else (0, n))
+
+
+@pytest.mark.parametrize("k", [2, 30, 200])
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, D, N], ids=["full", "dirichlet", "neumann"])
+def test_starts_interpolate_in_grid_index_units(geometry, k):
+    # at ratio 1 a start is the recorded vector itself, bit for bit; on a
+    # finer level, and on a window of one, it is float interpolation on the
+    # materialized points to that interpolation's rounding: the points
+    # carry about eps |t| each, which moves its fraction by eps |t| / h and
+    # its value by that times a recorded step |v[i + 1] - v[i]| (measured:
+    # at most 0.77 of eps (max |v| + max |t| max |step| / h), and up to
+    # 6.9 eps max |v| at k = 30)
+    potential = MontgomeryPotential(k, 0.5)
+    lower, upper = truncation_interval(potential, geometry, 0.0)
+    system = assemble_hamiltonian(potential, GridSpec(lower, upper, 2048), geometry)
+    shapes = StartShapes()
+    refined_lowest_eigenvalues(system, 2, shapes=shapes)
+    recorded_points = system_points(system, lower)
+    reach = max(abs(lower), abs(upper)) / system.spacing
+    for j, vector in enumerate(shapes.vectors):
+        expected = vector.copy()
+        if geometry is N:
+            expected[0] /= math.sqrt(2.0)  # the symmetrized basis, as start returns it
+        assert shapes.start(system, j, 1).tobytes() == expected.tobytes()
+    for ratio in (2, 4):
+        fine = assemble_hamiltonian(potential, GridSpec(lower, upper, 2049 * ratio - 1), geometry)
+        rows = len(fine.diag)
+        for view in (fine, fine.rows(rows // 3, rows - rows // 5)):
+            for j, vector in enumerate(shapes.vectors):
+                start = shapes.start(view, j, ratio)
+                expected = np.interp(system_points(view, lower), recorded_points, vector)
+                if view.neumann_lower:
+                    expected[0] /= math.sqrt(2.0)
+                bar = 2.0 * np.finfo(float).eps * (
+                    np.max(np.abs(vector)) + reach * np.max(np.abs(np.diff(vector))))
+                assert np.max(np.abs(start - expected)) <= bar
+
+
 def test_neumann_half_line_is_never_cut_at_zero(monkeypatch):
     # the window cuts the far Dirichlet end only; the Neumann row stays
     spec = OperatorSpec(30, 0.0, N)
@@ -981,7 +1087,7 @@ def test_neumann_half_line_is_never_cut_at_zero(monkeypatch):
 
     monkeypatch.setattr(eigensolver.AssembledSystem, "rows", recorded)
     res = solve(spec, count=3, tol=1e-6)
-    assert windows[0][0] == -math.inf and windows[0][1] < res.grid_used.upper
+    assert windows[0][0] is None and windows[0][1] is not None
     # the recording level is whole; every later level is cut once
     assert len(sizes) == res.iterations and [n for _, _, n in cuts] == sizes[1:]
     assert all(lo == 0 and hi < n for lo, hi, n in cuts)
@@ -995,12 +1101,12 @@ def test_core_rayleigh_quotient_is_the_whole_levels(geometry):
     # a window's Dirichlet cuts drop nothing from v.T H v of a vector that
     # is zero outside it; a Neumann row 0 stays Neumann in the window
     lower = -3.0 if geometry is Geometry.FULL_LINE else 0.0
-    system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), GridSpec(lower, 3.0, 4095),
-                                  geometry)
+    grid = GridSpec(lower, 3.0, 4095)
+    system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), grid, geometry)
     n = len(system.diag)
     shapes = StartShapes()
     refined_lowest_eigenvalues(system, 2, shapes=shapes)
-    lo, hi = _window_rows(system.points, shapes.window)
+    lo, hi = window_rows(system_points(system, lower), shapes.window, grid)
     assert hi < n and (lo == 0) == (geometry is N)
     window = system.rows(lo, hi)
     assert window.neumann_lower == (geometry is N)

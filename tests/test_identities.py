@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from derivations import system_points
 from montspec import bounds, eigensolver, identities, tridiag
 from montspec.certify import locate_minimum
 from montspec.eigensolver import (
@@ -97,7 +98,7 @@ def test_second_derivative_matches_bisected_resolve(tol):
     lam, v = refined_lowest_eigenvalues(system, 2)
     h = system.spacing
     u = v / math.sqrt(h)
-    f = potential.signed_root(system.points) * u
+    f = potential.signed_root(system_points(system, result.grid_used.lower)) * u
     f_perp = f - (h * np.dot(f, u)) * u
     g = tridiag.shifted_solve(system.diag, system.offdiag, lam[0] * (1.0 + 1e-12), f_perp)
     g = g - (h * np.dot(g, u)) * u

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from derivations import barrier_core
+from derivations import barrier_core, system_points, window_rows
 from montspec import eigensolver
 from montspec.eigensolver import (
     DECAY_FLOOR,
@@ -351,7 +351,7 @@ def test_started_inverse_iteration_matches_flat_start(build):
     for j, lam in enumerate(lowest_eigenvalues(system.diag, system.offdiag, 3)):
         flat = inverse_iteration(system.diag, system.offdiag, float(lam))
         started = inverse_iteration(system.diag, system.offdiag, float(lam),
-                                    shapes.start(system, j))
+                                    shapes.start(system, j, 2))
         assert system.rayleigh_quotient(started) == pytest.approx(
             system.rayleigh_quotient(flat), rel=0.0, abs=1e-13
         )
@@ -368,11 +368,11 @@ def test_a_record_starts_from_the_one_it_continues():
     shapes = StartShapes(first)
     assert shapes.window is None
     for j in range(2):
-        assert np.array_equal(shapes.start(system, j), first.start(system, j))
+        assert np.array_equal(shapes.start(system, j, 2), first.start(system, j, 2))
     refined_lowest_eigenvalues(system, 2, shapes=shapes)
-    assert np.array_equal(shapes.points, system.points) and len(shapes.vectors) == 2
+    assert (shapes.n, shapes.first) == (255, 1) and len(shapes.vectors) == 2
     assert shapes.window == eigensolver._decay_window(system, shapes.vectors)
-    assert len(first.points) == 127
+    assert (first.n, first.first) == (127, 1) and len(first.vectors[0]) == 127
 
 
 @pytest.mark.parametrize(
@@ -541,10 +541,13 @@ def test_lowest_eigenvalues_lapack_failure_is_solver_failure():
         lowest_eigenvalues(diag, -np.ones(3), 1)
 
 
+def _full_line_grid(k, n, alpha=0.0):
+    lower, upper = truncation_interval(MontgomeryPotential(k, alpha), Geometry.FULL_LINE, 0.0)
+    return GridSpec(lower, upper, n)
+
+
 def _full_line_level(k, n, alpha=0.0):
-    potential = MontgomeryPotential(k, alpha)
-    lower, upper = truncation_interval(potential, Geometry.FULL_LINE, 0.0)
-    return assemble_hamiltonian(potential, GridSpec(lower, upper, n))
+    return assemble_hamiltonian(MontgomeryPotential(k, alpha), _full_line_grid(k, n, alpha))
 
 
 def _recorded_window(k, n, alpha=0.0):
@@ -554,12 +557,11 @@ def _recorded_window(k, n, alpha=0.0):
     large level is polished and counted, not bisected."""
     coarse = _full_line_level(k, 2048, alpha)
     seeds = lowest_eigenvalues(coarse.diag, coarse.offdiag, 2)
-    system = _full_line_level(k, n, alpha)
+    grid = _full_line_grid(k, n, alpha)
+    system = assemble_hamiltonian(MontgomeryPotential(k, alpha), grid)
     shapes = StartShapes()
     refined_lowest_eigenvalues(system, 2, seeds=seeds, shapes=shapes)
-    t_lo, t_hi = shapes.window
-    return system, (int(np.searchsorted(system.points, t_lo, "left")),
-                    int(np.searchsorted(system.points, t_hi, "right")))
+    return system, window_rows(system_points(system, grid.lower), shapes.window, grid)
 
 
 def _holds_the_well(system, lo, hi):
@@ -629,24 +631,25 @@ def test_recorded_window_holds_the_finest_levels_eigenvectors(k, alpha):
     presolve = _full_line_level(k, 2048, alpha)
     top = lowest_eigenvalues(presolve.diag, presolve.offdiag, 2)[-1]
     lower, upper = truncation_interval(potential, Geometry.FULL_LINE, float(top))
-    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, 2048))
+    recorded = GridSpec(lower, upper, 2048)
+    coarse = assemble_hamiltonian(potential, recorded)
     shapes = StartShapes()
     seeds, _ = refined_lowest_eigenvalues(coarse, 2, shapes=shapes)
-    t_lo, t_hi = shapes.window
     fine = assemble_hamiltonian(potential, GridSpec(lower, upper, 524543))
+    lo, hi = window_rows(system_points(fine, lower), shapes.window, recorded)
     for seed in seeds:
         v = np.abs(inverse_iteration(fine.diag, fine.offdiag, float(seed)))
-        held = fine.points[v > 1e-14 * np.max(v)]
-        assert t_lo <= held[0] and held[-1] <= t_hi
+        held = np.flatnonzero(v > 1e-14 * np.max(v))
+        assert lo <= held[0] and held[-1] < hi
 
 
 def _system_on(n, neumann=False):
-    """A system on points 0, 1, ..., n - 1 (only its points and its lower
-    end matter to a decay window): grid indices from 1 on a grid from -1,
-    or from 0 on a grid from 0 with a Neumann end."""
+    """A whole level of n rows (only its grid indices and its lower end
+    matter to a decay window): grid indices 1, 2, ..., n with a Dirichlet
+    lower end, 0, 1, ..., n - 1 with a Neumann one."""
     return AssembledSystem(diag=np.full(n, 2.0), offdiag=-np.ones(n - 1),
                            potential_values=np.zeros(n), spacing=1.0, neumann_lower=neumann,
-                           lower=0.0 if neumann else -1.0, first=int(not neumann))
+                           first=int(not neumann))
 
 
 _F = DECAY_FLOOR
@@ -655,20 +658,21 @@ _F = DECAY_FLOOR
 @pytest.mark.parametrize(
     "values, neumann, window",
     [
-        # the rows above the floor and one sample outside them
-        ([[0.0, 0.0, 0.1 * _F, 0.5, 1.0, 0.5, 0.1 * _F, 0.0]], False, (2.0, 6.0)),
-        ([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], False, (4.0, np.inf)),
+        # the grid indices one sample outside the rows above the floor (a
+        # Dirichlet row's grid index is its row index + 1)
+        ([[0.0, 0.0, 0.1 * _F, 0.5, 1.0, 0.5, 0.1 * _F, 0.0]], False, (3, 7)),
+        ([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], False, (5, None)),
         # the envelope is the largest |v_j|: a sign, a second vector and the
         # rows between them count
         ([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-          [0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0]], False, (1.0, 6.0)),
-        # a Neumann lower end is never cut
-        ([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]], True, (-np.inf, 5.0)),
+          [0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0]], False, (2, 7)),
+        # a Neumann lower end is never cut (its row index is its grid index)
+        ([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]], True, (None, 5)),
         # the floor is relative to the peak, and a row at it is not held
-        ([[4.0 * _F, 4.0 * _F, 4.0, 8.0 * _F, 4.0 * _F, 0.0, 0.0, 0.0]], False, (1.0, 4.0)),
+        ([[4.0 * _F, 4.0 * _F, 4.0, 8.0 * _F, 4.0 * _F, 0.0, 0.0, 0.0]], False, (2, 5)),
         # every row held, or the first
-        ([[1.0] * 8], False, (-np.inf, np.inf)),
-        ([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], False, (-np.inf, 2.0)),
+        ([[1.0] * 8], False, (None, None)),
+        ([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], False, (None, 3)),
     ],
 )
 def test_decay_window_rows(values, neumann, window):
