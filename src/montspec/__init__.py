@@ -3,11 +3,11 @@ Montgomery operator family -d2/dt2 + (t^(k+1)/(k+1) - alpha)^2.
 
 The package splits along the paper's two channels.  The closed-form
 channel (`bounds`, with the de Gennes constant from its Weber-equation
-root, and `certify`'s certificates and figure tables) is plain
-arithmetic and mpmath, and loads neither numpy nor scipy.  The
-numerical channel (`operators`, `eigensolver`, `tridiag`, `identities`,
-`certify.scan` and `certify.locate_minimum`) needs them and loads them
-on first use.
+root in doubles, and `certify`'s certificates and figure tables) is
+plain arithmetic, plus mpmath's intervals for the certificates alone,
+and loads neither numpy nor scipy.  The numerical channel (`operators`,
+`eigensolver`, `tridiag`, `identities`, `certify.scan` and
+`certify.locate_minimum`) needs them and loads them on first use.
 Every name below, and each of these submodules, is imported on first
 access (PEP 562), so `import montspec` itself loads neither channel.
 """

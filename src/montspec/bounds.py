@@ -12,8 +12,8 @@ k; bounds_table, certificates, figure tables and the CLI read it, and
 SMALL_K_MAX is the one definition of the chain's regime split.
 The de Gennes constant itself enters only as the floor THETA0_LOWER;
 de_gennes_theta0 computes it as evidence for that floor, again without
-a solve: it is the square of one root of Weber's equation, evaluated
-in mpmath.
+a solve: it is the square of one root of Weber's equation, found by a
+secant on the parabolic-cylinder function's Kummer series in doubles.
 
 Each formula the chain reads is written once, against a number
 namespace `m` (`pi`, `exp`, `log`, `expm1`, `sqrt`, `atan`, `min`, and
@@ -63,6 +63,48 @@ def _require_even_k(k: int) -> None:
         raise ValueError(f"k = {k} is past double precision: k + 1 is inexact from 2^53 on")
 
 
+def _kummer_m(a: float, b: float, x: float) -> float:
+    """Kummer's M(a, b, x) = sum over n of (a)_n / (b)_n x^n / n!, summed
+    until a term falls below 1e-17 of the sum.  theta0 reads it at
+    x = z^2/2 in (0.36, 0.81), where the terms fall like x^n / n!."""
+    term = total = 1.0
+    n = 0
+    while abs(term) >= 1e-17 * abs(total):  # a nan term ends it too
+        term *= (a + n) / (b + n) * x / (n + 1)
+        total += term
+        n += 1
+    return total
+
+
+def _weber_d(nu: float, z: float) -> float:
+    """The parabolic-cylinder function D_nu(z) from its two Kummer series
+    (DLMF 12.4 and 12.7; Abramowitz and Stegun 19.12), in doubles:
+
+      D_nu(z) = 2^(nu/2) e^(-z^2/4) [sqrt(pi) / Gamma((1-nu)/2) M(-nu/2, 1/2, z^2/2)
+                - sqrt(2 pi) z / Gamma(-nu/2) M((1-nu)/2, 3/2, z^2/2)].
+
+    For z < 0 and nu < 0 both parts are positive.  For 0 < nu < 1 they
+    differ in sign and D_nu has a zero on z < 0 (in [-1.3, -0.8] for nu
+    in about (0.27, 0.48)), so near it only the absolute error stays
+    small: a few ulp of 1 for nu in [-0.35, 0.95] and z in [-1.3, -0.8]
+    (tests/test_theta0_oracle.py).  A non-negative integer nu is a pole
+    of one Gamma, where math.gamma raises ValueError.
+    """
+    x = z * z / 2
+    even = math.sqrt(math.pi) / math.gamma((1 - nu) / 2) * _kummer_m(-nu / 2, 0.5, x)
+    odd = (math.sqrt(2 * math.pi) * z / math.gamma(-nu / 2)
+           * _kummer_m((1 - nu) / 2, 1.5, x))
+    return 2 ** (nu / 2) * math.exp(-x / 2) * (even - odd)
+
+
+def _neumann(xi: float) -> float:
+    """D_nu'(z) = (z/2) D_nu(z) - D_(nu+1)(z) at z = -sqrt(2) xi, with
+    nu = (xi^2 - 1)/2: the Neumann condition whose root is xi0."""
+    nu = (xi * xi - 1) / 2
+    z = -math.sqrt(2) * xi
+    return z / 2 * _weber_d(nu, z) - _weber_d(nu + 1, z)
+
+
 def de_gennes_theta0(tol: float = 1e-7) -> float:
     """The de Gennes constant theta0: min over xi of the lowest Neumann
     half-line eigenvalue mu(xi) of -d2/dt2 + (t - xi)^2.
@@ -73,31 +115,40 @@ def de_gennes_theta0(tol: float = 1e-7) -> float:
     D_nu'(-sqrt(2) xi) = 0, where D_nu'(z) = (z/2) D_nu(z) - D_(nu+1)(z).
     At the minimizer xi0, mu(xi0) = xi0^2 (Dauge and Helffer 1993), so
     with nu = (xi^2 - 1)/2 that condition is one equation in xi, whose
-    root in (0.6, 0.9) is xi0; theta0 = xi0^2, from mpmath.pcfd at 20
-    digits and exact to double precision whatever the tol.
+    root in (0.6, 0.9) is xi0; theta0 = xi0^2.  D_nu is summed from its
+    Kummer series in doubles and the root is a plain secant in xi from
+    (0.76, 0.78): its last iterate is the double nearest the exact root,
+    and its square the double nearest theta0 (tests/test_theta0_oracle.py),
+    whatever the tol.  (An Illinois step, or any iteration in theta, can
+    end an ulp or a few off.)
 
-    tol below 1e-9, or nan, is a ValueError.  An mpmath failure, a root
-    outside (0.6, 0.9) and a value not above THETA0_LOWER are each a
-    SolverFailure.
+    tol below 1e-9, or nan, is a ValueError.  A secant that does not
+    converge, a non-finite Neumann value, a root outside (0.6, 0.9) and
+    a value not above THETA0_LOWER are each a SolverFailure.
     """
     if not tol >= 1e-9:  # written so that nan fails too
         raise ValueError(f"tol must be at least 1e-9, got {tol}")
-    import mpmath  # on first use, as certify's interval namespace does
-
-    def neumann(xi):
-        nu = (xi * xi - 1) / 2
-        z = -mpmath.sqrt(2) * xi
-        return z / 2 * mpmath.pcfd(nu, z) - mpmath.pcfd(nu + 1, z)
-
-    # findroot reports no convergence as a ValueError and pcfd as
-    # NoConvergence: either is a failed root, not bad input
+    x0, x1 = 0.76, 0.78
     try:
-        with mpmath.workdps(20):
-            xi0 = mpmath.findroot(neumann, mpmath.mpf("0.77"))
-            value = float(xi0 * xi0)
-    except (ArithmeticError, ValueError, mpmath.libmp.NoConvergence) as exc:
+        f0 = _neumann(x0)
+        for _ in range(50):  # the Neumann root takes 5 steps
+            f1 = _neumann(x1)
+            if not (math.isfinite(f0) and math.isfinite(f1)):
+                raise SolverFailure(f"Weber-equation root failed: the Neumann "
+                                    f"value is not finite near xi = {x1}")
+            if f1 == f0:  # a flat secant has no next step
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            if abs(x1 - x0) <= 4e-16 * abs(x1):
+                break
+    except (ArithmeticError, ValueError) as exc:  # a Gamma pole or an overflow
         raise SolverFailure(f"Weber-equation root failed: {exc}") from exc
-    # findroot is not confined to a bracket, so the bracket is checked here
+    if not abs(x1 - x0) <= 4e-16 * abs(x1):
+        raise SolverFailure(f"Weber-equation root failed: the secant did not "
+                            f"converge (last xi = {x1})")
+    xi0 = x1
+    value = xi0 * xi0
+    # the secant is not confined to a bracket, so the bracket is checked here
     if not 0.6 < xi0 < 0.9:
         raise SolverFailure(f"Weber-equation root {xi0} is outside (0.6, 0.9)",
                             best_estimate=value)

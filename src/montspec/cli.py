@@ -9,7 +9,7 @@ case prints nothing to standard error.  Only the subcommands that solve
 (eigen, identities, scan) load the solver stack and with it numpy and
 scipy's compiled LAPACK extension (not the scipy.linalg package; see
 tridiag); bounds, certify, figures and theta0 run on the closed-form
-modules alone, and certify and theta0 load mpmath.  bounds writes each
+modules alone, and only certify loads mpmath.  bounds writes each
 table's line as soon as the table is built, so a long k range streams
 with flat memory.
 """

@@ -246,21 +246,15 @@ def test_theta0_runs_no_solve_or_line_search(monkeypatch):
     assert bounds.de_gennes_theta0(1e-7) == 0.5901061249502342
 
 
-def _raises(exc):
-    def fails(*args, **kwargs):
-        raise exc
-
-    return fails
-
-
 # each way the root can fail; every one is a SolverFailure (CLI exit 3)
 @pytest.mark.parametrize(
     "owner, name, value, message",
-    [(mpmath, "findroot", lambda f, x0: mpmath.mpf("0.3"), r"outside \(0.6, 0.9\)"),
-     (mpmath, "findroot", _raises(ValueError("Could not find root")), "root failed"),
-     (mpmath, "pcfd", _raises(mpmath.libmp.NoConvergence("pcfd")), "root failed"),
+    [(bounds, "_neumann", lambda xi: xi - 0.3, r"outside \(0.6, 0.9\)"),
+     (bounds, "_neumann", lambda xi: 1.0, "secant did not converge"),
+     (bounds, "_weber_d", lambda nu, z: math.nan, "not finite"),
+     (bounds, "_weber_d", lambda nu, z: math.gamma(0.0), "root failed: math domain error"),
      (bounds, "THETA0_LOWER", 0.6, "fails the 0.6 floor")],
-    ids=["outside-bracket", "no-root", "pcfd-diverges", "floor"],
+    ids=["outside-bracket", "no-root", "not-finite", "gamma-pole", "floor"],
 )
 def test_theta0_root_failure_is_solver_failure(owner, name, value, message, monkeypatch):
     monkeypatch.setattr(owner, name, value)

@@ -2,9 +2,9 @@
 
 import io
 import json
+import math
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -169,16 +169,14 @@ def test_theta0_command():
     assert payload["theta0"] == 0.5901061249502342
 
 
-def _no_root(*args, **kwargs):
-    raise ValueError("Could not find root")
-
-
 @pytest.mark.parametrize(
     "owner, name, value",
-    [(mpmath, "findroot", lambda f, x0: mpmath.mpf("0.3")),  # outside (0.6, 0.9)
-     (mpmath, "findroot", _no_root),  # mpmath's ValueError is not a usage error
+    [(bounds, "_neumann", lambda xi: xi - 0.3),  # a root outside (0.6, 0.9)
+     (bounds, "_neumann", lambda xi: 1.0),  # a flat secant: no root
+     # math.gamma's ValueError at a pole is not a usage error
+     (bounds, "_weber_d", lambda nu, z: math.gamma(0.0)),
      (bounds, "THETA0_LOWER", 0.6)],
-    ids=["outside-bracket", "no-root", "floor"],
+    ids=["outside-bracket", "no-root", "gamma-pole", "floor"],
 )
 def test_theta0_root_failure_exit_code(owner, name, value, monkeypatch, capsys):
     monkeypatch.setattr(owner, name, value)

@@ -1,5 +1,5 @@
 """Import graph: the closed-form channel loads neither numpy nor scipy,
-and only the certificates and theta0 load mpmath.  The solving subcommands load
+and only the certificates load mpmath.  The solving subcommands load
 numpy and scipy's compiled LAPACK extension, scipy.linalg._flapack, but
 not the scipy.linalg package, whose import would be most of their
 start-up; the LAPACK routines they bind are still scipy's own.
@@ -26,7 +26,7 @@ CLOSED_FORM_ARGV = [
     (["bounds", "--k-min", "2", "--k-max", "68"], ""),
     (["figures", "--which", "lambda1comp"], ""),
     (["figures", "--which", "completeproof"], ""),
-    (["theta0"], "mpmath"),
+    (["theta0"], ""),
 ]
 
 # each solving subcommand, at a small problem
@@ -55,7 +55,8 @@ def _heavy_modules_after(code):
 @pytest.mark.parametrize("code", [
     "import montspec",
     "import montspec; montspec.bounds.h_closed; montspec.certify_small_k",
-], ids=["bare", "closed-form-names"])
+    "import montspec; montspec.de_gennes_theta0()",
+], ids=["bare", "closed-form-names", "theta0"])
 def test_import_loads_no_solver_stack(code):
     assert _heavy_modules_after(code) == ""
 
