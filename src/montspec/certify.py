@@ -150,22 +150,22 @@ def locate_minimum(k: int) -> Tuple[float, float]:
     bracket, which assumes nothing about where the minimizer lies and
     keeps it interior, where the parabolic steps converge; on [0, 3] it
     would sit on the bracket edge and the search would fall back to
-    golden-section steps.  All evaluations run as one fixed-grid chain
-    (eigensolver._fixed_grid_chain) on the ladder's first two levels over
-    an interval that confines the whole alpha range, so comparisons see a
-    smooth function of alpha instead of per-solve adaptation noise; the
-    grid is symmetric, so the discrete problem inherits the
+    golden-section steps.  Every evaluation is a fixed-grid lambda1
+    (eigensolver._fixed_grid_lambda1) on the ladder's first two levels
+    over one interval that confines the whole alpha range, so comparisons
+    see a smooth function of alpha instead of per-solve adaptation noise;
+    the grid is symmetric, so the discrete problem inherits the
     alpha -> -alpha symmetry to rounding, keeping the discrete minimizer
-    at 0.  Each evaluation starts its coarse level's inverse iteration
-    from the eigenvector of the one before.  An adaptive solve at
-    alpha = 0 to tol 1e-7, the one bisection, seeds every evaluation and
-    anchors lambda_min: the chain's value at the minimizer plus the
-    solve's lambda1 less the chain's at 0, which cancels the chain's
-    coarse-grid error.  Expected minimizer within 1e-6 of 0.
+    at 0.  Each evaluation depends on its alpha alone, not on the
+    evaluations before it.  An adaptive solve at alpha = 0 to tol 1e-7,
+    the one bisection, seeds every evaluation and anchors lambda_min: the
+    fixed-grid value at the minimizer plus the solve's lambda1 less the
+    fixed-grid value at 0, which cancels the coarse-grid error.  Expected
+    minimizer within 1e-6 of 0.
     """
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
-    from .eigensolver import _fixed_grid_chain, solve, truncation_interval
+    from .eigensolver import _fixed_grid_lambda1, solve, truncation_interval
     from .operators import Geometry, MontgomeryPotential, OperatorSpec
 
     # Domain must confine the worst case over the bracket: the trial
@@ -173,10 +173,10 @@ def locate_minimum(k: int) -> Tuple[float, float]:
     worst = MontgomeryPotential(k, ALPHA_SCAN_MAX)
     bound = ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4
     probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
-    chain = _fixed_grid_chain(*truncation_interval(worst, Geometry.FULL_LINE, bound))
+    lower, upper = truncation_interval(worst, Geometry.FULL_LINE, bound)
 
     def lam1(alpha: float) -> float:
-        return chain(MontgomeryPotential(k, alpha), probe.lambda1)
+        return _fixed_grid_lambda1(MontgomeryPotential(k, alpha), lower, upper, probe.lambda1)
 
     alpha_min, lam_min = minimize_golden(lam1, -ALPHA_SCAN_MAX, ALPHA_SCAN_MAX, xtol=1e-5)
     return alpha_min, probe.lambda1 + (lam_min - lam1(0.0))

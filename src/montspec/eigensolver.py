@@ -6,7 +6,7 @@ inverse iteration, seeded and started from the levels below it, with
 bisection of the whole level as the one fallback), and one Richardson
 extrapolation step on the reported eigenvalues, from the O(h^2) step
 that _ladder yields: over as many levels as tol needs in
-solve_on_interval, over its first two in _fixed_grid_chain.
+solve_on_interval, over its first two in _fixed_grid_lambda1.
 solve_on_interval stops a ladder early only to fail: once its steps
 shrink at the O(h^2) rate, a forecast (_cap_forecast) tells when the
 levels left below the grid cap cannot reach tol.
@@ -14,10 +14,9 @@ Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows where the first level's eigenvectors are above
 rounding (StartShapes, _polished).
 Every solve bisects once, on a small pre-solve grid (solve), whose
-values seed the ladder.  A chain of fixed-grid evaluations
-(_fixed_grid_chain) starts each coarse level from the eigenvector of
-the call before; that carried vector, like every seed, is only a
-prediction, checked as the ladder checks its own.
+values seed the ladder.  A fixed-grid evaluation (_fixed_grid_lambda1)
+is one such ladder, seeded by its caller: nothing is carried from one
+call to the next.
 Covers the three operators.Geometry domains: the full line and the half
 line with a Dirichlet or Neumann condition at t=0 (the Neumann one is the
 de Gennes model, whose constant bounds.de_gennes_theta0 takes from its
@@ -227,36 +226,29 @@ class StartShapes:
     symmetrizing scale drops out; the overall scale does not matter, as
     inverse iteration normalizes its start), and of their level its grid
     size `n` and the grid index of its row 0, `first`: no points.  A record
-    is only continued on its own interval (_ladder, _fixed_grid_chain), so
+    lives inside one ladder (_ladder), on its one interval, so
     a level of n' interior points is the recorded grid refined
     ratio = (n' + 1) / (n + 1) times, an exact power of two, and its grid
     index g sits at g / ratio on the recorded grid, bit for bit.
-    Each level it is given starts eigenpair j from vector j, linearly
+    Each later level starts eigenpair j from vector j, linearly
     interpolated in those index units onto the rows that level is
     polished on (its decay window, or the whole level); at ratio 1 that is
-    vector j itself.  With no vectors, a level starts flat.  Only one
-    level's vectors are held: with the ladder's first level, `count`
-    arrays of about _N_START doubles.
+    vector j itself.  Only one level's vectors are held: the ladder's
+    first level's, `count` arrays of about _N_START doubles.
 
-    A new record starts from the vectors of the record it continues,
-    `previous`: in a chain of fixed-grid evaluations (_fixed_grid_chain),
-    the previous call's coarse level, a nearby operator's on the same
-    grid.  The first level given it records its own
-    vectors (refined_lowest_eigenvalues), and with them the ladder's
-    decay window (g_lo, g_hi), two grid indices of the recorded level
-    (_decay_window): the stretch of the grid where those vectors exceed
-    DECAY_FLOOR of their peak.
+    A record is empty or recorded.  The first level given an empty one
+    starts flat and records its own vectors (refined_lowest_eigenvalues),
+    and with them the ladder's decay window (g_lo, g_hi), two grid
+    indices of the recorded level (_decay_window): the stretch of the
+    grid where those vectors exceed DECAY_FLOOR of their peak.
     Every later seeded level polishes only its rows inside it; a cut that
     drops a coupling above inverse iteration's residual floor (_polished)
     sends the level to its one fallback, bisection of the whole level and
     flat starts (refined_lowest_eigenvalues).
     """
 
-    def __init__(self, previous: Optional["StartShapes"] = None):
-        self.vectors = [] if previous is None else previous.vectors
-        self.n = None if previous is None else previous.n
-        self.first = None if previous is None else previous.first
-        self.window = None
+    def __init__(self):
+        self.vectors = self.n = self.first = self.window = None
 
     def record(self, system: AssembledSystem, vectors) -> None:
         """Record a whole level's vectors, grid and decay window."""
@@ -267,10 +259,7 @@ class StartShapes:
 
     def start(self, system: AssembledSystem, j: int, ratio: int):
         """The start of eigenpair j on `system`, a level refined `ratio`
-        times from the recorded one or rows of such a level, or None (a
-        flat start) while this record holds no vectors."""
-        if not self.vectors:
-            return None
+        times from the recorded one or rows of such a level."""
         vector = self.vectors[j]
         start = np.interp(np.arange(system.first, system.first + len(system.diag)) / ratio,
                           np.arange(self.first, self.first + len(vector)), vector)
@@ -296,7 +285,7 @@ def refined_lowest_eigenvalues(
 
     `seeds` are predicted eigenvalues: from the ladder's coarser levels
     (_ladder), the pre-solve (solve), or an adaptive solve of the same or
-    a nearby operator (_fixed_grid_chain's callers).  Given them,
+    a nearby operator (_fixed_grid_lambda1's callers).  Given them,
     bisection is skipped: inverse iteration starts from each prediction,
     and one check judges the polished values: they must be strictly
     increasing, well separated and exactly as many as one Sturm count
@@ -307,15 +296,13 @@ def refined_lowest_eigenvalues(
     eigenvalue, or near-degenerate predictions polished onto one
     eigenvalue), it bisects the whole level and polishes from flat starts.
 
-    `shapes` carries eigenvectors between the levels of one interval.
-    While it has no decay window, this level's vectors are recorded in
-    it, and with them the window (StartShapes).  Once it holds vectors,
-    the seeded iteration for eigenpair j starts from its vector j, needs
-    about one sweep and skips the polish sweeps that damp a flat start's
-    imprint (see tridiag.inverse_iteration).  The recording level starts
-    from the vectors of the record `shapes` continues, if any
-    (_fixed_grid_chain); a flat start and its polish serve it otherwise,
-    and the fallback always.
+    `shapes` carries eigenvectors between the levels of one ladder.
+    While it is empty, this level starts flat and its vectors are
+    recorded in it, and with them the window (StartShapes).  Once it is
+    recorded, the seeded iteration for eigenpair j starts from its vector
+    j, needs about one sweep and skips the polish sweeps that damp a flat
+    start's imprint (see tridiag.inverse_iteration).  The fallback always
+    starts flat.
 
     On every seeded level after the recording one, inverse iteration,
     the Rayleigh quotients and the starts run on the level's rows inside
@@ -337,7 +324,7 @@ def refined_lowest_eigenvalues(
         raise ValueError(f"need {count} seeds, got {len(seeds)}")
     if seeds is not None:
         try:
-            polished = _polished(system, seeds, shapes, keep)
+            polished = _polished(system, seeds, None if record else shapes, keep)
         except SolverFailure:
             pass
         if polished is not None and not tridiag.are_lowest_eigenvalues(
@@ -355,12 +342,12 @@ def refined_lowest_eigenvalues(
 
 def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     """Rayleigh quotients of the inverse-iteration vectors at `estimates`,
-    each started from `shapes` (a flat start without), and the first
-    `keep` vectors; each other one is dropped before the next eigenpair
-    is polished.  None if a window cut proves coupled.
+    each started from the recorded `shapes` (a flat start without), and
+    the first `keep` vectors; each other one is dropped before the next
+    eigenpair is polished.  None if a window cut proves coupled.
 
-    Once `shapes` holds a decay window (g_lo, g_hi), grid indices of the
-    recording level (StartShapes), this level, `ratio` times as fine,
+    `shapes` holds a decay window (g_lo, g_hi), grid indices of the
+    recording level (StartShapes); this level, `ratio` times as fine,
     holds them at grid indices g_lo * ratio and g_hi * ratio, and the
     iteration, the Rayleigh quotient and the starts run on its rows from
     the one to the other, as views of the level's arrays; a window of
@@ -377,10 +364,8 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     """
     n = len(system.diag)
     lo, hi = 0, n
-    ratio = 1  # read only once shapes holds vectors
-    if shapes is not None and shapes.vectors:
+    if shapes is not None:
         ratio = (system.first + n) // (shapes.n + 1)
-    if shapes is not None and shapes.window is not None:
         g_lo, g_hi = shapes.window
         if g_lo is not None:
             lo = max(g_lo * ratio - system.first, 0)
@@ -431,7 +416,7 @@ def _decay_window(system: AssembledSystem, vectors):
     return g_lo, g_hi
 
 
-def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None):
+def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
     """The refinement ladder on (lower, upper): one level per size in
     `sizes`, yielding (n, eigenvalues, step, system, ground vector) for
     each, where step is the change of the eigenvalues from the level
@@ -443,10 +428,9 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     level before it its potential samples and its seeds: `seeds` at the
     first level, then the previous values, then eigenvalues + step / 4
     (the error goes like h^2, so each step is a quarter of the last).
-    Every level after the first starts inverse iteration from the first
-    level's eigenvectors, recorded in `shapes` (a new StartShapes if
-    None; one that continues another ladder's record starts the first
-    level from its vectors); a seeded level whose window cut,
+    The first level starts inverse iteration flat, and every level after
+    it from the first level's eigenvectors, recorded in the ladder's own
+    StartShapes; a seeded level whose window cut,
     polish or check fails takes the one fallback, bisection of the whole
     level (refined_lowest_eigenvalues).  A level's matrix is kept until
     the next one is assembled, and its vector is freed before it, also
@@ -465,7 +449,7 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
     `enumerate` or collect its records, which would hold both while the
     next level is solved.
     """
-    shapes = StartShapes() if shapes is None else shapes
+    shapes = StartShapes()
     lam = step = system = None
     for n in sizes:
         # the level below's points are every other point
@@ -484,44 +468,25 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds, shapes=None)
             del v  # also when the consumer stops at this level
 
 
-def _fixed_grid_chain(lower: float, upper: float):
-    """lambda1 for a chain of nearby potentials: a function
-    (potential, seed) -> lambda1, from the ladder's first two levels,
-    _N_START and 2 _N_START + 1 points on (lower, upper), plus one
-    Richardson step; Dirichlet ends.  Every chain runs on that one grid
+def _fixed_grid_lambda1(potential, lower: float, upper: float, seed: float) -> float:
+    """lambda1 from the ladder's first two levels, _N_START and
+    2 _N_START + 1 points on (lower, upper), plus one Richardson step;
+    Dirichlet ends.  Every fixed-grid evaluation runs on that one grid
     pair: its callers only compare lambda1 along a parameter of the
     potential, and the O(h^2) error left after the Richardson step is a
     smooth function of that parameter, so it cancels in finite
     differences and comparisons and no finer grid is needed.  `seed`
     predicts the coarse level's lambda1 (say, that of a nearby
-    potential); a poor seed costs a bisection, not accuracy.
-
-    The first call's coarse level starts inverse iteration flat.  From
-    the second call on, it starts from the coarse eigenvector of the
-    call before (the record its StartShapes continues), as finer ladder
-    levels start from coarser ones: it runs no polish sweeps, and takes
-    about one sweep where the potentials are close (the stencil's
-    points, Brent's last steps).  The start only speeds the iteration:
-    each value is checked as any seeded level's
-    (refined_lowest_eigenvalues) and comes out the same to rounding.
-    One coarse vector is held between calls, and with it the grid
-    index of its row 0 and its grid size (StartShapes), no points.
+    potential); a poor seed costs a bisection, not accuracy.  A pure
+    function of its arguments: the coarse level starts flat, the fine
+    level from the coarse vector, and nothing outlives the call.
     """
-    sizes = (_N_START, 2 * _N_START + 1)
-    previous = None
-
-    def lambda1(potential, seed: float) -> float:
-        nonlocal previous
-        shapes = StartShapes(previous)
-        ladder = _ladder(potential, lower, upper, sizes, 1, Geometry.FULL_LINE,
-                         np.array([seed]), shapes)
-        # `_` holds the coarse vector while the fine level is solved, not its matrix
-        for _, lam, step, _, _ in ladder:
-            pass
-        previous = shapes
-        return float(lam[0] + step[0] / 3.0)
-
-    return lambda1
+    ladder = _ladder(potential, lower, upper, (_N_START, 2 * _N_START + 1), 1,
+                     Geometry.FULL_LINE, np.array([seed]))
+    # `_` holds the coarse vector while the fine level is solved, not its matrix
+    for _, lam, step, _, _ in ladder:
+        pass
+    return float(lam[0] + step[0] / 3.0)
 
 
 def truncation_interval(potential, geometry: Geometry, lambda_bound: float):

@@ -9,7 +9,9 @@ oracles, which run on the solve's first two ladder levels (2048 and 4097
 points) whatever its final grid.  Every stencil point uses that one grid
 pair so discretization error cancels in the differences; without that
 the eigenvalue tolerance would be amplified by 1/h^2 and drown the
-derivatives.
+derivatives.  Each stencil point is an independent fixed-grid
+evaluation, so each oracle is the central difference of values that do
+not depend on the order they were taken in.
 """
 
 import math
@@ -22,7 +24,7 @@ from .bounds import gap_ratio
 from .eigensolver import (
     EigenResult,
     GridSpec,
-    _fixed_grid_chain,
+    _fixed_grid_lambda1,
     assemble_hamiltonian,
     solve,
 )
@@ -122,24 +124,23 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     adaptive solve at alpha, its one bisection.  W is evaluated once, on
     the solve's ground-state points, for fh_integral, virial_lhs and
     d2_exact (_second_derivative_on).  Both finite-difference
-    oracles read lambda1 at five stencil points from one fixed-grid chain
-    (eigensolver._fixed_grid_chain) on that solve's interval, which runs
-    on the solve's own first two ladder levels: the stencil costs the
-    same whatever the final grid, never runs finer than the solve and
-    does not depend on where the solve's stop rule ends.  The point at a
-    is seeded with lambda1 + (a - alpha) * fh_integral, and each point
-    after the first starts its coarse level's inverse iteration from the
-    eigenvector of the point before.
+    oracles read lambda1 at five stencil points, each a fixed-grid
+    evaluation (eigensolver._fixed_grid_lambda1) on that solve's
+    interval, which runs on the solve's own first two ladder levels: the
+    stencil costs the same whatever the final grid, never runs finer than
+    the solve and does not depend on where the solve's stop rule ends.
+    The point at a is seeded with lambda1 + (a - alpha) * fh_integral.
     """
     result = solve(OperatorSpec(k, alpha), count=2, tol=tol)
     potential = MontgomeryPotential(k, alpha)
     w = potential.signed_root(result.ground_state_points)
     fh_integral = -2.0 * _weighted(w, result)
     gap_margin = gap_ratio(k) * result.eigenvalues[1] - result.eigenvalues[0]
-    stencil = _fixed_grid_chain(result.grid_used.lower, result.grid_used.upper)
+    lower, upper = result.grid_used.lower, result.grid_used.upper
 
     def lam(a: float) -> float:
-        return stencil(MontgomeryPotential(k, a), result.lambda1 + (a - alpha) * fh_integral)
+        return _fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper,
+                                   result.lambda1 + (a - alpha) * fh_integral)
 
     h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     return IdentityReport(

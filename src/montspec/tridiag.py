@@ -36,10 +36,7 @@ bounds that residual, which spares most converged sweeps their
 matrix-vector product.  From the flat start it takes about 1.4 sweeps
 to converge and two polish sweeps that damp the flat vector's imprint in
 the far tails; from a start close to the eigenvector (a coarser grid's
-eigenvector, interpolated) it takes about one sweep and no polish.  A
-nearby operator's eigenvector (a fixed-grid chain's previous call) also
-runs no polish, and takes more sweeps the farther the predicted
-eigenvalue is off.
+eigenvector, interpolated) it takes about one sweep and no polish.
 are_lowest_eigenvalues is the one check on the polished values of
 predicted eigenvalues: their separation and one pivot count just above
 them, instead of bisecting.
@@ -159,22 +156,18 @@ def _residual_floor(offdiag, eigenvalue: float, coupling=None) -> float:
     return 64.0 * _EPS * scale
 
 
-def _gershgorin_interval(diag, offdiag):
-    """(lo, hi) enclosing every eigenvalue of the tridiagonal matrix."""
-    radius = np.zeros(len(diag))
-    radius[:-1] += np.abs(offdiag)
-    radius[1:] += np.abs(offdiag)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
 def _window_floor(diag, offdiag) -> float:
-    """An energy below every eigenvalue: the Gershgorin floor less a margin.
+    """An energy below every eigenvalue: the Gershgorin floor, the least
+    diag[i] - |offdiag[i - 1]| - |offdiag[i]|, less a margin.
 
     The margin covers rounding in the Gershgorin sums and in the Sturm
     count stebz takes at the floor when it bisects; it scales with the
     entries of the floor row, not with the saturated barrier samples.
     """
-    lo, _ = _gershgorin_interval(diag, offdiag)
+    radius = np.zeros(len(diag))
+    radius[:-1] += np.abs(offdiag)
+    radius[1:] += np.abs(offdiag)
+    lo = float(np.min(diag - radius))
     scale = abs(lo) + 2.0 * _max_abs(offdiag) + 1.0
     return lo - 2.1 * len(diag) * _EPS * scale
 

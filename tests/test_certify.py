@@ -127,18 +127,13 @@ def test_locate_minimum_parabolic_steps(monkeypatch):
     # golden-section steps alone on [0, 3] take 29 evaluations and stop at
     # 2.6e-6; Brent takes 6, and the anchor at alpha = 0 one more
     calls = []
-    chain = eigensolver._fixed_grid_chain
+    lambda1 = eigensolver._fixed_grid_lambda1
 
-    def counted_chain(lower, upper):
-        lambda1 = chain(lower, upper)
+    def counted(*args):
+        calls.append(args)
+        return lambda1(*args)
 
-        def counted(*args):
-            calls.append(args)
-            return lambda1(*args)
-
-        return counted
-
-    monkeypatch.setattr(eigensolver, "_fixed_grid_chain", counted_chain)
+    monkeypatch.setattr(eigensolver, "_fixed_grid_lambda1", counted)
     alpha_min, _ = locate_minimum(2)
     assert abs(alpha_min) <= 1e-6
     assert 0 < len(calls) <= 10

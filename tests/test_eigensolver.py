@@ -24,7 +24,7 @@ from montspec.eigensolver import (
     TRUNCATION_PAD,
     GridSpec,
     StartShapes,
-    _fixed_grid_chain,
+    _fixed_grid_lambda1,
     assemble_hamiltonian,
     refined_lowest_eigenvalues,
     solve,
@@ -531,13 +531,13 @@ def test_fixed_grid_fine_level_carries_samples(monkeypatch):
     # the coarse level's points are every other fine point, so the fine
     # level samples V only at the 2049 points between them
     potential = _CountedPotential(MontgomeryPotential(2, 0.3))
-    lam = _fixed_grid_chain(-5.0, 5.0)(potential, 0.84)
+    lam = _fixed_grid_lambda1(potential, -5.0, 5.0, 0.84)
     assert potential.sizes == [eigensolver._N_START, eigensolver._N_START + 1]
     plain = eigensolver.assemble_hamiltonian
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian",
                         lambda potential, grid, geometry=Geometry.FULL_LINE, coarse_values=None:
                         plain(potential, grid, geometry))
-    assert _fixed_grid_chain(-5.0, 5.0)(potential.inner, 0.84) == lam
+    assert _fixed_grid_lambda1(potential.inner, -5.0, 5.0, 0.84) == lam
 
 
 def _record_liveness(monkeypatch):
@@ -593,9 +593,9 @@ def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
         del system, v
     assert alive == [([], [])] * 8
     alive.clear()
-    # a fixed-grid chain's coarse matrix is dead while its fine level is
+    # a fixed-grid evaluation's coarse matrix is dead while its fine level is
     # solved; the coarse vector (2048 rows) may live
-    _fixed_grid_chain(-5.0, 5.0)(MontgomeryPotential(2, 0.3), 0.84)
+    _fixed_grid_lambda1(MontgomeryPotential(2, 0.3), -5.0, 5.0, 0.84)
     assert [systems for systems, _ in alive] == [[], []]
 
 
@@ -1015,13 +1015,12 @@ def test_windows_hand_off_by_grid_index(monkeypatch, k, alpha, geometry):
     # None, uncut), and each later level polishes the rows np.searchsorted
     # finds on the materialized points at the recorded points of those
     # indices: its own grid indices g_lo * ratio and g_hi * ratio.  alpha
-    # None is a fixed-grid chain along alpha at k
+    # None is three fixed-grid evaluations along alpha at k
     levels = _windowed_levels(monkeypatch)
     if alpha is None:
         lower, upper = truncation_interval(MontgomeryPotential(k, 0.0), geometry, 2.0)
-        chain = _fixed_grid_chain(lower, upper)
         for a in (0.0, 1e-3, 2e-3):
-            chain(MontgomeryPotential(k, a), 1.59)
+            _fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper, 1.59)
     else:
         try:
             solve(OperatorSpec(k, alpha, geometry), count=2, tol=1e-6)
@@ -1149,7 +1148,21 @@ def test_fixed_grid_lambda1_matches_bisected_pair(seed):
     fine, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 4097)), 1)
     expected = fine[0] + (fine[0] - coarse[0]) / 3.0
     value = {"coarse-lambda1": coarse[0], "far-below": 0.0, "coarse-lambda2": coarse[1]}[seed]
-    assert _fixed_grid_chain(-6.0, 6.0)(pot, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
+    assert _fixed_grid_lambda1(pot, -6.0, 6.0, value) == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [2, 30])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+def test_fixed_grid_lambda1_is_a_pure_function(k, alpha):
+    # the same bits at (k, alpha) whether it runs alone or right after a
+    # call at another alpha: nothing is carried from one call to the next
+    lower, upper = truncation_interval(MontgomeryPotential(k, 3.0), Geometry.FULL_LINE,
+                                       9.0 + math.pi**2 / 4.0)
+    seed = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7).lambda1
+    alone = _fixed_grid_lambda1(MontgomeryPotential(k, alpha), lower, upper, seed)
+    for before in (0.0, 0.3, alpha + 1e-3, alpha - 1e-4, 1.5, -0.7):
+        _fixed_grid_lambda1(MontgomeryPotential(k, before), lower, upper, seed)
+        assert _fixed_grid_lambda1(MontgomeryPotential(k, alpha), lower, upper, seed) == alone
 
 
 def _recorded_ladder(monkeypatch):
@@ -1167,10 +1180,10 @@ def _recorded_ladder(monkeypatch):
 
 
 def test_consumers_read_the_ladders_step(monkeypatch):
-    # the ladder computes each level's step once; a fixed-grid chain and
+    # the ladder computes each level's step once; a fixed-grid evaluation and
     # solve_on_interval extrapolate from the record they stop at, bit for bit
     records = _recorded_ladder(monkeypatch)
-    value = _fixed_grid_chain(-6.0, 6.0)(MontgomeryPotential(2, 0.5), 0.84)
+    value = _fixed_grid_lambda1(MontgomeryPotential(2, 0.5), -6.0, 6.0, 0.84)
     (_, coarse, first_step), (_, fine, step) = records
     assert first_step is None and np.array_equal(step, fine - coarse)
     assert value == float(fine[0] + step[0] / 3.0)
@@ -1194,7 +1207,7 @@ def test_fixed_grid_lapack_failure_is_solver_failure(monkeypatch):
     coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 2048)), 2)
     monkeypatch.setattr(tridiag, "dstebz", _stebz_fails)
     with pytest.raises(SolverFailure, match=r"stebz.*info=1"):
-        _fixed_grid_chain(-6.0, 6.0)(pot, coarse[1])
+        _fixed_grid_lambda1(pot, -6.0, 6.0, coarse[1])
 
 
 def _count_stebz_calls(monkeypatch):
@@ -1223,7 +1236,7 @@ def test_well_seeded_fixed_grid_never_reaches_stebz(monkeypatch):
     pot = MontgomeryPotential(2, 0.5)
     coarse, _ = refined_lowest_eigenvalues(assemble_hamiltonian(pot, GridSpec(-6.0, 6.0, 2048)), 1)
     stebz_calls = _count_stebz_calls(monkeypatch)
-    _fixed_grid_chain(-6.0, 6.0)(pot, coarse[0])
+    _fixed_grid_lambda1(pot, -6.0, 6.0, coarse[0])
     assert stebz_calls == []
 
 

@@ -169,10 +169,10 @@ def test_report_consistency():
 
 @pytest.mark.parametrize("consumer, tol", [("report", 1e-6), ("report", 1e-9), ("locate", None)])
 def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, consumer, tol):
-    # both consumers' chains run on the ladder's 2048- and 4097-point
-    # levels: the report's on its solve's interval, however many levels
-    # that solve's ladder climbs, and locate_minimum's on the interval
-    # that confines its bracket's worst case, alpha = 3
+    # both consumers' fixed-grid evaluations run on the ladder's 2048- and
+    # 4097-point levels: the report's on its solve's interval, however many
+    # levels that solve's ladder climbs, and locate_minimum's on the
+    # interval that confines its bracket's worst case, alpha = 3
     chains, solves = [], []
     plain_ladder, plain_solve = eigensolver._ladder, identities.solve
 
@@ -214,10 +214,10 @@ def test_report_runs_one_adaptive_solve(monkeypatch):
 
 
 def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
-    # inverse iteration starts flat on the solve's first ladder level and
-    # on the first stencil point's coarse level; every later level starts
-    # from the level below, and every later stencil point's coarse level
-    # from the point before
+    # inverse iteration starts flat on the first level of every ladder: the
+    # solve's and each stencil point's coarse level; every later level
+    # starts from the first level's vectors, and nothing carries from one
+    # stencil point to the next
     expected = solve(OperatorSpec(2, 0.4), count=2, tol=TOL)
     flat = []
     plain = tridiag.inverse_iteration
@@ -229,5 +229,22 @@ def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
     monkeypatch.setattr(tridiag, "inverse_iteration", recorded)
     identity_report(2, 0.4, tol=TOL)
     ladder = [True, True] + [False, False] * (expected.iterations - 1)
-    stencil = [True, False] + [False, False] * 4
+    stencil = [True, False] * 5
     assert flat == ladder + stencil
+
+
+def test_fd_oracles_are_central_differences_of_independent_evaluations():
+    # each stencil point is a pure function of its alpha and seed: the same
+    # five values, each taken alone and in another order, give both oracles
+    # bit for bit
+    k, alpha = 2, 0.9
+    rep = report(k, alpha)
+    result = solve(OperatorSpec(k, alpha), count=2, tol=TOL)
+    lower, upper = result.grid_used.lower, result.grid_used.upper
+    h1, h2 = identities.FD_STEP_FIRST, identities.FD_STEP_SECOND
+    lam = {}
+    for a in (alpha - h2, alpha + h1, alpha, alpha + h2, alpha - h1):
+        seed = result.lambda1 + (a - alpha) * rep.fh_integral
+        lam[a] = eigensolver._fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper, seed)
+    assert rep.d1_fd == (lam[alpha + h1] - lam[alpha - h1]) / (2.0 * h1)
+    assert rep.d2_fd == (lam[alpha + h2] - 2.0 * lam[alpha] + lam[alpha - h2]) / (h2 * h2)

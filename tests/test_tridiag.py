@@ -27,7 +27,6 @@ from montspec.operators import Geometry, MontgomeryPotential
 from montspec.tridiag import (
     _EPS,
     _count_below,
-    _gershgorin_interval,
     _rayleigh_residual,
     inverse_iteration,
     are_lowest_eigenvalues,
@@ -64,6 +63,16 @@ def sturm_count_below(diag, offdiag, x: float) -> int:
     return count
 
 
+def gershgorin_enclosure(diag, offdiag):
+    """(lo, hi) enclosing every eigenvalue: the union of the Gershgorin
+    discs diag[i] +- (|offdiag[i - 1]| + |offdiag[i]|), in plain Python."""
+    n = len(diag)
+    radii = [(abs(offdiag[i - 1]) if i > 0 else 0.0) + (abs(offdiag[i]) if i < n - 1 else 0.0)
+             for i in range(n)]
+    return (min(float(d) - r for d, r in zip(diag, radii)),
+            max(float(d) + r for d, r in zip(diag, radii)))
+
+
 def sturm_bisect_eigenvalues(diag, offdiag, count: int, rel_width: float = 1e-13):
     """Smallest `count` eigenvalues by explicit Sturm bisection.
 
@@ -75,7 +84,7 @@ def sturm_bisect_eigenvalues(diag, offdiag, count: int, rel_width: float = 1e-13
     n = len(diag)
     if count < 1 or count > n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    lo, hi = _gershgorin_interval(diag, offdiag)
+    lo, hi = gershgorin_enclosure(diag, offdiag)
     eigs = []
     for j in range(1, count + 1):
         a, b = lo, hi
@@ -355,24 +364,6 @@ def test_started_inverse_iteration_matches_flat_start(build):
         assert system.rayleigh_quotient(started) == pytest.approx(
             system.rayleigh_quotient(flat), rel=0.0, abs=1e-13
         )
-
-
-def test_a_record_starts_from_the_one_it_continues():
-    # until it records, a new record starts each eigenpair from the vectors
-    # of the record it continues, with no window; the first level given it
-    # records its own vectors and the window read off them, and leaves the
-    # record it continued as it was
-    first = StartShapes()
-    refined_lowest_eigenvalues(_saturated_system(127), 2, shapes=first)
-    system = _saturated_system()
-    shapes = StartShapes(first)
-    assert shapes.window is None
-    for j in range(2):
-        assert np.array_equal(shapes.start(system, j, 2), first.start(system, j, 2))
-    refined_lowest_eigenvalues(system, 2, shapes=shapes)
-    assert (shapes.n, shapes.first) == (255, 1) and len(shapes.vectors) == 2
-    assert shapes.window == eigensolver._decay_window(system, shapes.vectors)
-    assert (first.n, first.first) == (127, 1) and len(first.vectors[0]) == 127
 
 
 @pytest.mark.parametrize(
