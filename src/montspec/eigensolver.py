@@ -17,10 +17,12 @@ Every solve bisects once, on a small pre-solve grid (solve), whose
 values seed the ladder.  A fixed-grid evaluation (_fixed_grid_lambda1)
 is one such ladder, seeded by its caller: nothing is carried from one
 call to the next.
-Covers the three operators.Geometry domains: the full line and the half
-line with a Dirichlet or Neumann condition at t=0 (the Neumann one is the
-de Gennes model, whose constant bounds.de_gennes_theta0 takes from its
-Weber-equation root and the tests check against this solver).
+Every level is Dirichlet at both ends of its interval; the
+operators.Geometry domain (the full line, or the half line with a
+Dirichlet condition at t = 0) only picks the interval
+(truncation_interval).  A zero-slope condition at t = 0 is the even
+extension's: on a symmetric grid of odd n, the full line's even vectors
+are the mirror-ghost-point scheme on the half grid.
 """
 
 import math
@@ -59,8 +61,6 @@ _RATE_BOUND = 6.0
 # grids it would exceed the vector's own O(h^2) discretization error.
 _N_VECTOR_CAP = 66000
 
-_SQRT2 = math.sqrt(2.0)
-
 # Most eigenvalues one solve may ask for: every ladder level polishes
 # each of them by inverse iteration on its grid's decay window.
 MAX_COUNT = 64
@@ -98,16 +98,13 @@ def _grid_points(lower: float, spacing: float, start: int, stop: int, step: int 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Symmetric tridiagonal discretization of -d2/dt2 + V.
+    """Symmetric tridiagonal discretization of -d2/dt2 + V, Dirichlet at
+    both ends.
 
     Row i samples the grid point of grid index first + i (lower +
     spacing * (first + i), as _grid_points builds it): `first` is 1 on a
-    grid's Dirichlet lower end, whose boundary point is no unknown, 0 on a
-    Neumann one, plus the rows a window cuts off below (`rows`).  The
-    upper end is Dirichlet.  A Neumann lower end includes its boundary
-    point among the unknowns; the returned matrix is the symmetrized form
-    (see assemble_hamiltonian), and `to_physical` undoes the symmetrizing
-    change of basis.
+    whole level, whose boundary points are no unknowns, plus the rows a
+    window cuts off below (`rows`).
 
     A system holds three arrays of its size, diag, offdiag and
     potential_values, and no points: the ladder hands over between its
@@ -118,27 +115,18 @@ class AssembledSystem:
     offdiag: np.ndarray
     potential_values: np.ndarray
     spacing: float
-    neumann_lower: bool
     first: int
 
     def rows(self, lo: int, hi: int) -> "AssembledSystem":
         """The principal submatrix on rows [lo, hi), as views of this
-        system's arrays: Dirichlet at each cut, Neumann at the lower end
-        only if it keeps row 0."""
+        system's arrays: Dirichlet at each cut."""
         return AssembledSystem(
             diag=self.diag[lo:hi],
             offdiag=self.offdiag[lo:hi - 1],
             potential_values=self.potential_values[lo:hi],
             spacing=self.spacing,
-            neumann_lower=self.neumann_lower and lo == 0,
             first=self.first + lo,
         )
-
-    def to_physical(self, v: np.ndarray) -> np.ndarray:
-        u = np.array(v, dtype=float)
-        if self.neumann_lower:
-            u[0] *= _SQRT2
-        return u
 
     def rayleigh_quotient(self, v: np.ndarray) -> float:
         """v.T H v for a unit vector v, evaluated without cancellation.
@@ -150,71 +138,49 @@ class AssembledSystem:
         bisection noise floor on fine grids.
         """
         inv_h2 = 1.0 / (self.spacing * self.spacing)
-        first = _SQRT2 * v[0] - v[1] if self.neumann_lower else v[0]
-        lo = 1 if self.neumann_lower else 0
-        bonds = np.diff(v[lo:])
-        kinetic = inv_h2 * (first * first + tridiag.dot(bonds, bonds) + v[-1] * v[-1])
+        bonds = np.diff(v)
+        kinetic = inv_h2 * (v[0] * v[0] + tridiag.dot(bonds, bonds) + v[-1] * v[-1])
         return float(kinetic + tridiag.dot(self.potential_values, v, v))
 
 
 def assemble_hamiltonian(
     potential,
     grid: GridSpec,
-    geometry: Geometry = Geometry.FULL_LINE,
+    *,
     coarse_values: Optional[np.ndarray] = None,
 ) -> AssembledSystem:
-    """Three-point discretization of -d2/dt2 + V on the grid, Dirichlet at
-    the upper end; the lower end is Neumann for Geometry.HALF_LINE_NEUMANN
-    and Dirichlet for the other two geometries.
+    """Three-point discretization of -d2/dt2 + V on the grid's n interior
+    points, Dirichlet at both ends: the boundary points are dropped (their
+    value is 0), so row i is grid index i + 1.
 
-    A Dirichlet end drops the boundary point (its value is 0).  A Neumann
-    end (the half line at t = 0) keeps the boundary point as an unknown
-    and eliminates the ghost point by the mirror rule u(-h) = u(h), which
-    makes that boundary row (2/h^2 + V)u_0 - (2/h^2)u_1.  The row is then symmetrized by the
-    diagonal similarity v_0 = u_0 / sqrt(2), which scales the boundary
-    off-diagonal entry to -sqrt(2)/h^2 and leaves all eigenvalues intact.
-    A side effect worth knowing: a unit vector in the symmetrized basis
-    corresponds exactly to a trapezoid-normalized physical function.
-
-    `coarse_values` are the potential_values of the same potential and
-    geometry on the grid with (n - 1) / 2 points on the same interval (n
-    odd), the refinement ladder's level below this one.  That grid's
-    spacing is exactly twice this one's, so its points are every other
-    point of this grid, bit for bit (the odd-indexed points, or the
-    even-indexed ones with a Neumann boundary point), and V is evaluated
-    only at the n + 1 points between them.
+    `coarse_values` are the potential_values of the same potential on the
+    grid with (n - 1) / 2 points on the same interval (n odd), the
+    refinement ladder's level below this one.  That grid's spacing is
+    exactly twice this one's, so its points are every other point of this
+    grid, bit for bit (the even grid indices), and V is evaluated only at
+    the (n + 1) / 2 odd grid indices between them.
     """
-    if not isinstance(geometry, Geometry):
-        raise ValueError(f"geometry must be a Geometry member, got {geometry!r}")
     h = grid.spacing
-    neumann = geometry is Geometry.HALF_LINE_NEUMANN
-    first = int(not neumann)  # the grid index of row 0
-    size = grid.n + 1 - first
     inv_h2 = 1.0 / (h * h)
     if coarse_values is None:
-        values = np.asarray(potential.value(_grid_points(grid.lower, h, first, grid.n + 1)),
+        values = np.asarray(potential.value(_grid_points(grid.lower, h, 1, grid.n + 1)),
                             dtype=float)
     else:
-        # the coarse points are the even grid indices, rows first, first + 2, ...
-        if grid.n % 2 == 0 or len(coarse_values) != len(range(first, size, 2)):
+        # the coarse points are the even grid indices, rows 1, 3, ...
+        if grid.n % 2 == 0 or len(coarse_values) != grid.n // 2:
             raise ValueError(
                 f"{len(coarse_values)} coarse values do not fit a grid of n = {grid.n}"
             )
-        values = np.empty(size)
-        values[first::2] = coarse_values
+        values = np.empty(grid.n)
+        values[1::2] = coarse_values
         # only the odd grid indices between them are built and sampled
-        values[1 - first::2] = potential.value(_grid_points(grid.lower, h, 1, grid.n + 1, 2))
-    diag = 2.0 * inv_h2 + values
-    offdiag = np.full(size - 1, -inv_h2)
-    if neumann:
-        offdiag[0] *= _SQRT2
+        values[0::2] = potential.value(_grid_points(grid.lower, h, 1, grid.n + 1, 2))
     return AssembledSystem(
-        diag=diag,
-        offdiag=offdiag,
+        diag=2.0 * inv_h2 + values,
+        offdiag=np.full(grid.n - 1, -inv_h2),
         potential_values=values,
         spacing=h,
-        neumann_lower=neumann,
-        first=first,
+        first=1,
     )
 
 
@@ -222,19 +188,19 @@ class StartShapes:
     """One refinement level's polished eigenvectors, kept to start inverse
     iteration on the finer grids of the same interval.
 
-    A record holds physical samples of the vectors (so the Neumann row's
-    symmetrizing scale drops out; the overall scale does not matter, as
-    inverse iteration normalizes its start), and of their level its grid
-    size `n` and the grid index of its row 0, `first`: no points.  A record
-    lives inside one ladder (_ladder), on its one interval, so
-    a level of n' interior points is the recorded grid refined
+    A record holds the vectors (their scale does not matter, as inverse
+    iteration normalizes its start) and of their level its grid size `n`:
+    no points.  The recorded level is whole, so its row i is grid index
+    i + 1.  A record lives inside one ladder (_ladder), on its one interval,
+    so a level of n' interior points is the recorded grid refined
     ratio = (n' + 1) / (n + 1) times, an exact power of two, and its grid
     index g sits at g / ratio on the recorded grid, bit for bit.
     Each later level starts eigenpair j from vector j, linearly
     interpolated in those index units onto the rows that level is
     polished on (its decay window, or the whole level); at ratio 1 that is
     vector j itself.  Only one level's vectors are held: the ladder's
-    first level's, `count` arrays of about _N_START doubles.
+    first level's, `count` arrays of about _N_START doubles, the very
+    arrays that level polished (its ground vector is vector 0), not copies.
 
     A record is empty or recorded.  The first level given an empty one
     starts flat and records its own vectors (refined_lowest_eigenvalues),
@@ -248,24 +214,19 @@ class StartShapes:
     """
 
     def __init__(self):
-        self.vectors = self.n = self.first = self.window = None
+        self.vectors = self.n = self.window = None
 
     def record(self, system: AssembledSystem, vectors) -> None:
         """Record a whole level's vectors, grid and decay window."""
-        self.vectors = [system.to_physical(v) for v in vectors]
-        self.n = system.first + len(system.diag) - 1  # the upper end is Dirichlet
-        self.first = system.first
-        self.window = _decay_window(system, self.vectors)
+        self.vectors = vectors
+        self.n = len(system.diag)
+        self.window = _decay_window(system, vectors)
 
     def start(self, system: AssembledSystem, j: int, ratio: int):
         """The start of eigenpair j on `system`, a level refined `ratio`
         times from the recorded one or rows of such a level."""
-        vector = self.vectors[j]
-        start = np.interp(np.arange(system.first, system.first + len(system.diag)) / ratio,
-                          np.arange(self.first, self.first + len(vector)), vector)
-        if system.neumann_lower:  # undo to_physical
-            start[0] /= _SQRT2
-        return start
+        return np.interp(np.arange(system.first, system.first + len(system.diag)) / ratio,
+                         np.arange(1, self.n + 1), self.vectors[j])
 
 
 def refined_lowest_eigenvalues(
@@ -403,20 +364,19 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
 
 def _decay_window(system: AssembledSystem, vectors):
     """(g_lo, g_hi): the grid indices of the whole level `system` one
-    sample outside its first and its last row where the envelope of the
-    physical `vectors` (the largest |v_j| at each row) exceeds DECAY_FLOOR
-    of its peak; None at an end that holds such a row, and at a Neumann
-    lower end, which is never cut.
+    sample outside its first and its last row where the envelope of
+    `vectors` (the largest |v_j| at each row) exceeds DECAY_FLOOR of its
+    peak; None at an end that holds such a row.
     """
     envelope = np.max(np.abs(vectors), axis=0)
     held = np.flatnonzero(envelope > DECAY_FLOOR * np.max(envelope))
     first, last = int(held[0]) - 1, int(held[-1]) + 1
-    g_lo = None if first < 0 or system.neumann_lower else system.first + first
+    g_lo = None if first < 0 else system.first + first
     g_hi = None if last == len(envelope) else system.first + last
     return g_lo, g_hi
 
 
-def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
+def _ladder(potential, lower, upper, sizes, count, seeds):
     """The refinement ladder on (lower, upper): one level per size in
     `sizes`, yielding (n, eigenvalues, step, system, ground vector) for
     each, where step is the change of the eigenvalues from the level
@@ -434,7 +394,8 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
     polish or check fails takes the one fallback, bisection of the whole
     level (refined_lowest_eigenvalues).  A level's matrix is kept until
     the next one is assembled, and its vector is freed before it, also
-    when the consumer stops there: of the orders measured, this one takes
+    when the consumer stops there (the first level's lives on as vector 0
+    of the ladder's StartShapes): of the orders measured, this one takes
     the fewest page faults.
 
     At its peak a level of n rows holds about eight arrays of n doubles:
@@ -454,7 +415,7 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
     for n in sizes:
         # the level below's points are every other point
         system = assemble_hamiltonian(
-            potential, GridSpec(lower, upper, n), geometry,
+            potential, GridSpec(lower, upper, n),
             coarse_values=None if system is None else system.potential_values,
         )
         if lam is not None:
@@ -470,19 +431,19 @@ def _ladder(potential, lower, upper, sizes, count, geometry, seeds):
 
 def _fixed_grid_lambda1(potential, lower: float, upper: float, seed: float) -> float:
     """lambda1 from the ladder's first two levels, _N_START and
-    2 _N_START + 1 points on (lower, upper), plus one Richardson step;
-    Dirichlet ends.  Every fixed-grid evaluation runs on that one grid
-    pair: its callers only compare lambda1 along a parameter of the
-    potential, and the O(h^2) error left after the Richardson step is a
-    smooth function of that parameter, so it cancels in finite
-    differences and comparisons and no finer grid is needed.  `seed`
-    predicts the coarse level's lambda1 (say, that of a nearby
-    potential); a poor seed costs a bisection, not accuracy.  A pure
-    function of its arguments: the coarse level starts flat, the fine
-    level from the coarse vector, and nothing outlives the call.
+    2 _N_START + 1 points on (lower, upper), plus one Richardson step.
+    Every fixed-grid evaluation runs on that one grid pair: its callers
+    only compare lambda1 along a parameter of the potential, and the
+    O(h^2) error left after the Richardson step is a smooth function of
+    that parameter, so it cancels in finite differences and comparisons
+    and no finer grid is needed.  `seed` predicts the coarse level's
+    lambda1 (say, that of a nearby potential); a poor seed costs a
+    bisection, not accuracy.  A pure function of its arguments: the
+    coarse level starts flat, the fine level from the coarse vector, and
+    nothing outlives the call.
     """
     ladder = _ladder(potential, lower, upper, (_N_START, 2 * _N_START + 1), 1,
-                     Geometry.FULL_LINE, np.array([seed]))
+                     np.array([seed]))
     # `_` holds the coarse vector while the fine level is solved, not its matrix
     for _, lam, step, _, _ in ladder:
         pass
@@ -494,11 +455,15 @@ def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
     where V exceeds cap = max(10, 2 lambda_bound + 3) by
     TRUNCATION_MARGIN (potential.turning_point), plus TRUNCATION_PAD;
     (-radius, radius) on the full line, (0, radius) on the half line.
+    The one place that reads a geometry: a value that is not a Geometry
+    member is a ValueError.
 
     The discarded region is classically forbidden for every eigenvalue
     below cap, so truncation error is negligible next to discretization
     error.
     """
+    if not isinstance(geometry, Geometry):
+        raise ValueError(f"geometry must be a Geometry member, got {geometry!r}")
     cap = max(10.0, 2.0 * lambda_bound + 3.0)
     radius = potential.turning_point(cap + TRUNCATION_MARGIN) + TRUNCATION_PAD
     if geometry is Geometry.FULL_LINE:
@@ -540,11 +505,10 @@ def solve_on_interval(
     upper: float,
     count: int = 2,
     tol: float = 1e-8,
-    geometry: Geometry = Geometry.FULL_LINE,
     seeds: Optional[np.ndarray] = None,
 ) -> EigenResult:
-    """Adaptive solve on a fixed interval, with the lower-end condition of
-    `geometry` (see assemble_hamiltonian) and Dirichlet at the upper end.
+    """Adaptive solve on a fixed interval, Dirichlet at both ends (solve
+    takes the interval from truncation_interval).
 
     Walks the ladder from _N_START points with n -> 2n + 1, up to _N_CAP
     points, until a level's step (its raw eigenvalue change, see _ladder)
@@ -571,14 +535,12 @@ def solve_on_interval(
     while 2 * sizes[-1] + 1 <= _N_CAP:
         sizes.append(2 * sizes[-1] + 1)
     previous = trusted = None
-    for n, lam, step, system, v in _ladder(potential, lower, upper, sizes, count, geometry,
-                                           seeds):
+    for n, lam, step, system, v in _ladder(potential, lower, upper, sizes, count, seeds):
         # The ground state comes from the last level up to _N_VECTOR_CAP
-        # (the first level is below it), as physical samples only; their
-        # points and weights are built once a result is returned.
+        # (the first level is below it), as samples only; their points and
+        # weights are built once a result is returned.
         if v is not None:
-            ground = (system.to_physical(v) / math.sqrt(system.spacing), system.first,
-                      system.spacing)
+            ground = (v / math.sqrt(system.spacing), system.spacing)
         del system, v  # see _ladder's consumer rule
         if step is None:
             continue
@@ -586,10 +548,7 @@ def solve_on_interval(
         extrapolated = lam + correction
         if np.max(np.abs(step)) < 0.5 * tol:
             achieved = float(np.max(np.abs(step) + np.abs(correction)))
-            u, first, h = ground
-            weights = np.full(len(u), h)  # the trapezoid rule's
-            if geometry is Geometry.HALF_LINE_NEUMANN:
-                weights[0] *= 0.5
+            u, h = ground
             if np.min(u) < -1e-10 * np.max(u):
                 raise SolverFailure(
                     "ground state came out with a sign change",
@@ -597,9 +556,9 @@ def solve_on_interval(
                 )
             return EigenResult(
                 eigenvalues=tuple(float(x) for x in extrapolated),
-                ground_state_points=_grid_points(lower, h, first, first + len(u)),
+                ground_state_points=_grid_points(lower, h, 1, len(u) + 1),
                 ground_state_values=u,
-                quadrature_weights=weights,
+                quadrature_weights=np.full(len(u), h),  # the trapezoid rule's
                 achieved_tol_estimate=achieved,
                 grid_used=GridSpec(lower, upper, n),
                 iterations=sizes.index(n) + 1,
@@ -675,8 +634,9 @@ def solve(
 
     Accepts either an OperatorSpec (geometry read from it) or a bare
     potential kind with a `geometry` keyword (default the full line); a
-    geometry that is not a Geometry member is a ValueError, and so is a
-    count outside [1, MAX_COUNT].  The domain comes
+    geometry that is not a Geometry member is a ValueError
+    (truncation_interval), and so is a count outside [1, MAX_COUNT].  The
+    geometry only picks the interval.  The domain comes
     from a coarse pre-solve, one bisection on _N_PRESOLVE points of
     truncation_interval's interval for cap 10, then re-truncates at the
     highest eigenvalue it found, so the potential dominates every
@@ -694,7 +654,7 @@ def solve(
         geometry = Geometry.FULL_LINE if geometry is None else geometry
 
     lower, upper = truncation_interval(potential, geometry, 0.0)
-    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_PRESOLVE), geometry)
+    coarse = assemble_hamiltonian(potential, GridSpec(lower, upper, _N_PRESOLVE))
     lam_coarse = tridiag.lowest_eigenvalues(coarse.diag, coarse.offdiag, count)
     lower, upper = truncation_interval(potential, geometry, float(lam_coarse[-1]))
     return solve_on_interval(
@@ -703,6 +663,5 @@ def solve(
         upper,
         count=count,
         tol=tol,
-        geometry=geometry,
         seeds=lam_coarse,
     )

@@ -8,7 +8,8 @@ on the real line, together with the comparison potentials used by the
 bound machinery (pure powers t^m, shifted harmonic wells (t - xi)^2 and
 the half-power model (t^(k/2) / (k/2))^2).  `Geometry` names the domain
 an operator acts on: the full line, or the half line t > 0 with a
-Dirichlet or Neumann condition at t = 0.
+Dirichlet condition at t = 0.  It only picks the solve interval
+(eigensolver.truncation_interval); every discretized end is Dirichlet.
 
 Overflow has one rule: a potential is evaluated in floating point, where
 an overflow gives +-inf without a warning, and then clamped: V to
@@ -31,11 +32,10 @@ _ROOT_CEILING = math.sqrt(SATURATION)
 
 
 class Geometry(Enum):
-    """The domain: the real line, or t > 0 with its condition at t = 0."""
+    """The domain: the real line, or t > 0 with u(0) = 0."""
 
     FULL_LINE = "full_line"
     HALF_LINE_DIRICHLET = "half_line_dirichlet"
-    HALF_LINE_NEUMANN = "half_line_neumann"
 
 
 def int_power(t, n: int):

@@ -11,8 +11,11 @@ wells), so every eigenvalue would cost hundreds of Sturm sweeps.  The
 window's floor is the Gershgorin floor; its top is the first of the
 energies 1, 2, 4, ... at or below which the pivot counts find the
 requested eigenvalues.  The top grows on absolute energies, never by
-the window width: a Neumann row puts the floor near -0.4/h^2, and width
-doubling from there would pull most of the spectrum into the window.
+the window width: the Gershgorin floor of a general symmetric
+tridiagonal matrix can lie far below its lowest eigenvalue (a boundary
+row symmetrized for a zero-slope condition puts it near -0.4/h^2), and
+width doubling from there would pull most of the spectrum into the
+window.
 
 Brackets are machine-tight.  Bisection runs only where nothing predicts
 the eigenvalues, and as a seeded level's one fallback: when its window
@@ -241,7 +244,7 @@ def lowest_eigenvalues(diag, offdiag, count: int):
     # Eigenvalues in (lower, upper] (range 1; il and iu unused), in
     # ascending order ("E").  The abstol must be a tiny positive: at
     # exactly 0 LAPACK substitutes ulp * max(|lower|, |upper|), which is
-    # far too loose at the Neumann floor; a tiny abstol switches it to the
+    # far too loose at such a deep floor; a tiny abstol switches it to the
     # per-eigenvalue relative criterion (machine-tight brackets around
     # each eigenvalue).
     found, vals, _, _, info = dstebz(diag, offdiag, 1, lower, upper, 1, 1, 1e-300, "E")

@@ -3,12 +3,13 @@ constant h by direct maximization over sigma, the minimizing width of
 the k = 2 trial state, the unoptimized harmonic floor B_k(T) and its
 maximizing T, the first eigenvalue of the Dirichlet step well as the
 root of its gluing equation, the reflection t -> -t of an operator, the
-saturated-barrier core of a level, and a level's points and a decay
-window's rows materialized from floats.  Each cross-checks a closed form,
-symmetry, bound or grid-index rule the library relies on."""
+saturated-barrier core of a level, a level's points and a decay
+window's rows materialized from floats, and the even extension of the de
+Gennes well.  Each cross-checks a closed form, symmetry, bound or
+grid-index rule the library relies on."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,3 +169,24 @@ def window_rows(points, window, recorded):
     t_lo = -math.inf if g_lo is None else ends[g_lo]
     t_hi = math.inf if g_hi is None else ends[g_hi]
     return int(np.searchsorted(points, t_lo, "left")), int(np.searchsorted(points, t_hi, "right"))
+
+
+@dataclass(frozen=True)
+class EvenShiftedHarmonicPotential:
+    """V(t) = (|t| - center)^2 on the full line: the even extension of the
+    de Gennes well (t - center)^2 on t > 0.  Its even modes are that
+    well's half-line modes with u'(0) = 0, and its ground state is even,
+    so its lambda1 is the de Gennes mu(center).  On a symmetric grid of
+    odd n the full-line scheme restricted to even vectors is the
+    mirror-ghost-point scheme on the half grid, u(-h) = u(h)."""
+
+    center: float
+
+    def value(self, t):
+        d = np.abs(np.asarray(t, dtype=float)) - self.center
+        return d * d
+
+    def turning_point(self, energy: float) -> float:
+        """Radius past which V >= energy: |center| + sqrt(energy), the
+        half line's radius for the same well."""
+        return abs(self.center) + math.sqrt(energy)

@@ -9,9 +9,15 @@ import pytest
 from montspec import bounds, certify, identities
 from montspec.bounds import de_gennes_theta0
 from montspec.eigensolver import solve
-from montspec.operators import Geometry, OperatorSpec, ShiftedHarmonicPotential
+from montspec.operators import OperatorSpec, ShiftedHarmonicPotential
 
-from derivations import dirichlet_well_lambda, h_maximized, h_maximizer, trial_width_k2
+from derivations import (
+    EvenShiftedHarmonicPotential,
+    dirichlet_well_lambda,
+    h_maximized,
+    h_maximizer,
+    trial_width_k2,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PI2_4 = math.pi**2 / 4.0
@@ -73,12 +79,12 @@ def test_criterion_06_small_k_certificates():
 
 def test_criterion_07_theta0():
     value = de_gennes_theta0(1e-7)
-    # the Neumann eigenvalue at xi0 = sqrt(theta0) is theta0 (Dauge-Helffer)
-    res = solve(ShiftedHarmonicPotential(math.sqrt(value)), count=1, tol=1e-9,
-                geometry=Geometry.HALF_LINE_NEUMANN)
+    # the Neumann eigenvalue at xi0 = sqrt(theta0) is theta0 (Dauge-Helffer),
+    # solved as lambda1 of the even extension (|t| - xi0)^2 on the full line
+    res = solve(EvenShiftedHarmonicPotential(math.sqrt(value)), count=1, tol=1e-9)
     gap = abs(res.lambda1 - value)
     ok = value > 0.59 and gap <= res.achieved_tol_estimate
-    _report(7, f"theta0 = {value:.8f} > 0.59, Neumann solve at sqrt(theta0) "
+    _report(7, f"theta0 = {value:.8f} > 0.59, even-extension solve at sqrt(theta0) "
                f"off by {gap:.2e} <= {res.achieved_tol_estimate:.2e}", ok)
 
 

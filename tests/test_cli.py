@@ -288,6 +288,32 @@ def test_closed_form_forms_match_golden_bytes(argv, name, exit_code, capsys):
     assert capsys.readouterr().err == ""
 
 
+# The solving subcommands' bytes, pinned where their digits are stable to
+# rounding.  Left out: achieved_tol_estimate, the identity report's fd
+# oracles and scan's d_lambda1 (at alpha 0 it prints -7.44887207471e-11,
+# a zero to rounding), whose trailing digits are rounding.
+def test_eigen_stable_lines_match_golden_bytes():
+    code, out = _run("eigen --k 2 --alpha 0".split())
+    assert code == EXIT_OK
+    assert [line for line in out.splitlines()
+            if line.startswith(("lambda1 =", "lambda2 =", "grid n ="))] == [
+        "lambda1 = 0.660952004869",
+        "lambda2 = 2.504891134",
+        "grid n = 262271 on [-4.15082891211, 4.15082891211]",
+    ]
+
+
+def test_scan_stable_columns_match_golden_bytes():
+    code, out = _run("scan --k 2 --alpha-min 0 --alpha-max 1 --steps 3 --tol 1e-6".split())
+    assert code == EXIT_OK
+    assert [line.split(",")[:3] for line in out.splitlines()] == [
+        ["alpha", "lambda1", "lambda2"],
+        ["0", "0.660952004869", "2.504891134"],
+        ["0.5", "0.845447614928", "2.65550802337"],
+        ["1", "1.35823626206", "3.12500012386"],
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

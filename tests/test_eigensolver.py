@@ -1,5 +1,5 @@
 """Eigensolver: discretization, boundary handling, adaptive driver, the
-Neumann half line of the de Gennes model, and the step-well gluing
+de Gennes model as an even extension, and the step-well gluing
 equation."""
 
 import json
@@ -16,7 +16,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from derivations import barrier_core, dirichlet_well_lambda, system_points, window_rows
+from derivations import (
+    EvenShiftedHarmonicPotential,
+    barrier_core,
+    dirichlet_well_lambda,
+    system_points,
+    window_rows,
+)
 from montspec import eigensolver, tridiag
 from montspec.bounds import de_gennes_theta0
 from montspec.errors import SolverFailure
@@ -41,7 +47,6 @@ from montspec.operators import (
 from montspec.tridiag import are_lowest_eigenvalues, inverse_iteration, lowest_eigenvalues
 
 D = Geometry.HALF_LINE_DIRICHLET
-N = Geometry.HALF_LINE_NEUMANN
 
 # the sinc collocation table the benchmark scores against, read only
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -83,22 +88,10 @@ def test_assemble_harmonic_spectrum():
 
 def test_assemble_box_modes():
     zero = SimpleNamespace(value=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    sys_dd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), D)
+    sys_dd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047))
+    assert len(sys_dd.diag) == 2047  # both boundary points are dropped
     lam_dd = lowest_eigenvalues(sys_dd.diag, sys_dd.offdiag, 1)
     assert lam_dd[0] == pytest.approx(math.pi**2, abs=1e-5)
-
-    sys_nd = assemble_hamiltonian(zero, GridSpec(0.0, 1.0, 2047), N)
-    assert len(sys_nd.diag) == 2048  # boundary point joins the unknowns
-    lam_nd = lowest_eigenvalues(sys_nd.diag, sys_nd.offdiag, 1)
-    assert lam_nd[0] == pytest.approx(math.pi**2 / 4.0, abs=1e-5)
-
-
-def test_neumann_matches_even_extension():
-    # Half-line Neumann spectrum of a symmetric well is the even-mode
-    # spectrum of the full line: 1, 5 for the harmonic oscillator.
-    res = solve(ShiftedHarmonicPotential(0.0), count=2, tol=1e-8,
-                geometry=N)
-    assert res.eigenvalues == pytest.approx([1.0, 5.0], abs=1e-8)
 
 
 def test_dirichlet_half_line_is_odd_modes():
@@ -109,12 +102,10 @@ def test_dirichlet_half_line_is_odd_modes():
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_half_line_spec_splits_full_line_by_parity(k):
-    # for even k, t -> -t maps Q(k, 0) to itself: the even modes make the
-    # Neumann half-line spectrum and the odd modes the Dirichlet one
+    # for even k, t -> -t maps Q(k, 0) to itself: the odd modes make the
+    # Dirichlet half-line spectrum
     full = solve(OperatorSpec(k, 0.0), count=2, tol=1e-8)
-    neumann = solve(OperatorSpec(k, 0.0, N), count=1, tol=1e-8)
     dirichlet = solve(OperatorSpec(k, 0.0, D), count=1, tol=1e-8)
-    assert neumann.lambda1 == pytest.approx(full.lambda1, rel=0.0, abs=1e-10)
     assert dirichlet.lambda1 == pytest.approx(full.lambda2, rel=0.0, abs=1e-10)
 
 
@@ -154,10 +145,21 @@ def test_truncation_interval_caps_and_geometry():
     assert truncation_interval(pot, Geometry.FULL_LINE, 3.5) == truncation_interval(
         pot, Geometry.FULL_LINE, 0.0
     )
-    for half_line in (D, N):
-        lower, upper = truncation_interval(pot, half_line, 7.0)
-        assert lower == 0.0
-        assert upper == pot.turning_point(2.0 * 7.0 + 3.0 + 1.0) + TRUNCATION_PAD
+    lower, upper = truncation_interval(pot, D, 7.0)
+    assert lower == 0.0
+    assert upper == pot.turning_point(2.0 * 7.0 + 3.0 + 1.0) + TRUNCATION_PAD
+
+
+@pytest.mark.parametrize("geometry", ["full_line", "half_line_dirichlet", 0, None])
+def test_truncation_interval_rejects_a_non_member(geometry):
+    # only a Geometry member picks an interval, not a string that spells a
+    # member's value; solve's ValueError comes from this check
+    pot = MontgomeryPotential(2, 0.0)
+    with pytest.raises(ValueError, match="Geometry member"):
+        truncation_interval(pot, geometry, 0.0)
+    if geometry is not None:  # solve reads None as its default, the full line
+        with pytest.raises(ValueError, match="Geometry member"):
+            solve(pot, geometry=geometry)
 
 
 _K2_TOL = 1e-8
@@ -251,8 +253,6 @@ def test_solve_validation(monkeypatch):
     monkeypatch.setattr(tridiag, "dstebz", _stebz_fails)
     with pytest.raises(ValueError, match="Geometry member"):
         solve(MontgomeryPotential(2, 0.0), geometry="full_line")
-    with pytest.raises(ValueError, match="Geometry member"):
-        assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(-6.0, 6.0, 255), "full_line")
 
 
 @pytest.mark.parametrize("count", [0, eigensolver.MAX_COUNT + 1, 2048])
@@ -381,9 +381,8 @@ def test_steep_well_fails_on_its_cap_forecast(monkeypatch):
         (OperatorSpec(30, 1.5), 2),  # its last step clears tol / 2 by 6 %
         (OperatorSpec(4, 0.0), 3),
         (OperatorSpec(4, 0.0, D), 2),
-        (OperatorSpec(30, 0.0, N), 2),
     ],
-    ids=["k2", "k10-alpha1.5", "k30-alpha1.5", "k4-count3", "dirichlet", "neumann"],
+    ids=["k2", "k10-alpha1.5", "k30-alpha1.5", "k4-count3", "dirichlet"],
 )
 def test_cap_forecast_leaves_successes_bit_identical(monkeypatch, spec, count):
     res = solve(spec, count=count, tol=1e-8)
@@ -498,7 +497,7 @@ class _CountedPotential:
         return self.inner.turning_point(energy)
 
 
-@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, D, N], ids=["full", "dirichlet", "neumann"])
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, D], ids=["full", "dirichlet"])
 @pytest.mark.parametrize("k", [1, 2, 30])
 def test_refined_levels_carry_potential_samples(monkeypatch, geometry, k):
     # a level with 2n + 1 interior points reuses the samples of the level
@@ -520,8 +519,7 @@ def test_refined_levels_carry_potential_samples(monkeypatch, geometry, k):
     assert len(ladder) == res.iterations >= 3
     assert ladder[0][2] == [len(ladder[0][0].diag)]
     for (coarse, _, _), (_, _, sizes) in zip(ladder, ladder[1:]):
-        n = len(coarse.diag) - int(geometry is N)  # its grid's interior points
-        assert sizes == [n + 1]
+        assert sizes == [len(coarse.diag) + 1]
     for system, lower, _ in levels:
         expected = potential.inner.value(system_points(system, lower))
         assert system.potential_values.tobytes() == expected.tobytes()
@@ -535,8 +533,7 @@ def test_fixed_grid_fine_level_carries_samples(monkeypatch):
     assert potential.sizes == [eigensolver._N_START, eigensolver._N_START + 1]
     plain = eigensolver.assemble_hamiltonian
     monkeypatch.setattr(eigensolver, "assemble_hamiltonian",
-                        lambda potential, grid, geometry=Geometry.FULL_LINE, coarse_values=None:
-                        plain(potential, grid, geometry))
+                        lambda potential, grid, coarse_values=None: plain(potential, grid))
     assert _fixed_grid_lambda1(potential.inner, -5.0, 5.0, 0.84) == lam
 
 
@@ -578,20 +575,22 @@ def _ladder_levels(spec, levels):
     while len(sizes) < levels:
         sizes.append(2 * sizes[-1] + 1)
     lower, upper = truncation_interval(potential, spec.geometry, 0.0)
-    return eigensolver._ladder(potential, lower, upper, sizes, 2, spec.geometry, None)
+    return eigensolver._ladder(potential, lower, upper, sizes, 2, None)
 
 
 def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
     # a level's matrix and vector are dead once the next, larger level is
     # solved; in solve only the pre-solve's system (index 0) lives, held
-    # by solve
+    # by solve.  The first level's ground vector (index 0, 2048 rows) is
+    # vector 0 of the ladder's StartShapes record, which every later
+    # level starts from
     alive = _record_liveness(monkeypatch)
     res = solve(OperatorSpec(2, 0.3), count=2, tol=1e-6)
-    assert alive == [([0], [])] * res.iterations
+    assert alive == [([0], [])] + [([0], [0])] * (res.iterations - 1)
     alive.clear()
     for _, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.3), 8):
         del system, v
-    assert alive == [([], [])] * 8
+    assert alive == [([], [])] + [([], [res.iterations])] * 7
     alive.clear()
     # a fixed-grid evaluation's coarse matrix is dead while its fine level is
     # solved; the coarse vector (2048 rows) may live
@@ -609,7 +608,7 @@ def test_a_level_holds_at_most_nine_of_its_arrays():
     try:
         for n, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.0), 8):
             if v is not None:  # kept as solve_on_interval keeps its ground state
-                ground = system.to_physical(v)
+                ground = v / math.sqrt(system.spacing)
             del system, v
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -618,8 +617,8 @@ def test_a_level_holds_at_most_nine_of_its_arrays():
     assert peak <= 9 * 8 * 262271
 
 
-@pytest.mark.parametrize("spec", [OperatorSpec(10, 0.0), OperatorSpec(3, 0.7, N)],
-                         ids=["full-line", "neumann"])
+@pytest.mark.parametrize("spec", [OperatorSpec(10, 0.0), OperatorSpec(3, 0.7, D)],
+                         ids=["full-line", "dirichlet"])
 def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
     # only levels of at most _N_VECTOR_CAP rows return a ground vector: on
     # eight levels of an explicit ladder, and in solve with a cap small
@@ -650,30 +649,21 @@ def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
     res = solve(spec, count=2, tol=1e-6)
     check(res.grid_used.n, cap)
     rows = max(r for r, _ in vectors if r <= cap)
-    grid = GridSpec(res.grid_used.lower, res.grid_used.upper, rows - int(spec.geometry is N))
-    points = _interior_points(grid)
-    weights = np.full(rows, grid.spacing)
-    if spec.geometry is N:
-        points = np.concatenate(([grid.lower], points))
-        weights[0] *= 0.5
+    grid = GridSpec(res.grid_used.lower, res.grid_used.upper, rows)
     assert len(res.ground_state_values) == rows
-    assert res.ground_state_points.tobytes() == points.tobytes()
-    assert res.quadrature_weights.tobytes() == weights.tobytes()
+    assert res.ground_state_points.tobytes() == _interior_points(grid).tobytes()
+    assert res.quadrature_weights.tobytes() == np.full(rows, grid.spacing).tobytes()
 
 
-@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
+@pytest.mark.parametrize("lower", [-3.7, 0.0], ids=["full-line", "half-line"])
 @pytest.mark.parametrize("n", [2048, 4097, 65567, 524543])
-def test_derived_rows_match_the_materialized_points(geometry, n):
+def test_derived_rows_match_the_materialized_points(lower, n):
     # a system's rows are its grid's points from grid index `first` on,
     # bit for bit as the grid builds them, also on a window of the level
-    lower = -3.7 if geometry is Geometry.FULL_LINE else 0.0
     grid = GridSpec(lower, 3.7, n)
-    system = assemble_hamiltonian(MontgomeryPotential(10, 0.3), grid, geometry)
+    system = assemble_hamiltonian(MontgomeryPotential(10, 0.3), grid)
     points = system_points(system, lower)
-    expected = _interior_points(grid)
-    if geometry is N:
-        expected = np.concatenate(([lower], expected))
-    assert points.tobytes() == expected.tobytes()
+    assert points.tobytes() == _interior_points(grid).tobytes()
     rows = len(points)
     for view, lo in ((system, 0), (system.rows(rows // 5, rows - 7), rows // 5)):
         inside = points[lo:lo + len(view.diag)]
@@ -734,14 +724,13 @@ def test_coarse_values_must_fit_the_grid():
     for grid in (GridSpec(-5.0, 5.0, 512), GridSpec(-5.0, 5.0, 513)):
         with pytest.raises(ValueError, match="255 coarse values do not fit"):
             assemble_hamiltonian(potential, grid, coarse_values=coarse.potential_values)
-    # a Neumann grid of n = 511 keeps 256 coarse points, its boundary point among them
-    with pytest.raises(ValueError, match="255 coarse values do not fit a grid of n = 511"):
-        assemble_hamiltonian(potential, GridSpec(-5.0, 5.0, 511), N,
-                             coarse_values=coarse.potential_values)
+    # the geometry is no parameter of assembly: a stray positional one is refused
+    with pytest.raises(TypeError):
+        assemble_hamiltonian(potential, GridSpec(-5.0, 5.0, 511), Geometry.FULL_LINE)
 
 
-@pytest.mark.parametrize("spec", [OperatorSpec(2, 0.0), OperatorSpec(2, 0.4, N)],
-                         ids=["full-line", "neumann"])
+@pytest.mark.parametrize("spec", [OperatorSpec(2, 0.0), OperatorSpec(2, 0.4, D)],
+                         ids=["full-line", "dirichlet"])
 def test_started_levels_take_one_sweep_per_eigenpair(monkeypatch, spec):
     # every level after the first starts inverse iteration from the first
     # level's interpolated eigenvectors: one sweep each and no polish
@@ -835,19 +824,20 @@ def _recorded_windows(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "problem, geometry, count",
+    "problem, count",
     [
-        (OperatorSpec(2, 0.0), None, 2),
-        (ShiftedHarmonicPotential(0.8), N, 1),
+        (OperatorSpec(2, 0.0), 2),
+        (EvenShiftedHarmonicPotential(0.8), 1),
     ],
     ids=["k2-alpha0", "theta0"],
 )
-def test_shallow_wells_keep_the_whole_level(monkeypatch, problem, geometry, count):
-    # the eigenvectors of k = 2 at alpha = 0 and of the de Gennes wells stay
-    # above DECAY_FLOOR across the truncated interval: every level is
-    # polished whole, bit for bit as with the window switched off
+def test_shallow_wells_keep_the_whole_level(monkeypatch, problem, count):
+    # the eigenvectors of k = 2 at alpha = 0 and of the de Gennes wells
+    # (their even extensions) stay above DECAY_FLOOR across the truncated
+    # interval: every level is polished whole, bit for bit as with the
+    # window switched off
     def solve_it():
-        return solve(problem, count=count, tol=1e-8, geometry=geometry)
+        return solve(problem, count=count, tol=1e-8)
 
     rows = _inverse_iteration_rows(monkeypatch)
     sizes = _level_sizes(monkeypatch)
@@ -1006,7 +996,7 @@ def _windowed_levels(monkeypatch):
 
 @pytest.mark.parametrize(
     "k, alpha, geometry",
-    [(k, alpha, g) for g in (Geometry.FULL_LINE, D, N) for k in (2, 30, 200) for alpha in (0.0, 1.5)]
+    [(k, alpha, g) for g in (Geometry.FULL_LINE, D) for k in (2, 30, 200) for alpha in (0.0, 1.5)]
     + [(1, 5.0, Geometry.FULL_LINE), (30, None, Geometry.FULL_LINE)],
     ids=lambda x: x.name.lower() if isinstance(x, Geometry) else str(x),
 )
@@ -1037,7 +1027,7 @@ def test_windows_hand_off_by_grid_index(monkeypatch, k, alpha, geometry):
 
 
 @pytest.mark.parametrize("k", [2, 30, 200])
-@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, D, N], ids=["full", "dirichlet", "neumann"])
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, D], ids=["full", "dirichlet"])
 def test_starts_interpolate_in_grid_index_units(geometry, k):
     # at ratio 1 a start is the recorded vector itself, bit for bit; on a
     # finer level, and on a window of one, it is float interpolation on the
@@ -1048,67 +1038,38 @@ def test_starts_interpolate_in_grid_index_units(geometry, k):
     # 6.9 eps max |v| at k = 30)
     potential = MontgomeryPotential(k, 0.5)
     lower, upper = truncation_interval(potential, geometry, 0.0)
-    system = assemble_hamiltonian(potential, GridSpec(lower, upper, 2048), geometry)
+    system = assemble_hamiltonian(potential, GridSpec(lower, upper, 2048))
     shapes = StartShapes()
     refined_lowest_eigenvalues(system, 2, shapes=shapes)
     recorded_points = system_points(system, lower)
     reach = max(abs(lower), abs(upper)) / system.spacing
     for j, vector in enumerate(shapes.vectors):
-        expected = vector.copy()
-        if geometry is N:
-            expected[0] /= math.sqrt(2.0)  # the symmetrized basis, as start returns it
-        assert shapes.start(system, j, 1).tobytes() == expected.tobytes()
+        assert shapes.start(system, j, 1).tobytes() == vector.tobytes()
     for ratio in (2, 4):
-        fine = assemble_hamiltonian(potential, GridSpec(lower, upper, 2049 * ratio - 1), geometry)
+        fine = assemble_hamiltonian(potential, GridSpec(lower, upper, 2049 * ratio - 1))
         rows = len(fine.diag)
         for view in (fine, fine.rows(rows // 3, rows - rows // 5)):
             for j, vector in enumerate(shapes.vectors):
                 start = shapes.start(view, j, ratio)
                 expected = np.interp(system_points(view, lower), recorded_points, vector)
-                if view.neumann_lower:
-                    expected[0] /= math.sqrt(2.0)
                 bar = 2.0 * np.finfo(float).eps * (
                     np.max(np.abs(vector)) + reach * np.max(np.abs(np.diff(vector))))
                 assert np.max(np.abs(start - expected)) <= bar
 
 
-def test_neumann_half_line_is_never_cut_at_zero(monkeypatch):
-    # the window cuts the far Dirichlet end only; the Neumann row stays
-    spec = OperatorSpec(30, 0.0, N)
-    windows = _recorded_windows(monkeypatch)
-    sizes = _level_sizes(monkeypatch)
-    cuts = []
-    plain = eigensolver.AssembledSystem.rows
-
-    def recorded(system, lo, hi):
-        cuts.append((lo, hi, len(system.diag)))
-        return plain(system, lo, hi)
-
-    monkeypatch.setattr(eigensolver.AssembledSystem, "rows", recorded)
-    res = solve(spec, count=3, tol=1e-6)
-    assert windows[0][0] is None and windows[0][1] is not None
-    # the recording level is whole; every later level is cut once
-    assert len(sizes) == res.iterations and [n for _, _, n in cuts] == sizes[1:]
-    assert all(lo == 0 and hi < n for lo, hi, n in cuts)
-    _window_off(monkeypatch)
-    whole = solve(spec, count=3, tol=1e-6)
-    assert res.eigenvalues == pytest.approx(whole.eigenvalues, rel=0.0, abs=5e-14)
-
-
-@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, N], ids=["full-line", "neumann"])
-def test_core_rayleigh_quotient_is_the_whole_levels(geometry):
+@pytest.mark.parametrize("lower", [-3.0, 0.0], ids=["full-line", "half-line"])
+def test_core_rayleigh_quotient_is_the_whole_levels(lower):
     # a window's Dirichlet cuts drop nothing from v.T H v of a vector that
-    # is zero outside it; a Neumann row 0 stays Neumann in the window
-    lower = -3.0 if geometry is Geometry.FULL_LINE else 0.0
+    # is zero outside it; on the half line the window keeps row 0, where
+    # the ground state is O(h), far above DECAY_FLOOR
     grid = GridSpec(lower, 3.0, 4095)
-    system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), grid, geometry)
+    system = assemble_hamiltonian(MontgomeryPotential(200, 0.3), grid)
     n = len(system.diag)
     shapes = StartShapes()
     refined_lowest_eigenvalues(system, 2, shapes=shapes)
     lo, hi = window_rows(system_points(system, lower), shapes.window, grid)
-    assert hi < n and (lo == 0) == (geometry is N)
+    assert hi < n and (lo == 0) == (lower == 0.0)
     window = system.rows(lo, hi)
-    assert window.neumann_lower == (geometry is N)
     v = np.random.default_rng(0).standard_normal(hi - lo)
     v /= np.linalg.norm(v)
     embedded = np.zeros(n)
@@ -1241,8 +1202,9 @@ def test_well_seeded_fixed_grid_never_reaches_stebz(monkeypatch):
 
 
 def test_theta0_xi_zero_slice():
-    res = solve(ShiftedHarmonicPotential(0.0), count=1, tol=1e-9,
-                geometry=N)
+    # at xi = 0 the de Gennes well's even extension is t^2, whose ground
+    # state (the Neumann half line's) is 1
+    res = solve(EvenShiftedHarmonicPotential(0.0), count=1, tol=1e-9)
     assert res.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -1277,6 +1239,5 @@ def test_dirichlet_well_pde_consistency():
         return np.where(np.abs(t - T) < 1e-9, 0.5 * barrier,
                         np.where(t > T, barrier, 0.0))
 
-    res = solve_on_interval(SimpleNamespace(value=step), 0.0, 3.0 * T, count=1, tol=1e-7,
-                            geometry=D)
+    res = solve_on_interval(SimpleNamespace(value=step), 0.0, 3.0 * T, count=1, tol=1e-7)
     assert res.eigenvalues[0] == pytest.approx(dirichlet_well_lambda(T, k), abs=1e-6)

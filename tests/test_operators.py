@@ -143,7 +143,7 @@ def test_operator_spec_validation():
     # a string is not stored, even one that spells a member's value
     with pytest.raises(ValueError, match="Geometry member"):
         OperatorSpec(2, 0.0, "full_line")
-    spec = OperatorSpec(2, 0.5, Geometry.HALF_LINE_NEUMANN)
+    spec = OperatorSpec(2, 0.5, Geometry.HALF_LINE_DIRICHLET)
     assert spec.potential() == MontgomeryPotential(2, 0.5)
 
 

@@ -11,7 +11,9 @@ Its checks here:
   orders and arguments the root reads;
 - the finite-difference eigensolver: at xi0 = sqrt(theta0) the lowest
   Neumann half-line eigenvalue mu(xi0) of -d2/dt2 + (t - xi0)^2 is
-  theta0, within the solve's own error estimate;
+  theta0, within the solve's own error estimate.  mu(xi) is solved as
+  lambda1 of the even extension (|t| - xi)^2 on the full line, whose
+  even modes are the Neumann half line's;
 - theta0 is the minimum over xi of mu(xi): 0.02 to either side of xi0,
   mu is higher by a margin far above the solve's error.
 """
@@ -24,7 +26,8 @@ import pytest
 from montspec import de_gennes_theta0
 from montspec.bounds import _weber_d
 from montspec.eigensolver import solve
-from montspec.operators import Geometry, ShiftedHarmonicPotential
+
+from derivations import EvenShiftedHarmonicPotential
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +44,7 @@ def pcfd_theta0():
 
 
 def _mu(xi):
-    return solve(ShiftedHarmonicPotential(xi), count=1, tol=1e-9,
-                 geometry=Geometry.HALF_LINE_NEUMANN)
+    return solve(EvenShiftedHarmonicPotential(xi), count=1, tol=1e-9)
 
 
 def test_pcfd_oracle_value(pcfd_theta0):

@@ -186,10 +186,10 @@ def test_pivot_count_after_restart(tail):
     assert _count_below(diag, offdiag, 0.0) == 1
 
 
-@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, Geometry.HALF_LINE_NEUMANN])
+@pytest.mark.parametrize("geometry", [Geometry.FULL_LINE, Geometry.HALF_LINE_DIRICHLET])
 def test_pivot_count_on_ladder_matrices(geometry):
     lower = -6.0 if geometry is Geometry.FULL_LINE else 0.0
-    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(lower, 6.0, 2047), geometry)
+    system = assemble_hamiltonian(MontgomeryPotential(2, 0.0), GridSpec(lower, 6.0, 2047))
     lam = lowest_eigenvalues(system.diag, system.offdiag, 6)
     margin = separation_margin(system.offdiag)
     points = [(j, lam[j] - margin) for j in range(6)] + [(j + 1, lam[j] + margin) for j in range(6)]
@@ -255,23 +255,26 @@ def test_lowest_eigenvalues_saturated_dirichlet():
 
 
 def _neumann_floor_system(n=255):
-    # the symmetrized Neumann row puts the Gershgorin floor near -0.4/h^2
-    return assemble_hamiltonian(
-        MontgomeryPotential(2, 0.0),
-        GridSpec(0.0, 3.0, n),
-        Geometry.HALF_LINE_NEUMANN,
-    )
+    """(diag, offdiag, h): -d2/dt2 + (t^3/3)^2 on [0, 3) with a Neumann
+    end at t = 0, whose point t_0 = 0 is an unknown: the mirror ghost
+    u(-h) = u(h) makes row 0 (2/h^2 + V) u_0 - (2/h^2) u_1, symmetrized by
+    v_0 = u_0 / sqrt(2) to the off-diagonal -sqrt(2)/h^2.  That row puts
+    the Gershgorin floor near -0.4/h^2."""
+    h = 3.0 / (n + 1)
+    t = h * np.arange(n + 1)
+    diag = 2.0 / h**2 + (t**3 / 3.0) ** 2
+    offdiag = np.full(n, -1.0 / h**2)
+    offdiag[0] *= np.sqrt(2.0)
+    return diag, offdiag, h
 
 
 def test_lowest_eigenvalues_neumann_floor():
-    system = _neumann_floor_system()
-    radius = np.abs(np.concatenate(([0.0], system.offdiag))) + np.abs(
-        np.concatenate((system.offdiag, [0.0]))
-    )
-    floor = float(np.min(system.diag - radius))
-    assert floor < -0.4 / system.spacing**2
-    ours = lowest_eigenvalues(system.diag, system.offdiag, 3)
-    reference = sturm_bisect_eigenvalues(system.diag, system.offdiag, 3)
+    diag, offdiag, h = _neumann_floor_system()
+    radius = np.abs(np.concatenate(([0.0], offdiag))) + np.abs(np.concatenate((offdiag, [0.0])))
+    floor = float(np.min(diag - radius))
+    assert floor < -0.4 / h**2
+    ours = lowest_eigenvalues(diag, offdiag, 3)
+    reference = sturm_bisect_eigenvalues(diag, offdiag, 3)
     assert ours == pytest.approx(reference, rel=1e-11)
 
 
@@ -292,9 +295,8 @@ def test_lowest_eigenvalues_eigenvalue_on_gershgorin_floor():
     assert lowest_eigenvalues([0.0, 3.0, 5.0], [0.0, 0.0], 2) == pytest.approx([0.0, 3.0])
 
 
-@pytest.mark.parametrize("build", [_saturated_system, _neumann_floor_system])
-def test_refined_eigenvalues_match_tight_bracket_polish(build):
-    system = build()
+def test_refined_eigenvalues_match_tight_bracket_polish():
+    system = _saturated_system()
     tight = lowest_eigenvalues(system.diag, system.offdiag, 3)
     refined, _ = refined_lowest_eigenvalues(system, 3)
     for j, lam in enumerate(tight):
@@ -349,14 +351,13 @@ def test_lowest_check_rejects_near_degenerate():
     assert not are_lowest_eigenvalues(system.diag, system.offdiag, lam)
 
 
-@pytest.mark.parametrize("build", [_saturated_system, _neumann_floor_system])
-def test_started_inverse_iteration_matches_flat_start(build):
+def test_started_inverse_iteration_matches_flat_start():
     # a start from the eigenvectors of the grid with twice the spacing,
     # interpolated onto this one, polishes to the flat start's Rayleigh
     # quotient without polish sweeps
-    system = build()
+    system = _saturated_system()
     shapes = StartShapes()
-    refined_lowest_eigenvalues(build(127), 3, shapes=shapes)
+    refined_lowest_eigenvalues(_saturated_system(127), 3, shapes=shapes)
     for j, lam in enumerate(lowest_eigenvalues(system.diag, system.offdiag, 3)):
         flat = inverse_iteration(system.diag, system.offdiag, float(lam))
         started = inverse_iteration(system.diag, system.offdiag, float(lam),
@@ -634,38 +635,34 @@ def test_recorded_window_holds_the_finest_levels_eigenvectors(k, alpha):
         assert lo <= held[0] and held[-1] < hi
 
 
-def _system_on(n, neumann=False):
-    """A whole level of n rows (only its grid indices and its lower end
-    matter to a decay window): grid indices 1, 2, ..., n with a Dirichlet
-    lower end, 0, 1, ..., n - 1 with a Neumann one."""
+def _system_on(n):
+    """A whole level of n rows, grid indices 1, 2, ..., n (only they matter
+    to a decay window)."""
     return AssembledSystem(diag=np.full(n, 2.0), offdiag=-np.ones(n - 1),
-                           potential_values=np.zeros(n), spacing=1.0, neumann_lower=neumann,
-                           first=int(not neumann))
+                           potential_values=np.zeros(n), spacing=1.0, first=1)
 
 
 _F = DECAY_FLOOR
 
 
 @pytest.mark.parametrize(
-    "values, neumann, window",
+    "values, window",
     [
         # the grid indices one sample outside the rows above the floor (a
-        # Dirichlet row's grid index is its row index + 1)
-        ([[0.0, 0.0, 0.1 * _F, 0.5, 1.0, 0.5, 0.1 * _F, 0.0]], False, (3, 7)),
-        ([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], False, (5, None)),
+        # row's grid index is its row index + 1)
+        ([[0.0, 0.0, 0.1 * _F, 0.5, 1.0, 0.5, 0.1 * _F, 0.0]], (3, 7)),
+        ([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], (5, None)),
         # the envelope is the largest |v_j|: a sign, a second vector and the
         # rows between them count
         ([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-          [0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0]], False, (2, 7)),
-        # a Neumann lower end is never cut (its row index is its grid index)
-        ([[0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]], True, (None, 5)),
+          [0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0]], (2, 7)),
         # the floor is relative to the peak, and a row at it is not held
-        ([[4.0 * _F, 4.0 * _F, 4.0, 8.0 * _F, 4.0 * _F, 0.0, 0.0, 0.0]], False, (2, 5)),
+        ([[4.0 * _F, 4.0 * _F, 4.0, 8.0 * _F, 4.0 * _F, 0.0, 0.0, 0.0]], (2, 5)),
         # every row held, or the first
-        ([[1.0] * 8], False, (None, None)),
-        ([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], False, (None, 3)),
+        ([[1.0] * 8], (None, None)),
+        ([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], (None, 3)),
     ],
 )
-def test_decay_window_rows(values, neumann, window):
-    system = _system_on(len(values[0]), neumann)
+def test_decay_window_rows(values, window):
+    system = _system_on(len(values[0]))
     assert eigensolver._decay_window(system, values) == window
