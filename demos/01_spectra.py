@@ -31,7 +31,7 @@ print(f"  lambda_2 = {res.eigenvalues[1]:.10f}")
 u, t = res.ground_state_values, res.ground_state_points
 print(f"  ground state: {len(u)} samples, all positive: {bool(np.all(u > 0))}")
 print(f"  even in t (mirror residual): {np.max(np.abs(u - u[::-1])):.2e}")
-norm = float(np.sum(res.quadrature_weights * u**2))
+norm = float(np.sum(res.ground_state_grid.spacing * u**2))
 print(f"  discrete L2 norm: {norm:.15f}")
 
 print()

@@ -8,8 +8,10 @@ extrapolation step on the reported eigenvalues, from the O(h^2) step
 that _ladder yields: over as many levels as tol needs in
 solve_on_interval, over its first two in _fixed_grid_lambda1.
 solve_on_interval stops a ladder early only to fail: once its steps
-shrink at the O(h^2) rate, a forecast (_cap_forecast) tells when the
+shrink at the O(h^2) rate (_shows_h2_rate), a forecast tells when the
 levels left below the grid cap cannot reach tol.
+A ladder level is named by its GridSpec: the matrix, the points and the
+trapezoid weight (the spacing h) all follow from it.
 Past a ladder's first level, inverse iteration runs only on the level's
 decay window, the rows where the first level's eigenvectors are above
 rounding (StartShapes, _polished).
@@ -52,7 +54,7 @@ _N_CAP = 2**20
 
 # A ladder is in its O(h^2) regime when every eigenvalue's step shrank
 # by a factor strictly between these two from the level before; there,
-# no later level shrinks a step by _RATE_BOUND or more (_cap_forecast).
+# no later level shrinks a step by _RATE_BOUND or more (_shows_h2_rate).
 _RATIO_RANGE = (3.5, 4.5)
 _RATE_BOUND = 6.0
 
@@ -101,10 +103,10 @@ class AssembledSystem:
     """Symmetric tridiagonal discretization of -d2/dt2 + V, Dirichlet at
     both ends.
 
-    Row i samples the grid point of grid index first + i (lower +
-    spacing * (first + i), as _grid_points builds it): `first` is 1 on a
-    whole level, whose boundary points are no unknowns, plus the rows a
-    window cuts off below (`rows`).
+    An assembled system is a whole level: its boundary points are no
+    unknowns, so row i samples the grid point of grid index i + 1 (lower +
+    spacing * (i + 1), as _grid_points builds it).  A window is the row
+    range [lo, hi) of such a level (`rows`), and its caller keeps lo.
 
     A system holds three arrays of its size, diag, offdiag and
     potential_values, and no points: the ladder hands over between its
@@ -115,7 +117,6 @@ class AssembledSystem:
     offdiag: np.ndarray
     potential_values: np.ndarray
     spacing: float
-    first: int
 
     def rows(self, lo: int, hi: int) -> "AssembledSystem":
         """The principal submatrix on rows [lo, hi), as views of this
@@ -125,7 +126,6 @@ class AssembledSystem:
             offdiag=self.offdiag[lo:hi - 1],
             potential_values=self.potential_values[lo:hi],
             spacing=self.spacing,
-            first=self.first + lo,
         )
 
     def rayleigh_quotient(self, v: np.ndarray) -> float:
@@ -180,7 +180,6 @@ def assemble_hamiltonian(
         offdiag=np.full(grid.n - 1, -inv_h2),
         potential_values=values,
         spacing=h,
-        first=1,
     )
 
 
@@ -196,7 +195,7 @@ class StartShapes:
     ratio = (n' + 1) / (n + 1) times, an exact power of two, and its grid
     index g sits at g / ratio on the recorded grid, bit for bit.
     Each later level starts eigenpair j from vector j, linearly
-    interpolated in those index units onto the rows that level is
+    interpolated in those index units onto the rows [lo, hi) that level is
     polished on (its decay window, or the whole level); at ratio 1 that is
     vector j itself.  Only one level's vectors are held: the ladder's
     first level's, `count` arrays of about _N_START doubles, the very
@@ -216,16 +215,17 @@ class StartShapes:
     def __init__(self):
         self.vectors = self.n = self.window = None
 
-    def record(self, system: AssembledSystem, vectors) -> None:
-        """Record a whole level's vectors, grid and decay window."""
+    def record(self, vectors) -> None:
+        """Record a whole level's vectors, its size and decay window."""
         self.vectors = vectors
-        self.n = len(system.diag)
-        self.window = _decay_window(system, vectors)
+        self.n = len(vectors[0])
+        self.window = _decay_window(vectors)
 
-    def start(self, system: AssembledSystem, j: int, ratio: int):
-        """The start of eigenpair j on `system`, a level refined `ratio`
-        times from the recorded one or rows of such a level."""
-        return np.interp(np.arange(system.first, system.first + len(system.diag)) / ratio,
+    def start(self, j: int, lo: int, hi: int, ratio: int):
+        """The start of eigenpair j on rows [lo, hi) of a whole level
+        refined `ratio` times from the recorded one: grid indices lo + 1
+        to hi."""
+        return np.interp(np.arange(lo + 1, hi + 1) / ratio,
                          np.arange(1, self.n + 1), self.vectors[j])
 
 
@@ -297,7 +297,7 @@ def refined_lowest_eigenvalues(
         polished = _polished(system, raw, keep=keep)
     refined, vectors = polished
     if record:
-        shapes.record(system, vectors)
+        shapes.record(vectors)
     return refined, vectors[0] if ground else None
 
 
@@ -307,14 +307,13 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     the first `keep` vectors; each other one is dropped before the next
     eigenpair is polished.  None if a window cut proves coupled.
 
-    `shapes` holds a decay window (g_lo, g_hi), grid indices of the
-    recording level (StartShapes); this level, `ratio` times as fine,
-    holds them at grid indices g_lo * ratio and g_hi * ratio, and the
-    iteration, the Rayleigh quotient and the starts run on its rows from
-    the one to the other, as views of the level's arrays; a window of
-    fewer than 2 rows leaves the level whole.
-    The window's largest coupling, max |offdiag|, is read once, for every
-    residual floor below.  Each kept vector comes back embedded in zeros
+    `system` is a whole level, whose row i is grid index i + 1.  `shapes`
+    holds a decay window (g_lo, g_hi), grid indices of the recording level
+    (StartShapes); this level, `ratio` times as fine, holds them at grid
+    indices g_lo * ratio and g_hi * ratio, and the iteration, the Rayleigh
+    quotient and the starts run on its rows from the one to the other,
+    [lo, hi) = [g_lo * ratio - 1, g_hi * ratio), as views of the level's
+    arrays; a window of fewer than 2 rows leaves the level whole.  Each kept vector comes back embedded in zeros
     on the level's own rows, where it has the window's residual plus
     |offdiag[cut] v[edge]| at each cut row, the coupling that the cut
     drops.  Each must be within
@@ -326,16 +325,15 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     n = len(system.diag)
     lo, hi = 0, n
     if shapes is not None:
-        ratio = (system.first + n) // (shapes.n + 1)
+        ratio = (n + 1) // (shapes.n + 1)
         g_lo, g_hi = shapes.window
         if g_lo is not None:
-            lo = max(g_lo * ratio - system.first, 0)
+            lo = max(g_lo * ratio - 1, 0)
         if g_hi is not None:
-            hi = min(g_hi * ratio - system.first + 1, n)
+            hi = min(g_hi * ratio, n)
         if hi - lo < 2:
             lo, hi = 0, n
     window = system if (lo, hi) == (0, n) else system.rows(lo, hi)
-    coupling = tridiag._max_abs(window.offdiag)
     refined = np.empty(len(estimates))
     vectors = []
     for j, lam in enumerate(estimates):
@@ -343,10 +341,10 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
         # holds the only reference and can drop it once it has normalized it
         v = tridiag.inverse_iteration(
             window.diag, window.offdiag, float(lam),
-            None if shapes is None else shapes.start(window, j, ratio), coupling=coupling,
+            None if shapes is None else shapes.start(j, lo, hi, ratio),
         )
         if window is not system:
-            floor = tridiag._residual_floor(window.offdiag, float(lam), coupling)
+            floor = tridiag._residual_floor(window.offdiag, float(lam))
             if (lo > 0 and abs(system.offdiag[lo - 1] * v[0]) > floor) or (
                 hi < n and abs(system.offdiag[hi - 1] * v[-1]) > floor
             ):
@@ -362,26 +360,28 @@ def _polished(system: AssembledSystem, estimates, shapes=None, keep=0):
     return refined, vectors
 
 
-def _decay_window(system: AssembledSystem, vectors):
-    """(g_lo, g_hi): the grid indices of the whole level `system` one
-    sample outside its first and its last row where the envelope of
-    `vectors` (the largest |v_j| at each row) exceeds DECAY_FLOOR of its
-    peak; None at an end that holds such a row.
+def _decay_window(vectors):
+    """(g_lo, g_hi): the grid indices, on the whole level that `vectors`
+    were polished on (row i is grid index i + 1), one sample outside its
+    first and its last row where their envelope (the largest |v_j| at each
+    row) exceeds DECAY_FLOOR of its peak; None at an end that holds such a
+    row.
     """
     envelope = np.max(np.abs(vectors), axis=0)
     held = np.flatnonzero(envelope > DECAY_FLOOR * np.max(envelope))
     first, last = int(held[0]) - 1, int(held[-1]) + 1
-    g_lo = None if first < 0 else system.first + first
-    g_hi = None if last == len(envelope) else system.first + last
+    g_lo = None if first < 0 else first + 1
+    g_hi = None if last == len(envelope) else last + 1
     return g_lo, g_hi
 
 
 def _ladder(potential, lower, upper, sizes, count, seeds):
     """The refinement ladder on (lower, upper): one level per size in
-    `sizes`, yielding (n, eigenvalues, step, system, ground vector) for
-    each, where step is the change of the eigenvalues from the level
-    before (None at the first level), and the ground vector is None on a
-    level of more than _N_VECTOR_CAP rows (refined_lowest_eigenvalues).
+    `sizes`, yielding (grid, eigenvalues, step, ground vector) for each,
+    where grid is the level's GridSpec (its matrix stays inside the
+    ladder), step is the change of the eigenvalues from the level before
+    (None at the first level), and the ground vector is None on a level of
+    more than _N_VECTOR_CAP rows (refined_lowest_eigenvalues).
 
     Every ladder is nested, n = 2m + 1 for the level below's m (else
     assemble_hamiltonian raises ValueError), and a level takes from the
@@ -393,7 +393,8 @@ def _ladder(potential, lower, upper, sizes, count, seeds):
     StartShapes; a seeded level whose window cut,
     polish or check fails takes the one fallback, bisection of the whole
     level (refined_lowest_eigenvalues).  A level's matrix is kept until
-    the next one is assembled, and its vector is freed before it, also
+    the next one is assembled (the next level reads its potential
+    samples), and its vector is freed before it, also
     when the consumer stops there (the first level's lives on as vector 0
     of the ladder's StartShapes): of the orders measured, this one takes
     the fewest page faults.
@@ -405,17 +406,17 @@ def _ladder(potential, lower, upper, sizes, count, seeds):
     is a ninth.
 
     Consumer rule: read a ground vector only up to _N_VECTOR_CAP rows
-    (there is none above), drop the level's system and vector before
-    asking for the next level, and never iterate the ladder through
-    `enumerate` or collect its records, which would hold both while the
-    next level is solved.
+    (there is none above), drop it before asking for the next level, and
+    never iterate the ladder through `enumerate` or collect its records,
+    which would hold it while the next level is solved.
     """
     shapes = StartShapes()
     lam = step = system = None
     for n in sizes:
+        grid = GridSpec(lower, upper, n)
         # the level below's points are every other point
         system = assemble_hamiltonian(
-            potential, GridSpec(lower, upper, n),
+            potential, grid,
             coarse_values=None if system is None else system.potential_values,
         )
         if lam is not None:
@@ -424,7 +425,7 @@ def _ladder(potential, lower, upper, sizes, count, seeds):
         step = None if lam is None else refined - lam
         lam = refined
         try:
-            yield n, lam, step, system, v
+            yield grid, lam, step, v
         finally:
             del v  # also when the consumer stops at this level
 
@@ -444,8 +445,9 @@ def _fixed_grid_lambda1(potential, lower: float, upper: float, seed: float) -> f
     """
     ladder = _ladder(potential, lower, upper, (_N_START, 2 * _N_START + 1), 1,
                      np.array([seed]))
-    # `_` holds the coarse vector while the fine level is solved, not its matrix
-    for _, lam, step, _, _ in ladder:
+    # `_` holds the coarse vector while the fine level is solved: it is
+    # vector 0 of the ladder's StartShapes record anyway
+    for _, lam, step, _ in ladder:
         pass
     return float(lam[0] + step[0] / 3.0)
 
@@ -473,15 +475,21 @@ def truncation_interval(potential, geometry: Geometry, lambda_bound: float):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged eigenvalues and sampled ground state of one operator."""
+    """Converged eigenvalues and sampled ground state of one operator.
+
+    The ground state is sampled on `ground_state_grid`, the ladder level
+    its vector lives on: grid_used, or the last level of at most
+    _N_VECTOR_CAP points on the same interval.  Its points are that
+    grid's interior points, and its trapezoid weight is the grid's
+    spacing h at every one of them (the integrand vanishes at both ends).
+    """
 
     eigenvalues: tuple
-    ground_state_points: np.ndarray
     ground_state_values: np.ndarray
-    quadrature_weights: np.ndarray
     achieved_tol_estimate: float
     grid_used: GridSpec
     iterations: int
+    ground_state_grid: GridSpec
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -497,6 +505,11 @@ class EigenResult:
     @property
     def lambda2(self) -> float:
         return self.eigenvalues[1]
+
+    @property
+    def ground_state_points(self) -> np.ndarray:
+        grid = self.ground_state_grid
+        return _grid_points(grid.lower, grid.spacing, 1, grid.n + 1)
 
 
 def solve_on_interval(
@@ -516,10 +529,11 @@ def solve_on_interval(
     step, step / 3, removes the leading O(h^2) error from that level's
     values; achieved_tol_estimate adds the step and the correction.
     A level whose step is still too large, and whose steps shrank from the
-    level before at the O(h^2) rate, fails at once if even the levels
-    left below _N_CAP could not bring its largest step under tol/2
-    (_cap_forecast): the cap is known to come first, so those levels are
-    not built.  A success is the same either way.  A forecast failure
+    level before at the O(h^2) rate (_shows_h2_rate), fails at once if
+    even the levels left below _N_CAP could not bring its largest step
+    under tol/2, that is if max |step| / _RATE_BOUND**levels_left is at
+    least tol/2: the cap is known to come first, so those levels are not
+    built.  A success is the same either way.  A forecast failure
     carries the last level's Richardson values as its best estimate; a
     failure at the cap carries those of the last level whose steps showed
     the O(h^2) rate (_shows_h2_rate), the regime where Richardson's step
@@ -535,20 +549,19 @@ def solve_on_interval(
     while 2 * sizes[-1] + 1 <= _N_CAP:
         sizes.append(2 * sizes[-1] + 1)
     previous = trusted = None
-    for n, lam, step, system, v in _ladder(potential, lower, upper, sizes, count, seeds):
+    for grid, lam, step, v in _ladder(potential, lower, upper, sizes, count, seeds):
         # The ground state comes from the last level up to _N_VECTOR_CAP
-        # (the first level is below it), as samples only; their points and
-        # weights are built once a result is returned.
+        # (the first level is below it), as samples on its grid.
         if v is not None:
-            ground = (v / math.sqrt(system.spacing), system.spacing)
-        del system, v  # see _ladder's consumer rule
+            ground = (v / math.sqrt(grid.spacing), grid)
+        del v  # see _ladder's consumer rule
         if step is None:
             continue
         correction = step / 3.0
         extrapolated = lam + correction
         if np.max(np.abs(step)) < 0.5 * tol:
             achieved = float(np.max(np.abs(step) + np.abs(correction)))
-            u, h = ground
+            u, ground_grid = ground
             if np.min(u) < -1e-10 * np.max(u):
                 raise SolverFailure(
                     "ground state came out with a sign change",
@@ -556,23 +569,21 @@ def solve_on_interval(
                 )
             return EigenResult(
                 eigenvalues=tuple(float(x) for x in extrapolated),
-                ground_state_points=_grid_points(lower, h, 1, len(u) + 1),
                 ground_state_values=u,
-                quadrature_weights=np.full(len(u), h),  # the trapezoid rule's
                 achieved_tol_estimate=achieved,
-                grid_used=GridSpec(lower, upper, n),
-                iterations=sizes.index(n) + 1,
+                grid_used=grid,
+                iterations=sizes.index(grid.n) + 1,
+                ground_state_grid=ground_grid,
             )
         if previous is not None and _shows_h2_rate(previous, step):
             trusted = extrapolated
-        levels_left = len(sizes) - 1 - sizes.index(n)
-        if previous is not None and levels_left > 0:
-            floor = _cap_forecast(previous, step, levels_left)
-            if floor is not None and floor >= 0.5 * tol:
+            levels_left = len(sizes) - 1 - sizes.index(grid.n)
+            floor = float(np.max(np.abs(step))) / _RATE_BOUND ** levels_left
+            if levels_left > 0 and floor >= 0.5 * tol:
                 j = int(np.argmax(np.abs(step)))
                 raise SolverFailure(
                     f"grid refinement cap n > {_N_CAP} would be reached before tolerance "
-                    f"{tol}: at n = {n} the largest step {abs(step[j]):.3g} shrinks "
+                    f"{tol}: at n = {grid.n} the largest step {abs(step[j]):.3g} shrinks "
                     f"{abs(previous[j] / step[j]):.2f}-fold per level; the {levels_left} "
                     f"levels left bring it no lower than {floor:.2g} "
                     f"(needs < {0.5 * tol:.2g})",
@@ -587,29 +598,22 @@ def solve_on_interval(
     )
 
 
-def _cap_forecast(previous_step, step, levels_left: int) -> Optional[float]:
-    """The least that `levels_left` more ladder levels can bring the
-    largest |step|, or None while the steps do not show the O(h^2) rate.
+def _shows_h2_rate(previous_step, step) -> bool:
+    """Whether every |previous_step| / |step| lies strictly inside
+    _RATIO_RANGE.  The test is written multiplied out, so that a zero or
+    nan step fails it without a division (and without a RuntimeWarning).
 
     The finite-difference eigenvalues carry the error expansion
     c2 h^2 + c4 h^4 + ... (Paine, de Hoog & Anderssen 1981), and h halves
     per level, so the ratio of consecutive steps is 4 (1 + d), with d of
     order h^2: its deviation from 4 shrinks about 4-fold per level.  The
     ladder is taken to be in that regime when every eigenvalue's ratio
-    |previous_step| / |step| lies strictly inside _RATIO_RANGE, (3.5, 4.5):
-    then |d| < 1/8 now, below about 1/32 a level later, and no later level
-    divides a step by more than about 4.2, so the remaining levels leave at
-    least max |step| / _RATE_BOUND**levels_left with _RATE_BOUND = 6.
+    lies strictly inside _RATIO_RANGE, (3.5, 4.5): then |d| < 1/8 now,
+    below about 1/32 a level later, and no later level divides a step by
+    more than about 4.2, so levels_left more levels leave at least
+    max |step| / _RATE_BOUND**levels_left with _RATE_BOUND = 6, the
+    forecast solve_on_interval fails on.
     """
-    if not _shows_h2_rate(previous_step, step):
-        return None
-    return float(np.max(np.abs(step))) / _RATE_BOUND ** levels_left
-
-
-def _shows_h2_rate(previous_step, step) -> bool:
-    """Whether every |previous_step| / |step| lies strictly inside
-    _RATIO_RANGE.  The test is written multiplied out, so that a zero or
-    nan step fails it without a division (and without a RuntimeWarning)."""
     before, now = np.abs(previous_step), np.abs(step)
     low, high = _RATIO_RANGE
     return bool(np.all(low * now < before) and np.all(before < high * now))

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import tridiag
 from .bounds import gap_ratio
-from .eigensolver import (
-    EigenResult,
-    GridSpec,
-    _fixed_grid_lambda1,
-    assemble_hamiltonian,
-    solve,
-)
+from .eigensolver import EigenResult, _fixed_grid_lambda1, assemble_hamiltonian, solve
 from .errors import SolverFailure
 from .operators import MontgomeryPotential, OperatorSpec
 
@@ -80,8 +74,10 @@ class IdentityReport:
 
 
 def _weighted(values: np.ndarray, result: EigenResult) -> float:
+    """The trapezoid integral of values * u^2 on the ground state's grid,
+    whose weight is its spacing h at every point."""
     u2 = result.ground_state_values * result.ground_state_values
-    return float(np.sum(result.quadrature_weights * values * u2))
+    return float(np.sum(result.ground_state_grid.spacing * values * u2))
 
 
 def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
@@ -94,19 +90,18 @@ def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
 def _second_derivative_on(result: EigenResult, potential, w: np.ndarray) -> float:
     """d2_exact on the ground-state level of a count=2 solve of
     `potential`, given w = W on that level's points
-    (result.ground_state_points, so len(w) is the level's size).  That
-    level is the one whose vector the solve reports: its final grid, or
-    the last level small enough that the vector's eps/h^2 rounding stays
-    below its discretization error.  Project W u off u, solve the
-    shifted tridiagonal system with a 1e-12 relative regularizing
-    offset, re-project."""
+    (result.ground_state_points).  That level is result.ground_state_grid,
+    the one whose vector the solve reports: its final grid, or the last
+    level small enough that the vector's eps/h^2 rounding stays below its
+    discretization error; its matrix is assembled here.  Project W u off
+    u, solve the shifted tridiagonal system with a 1e-12 relative
+    regularizing offset, re-project."""
     lam = result.eigenvalues
     if lam[1] - lam[0] < 1e-6:
         raise SolverFailure(
             f"spectral gap {lam[1] - lam[0]} too small to invert the reduced resolvent"
         )
-    grid = result.grid_used
-    system = assemble_hamiltonian(potential, GridSpec(grid.lower, grid.upper, len(w)))
+    system = assemble_hamiltonian(potential, result.ground_state_grid)
     h = system.spacing
     u = result.ground_state_values
     lam1 = system.rayleigh_quotient(u * math.sqrt(h))

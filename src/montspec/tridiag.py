@@ -145,17 +145,15 @@ def _require_rows(n: int) -> None:
         raise ValueError(f"need at least 2 rows, got {n}")
 
 
-def _residual_floor(offdiag, eigenvalue: float, coupling=None) -> float:
+def _residual_floor(offdiag, eigenvalue: float) -> float:
     """Rounding floor of ||A v - eigenvalue v|| for a unit eigenvector v.
 
-    Driven by the kinetic scale of the matrix, max |offdiag| (`coupling`,
-    if the caller has already read it), not by saturated potential
-    entries: the eigenvector is zero there, so they contribute nothing to
-    a converged residual.
+    Driven by the kinetic scale of the matrix, max |offdiag|, read here
+    from the matrix itself, not by saturated potential entries: the
+    eigenvector is zero there, so they contribute nothing to a converged
+    residual.
     """
-    if coupling is None:
-        coupling = _max_abs(offdiag)
-    scale = 4.0 * coupling + abs(eigenvalue) + 1.0
+    scale = 4.0 * _max_abs(offdiag) + abs(eigenvalue) + 1.0
     return 64.0 * _EPS * scale
 
 
@@ -317,7 +315,7 @@ def _aligned_sweep(sweep, v):
     return w, size
 
 
-def inverse_iteration(diag, offdiag, eigenvalue: float, start=None, coupling=None):
+def inverse_iteration(diag, offdiag, eigenvalue: float, start=None):
     """Eigenvector for the eigenvalue nearest an estimate, by shifted
     inverse iteration.
 
@@ -345,9 +343,9 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None, coupling=Non
     grid interpolated onto this one): its tails already decay, so it
     converges in about one sweep and runs no polish sweeps.
 
-    `coupling` is max |offdiag|, for a caller that has read it already
-    (the residual floor scales with it); without it the iteration reads
-    it itself.
+    The residual floor scales with max |offdiag| (_residual_floor), which
+    the iteration reads from the matrix it is given, so no caller can
+    hand it a floor that does not fit the matrix.
 
     Returns a unit 2-norm vector with positive sign convention (sum of
     entries > 0).  Needs at least 2 rows, finite entries and estimate,
@@ -377,7 +375,7 @@ def inverse_iteration(diag, offdiag, eigenvalue: float, start=None, coupling=Non
     del start  # not held through the sweeps: a temporary passed in is freed here
     shift = eigenvalue + 1e-12 * max(1.0, abs(eigenvalue))
     sweep = functools.partial(_gtsv, diag, offdiag, shift)
-    floor = _residual_floor(offdiag, eigenvalue, coupling)
+    floor = _residual_floor(offdiag, eigenvalue)
     residual = np.inf
     for _ in range(_MAX_SWEEPS):
         w, size = _aligned_sweep(sweep, v)

@@ -152,11 +152,12 @@ def barrier_core(diag, offdiag):
     return max(int(coupled[0]) - 1, 0), min(int(coupled[-1]) + 2, len(diag))
 
 
-def system_points(system, lower: float):
+def system_points(system, lower: float, lo: int = 0):
     """The sample points of a system's rows on a grid from `lower`, built as
-    eigensolver._grid_points builds a grid's."""
-    return eigensolver._grid_points(lower, system.spacing, system.first,
-                                    system.first + len(system.diag))
+    eigensolver._grid_points builds a grid's: a whole level's row i is grid
+    index i + 1, and a window's view of rows [lo, hi) starts at row lo."""
+    return eigensolver._grid_points(lower, system.spacing, lo + 1,
+                                    lo + 1 + len(system.diag))
 
 
 def window_rows(points, window, recorded):

@@ -185,7 +185,7 @@ def test_pure_quadratic_equals_shifted_harmonic():
 def test_eigenresult_invariants(montgomery_k2_result):
     res = montgomery_k2_result
     assert res.eigenvalues[0] < res.eigenvalues[1]
-    norm = float(np.sum(res.quadrature_weights * res.ground_state_values**2))
+    norm = float(np.sum(res.ground_state_grid.spacing * res.ground_state_values**2))
     assert abs(norm - 1.0) < 1e-12
     assert np.min(res.ground_state_values) > 0.0
     assert res.achieved_tol_estimate <= _K2_TOL
@@ -327,13 +327,37 @@ def test_solver_failure_at_grid_cap_carries_best_estimate(monkeypatch):
     assert info.value.best_estimate[0] == pytest.approx(0.66095, abs=1e-4)
 
 
-def test_cap_forecast_reads_the_h2_rate():
+def _stepped_failure(monkeypatch, steps, tol=1e-8):
+    """The SolverFailure of solve_on_interval on a ladder that yields one
+    level per entry of `steps` (None at the first), on the sizes
+    solve_on_interval asks for, with eigenvalues (1, 2) and no ground
+    vector, and stops there."""
+    def ladder(potential, lower, upper, sizes, count, seeds):
+        for n, step in zip(sizes, steps):
+            step = None if step is None else np.array(step, dtype=float)
+            yield GridSpec(lower, upper, n), np.array([1.0, 2.0]), step, None
+
+    monkeypatch.setattr(eigensolver, "_ladder", ladder)
+    with pytest.raises(SolverFailure) as info:
+        solve_on_interval(MontgomeryPotential(2, 0.0), -6.0, 6.0, count=2, tol=tol)
+    return info.value
+
+
+def test_cap_forecast_reads_the_h2_rate(monkeypatch):
+    # the fourth of the nine levels below the cap (n = 16391) leaves five:
+    # 4e-5 / 6^5 = 5.1e-9 cannot get under tol / 2 = 5e-9; a level earlier
+    # 1.6e-4 / 6^6 = 3.4e-9 could
     step = np.array([1e-5, 4e-5])
-    # 4e-5 / 6^5 = 5.1e-9: five more levels cannot bring it under 5e-9
-    floor = eigensolver._cap_forecast(4.0 * step, step, 5)
-    assert floor == pytest.approx(4e-5 / 6.0**5, rel=1e-15) and floor >= 0.5e-8
-    # a tenth of that step is within their reach
-    assert eigensolver._cap_forecast(0.4 * step, 0.1 * step, 5) < 0.5e-8
+    err = _stepped_failure(monkeypatch, [None, 16.0 * step, 4.0 * step, step])
+    assert str(err).endswith(
+        "at n = 16391 the largest step 4e-05 shrinks 4.00-fold per level; "
+        "the 5 levels left bring it no lower than 5.1e-09 (needs < 5e-09)")
+    assert err.best_estimate == tuple(float(x) for x in np.array([1.0, 2.0]) + step / 3.0)
+    # a tenth of those steps is within their reach: the ladder runs out
+    # instead, and the failure carries the last level at the O(h^2) rate
+    err = _stepped_failure(monkeypatch, [None, 1.6 * step, 0.4 * step, 0.1 * step])
+    assert str(err).endswith("reached before tolerance 1e-08")
+    assert err.best_estimate == tuple(float(x) for x in np.array([1.0, 2.0]) + step / 30.0)
 
 
 @pytest.mark.parametrize(
@@ -348,10 +372,14 @@ def test_cap_forecast_reads_the_h2_rate():
     ],
     ids=["ratio-2", "ratio-8", "zero-step", "zero-steps", "nan-step", "nan-previous"],
 )
-def test_cap_forecast_needs_the_h2_rate_everywhere(previous, step):
+def test_cap_forecast_needs_the_h2_rate_everywhere(monkeypatch, previous, step):
+    # steps that no level left could bring under tol / 2 = 5e-12: only a
+    # failed rate test keeps the forecast from firing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert eigensolver._cap_forecast(np.array(previous), np.array(step), 5) is None
+        assert not eigensolver._shows_h2_rate(np.array(previous), np.array(step))
+        err = _stepped_failure(monkeypatch, [None, previous, step], tol=1e-11)
+    assert str(err).endswith("reached before tolerance 1e-11")
 
 
 def test_steep_well_fails_on_its_cap_forecast(monkeypatch):
@@ -568,8 +596,8 @@ def _ladder_levels(spec, levels):
     """The first `levels` levels of spec's count=2 ladder, n -> 2n + 1 from
     _N_START points, on its cap-10 truncation interval and unseeded: an
     explicit ladder, whatever level solve's stop rule ends at.  Callers
-    drop each level's system and vector before asking for the next
-    (_ladder's consumer rule)."""
+    drop each level's vector before asking for the next (_ladder's
+    consumer rule)."""
     potential = spec.potential()
     sizes = [eigensolver._N_START]
     while len(sizes) < levels:
@@ -588,8 +616,8 @@ def test_ladder_levels_do_not_outlive_their_successor(monkeypatch):
     res = solve(OperatorSpec(2, 0.3), count=2, tol=1e-6)
     assert alive == [([0], [])] + [([0], [0])] * (res.iterations - 1)
     alive.clear()
-    for _, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.3), 8):
-        del system, v
+    for _, _, _, v in _ladder_levels(OperatorSpec(2, 0.3), 8):
+        del v
     assert alive == [([], [])] + [([], [res.iterations])] * 7
     alive.clear()
     # a fixed-grid evaluation's coarse matrix is dead while its fine level is
@@ -606,14 +634,14 @@ def test_a_level_holds_at_most_nine_of_its_arrays():
     solve(OperatorSpec(2, 0.0), count=2, tol=1e-6)  # imports and first-call caches
     tracemalloc.start()
     try:
-        for n, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.0), 8):
+        for grid, _, _, v in _ladder_levels(OperatorSpec(2, 0.0), 8):
             if v is not None:  # kept as solve_on_interval keeps its ground state
-                ground = v / math.sqrt(system.spacing)
-            del system, v
+                ground = v / math.sqrt(grid.spacing)
+            del v
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (n, len(ground)) == (262271, 65567)
+    assert (grid.n, len(ground)) == (262271, 65567)
     assert peak <= 9 * 8 * 262271
 
 
@@ -623,8 +651,8 @@ def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
     # only levels of at most _N_VECTOR_CAP rows return a ground vector: on
     # eight levels of an explicit ladder, and in solve with a cap small
     # enough that its final grid is past it whatever level it stops at;
-    # the result's ground state is sampled on the last of them, with the
-    # points and trapezoid weights of that level
+    # the result's ground state is sampled on the last of them, and carries
+    # that level's grid, whose points it reports
     vectors = []
     level = eigensolver.refined_lowest_eigenvalues
 
@@ -640,9 +668,9 @@ def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
         assert all((length is None) == (rows > cap) for rows, length in vectors)
         assert all(length in (None, rows) for rows, length in vectors)
 
-    for n, _, _, system, v in _ladder_levels(spec, 8):
-        del system, v
-    check(n, eigensolver._N_VECTOR_CAP)
+    for grid, _, _, v in _ladder_levels(spec, 8):
+        del v
+    check(grid.n, eigensolver._N_VECTOR_CAP)
     vectors.clear()
     cap = 3000
     monkeypatch.setattr(eigensolver, "_N_VECTOR_CAP", cap)
@@ -652,14 +680,15 @@ def test_levels_above_the_vector_cap_yield_no_vector(monkeypatch, spec):
     grid = GridSpec(res.grid_used.lower, res.grid_used.upper, rows)
     assert len(res.ground_state_values) == rows
     assert res.ground_state_points.tobytes() == _interior_points(grid).tobytes()
-    assert res.quadrature_weights.tobytes() == np.full(rows, grid.spacing).tobytes()
+    assert res.ground_state_grid == grid
 
 
 @pytest.mark.parametrize("lower", [-3.7, 0.0], ids=["full-line", "half-line"])
 @pytest.mark.parametrize("n", [2048, 4097, 65567, 524543])
 def test_derived_rows_match_the_materialized_points(lower, n):
-    # a system's rows are its grid's points from grid index `first` on,
-    # bit for bit as the grid builds them, also on a window of the level
+    # a whole level's row i is its grid's point of grid index i + 1, bit
+    # for bit as the grid builds them, and a window's view of rows [lo, hi)
+    # holds the level's points from row lo on
     grid = GridSpec(lower, 3.7, n)
     system = assemble_hamiltonian(MontgomeryPotential(10, 0.3), grid)
     points = system_points(system, lower)
@@ -667,27 +696,7 @@ def test_derived_rows_match_the_materialized_points(lower, n):
     rows = len(points)
     for view, lo in ((system, 0), (system.rows(rows // 5, rows - 7), rows // 5)):
         inside = points[lo:lo + len(view.diag)]
-        assert system_points(view, lower).tobytes() == inside.tobytes()
-
-
-def test_a_seeded_level_reads_its_largest_coupling_twice(monkeypatch):
-    # max |offdiag| bounds every residual floor of a level: _polished reads
-    # it once for its window (each eigenpair's inverse iteration and cut
-    # check), and the level's check once for its separation margin
-    sizes = _level_sizes(monkeypatch)
-    reads = []
-    plain = tridiag._max_abs
-
-    def counted(x):
-        reads.append(len(x))
-        return plain(x)
-
-    monkeypatch.setattr(tridiag, "_max_abs", counted)
-    for _, _, _, system, v in _ladder_levels(OperatorSpec(2, 0.0), 4):  # every level is whole
-        del system, v
-    assert len(sizes) == 4
-    for n in sizes[1:]:
-        assert reads.count(n - 1) == 2
+        assert system_points(view, lower, lo).tobytes() == inside.tobytes()
 
 
 _THREADS_PROBE = """
@@ -751,8 +760,8 @@ def test_started_levels_take_one_sweep_per_eigenpair(monkeypatch, spec):
 
     monkeypatch.setattr(tridiag, "_aligned_sweep", counted_sweep)
     monkeypatch.setattr(eigensolver, "refined_lowest_eigenvalues", counted_level)
-    for _, _, _, system, v in _ladder_levels(spec, 5):
-        del system, v
+    for _, _, _, v in _ladder_levels(spec, 5):
+        del v
     assert len(level_sweeps) == 5
     assert level_sweeps[0] > 2 * 2  # flat starts and their polish
     assert level_sweeps[1:] == [2] * 4
@@ -784,9 +793,9 @@ def _inverse_iteration_rows(monkeypatch):
     rows = []
     plain = tridiag.inverse_iteration
 
-    def counted(diag, offdiag, eigenvalue, start=None, **kwargs):
+    def counted(diag, offdiag, eigenvalue, start=None):
         rows.append(len(diag))
-        return plain(diag, offdiag, eigenvalue, start, **kwargs)
+        return plain(diag, offdiag, eigenvalue, start)
 
     monkeypatch.setattr(tridiag, "inverse_iteration", counted)
     return rows
@@ -807,7 +816,7 @@ def _level_sizes(monkeypatch):
 
 def _window_off(monkeypatch):
     """Switch the decay window off: every ladder polishes every level whole."""
-    monkeypatch.setattr(eigensolver, "_decay_window", lambda system, vectors: (None, None))
+    monkeypatch.setattr(eigensolver, "_decay_window", lambda vectors: (None, None))
 
 
 def _recorded_windows(monkeypatch):
@@ -815,8 +824,8 @@ def _recorded_windows(monkeypatch):
     windows = []
     plain = eigensolver._decay_window
 
-    def recorded(system, vectors):
-        windows.append(plain(system, vectors))
+    def recorded(vectors):
+        windows.append(plain(vectors))
         return windows[-1]
 
     monkeypatch.setattr(eigensolver, "_decay_window", recorded)
@@ -924,9 +933,12 @@ def test_coupled_cut_polishes_the_whole_level(monkeypatch):
     whole = solve(spec, count=2, tol=1e-6)
     windows = []
 
-    def central(system, vectors):
-        # the grid indices of the recording level's points nearest -0.5 and 0.5
-        middle, half = (len(system.diag) + 1) / 2, 0.5 / system.spacing
+    def central(vectors):
+        # the grid indices of the recording level's points nearest -0.5 and
+        # 0.5, on the interval of the untrimmed solve
+        n = len(vectors[0])
+        spacing = GridSpec(whole.grid_used.lower, whole.grid_used.upper, n).spacing
+        middle, half = (n + 1) / 2, 0.5 / spacing
         windows.append((round(middle - half), round(middle + half)))
         return windows[-1]
 
@@ -967,8 +979,8 @@ def test_very_steep_wells_never_fall_back(monkeypatch, k):
 
 def _windowed_levels(monkeypatch):
     """Record, for every level polished on a decay window, the interval and
-    first size of its ladder, the level's first grid index and rows, the
-    window and the rows [lo, hi) inverse iteration ran on."""
+    first size of its ladder, the level's rows, the window and the rows
+    [lo, hi) inverse iteration ran on."""
     ladders, levels = [], []
     plain_ladder, plain_polished = eigensolver._ladder, eigensolver._polished
     plain_rows = eigensolver.AssembledSystem.rows
@@ -979,13 +991,13 @@ def _windowed_levels(monkeypatch):
 
     def polished(system, estimates, shapes=None, keep=0):
         if shapes is not None and shapes.window is not None:
-            levels.append([ladders[-1], system.first, len(system.diag), shapes.window,
+            levels.append([ladders[-1], len(system.diag), shapes.window,
                            (0, len(system.diag))])
         return plain_polished(system, estimates, shapes, keep)
 
     def rows(system, lo, hi):
         if levels:
-            levels[-1][4] = (lo, hi)
+            levels[-1][3] = (lo, hi)
         return plain_rows(system, lo, hi)
 
     monkeypatch.setattr(eigensolver, "_ladder", ladder)
@@ -1017,12 +1029,10 @@ def test_windows_hand_off_by_grid_index(monkeypatch, k, alpha, geometry):
         except SolverFailure:  # k = 1 at alpha = 5 is near-degenerate
             pass
     assert levels
-    for (lower, upper, n_recorded), first, n, window, polished in levels:
+    for (lower, upper, n_recorded), n, window, polished in levels:
         assert len(window) == 2 and all(g is None or type(g) is int for g in window)
         recorded = GridSpec(lower, upper, n_recorded)
-        level = GridSpec(lower, upper, first + n - 1)
-        points = eigensolver._grid_points(lower, level.spacing, first, first + n)
-        lo, hi = window_rows(points, window, recorded)
+        lo, hi = window_rows(_interior_points(GridSpec(lower, upper, n)), window, recorded)
         assert polished == ((lo, hi) if hi - lo >= 2 else (0, n))
 
 
@@ -1044,14 +1054,15 @@ def test_starts_interpolate_in_grid_index_units(geometry, k):
     recorded_points = system_points(system, lower)
     reach = max(abs(lower), abs(upper)) / system.spacing
     for j, vector in enumerate(shapes.vectors):
-        assert shapes.start(system, j, 1).tobytes() == vector.tobytes()
+        assert shapes.start(j, 0, len(system.diag), 1).tobytes() == vector.tobytes()
     for ratio in (2, 4):
         fine = assemble_hamiltonian(potential, GridSpec(lower, upper, 2049 * ratio - 1))
         rows = len(fine.diag)
-        for view in (fine, fine.rows(rows // 3, rows - rows // 5)):
+        for lo, hi in ((0, rows), (rows // 3, rows - rows // 5)):
+            points = system_points(fine.rows(lo, hi), lower, lo)
             for j, vector in enumerate(shapes.vectors):
-                start = shapes.start(view, j, ratio)
-                expected = np.interp(system_points(view, lower), recorded_points, vector)
+                start = shapes.start(j, lo, hi, ratio)
+                expected = np.interp(points, recorded_points, vector)
                 bar = 2.0 * np.finfo(float).eps * (
                     np.max(np.abs(vector)) + reach * np.max(np.abs(np.diff(vector))))
                 assert np.max(np.abs(start - expected)) <= bar
@@ -1127,7 +1138,7 @@ def test_fixed_grid_lambda1_is_a_pure_function(k, alpha):
 
 
 def _recorded_ladder(monkeypatch):
-    """Record (n, eigenvalues, step) of every ladder level."""
+    """Record (grid, eigenvalues, step) of every ladder level."""
     records = []
     plain = eigensolver._ladder
 
@@ -1155,8 +1166,8 @@ def test_consumers_read_the_ladders_step(monkeypatch):
     for (_, below, _), (_, lam, step) in zip(records, records[1:]):
         assert np.array_equal(step, lam - below)
     assert all(np.max(np.abs(step)) >= 0.5 * tol for _, _, step in records[1:-1])
-    n, lam, step = records[-1]
-    assert res.grid_used.n == n
+    grid, lam, step = records[-1]
+    assert res.grid_used == grid
     assert res.eigenvalues == tuple(float(x) for x in lam + step / 3.0)
     assert res.achieved_tol_estimate == float(np.max(np.abs(step) + np.abs(step / 3.0)))
 

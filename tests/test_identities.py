@@ -71,21 +71,32 @@ def test_second_derivative_cauchy_schwarz_floor():
     assert floor <= rep.d2_exact <= 2.0
 
 
-def _ground_state_level(result):
-    grid = result.grid_used
-    return GridSpec(grid.lower, grid.upper, len(result.ground_state_points))
-
-
 def test_ground_state_level_rebuilds_bit_for_bit(monkeypatch):
-    # with a vector cap between the first level (2048 points) and the
+    # with a vector cap between the second level (4097 points) and the
     # third, the final grid is past it whatever level the solve stops at,
-    # so the reported ground state comes from a level below it
+    # so the reported ground state comes from the second level, whose grid
+    # the result carries: its points, and the matrix d2_exact is read on
     monkeypatch.setattr(eigensolver, "_N_VECTOR_CAP", 5000)
     result = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
-    level = _ground_state_level(result)
-    assert level.n < result.grid_used.n
+    grid = result.grid_used
+    level = result.ground_state_grid
+    assert level == GridSpec(grid.lower, grid.upper, 4097)
+    assert level.n < grid.n
     points = eigensolver._grid_points(level.lower, level.spacing, 1, level.n + 1)
-    assert np.array_equal(points, result.ground_state_points)
+    assert points.tobytes() == result.ground_state_points.tobytes()
+    potential = MontgomeryPotential(2, 0.0)
+    w = potential.signed_root(result.ground_state_points)
+    system = assemble_hamiltonian(potential, level)
+    h = system.spacing
+    u = result.ground_state_values
+    lam1 = system.rayleigh_quotient(u * math.sqrt(h))
+    f = w * u
+    f_perp = f - (h * tridiag.dot(f, u)) * u
+    g = tridiag.shifted_solve(system.diag, system.offdiag, lam1 + 1e-12 * max(1.0, abs(lam1)),
+                              f_perp)
+    g = g - (h * tridiag.dot(g, u)) * u
+    expected = 2.0 - 4.0 * h * tridiag.dot(f, 2.0 * g)
+    assert identities._second_derivative_on(result, potential, w) == expected
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-8])
@@ -94,7 +105,7 @@ def test_second_derivative_matches_bisected_resolve(tol):
     # of the ground-state level, independent of the ladder's vector
     result = solve(OperatorSpec(2, 0.0), count=2, tol=tol)
     potential = MontgomeryPotential(2, 0.0)
-    system = assemble_hamiltonian(potential, _ground_state_level(result))
+    system = assemble_hamiltonian(potential, result.ground_state_grid)
     lam, v = refined_lowest_eigenvalues(system, 2)
     h = system.spacing
     u = v / math.sqrt(h)

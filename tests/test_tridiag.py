@@ -15,7 +15,6 @@ from derivations import barrier_core, system_points, window_rows
 from montspec import eigensolver
 from montspec.eigensolver import (
     DECAY_FLOOR,
-    AssembledSystem,
     GridSpec,
     StartShapes,
     assemble_hamiltonian,
@@ -28,6 +27,7 @@ from montspec.tridiag import (
     _EPS,
     _count_below,
     _rayleigh_residual,
+    _residual_floor,
     inverse_iteration,
     are_lowest_eigenvalues,
     lowest_eigenvalues,
@@ -326,6 +326,22 @@ def test_inverse_iteration_rough_estimate():
         )
 
 
+def test_inverse_iteration_reads_its_own_coupling():
+    # the residual floor scales with max |offdiag|, which inverse iteration
+    # reads from the matrix it is given: a coupling passed in beside the
+    # matrix, too large, raised the floor and returned an unconverged
+    # vector (residual 7.2e-4 at coupling=1e300) without a word
+    system = _full_line_level(2, 2048)
+    estimate = float(lowest_eigenvalues(system.diag, system.offdiag, 1)[0]) + 0.3
+    with pytest.raises(TypeError):
+        inverse_iteration(system.diag, system.offdiag, estimate, coupling=1e300)
+    with pytest.raises(TypeError):
+        _residual_floor(system.offdiag, estimate, 1e300)
+    v = inverse_iteration(system.diag, system.offdiag, estimate)
+    floor = _residual_floor(system.offdiag, estimate)
+    assert _rayleigh_residual(system.diag, system.offdiag, v) <= floor
+
+
 def test_lowest_eigenvalues_check():
     system = _saturated_system()
     lam = lowest_eigenvalues(system.diag, system.offdiag, 4)
@@ -361,7 +377,7 @@ def test_started_inverse_iteration_matches_flat_start():
     for j, lam in enumerate(lowest_eigenvalues(system.diag, system.offdiag, 3)):
         flat = inverse_iteration(system.diag, system.offdiag, float(lam))
         started = inverse_iteration(system.diag, system.offdiag, float(lam),
-                                    shapes.start(system, j, 2))
+                                    shapes.start(j, 0, len(system.diag), 2))
         assert system.rayleigh_quotient(started) == pytest.approx(
             system.rayleigh_quotient(flat), rel=0.0, abs=1e-13
         )
@@ -635,13 +651,6 @@ def test_recorded_window_holds_the_finest_levels_eigenvectors(k, alpha):
         assert lo <= held[0] and held[-1] < hi
 
 
-def _system_on(n):
-    """A whole level of n rows, grid indices 1, 2, ..., n (only they matter
-    to a decay window)."""
-    return AssembledSystem(diag=np.full(n, 2.0), offdiag=-np.ones(n - 1),
-                           potential_values=np.zeros(n), spacing=1.0, first=1)
-
-
 _F = DECAY_FLOOR
 
 
@@ -664,5 +673,4 @@ _F = DECAY_FLOOR
     ],
 )
 def test_decay_window_rows(values, window):
-    system = _system_on(len(values[0]))
-    assert eigensolver._decay_window(system, values) == window
+    assert eigensolver._decay_window(values) == window
