@@ -6,7 +6,7 @@ channel (`bounds`, with the de Gennes constant from its Weber-equation
 root in doubles, and `certify`'s certificates and figure tables) is
 plain arithmetic, plus mpmath's intervals for the certificates alone,
 and loads neither numpy nor scipy.  The numerical channel (`operators`,
-`eigensolver`, `tridiag`, `identities`, `certify.scan` and
+`eigensolver`, `tridiag`, `spectral`, `identities`, `certify.scan` and
 `certify.locate_minimum`) needs them and loads them on first use.
 Every name below, and each of these submodules, is imported on first
 access (PEP 562), so `import montspec` itself loads neither channel.
@@ -57,6 +57,7 @@ _EXPORTS = {
         "PureAnharmonicPotential",
         "ShiftedHarmonicPotential",
     ),
+    "spectral": (),
     "tridiag": ("inverse_iteration", "lowest_eigenvalues"),
 }
 

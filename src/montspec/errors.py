@@ -4,9 +4,9 @@
 class SolverFailure(RuntimeError):
     """Raised when an eigenvalue computation cannot reach the requested accuracy.
 
-    Every solver fault is one, LAPACK faults included: tridiag calls
-    scipy's LAPACK wrappers directly and raises this type on a fault they
-    report (for stebz, with its info code), never scipy.linalg's
+    Every solver fault is one, LAPACK faults included: tridiag and
+    spectral call scipy's LAPACK wrappers directly and raise this type
+    on a fault they report (for stebz, with its info code), never scipy.linalg's
     LinAlgError, which is a ValueError; so a ValueError means bad input.
     Carries whatever partial information is available so callers can
     report a best estimate instead of nothing.

@@ -47,9 +47,9 @@ them, instead of bisecting.
 Every sum over a vector goes through dot (np.einsum), never through
 BLAS, so no result depends on the BLAS thread count.
 
-No other module calls LAPACK, and every LAPACK fault (stebz failing to
-converge, a singular shifted matrix, a NaN pivot) leaves this one as
-SolverFailure.
+Only this module and spectral (the dense Galerkin pencil) call LAPACK,
+and every LAPACK fault (stebz failing to converge, a singular shifted
+matrix, a NaN pivot) leaves either as SolverFailure.
 
 The three LAPACK routines (dgtsv, dpttrf, dstebz) are the f2py
 wrappers in scipy's compiled LAPACK extension, scipy.linalg._flapack,
@@ -120,7 +120,7 @@ def dot(*vectors) -> float:
     """sum_i of the product of the vectors' entries i, by np.einsum.
 
     Every reduction over solver vectors goes through here (norm below,
-    the Rayleigh quotients, the identities' projections): np.dot and
+    the Rayleigh quotients, spectral's quadratures): np.dot and
     np.linalg.norm reduce through BLAS, whose partial sums split by
     thread count, so their results would move at rounding with
     OPENBLAS_NUM_THREADS.  einsum sums in an order of its own, and a

@@ -303,6 +303,25 @@ def test_eigen_stable_lines_match_golden_bytes():
     ]
 
 
+def test_identities_stable_lines_match_golden_bytes():
+    # the Galerkin d2_exact to 12 digits, and the gap criterion as a bool
+    # ("true", where a numpy bool would print 1)
+    code, out = _run("identities --k 2 --alpha 0".split())
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "identities for k=2 alpha=0"
+    assert lines[3].startswith("d2_exact = 1.50036986153 (fd oracle ")
+    assert lines[4].startswith("gap criterion: true margin = ")
+
+
+def test_identities_at_k_300_succeeds():
+    # the Galerkin walk ends at N = 243 here; the adaptive finite-difference
+    # solve that the report used to run met its grid cap (exit 3)
+    code, out = _run("identities --k 300 --alpha 0".split())
+    assert code == EXIT_OK
+    assert out.startswith("identities for k=300 alpha=0\n")
+
+
 def test_scan_stable_columns_match_golden_bytes():
     code, out = _run("scan --k 2 --alpha-min 0 --alpha-max 1 --steps 3 --tol 1e-6".split())
     assert code == EXIT_OK

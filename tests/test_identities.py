@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from derivations import system_points
-from montspec import bounds, eigensolver, identities, tridiag
+from montspec import bounds, eigensolver, identities, spectral, tridiag
 from montspec.certify import locate_minimum
 from montspec.eigensolver import (
-    GridSpec,
     assemble_hamiltonian,
     refined_lowest_eigenvalues,
     solve,
@@ -71,38 +70,13 @@ def test_second_derivative_cauchy_schwarz_floor():
     assert floor <= rep.d2_exact <= 2.0
 
 
-def test_ground_state_level_rebuilds_bit_for_bit(monkeypatch):
-    # with a vector cap between the second level (4097 points) and the
-    # third, the final grid is past it whatever level the solve stops at,
-    # so the reported ground state comes from the second level, whose grid
-    # the result carries: its points, and the matrix d2_exact is read on
-    monkeypatch.setattr(eigensolver, "_N_VECTOR_CAP", 5000)
-    result = solve(OperatorSpec(2, 0.0), count=2, tol=1e-8)
-    grid = result.grid_used
-    level = result.ground_state_grid
-    assert level == GridSpec(grid.lower, grid.upper, 4097)
-    assert level.n < grid.n
-    points = eigensolver._grid_points(level.lower, level.spacing, 1, level.n + 1)
-    assert points.tobytes() == result.ground_state_points.tobytes()
-    potential = MontgomeryPotential(2, 0.0)
-    w = potential.signed_root(result.ground_state_points)
-    system = assemble_hamiltonian(potential, level)
-    h = system.spacing
-    u = result.ground_state_values
-    lam1 = system.rayleigh_quotient(u * math.sqrt(h))
-    f = w * u
-    f_perp = f - (h * tridiag.dot(f, u)) * u
-    g = tridiag.shifted_solve(system.diag, system.offdiag, lam1 + 1e-12 * max(1.0, abs(lam1)),
-                              f_perp)
-    g = g - (h * tridiag.dot(g, u)) * u
-    expected = 2.0 - 4.0 * h * tridiag.dot(f, 2.0 * g)
-    assert identities._second_derivative_on(result, potential, w) == expected
-
-
 @pytest.mark.parametrize("tol", [1e-7, 1e-8])
 def test_second_derivative_matches_bisected_resolve(tol):
-    # the same reduced-resolvent formula on an unseeded (bisected) re-solve
-    # of the ground-state level, independent of the ladder's vector
+    # the same reduced-resolvent formula on the finite-difference ground
+    # state, an unseeded (bisected) re-solve of an adaptive solve's
+    # ground-state level: independent of the Galerkin discretization, and
+    # off by that level's O(h^2) error, which the solve's own estimate
+    # tracks (4.6e-10 against 3.0e-8 and 1.9e-9)
     result = solve(OperatorSpec(2, 0.0), count=2, tol=tol)
     potential = MontgomeryPotential(2, 0.0)
     system = assemble_hamiltonian(potential, result.ground_state_grid)
@@ -114,15 +88,23 @@ def test_second_derivative_matches_bisected_resolve(tol):
     g = tridiag.shifted_solve(system.diag, system.offdiag, lam[0] * (1.0 + 1e-12), f_perp)
     g = g - (h * np.dot(g, u)) * u
     bisected = 2.0 - 8.0 * h * float(np.dot(f, g))
-    w = potential.signed_root(result.ground_state_points)
-    assert identities._second_derivative_on(result, potential, w) == pytest.approx(
-        bisected, rel=0.0, abs=1e-9)
+    assert report(2, 0.0).d2_exact == pytest.approx(
+        bisected, rel=0.0, abs=result.achieved_tol_estimate)
 
 
-def test_a_report_evaluates_w_once(monkeypatch):
-    # fh_integral, virial_lhs and d2_exact all read W on the ground state's
-    # points, from one evaluation; the stencil's solves read only V
-    result = solve(OperatorSpec(2, 0.9), count=2, tol=TOL)
+def _galerkin_sizes(final_n):
+    """The basis sizes of a Galerkin walk that ends at final_n."""
+    sizes = [spectral._N_FIRST]
+    while sizes[-1] < final_n:
+        sizes.append(sizes[-1] * 3 // 2)
+    return sizes
+
+
+def test_each_galerkin_level_evaluates_w_once(monkeypatch):
+    # fh_integral, virial_lhs and d2_exact all read W on each Galerkin
+    # level's M = N + k + 8 quadrature nodes, from one evaluation a level
+    # along the walk N = 32, 48, ...; the stencil's fixed-grid solves read
+    # only V
     sizes = []
     plain = MontgomeryPotential.signed_root
 
@@ -132,13 +114,13 @@ def test_a_report_evaluates_w_once(monkeypatch):
 
     monkeypatch.setattr(MontgomeryPotential, "signed_root", counted)
     identity_report(2, 0.9, tol=TOL)
-    assert sizes == [len(result.ground_state_points)]
+    assert sizes == [n + 2 + 8 for n in _galerkin_sizes(sizes[-1] - 2 - 8)]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.3])
 def test_fd_oracles_respect_alpha_symmetry(alpha):
     # lambda1 is even in alpha for even k; the stencils at +alpha and
-    # -alpha each run on the grid of their own solve
+    # -alpha each run on the interval of their own Galerkin lambda2
     plus, minus = report(2, alpha), report(2, -alpha)
     assert abs(plus.d1_fd + minus.d1_fd) < 1e-10
     # the two stencils' values agree to rounding, 64 eps lambda1 each
@@ -181,27 +163,22 @@ def test_report_consistency():
 @pytest.mark.parametrize("consumer, tol", [("report", 1e-6), ("report", 1e-9), ("locate", None)])
 def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, consumer, tol):
     # both consumers' fixed-grid evaluations run on the ladder's 2048- and
-    # 4097-point levels: the report's on its solve's interval, however many
-    # levels that solve's ladder climbs, and locate_minimum's on the
-    # interval that confines its bracket's worst case, alpha = 3
-    chains, solves = [], []
-    plain_ladder, plain_solve = eigensolver._ladder, identities.solve
+    # 4097-point levels: the report's on the interval truncation_interval
+    # gives for its Galerkin lambda2, whatever its tol, and locate_minimum's
+    # on the interval that confines its bracket's worst case, alpha = 3
+    chains = []
+    plain_ladder = eigensolver._ladder
 
     def recorded_ladder(potential, lower, upper, sizes, *args):
         if len(sizes) == 2:  # solve_on_interval's ladder lists every size up to the cap
             chains.append((tuple(sizes), lower, upper))
         return plain_ladder(potential, lower, upper, sizes, *args)
 
-    def recorded_solve(*args, **kwargs):
-        solves.append(plain_solve(*args, **kwargs))
-        return solves[-1]
-
     monkeypatch.setattr(eigensolver, "_ladder", recorded_ladder)
-    monkeypatch.setattr(identities, "solve", recorded_solve)
     if consumer == "report":
         identity_report(2, 0.3, tol=tol)
-        (result,) = solves
-        interval = (result.grid_used.lower, result.grid_used.upper)
+        interval = truncation_interval(MontgomeryPotential(2, 0.3), Geometry.FULL_LINE,
+                                       spectral.ground_state(2, 0.3, tol).lambda2)
     else:
         locate_minimum(2)
         interval = truncation_interval(MontgomeryPotential(2, 3.0), Geometry.FULL_LINE,
@@ -211,25 +188,25 @@ def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, cons
     assert set(chains) == {(sizes, *interval)}
 
 
-def test_report_runs_one_adaptive_solve(monkeypatch):
-    # the analytic identities and the stencil grid both read one count=2 solve
-    calls = []
+def test_report_runs_no_adaptive_solve(monkeypatch):
+    # the analytic identities come from the Galerkin ground state, and the
+    # stencil's fixed-grid ladders are seeded from it: no adaptive solve
+    # runs, and nothing bisects
+    def refused(*args, **kwargs):
+        raise AssertionError("an adaptive solve or a bisection ran")
 
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(identities, "solve", counted)
-    identity_report(2, 0.0, tol=TOL)
-    assert len(calls) == 1
+    for name in ("solve", "solve_on_interval"):
+        monkeypatch.setattr(eigensolver, name, refused)
+    monkeypatch.setattr(tridiag, "lowest_eigenvalues", refused)
+    rep = identity_report(2, 0.0, tol=TOL)
+    assert rep.d2_exact > 0.0
 
 
 def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
-    # inverse iteration starts flat on the first level of every ladder: the
-    # solve's and each stencil point's coarse level; every later level
-    # starts from the first level's vectors, and nothing carries from one
-    # stencil point to the next
-    expected = solve(OperatorSpec(2, 0.4), count=2, tol=TOL)
+    # the report's only finite-difference ladders are the stencil's:
+    # inverse iteration starts flat on each stencil point's coarse level,
+    # its fine level starts from the coarse vector, and nothing carries
+    # from one stencil point to the next
     flat = []
     plain = tridiag.inverse_iteration
 
@@ -239,9 +216,7 @@ def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
 
     monkeypatch.setattr(tridiag, "inverse_iteration", recorded)
     identity_report(2, 0.4, tol=TOL)
-    ladder = [True, True] + [False, False] * (expected.iterations - 1)
-    stencil = [True, False] * 5
-    assert flat == ladder + stencil
+    assert flat == [True, False] * 5
 
 
 def test_fd_oracles_are_central_differences_of_independent_evaluations():
@@ -250,12 +225,13 @@ def test_fd_oracles_are_central_differences_of_independent_evaluations():
     # bit for bit
     k, alpha = 2, 0.9
     rep = report(k, alpha)
-    result = solve(OperatorSpec(k, alpha), count=2, tol=TOL)
-    lower, upper = result.grid_used.lower, result.grid_used.upper
+    state = spectral.ground_state(k, alpha, TOL)
+    lower, upper = truncation_interval(MontgomeryPotential(k, alpha), Geometry.FULL_LINE,
+                                       state.lambda2)
     h1, h2 = identities.FD_STEP_FIRST, identities.FD_STEP_SECOND
     lam = {}
     for a in (alpha - h2, alpha + h1, alpha, alpha + h2, alpha - h1):
-        seed = result.lambda1 + (a - alpha) * rep.fh_integral
+        seed = state.lambda1 + (a - alpha) * rep.fh_integral
         lam[a] = eigensolver._fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper, seed)
     assert rep.d1_fd == (lam[alpha + h1] - lam[alpha - h1]) / (2.0 * h1)
     assert rep.d2_fd == (lam[alpha + h2] - 2.0 * lam[alpha] + lam[alpha - h2]) / (h2 * h2)
