@@ -98,8 +98,11 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
     (eigensolver._fixed_grid_lambda1) on the full-line interval that
     truncation_interval gives for the Galerkin lambda2; the point at a
     is seeded with lambda1 + (a - alpha) * fh_integral.  SolverFailure
-    where the Galerkin walk fails (spectral.ground_state) or a stencil
-    point does.
+    where the Galerkin walk fails (spectral.ground_state: the potential
+    overflows its matrix, the basis cap is reached, inverse iteration
+    does not converge, or the pair are not the pencil's two lowest) or a
+    stencil point does.  A small gap, as in an odd-k double well, is no
+    failure.
     """
     potential = OperatorSpec(k, alpha).potential()
     _check_request(2, tol)

@@ -219,16 +219,16 @@ def test_grid_cap_cases_succeed(argv):
 
 
 def test_tiny_spectral_gap_exit_code(monkeypatch, capsys):
-    # identity_report refuses to invert the reduced resolvent (d2_exact) on
-    # a tiny gap; the CLI must report that as a solver failure, not a traceback
-    def tiny_gap(k, alpha, tol):
-        raise SolverFailure("spectral gap 1e-09 too small to invert the reduced resolvent")
+    # a failure of the Galerkin walk, here its basis cap, reaches the CLI
+    # as a solver failure, not a traceback
+    def capped(k, alpha, tol):
+        raise SolverFailure(f"Galerkin basis cap N = 546 reached before tolerance {tol}")
 
-    monkeypatch.setattr(identities, "identity_report", tiny_gap)
+    monkeypatch.setattr(identities, "identity_report", capped)
     code, out = _run(["identities", "--k", "2", "--alpha", "0"])
     assert code == EXIT_SOLVER
     assert out == ""
-    assert capsys.readouterr().err.startswith("solver failure: spectral gap")
+    assert capsys.readouterr().err.startswith("solver failure: Galerkin basis cap")
 
 
 def test_scan_row_ordering_exit_code(monkeypatch, capsys):
@@ -320,6 +320,17 @@ def test_identities_at_k_300_succeeds():
     code, out = _run("identities --k 300 --alpha 0".split())
     assert code == EXIT_OK
     assert out.startswith("identities for k=300 alpha=0\n")
+
+
+def test_identities_at_odd_k_double_well():
+    # (1, 5) is a double well whose pair is split by tunnelling alone (gap
+    # 5.3e-8) and comes out of the walk swapped; d2 is right there
+    code, out = _run("identities --k 1 --alpha 5".split())
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    d2 = float(lines[3].split()[2])
+    assert abs(d2 - -0.0363860719) < 1e-9
+    assert lines[4].startswith("gap criterion: false margin = ")
 
 
 def test_scan_stable_columns_match_golden_bytes():
