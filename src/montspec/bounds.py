@@ -40,8 +40,6 @@ THETA0_LOWER = 0.59
 # Fixed barrier position for the B~ bound; deliberately not optimized.
 B_TILDE_T = 1.1
 
-PI2_OVER_4 = math.pi**2 / 4.0
-
 # The regime split of the chain: even k up to SMALL_K_MAX take the
 # harmonic second-eigenvalue floor B_k, even k from LARGE_K_MIN on the
 # step-well floor B~_k.

@@ -11,9 +11,11 @@ is bounds.SMALL_K_MAX.  Each check lhs > rhs is evaluated twice: in
 floats for the printed sides, and in outward-rounded interval arithmetic
 to decide it.  It passes when the enclosure of lhs - rhs lies above 0.
 
-Only `scan` and `locate_minimum` solve.  They import the solver modules
-when called, so the certificates, the figure tables and `fmt` load
-neither numpy nor scipy; the certificates load mpmath.
+Only `scan` and `locate_minimum` solve: `scan` on the finite-difference
+ladder, `locate_minimum` on the Legendre-Galerkin ground state.  They
+import the solver modules when called, so the certificates, the figure
+tables and `fmt` load neither numpy nor scipy; the certificates load
+mpmath.
 """
 
 import functools
@@ -146,40 +148,25 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
 def locate_minimum(k: int) -> Tuple[float, float]:
     """(alpha_min, lambda_min) of lambda1(alpha) over [-3, 3] for even k.
 
-    Brent's line search (optimize.minimize_golden) on the symmetric
-    bracket, which assumes nothing about where the minimizer lies and
-    keeps it interior, where the parabolic steps converge; on [0, 3] it
-    would sit on the bracket edge and the search would fall back to
-    golden-section steps.  Every evaluation is a fixed-grid lambda1
-    (eigensolver._fixed_grid_lambda1) on the ladder's first two levels
-    over one interval that confines the whole alpha range, so comparisons
-    see a smooth function of alpha instead of per-solve adaptation noise;
-    the grid is symmetric, so the discrete problem inherits the
-    alpha -> -alpha symmetry to rounding, keeping the discrete minimizer
-    at 0.  Each evaluation depends on its alpha alone, not on the
-    evaluations before it.  An adaptive solve at alpha = 0 to tol 1e-7,
-    the one bisection, seeds every evaluation and anchors lambda_min: the
-    fixed-grid value at the minimizer plus the solve's lambda1 less the
-    fixed-grid value at 0, which cancels the coarse-grid error.  Expected
-    minimizer within 1e-6 of 0.
+    Brent's line search (optimize.minimize_golden, xtol 1e-5) on the
+    Galerkin lambda1, spectral.ground_state walked to tol 1e-7; it
+    returns Brent's minimizer and the lambda1 there.  The symmetric
+    bracket assumes nothing about where the minimizer lies and keeps it
+    interior, where the parabolic steps converge; on [0, 3] it would sit
+    on the bracket edge and the search would fall back to golden-section
+    steps.  The Galerkin box and nodes are mirror symmetric, so that
+    lambda1 is even in alpha to a few ulp and the parabolic steps land
+    on 0.  No finite-difference code runs.  A k that OperatorSpec
+    rejects, or an odd k, raises ValueError before the first evaluation.
     """
+    from . import spectral
+    from .operators import OperatorSpec
+
+    OperatorSpec(k, 0.0)  # ground_state leaves k to its caller
     if k % 2 != 0:
         raise ValueError("minimum location is only certified for even k")
-    from .eigensolver import _fixed_grid_lambda1, solve, truncation_interval
-    from .operators import Geometry, MontgomeryPotential, OperatorSpec
-
-    # Domain must confine the worst case over the bracket: the trial
-    # upper bound on lambda1 at alpha = 3.
-    worst = MontgomeryPotential(k, ALPHA_SCAN_MAX)
-    bound = ALPHA_SCAN_MAX**2 + bounds.PI2_OVER_4
-    probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
-    lower, upper = truncation_interval(worst, Geometry.FULL_LINE, bound)
-
-    def lam1(alpha: float) -> float:
-        return _fixed_grid_lambda1(MontgomeryPotential(k, alpha), lower, upper, probe.lambda1)
-
-    alpha_min, lam_min = minimize_golden(lam1, -ALPHA_SCAN_MAX, ALPHA_SCAN_MAX, xtol=1e-5)
-    return alpha_min, probe.lambda1 + (lam_min - lam1(0.0))
+    return minimize_golden(lambda alpha: spectral.ground_state(k, alpha, 1e-7).lambda1,
+                           -ALPHA_SCAN_MAX, ALPHA_SCAN_MAX, xtol=1e-5)
 
 
 @functools.cache

@@ -17,8 +17,9 @@ decay window, the rows where the first level's eigenvectors are above
 rounding (StartShapes, _polished).
 Every solve bisects once, on a small pre-solve grid (solve), whose
 values seed the ladder.  A fixed-grid evaluation (_fixed_grid_lambda1)
-is one such ladder, seeded by its caller: nothing is carried from one
-call to the next.
+is one such ladder, seeded by its one caller, the identity report's
+finite-difference stencil: nothing is carried from one call to the
+next.
 Every level is Dirichlet at both ends of its interval; the
 operators.Geometry domain (the full line, or the half line with a
 Dirichlet condition at t = 0) only picks the interval
@@ -245,13 +246,14 @@ def refined_lowest_eigenvalues(
     r^2 / gap, which lands near machine precision.
 
     `seeds` are predicted eigenvalues: from the ladder's coarser levels
-    (_ladder), the pre-solve (solve), or an adaptive solve of the same or
-    a nearby operator (_fixed_grid_lambda1's callers).  Given them,
-    bisection is skipped: inverse iteration starts from each prediction,
-    and one check judges the polished values: they must be strictly
-    increasing, well separated and exactly as many as one Sturm count
-    finds just above the last of them (tridiag.are_lowest_eigenvalues),
-    which makes them the lowest `count` in order.  The level has one
+    (_ladder), the pre-solve (solve), or a nearby operator's Galerkin
+    lambda1 (_fixed_grid_lambda1's one caller, the identity report's
+    stencil).  Given them, bisection is skipped: inverse iteration starts
+    from each prediction, and one check judges the polished values: they
+    must be strictly increasing, well separated and exactly as many as
+    one Sturm count finds just above the last of them
+    (tridiag.are_lowest_eigenvalues), which makes them the lowest `count`
+    in order.  The level has one
     fallback: if a window cut proves coupled (_polished), inverse
     iteration fails or the check does (a prediction nearer another
     eigenvalue, or near-degenerate predictions polished onto one
@@ -433,15 +435,15 @@ def _ladder(potential, lower, upper, sizes, count, seeds):
 def _fixed_grid_lambda1(potential, lower: float, upper: float, seed: float) -> float:
     """lambda1 from the ladder's first two levels, _N_START and
     2 _N_START + 1 points on (lower, upper), plus one Richardson step.
-    Every fixed-grid evaluation runs on that one grid pair: its callers
-    only compare lambda1 along a parameter of the potential, and the
-    O(h^2) error left after the Richardson step is a smooth function of
-    that parameter, so it cancels in finite differences and comparisons
-    and no finer grid is needed.  `seed` predicts the coarse level's
-    lambda1 (say, that of a nearby potential); a poor seed costs a
-    bisection, not accuracy.  A pure function of its arguments: the
-    coarse level starts flat, the fine level from the coarse vector, and
-    nothing outlives the call.
+    Every fixed-grid evaluation runs on that one grid pair: its one
+    caller, the identity report's stencil (identities.identity_report),
+    only compares lambda1 along alpha, and the O(h^2) error left after
+    the Richardson step is a smooth function of alpha, so it cancels in
+    the finite differences and no finer grid is needed.  `seed` predicts
+    the coarse level's lambda1 (say, that of a nearby potential); a poor
+    seed costs a bisection, not accuracy.  A pure function of its
+    arguments: the coarse level starts flat, the fine level from the
+    coarse vector, and nothing outlives the call.
     """
     ladder = _ladder(potential, lower, upper, (_N_START, 2 * _N_START + 1), 1,
                      np.array([seed]))

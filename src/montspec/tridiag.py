@@ -12,10 +12,8 @@ window's floor is the Gershgorin floor; its top is the first of the
 energies 1, 2, 4, ... at or below which the pivot counts find the
 requested eigenvalues.  The top grows on absolute energies, never by
 the window width: the Gershgorin floor of a general symmetric
-tridiagonal matrix can lie far below its lowest eigenvalue (a boundary
-row symmetrized for a zero-slope condition puts it near -0.4/h^2), and
-width doubling from there would pull most of the spectrum into the
-window.
+tridiagonal matrix can lie far below its lowest eigenvalue, and width
+doubling from there would pull most of the spectrum into the window.
 
 Brackets are machine-tight.  Bisection runs only where nothing predicts
 the eigenvalues, and as a seeded level's one fallback: when its window

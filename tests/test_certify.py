@@ -3,7 +3,7 @@
 import mpmath
 import pytest
 
-from montspec import bounds, certify, eigensolver, identities, tridiag
+from montspec import bounds, certify, eigensolver, identities, spectral, tridiag
 from montspec.certify import (
     CertCheck,
     CertificateReport,
@@ -117,31 +117,34 @@ def test_locate_minimum_at_zero(k):
     assert abs(alpha_min) < 1e-4
     model = solve(HalfPowerModelPotential(k), count=1, tol=1e-6)
     assert bounds.h_closed(k) * model.eigenvalues[0] <= lam_min <= bounds.upper_bound_A(k)
-    # lambda_min is anchored on the adaptive solve at alpha = 0, not on
-    # the chain's coarse grid pair
+    # lambda_min is Brent's own value: the Galerkin lambda1 at alpha_min
+    assert lam_min == spectral.ground_state(k, alpha_min, 1e-7).lambda1
+    # and the independent finite-difference solve at alpha = 0 agrees
     probe = solve(OperatorSpec(k, 0.0), count=1, tol=1e-7)
     assert lam_min == pytest.approx(probe.lambda1, rel=0.0, abs=1e-12)
 
 
 def test_locate_minimum_parabolic_steps(monkeypatch):
     # golden-section steps alone on [0, 3] take 29 evaluations and stop at
-    # 2.6e-6; Brent takes 6, and the anchor at alpha = 0 one more
+    # 2.6e-6; Brent takes 6, each one Galerkin ground state
     calls = []
-    lambda1 = eigensolver._fixed_grid_lambda1
+    ground_state = spectral.ground_state
 
     def counted(*args):
         calls.append(args)
-        return lambda1(*args)
+        return ground_state(*args)
 
-    monkeypatch.setattr(eigensolver, "_fixed_grid_lambda1", counted)
+    monkeypatch.setattr(spectral, "ground_state", counted)
     alpha_min, _ = locate_minimum(2)
     assert abs(alpha_min) <= 1e-6
     assert 0 < len(calls) <= 10
 
 
-def test_locate_minimum_rejects_odd_k():
+@pytest.mark.parametrize("k", [3, 0, -2, 2.0])
+def test_locate_minimum_rejects_odd_k(k):
+    # odd k, and every k OperatorSpec rejects, before the first evaluation
     with pytest.raises(ValueError):
-        locate_minimum(3)
+        locate_minimum(k)
 
 
 def test_small_k_certificates_all_pass():

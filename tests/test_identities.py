@@ -147,7 +147,7 @@ def test_gap_criterion_bound_level():
         alpha = 0.9 * bounds.bounds_table(k).alpha_star
         assert (k + 2.0) / (k + 6.0) * b_k > a_k + alpha * alpha
     # large-k variant with the step-well floor
-    assert 72.0 / 76.0 * 4.719 > bounds.PI2_OVER_4
+    assert 72.0 / 76.0 * 4.719 > math.pi ** 2 / 4
 
 
 def test_report_consistency():
@@ -160,12 +160,11 @@ def test_report_consistency():
     assert rep.quadrature_error_estimate < 1e-6
 
 
-@pytest.mark.parametrize("consumer, tol", [("report", 1e-6), ("report", 1e-9), ("locate", None)])
-def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, consumer, tol):
-    # both consumers' fixed-grid evaluations run on the ladder's 2048- and
-    # 4097-point levels: the report's on the interval truncation_interval
-    # gives for its Galerkin lambda2, whatever its tol, and locate_minimum's
-    # on the interval that confines its bracket's worst case, alpha = 3
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, tol):
+    # the report's fixed-grid evaluations run on the ladder's 2048- and
+    # 4097-point levels, on the interval truncation_interval gives for its
+    # Galerkin lambda2, whatever its tol
     chains = []
     plain_ladder = eigensolver._ladder
 
@@ -175,14 +174,9 @@ def test_fixed_grid_chains_run_on_the_ladders_first_two_levels(monkeypatch, cons
         return plain_ladder(potential, lower, upper, sizes, *args)
 
     monkeypatch.setattr(eigensolver, "_ladder", recorded_ladder)
-    if consumer == "report":
-        identity_report(2, 0.3, tol=tol)
-        interval = truncation_interval(MontgomeryPotential(2, 0.3), Geometry.FULL_LINE,
-                                       spectral.ground_state(2, 0.3, tol).lambda2)
-    else:
-        locate_minimum(2)
-        interval = truncation_interval(MontgomeryPotential(2, 3.0), Geometry.FULL_LINE,
-                                       9.0 + math.pi**2 / 4.0)
+    identity_report(2, 0.3, tol=tol)
+    interval = truncation_interval(MontgomeryPotential(2, 0.3), Geometry.FULL_LINE,
+                                   spectral.ground_state(2, 0.3, tol).lambda2)
     sizes = (eigensolver._N_START, 2 * eigensolver._N_START + 1)
     assert len(chains) >= 5
     assert set(chains) == {(sizes, *interval)}
@@ -200,6 +194,19 @@ def test_report_runs_no_adaptive_solve(monkeypatch):
     monkeypatch.setattr(tridiag, "lowest_eigenvalues", refused)
     rep = identity_report(2, 0.0, tol=TOL)
     assert rep.d2_exact > 0.0
+
+
+def test_locate_minimum_runs_no_finite_difference_code(monkeypatch):
+    # every Brent evaluation is a Galerkin ground state: no adaptive solve,
+    # no fixed-grid ladder and no bisection runs
+    def refused(*args, **kwargs):
+        raise AssertionError("finite-difference code ran")
+
+    for name in ("solve", "solve_on_interval", "_ladder"):
+        monkeypatch.setattr(eigensolver, name, refused)
+    monkeypatch.setattr(tridiag, "lowest_eigenvalues", refused)
+    alpha_min, _ = locate_minimum(2)
+    assert abs(alpha_min) <= 1e-6
 
 
 def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
