@@ -31,8 +31,9 @@ from .optimize import minimize_golden
 # chain's smallest margin (6.2e-16, first_c_term_ceiling at k = 2^53 - 2).
 INTERVAL_PREC = 80
 
-# Scan ceiling: covers both the 3/2 (small k) and 2.83 (large k)
-# exclusion thresholds with room to spare.
+# locate_minimum's Brent bracket is [-ALPHA_SCAN_MAX, ALPHA_SCAN_MAX]: it
+# covers both the 3/2 (small k) and 2.83 (large k) exclusion thresholds
+# with room to spare.
 ALPHA_SCAN_MAX = 3.0
 
 # The summary figures, each as its CSV columns and its row of a
@@ -107,18 +108,21 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
     """Uniformly sampled (lambda1, lambda2, d lambda1) over an alpha range.
 
     Each row comes from a converged adaptive solve; the derivative column
-    is the Feynman-Hellmann integral on that solve's grid.  Each row is
-    an independent solve at its alpha, bit for bit; nothing is carried
-    from one row to the next.  Deterministic.  A k or an endpoint alpha
-    that OperatorSpec rejects raises ValueError before the first solve.
+    is the Feynman-Hellmann integral on that solve's grid, the trapezoid
+    sum of -2 W u^2 over its ground state (weight h at every point).
+    Each row is an independent solve at its alpha, bit for bit; nothing
+    is carried from one row to the next.  Deterministic.  A k or an
+    endpoint alpha that OperatorSpec rejects raises ValueError before the
+    first solve.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    from . import identities
+    import numpy as np
+
     from .eigensolver import solve
-    from .operators import OperatorSpec
+    from .operators import MontgomeryPotential, OperatorSpec
 
     OperatorSpec(k, alpha_min), OperatorSpec(k, alpha_max)  # raise before any solve
     rows = []
@@ -133,12 +137,15 @@ def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
                 residual=exc.residual,
             ) from exc
         lam1, lam2 = res.eigenvalues[0], res.eigenvalues[1]
+        w = MontgomeryPotential(k, alpha).signed_root(res.ground_state_points)
+        u = res.ground_state_values
+        fh = -2.0 * float(np.sum(res.ground_state_grid.spacing * w * (u * u)))
         rows.append(
             ScanRow(
                 alpha=alpha,
                 lambda1=lam1,
                 lambda2=lam2,
-                d_lambda1=identities._fh_from_result(res, k, alpha),
+                d_lambda1=fh,
                 gap_ok=bounds.gap_ratio(k) * lam2 > lam1,
             )
         )

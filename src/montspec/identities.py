@@ -1,37 +1,35 @@
 """Numerical verification of the perturbation identities for lambda1(alpha).
 
-`identity_report` is the one entry point.  Its analytic fields, the
-first-derivative (Feynman-Hellmann) integral, the virial identity, the
-exact second derivative through the reduced resolvent and the
-spectral-gap criterion that forces that derivative positive, come from
-one Legendre-Galerkin ground state (spectral.ground_state), spectrally
-accurate, with no finite-difference solve.  The two finite-difference
-oracles run on the first two levels (2048 and 4097 points) of the
+`identity_report` is the one entry point, and the module holds it alone.
+Its analytic fields, the first-derivative (Feynman-Hellmann) integral,
+the virial identity, the exact second derivative through the reduced
+resolvent and the spectral-gap criterion that forces that derivative
+positive, come from one Legendre-Galerkin ground state
+(spectral.ground_state), spectrally accurate, with no finite-difference
+solve.  The two finite-difference oracles read the same five values,
+lambda1 at alpha + j FD_STEP for j = -2..2, through the fourth-order
+central stencils (Fornberg, Math. Comp. 51 (1988) 699-706).  Each value
+comes from the first two levels (2048 and 4097 points) of the
 finite-difference ladder, on the interval truncation_interval gives for
 the Galerkin lambda2.  Every stencil point uses that one grid pair so
-discretization error cancels in the differences; without that the
-eigenvalue tolerance would be amplified by 1/h^2 and drown the
-derivatives.  Each stencil point is an independent fixed-grid
-evaluation, so each oracle is the central difference of values that do
-not depend on the order they were taken in.
-
-`_fh_from_result` reads the Feynman-Hellmann integral off an adaptive
-finite-difference solve, for certify.scan's rows.
+discretization error cancels in the differences.  Each stencil point is
+an independent fixed-grid evaluation, so each oracle is a central
+difference of values that do not depend on the order they were taken in.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import spectral
 from .bounds import gap_ratio
-from .eigensolver import EigenResult, _check_request, _fixed_grid_lambda1, truncation_interval
+from .eigensolver import _check_request, _fixed_grid_lambda1, truncation_interval
 from .operators import Geometry, MontgomeryPotential, OperatorSpec
 
-# Finite-difference steps; chosen so stencil truncation stays comparable
-# to the eigenvalue tolerance at tol = 1e-8.
-FD_STEP_FIRST = 1e-4
-FD_STEP_SECOND = 1e-3
+# The one stencil step.  Both stencils' truncation error falls as h^4,
+# and the rounding of the five lambda1 values is amplified by 1/h in d1
+# and 1/h^2 in d2.  At k = 2 this step leaves d1 6.8e-12 and d2 4.9e-9
+# off the Galerkin fields; twice it, d1's truncation reaches 9e-11, and
+# half of it, d2's rounding reaches 3e-8.
+FD_STEP = 2e-3
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,9 @@ class IdentityReport:
       1/(lambda2 - lambda1) on the complement of u, so
       d2 >= 2 - 8 lambda1 / ((k+2)(lambda2 - lambda1)), which the
       criterion makes positive: it rules out a local maximum.
-    - d1_fd and d2_fd are central-difference oracles for the two
-      derivatives, with steps FD_STEP_FIRST and FD_STEP_SECOND.
+    - d1_fd and d2_fd are finite-difference oracles for the two
+      derivatives: the fourth-order central stencils on the same five
+      fixed-grid values of lambda1, at alpha + j FD_STEP, j = -2..2.
     - quadrature_error_estimate is the error estimate of the Galerkin
       fields (fh_integral, virial_lhs, d2_exact, and lambda1 and lambda2
       behind virial_rhs and gap_margin): the largest change of any of
@@ -77,16 +76,6 @@ class IdentityReport:
     gap_criterion: bool
     gap_margin: float
     quadrature_error_estimate: float
-
-
-def _fh_from_result(result: EigenResult, k: int, alpha: float) -> float:
-    """fh_integral on the ground state of one adaptive finite-difference
-    solve, for certify.scan's rows: the trapezoid integral of -2 W u^2 on
-    the ground state's grid, whose weight is its spacing h at every
-    point."""
-    w = MontgomeryPotential(k, alpha).signed_root(result.ground_state_points)
-    u = result.ground_state_values
-    return -2.0 * float(np.sum(result.ground_state_grid.spacing * w * (u * u)))
 
 
 def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
@@ -114,15 +103,16 @@ def identity_report(k: int, alpha: float, tol: float = 1e-7) -> IdentityReport:
         return _fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper,
                                    state.lambda1 + (a - alpha) * state.fh_integral)
 
-    h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
+    h = FD_STEP
+    l_2, l_1, l0, l1, l2 = (lam(alpha + j * h) for j in (-2, -1, 0, 1, 2))
     return IdentityReport(
         k=k,
         alpha=alpha,
         fh_integral=state.fh_integral,
         virial_lhs=state.virial_lhs,
         virial_rhs=state.lambda1 / (k + 2.0),
-        d1_fd=(lam(alpha + h1) - lam(alpha - h1)) / (2.0 * h1),
-        d2_fd=(lam(alpha + h2) - 2.0 * lam(alpha) + lam(alpha - h2)) / (h2 * h2),
+        d1_fd=(8.0 * (l1 - l_1) - (l2 - l_2)) / (12.0 * h),
+        d2_fd=(16.0 * (l1 + l_1) - (l2 + l_2) - 30.0 * l0) / (12.0 * h * h),
         d2_exact=state.d2_exact,
         gap_criterion=gap_margin > 0.0,
         gap_margin=gap_margin,

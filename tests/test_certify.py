@@ -1,9 +1,10 @@
 """Certification pipeline: scans, minimum location, certificates, tables."""
 
 import mpmath
+import numpy as np
 import pytest
 
-from montspec import bounds, certify, eigensolver, identities, spectral, tridiag
+from montspec import bounds, certify, eigensolver, spectral, tridiag
 from montspec.certify import (
     CertCheck,
     CertificateReport,
@@ -19,7 +20,7 @@ from montspec.certify import (
 )
 from montspec.eigensolver import solve
 from montspec.errors import SolverFailure
-from montspec.operators import HalfPowerModelPotential, OperatorSpec
+from montspec.operators import HalfPowerModelPotential, MontgomeryPotential, OperatorSpec
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,10 @@ def test_scan_rows_are_independent_solves(k, alpha_min, alpha_max, steps):
     for row in scan(k, alpha_min, alpha_max, steps, tol=1e-6):
         res = solve(OperatorSpec(k, row.alpha), count=2, tol=1e-6)
         assert (row.lambda1, row.lambda2) == res.eigenvalues
-        assert row.d_lambda1 == identities._fh_from_result(res, k, row.alpha)
+        # the FH column is the trapezoid sum of -2 W u^2 on the solve's grid
+        w = MontgomeryPotential(k, row.alpha).signed_root(res.ground_state_points)
+        u, h = res.ground_state_values, res.ground_state_grid.spacing
+        assert row.d_lambda1 == -2.0 * float(np.sum(h * w * (u * u)))
 
 
 def _count_bisections(monkeypatch):

@@ -124,11 +124,22 @@ def test_fd_oracles_respect_alpha_symmetry(alpha):
     plus, minus = report(2, alpha), report(2, -alpha)
     assert abs(plus.d1_fd + minus.d1_fd) < 1e-10
     # the two stencils' values agree to rounding, 64 eps lambda1 each
-    # (tridiag._residual_floor's factor), and a second difference sums
-    # four such errors over FD_STEP_SECOND^2; lambda1 = (k + 2) virial_rhs
+    # (tridiag._residual_floor's factor), and the five-point second
+    # difference sums them with weights of total 64/12 over FD_STEP^2;
+    # lambda1 = (k + 2) virial_rhs
     lam1 = 4.0 * plus.virial_rhs
-    rounding = 4.0 * 64.0 * np.finfo(float).eps * lam1 / identities.FD_STEP_SECOND**2
+    rounding = 64.0 / 12.0 * 64.0 * np.finfo(float).eps * lam1 / identities.FD_STEP**2
     assert abs(plus.d2_fd - minus.d2_fd) < rounding
+
+
+@pytest.mark.parametrize("k, alpha", [(2, 0.5), (2, 0.9), (2, 1.3), (4, 0.7), (10, 0.7),
+                                      (30, 1.0)])
+def test_fd_oracles_track_the_galerkin_derivatives(k, alpha):
+    # the fourth-order stencils agree with the Galerkin fields far below
+    # the report's tol: d1 to 1e-10 and d2 to 1e-8 on these single wells
+    rep = report(k, alpha)
+    assert abs(rep.d1_fd - rep.fh_integral) <= 1e-10
+    assert abs(rep.d2_fd - rep.d2_exact) <= 1e-8
 
 
 def test_gap_criterion_k2():
@@ -228,17 +239,19 @@ def test_report_starts_flat_only_where_nothing_carries(monkeypatch):
 
 def test_fd_oracles_are_central_differences_of_independent_evaluations():
     # each stencil point is a pure function of its alpha and seed: the same
-    # five values, each taken alone and in another order, give both oracles
-    # bit for bit
+    # five values at alpha + j FD_STEP, each taken alone and in another
+    # order, give both oracles bit for bit
     k, alpha = 2, 0.9
     rep = report(k, alpha)
     state = spectral.ground_state(k, alpha, TOL)
     lower, upper = truncation_interval(MontgomeryPotential(k, alpha), Geometry.FULL_LINE,
                                        state.lambda2)
-    h1, h2 = identities.FD_STEP_FIRST, identities.FD_STEP_SECOND
+    h = identities.FD_STEP
     lam = {}
-    for a in (alpha - h2, alpha + h1, alpha, alpha + h2, alpha - h1):
+    for j in (1, -2, 0, 2, -1):
+        a = alpha + j * h
         seed = state.lambda1 + (a - alpha) * rep.fh_integral
-        lam[a] = eigensolver._fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper, seed)
-    assert rep.d1_fd == (lam[alpha + h1] - lam[alpha - h1]) / (2.0 * h1)
-    assert rep.d2_fd == (lam[alpha + h2] - 2.0 * lam[alpha] + lam[alpha - h2]) / (h2 * h2)
+        lam[j] = eigensolver._fixed_grid_lambda1(MontgomeryPotential(k, a), lower, upper, seed)
+    assert rep.d1_fd == (8.0 * (lam[1] - lam[-1]) - (lam[2] - lam[-2])) / (12.0 * h)
+    assert rep.d2_fd == (16.0 * (lam[1] + lam[-1]) - (lam[2] + lam[-2])
+                         - 30.0 * lam[0]) / (12.0 * h * h)
