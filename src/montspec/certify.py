@@ -11,11 +11,11 @@ is bounds.SMALL_K_MAX.  Each check lhs > rhs is evaluated twice: in
 floats for the printed sides, and in outward-rounded interval arithmetic
 to decide it.  It passes when the enclosure of lhs - rhs lies above 0.
 
-Only `scan` and `locate_minimum` solve: `scan` on the finite-difference
-ladder, `locate_minimum` on the Legendre-Galerkin ground state.  They
-import the solver modules when called, so the certificates, the figure
-tables and `fmt` load neither numpy nor scipy; the certificates load
-mpmath.
+Only `scan` and `locate_minimum` solve, both on the Legendre-Galerkin
+ground state; `scan` rows for k above SCAN_GALERKIN_K_MAX run the
+finite-difference ladder instead.  They import the solver modules when
+called, so the certificates, the figure tables and `fmt` load neither
+numpy nor scipy; the certificates load mpmath.
 """
 
 import functools
@@ -35,6 +35,17 @@ INTERVAL_PREC = 80
 # covers both the 3/2 (small k) and 2.83 (large k) exclusion thresholds
 # with room to spare.
 ALPHA_SCAN_MAX = 3.0
+
+# The largest k whose scan rows come from the Galerkin walk, where the
+# two methods cross.  11 rows over alpha in [0, 3] at tol 1e-6 (one BLAS
+# thread, 2-core VM) took 0.38 s either way at k = 200; above it the
+# walk's quadrature on N + k + 8 nodes costs more than an adaptive
+# finite-difference solve, 0.57 against 0.42 s at k = 300 and 1.71
+# against 0.72 s at k = 1000, and at k of a few thousand and loose tol
+# only the solve succeeds.  Up to k = 200 the walk succeeded on every
+# sampled row where the solve did, and at tol 1e-8 on rows where the
+# solve met its grid cap.
+SCAN_GALERKIN_K_MAX = 200
 
 # The summary figures, each as its CSV columns and its row of a
 # bounds.bounds_table: lambda1comp sets the alpha = 0 upper bound A_k
@@ -103,43 +114,61 @@ class CertificateReport:
         return all(c.passed for c in self.checks)
 
 
-def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
-         tol: float = 1e-8) -> List[ScanRow]:
-    """Uniformly sampled (lambda1, lambda2, d lambda1) over an alpha range.
-
-    Each row comes from a converged adaptive solve; the derivative column
-    is the Feynman-Hellmann integral on that solve's grid, the trapezoid
-    sum of -2 W u^2 over its ground state (weight h at every point).
-    Each row is an independent solve at its alpha, bit for bit; nothing
-    is carried from one row to the next.  Deterministic.  A k or an
-    endpoint alpha that OperatorSpec rejects raises ValueError before the
-    first solve.
-    """
-    if not alpha_min < alpha_max:
-        raise ValueError("need alpha_min < alpha_max")
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
+def _fd_row(k: int, alpha: float, tol: float) -> Tuple[float, float, float]:
+    """(lambda1, lambda2, FH) from a count-2 adaptive finite-difference
+    solve: FH is the trapezoid sum of -2 W u^2 over its ground state
+    (weight h at every point)."""
     import numpy as np
 
     from .eigensolver import solve
     from .operators import MontgomeryPotential, OperatorSpec
 
-    OperatorSpec(k, alpha_min), OperatorSpec(k, alpha_max)  # raise before any solve
+    res = solve(OperatorSpec(k, alpha), count=2, tol=tol)
+    w = MontgomeryPotential(k, alpha).signed_root(res.ground_state_points)
+    u = res.ground_state_values
+    fh = -2.0 * float(np.sum(res.ground_state_grid.spacing * w * (u * u)))
+    return res.eigenvalues[0], res.eigenvalues[1], fh
+
+
+def scan(k: int, alpha_min: float, alpha_max: float, steps: int,
+         tol: float = 1e-8) -> List[ScanRow]:
+    """Uniformly sampled (lambda1, lambda2, d lambda1) over an alpha range.
+
+    For k <= SCAN_GALERKIN_K_MAX each row is spectral.ground_state walked
+    to tol, its d lambda1 the Feynman-Hellmann integral fh_integral, and
+    no finite-difference code runs.  Above it each row is a count-2
+    adaptive finite-difference solve, its d lambda1 the trapezoid sum of
+    -2 W u^2 over that solve's ground state.  Each row is computed at its
+    own alpha alone, bit for bit; nothing is carried from one row to the
+    next.  Deterministic.  A k or an endpoint alpha that OperatorSpec
+    rejects, or a tol that solve rejects, raises ValueError before the
+    first row.
+    """
+    if not alpha_min < alpha_max:
+        raise ValueError("need alpha_min < alpha_max")
+    if steps < 2:
+        raise ValueError("need at least 2 steps")
+    from . import spectral
+    from .eigensolver import _check_request
+    from .operators import OperatorSpec
+
+    OperatorSpec(k, alpha_min), OperatorSpec(k, alpha_max)  # raise before any row
+    _check_request(2, tol)
     rows = []
     for i in range(steps):
         alpha = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
         try:
-            res = solve(OperatorSpec(k, alpha), count=2, tol=tol)
+            if k <= SCAN_GALERKIN_K_MAX:
+                state = spectral.ground_state(k, alpha, tol)
+                lam1, lam2, fh = state.lambda1, state.lambda2, state.fh_integral
+            else:
+                lam1, lam2, fh = _fd_row(k, alpha, tol)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"scan failed at alpha={alpha}: {exc}",
                 best_estimate=exc.best_estimate,
                 residual=exc.residual,
             ) from exc
-        lam1, lam2 = res.eigenvalues[0], res.eigenvalues[1]
-        w = MontgomeryPotential(k, alpha).signed_root(res.ground_state_points)
-        u = res.ground_state_values
-        fh = -2.0 * float(np.sum(res.ground_state_grid.spacing * w * (u * u)))
         rows.append(
             ScanRow(
                 alpha=alpha,

@@ -1,5 +1,5 @@
 """Legendre-Galerkin ground state of the Montgomery operator, for the
-identity report and certify.locate_minimum.
+identity report, certify.locate_minimum and certify.scan.
 
 The operator -d2/dt2 + V, V = W^2 with W = t^(k+1)/(k+1) - alpha, is
 discretized on the box [-L, L], Dirichlet at both ends, in Shen's basis

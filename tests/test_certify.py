@@ -70,11 +70,17 @@ def test_scan_unique_critical_point():
 
 
 @pytest.mark.parametrize("k, alpha_min, alpha_max, steps",
-                         [(2, 0.05, 3.05, 21), (30, -1.0, 2.0, 11)])
+                         [(2, 0.05, 3.05, 21), (30, -1.0, 2.0, 11), (200, 0.0, 1.0, 2),
+                          (300, 0.0, 1.0, 3)])
 def test_scan_rows_are_independent_solves(k, alpha_min, alpha_max, steps):
-    # nothing is carried from one row to the next: each row is the solve
-    # at its alpha, bit for bit
+    # nothing is carried from one row to the next: each row is computed
+    # at its alpha alone, bit for bit
     for row in scan(k, alpha_min, alpha_max, steps, tol=1e-6):
+        if k <= certify.SCAN_GALERKIN_K_MAX:
+            state = spectral.ground_state(k, row.alpha, 1e-6)
+            assert (row.lambda1, row.lambda2, row.d_lambda1) == (
+                state.lambda1, state.lambda2, state.fh_integral)
+            continue
         res = solve(OperatorSpec(k, row.alpha), count=2, tol=1e-6)
         assert (row.lambda1, row.lambda2) == res.eigenvalues
         # the FH column is the trapezoid sum of -2 W u^2 on the solve's grid
@@ -83,23 +89,24 @@ def test_scan_rows_are_independent_solves(k, alpha_min, alpha_max, steps):
         assert row.d_lambda1 == -2.0 * float(np.sum(h * w * (u * u)))
 
 
-def _count_bisections(monkeypatch):
-    calls = []
-    plain = tridiag.lowest_eigenvalues
-
-    def counted(diag, offdiag, count):
-        calls.append(len(diag))
-        return plain(diag, offdiag, count)
-
-    monkeypatch.setattr(tridiag, "lowest_eigenvalues", counted)
-    return calls
+def test_scan_fh_column_is_spectrally_accurate():
+    # the trapezoid sum over a finite-difference vector was 1.5e-7 off here
+    for row in scan(2, 0.05, 3.05, 21, tol=1e-6):
+        exact = spectral.ground_state(2, row.alpha, 1e-11).fh_integral
+        assert abs(row.d_lambda1 - exact) <= 1e-9
 
 
-def test_scan_bisects_once(monkeypatch):
-    # every row's solve bisects its pre-solve, and only that
-    calls = _count_bisections(monkeypatch)
-    scan(2, 0.05, 3.05, 21, tol=1e-6)
-    assert calls == [eigensolver._N_PRESOLVE] * 21
+def test_scan_runs_no_finite_difference_code(monkeypatch):
+    # for k <= SCAN_GALERKIN_K_MAX every row is a Galerkin ground state:
+    # no adaptive solve, no fixed-grid ladder and no bisection runs
+    def refused(*args, **kwargs):
+        raise AssertionError("finite-difference code ran")
+
+    for name in ("solve", "solve_on_interval", "_ladder"):
+        monkeypatch.setattr(eigensolver, name, refused)
+    monkeypatch.setattr(tridiag, "lowest_eigenvalues", refused)
+    assert len(scan(2, 0.05, 3.05, 21, tol=1e-6)) == 21
+    assert len(scan(200, 0.0, 1.0, 2, tol=1e-6)) == 2
 
 
 def test_scan_row_lost_ordering_is_solver_failure():
@@ -113,6 +120,11 @@ def test_scan_validation():
         scan(2, 1.0, 0.0, 5)
     with pytest.raises(ValueError):
         scan(2, 0.0, 1.0, 1)
+    # a tol that solve rejects is refused before any row (the Galerkin
+    # walk would run a nan tol to its basis cap)
+    for tol in (1e-12, float("nan")):
+        with pytest.raises(ValueError, match="tol must be at least"):
+            scan(2, 0.0, 1.0, 2, tol=tol)
 
 
 @pytest.mark.parametrize("k", [2, 4, 30, 200])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from montspec import bounds, certify, eigensolver, identities, tridiag
+from montspec import bounds, certify, eigensolver, identities, spectral, tridiag
 from montspec.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CERTIFICATION,
@@ -290,7 +290,7 @@ def test_closed_form_forms_match_golden_bytes(argv, name, exit_code, capsys):
 
 # The solving subcommands' bytes, pinned where their digits are stable to
 # rounding.  Left out: achieved_tol_estimate, the identity report's fd
-# oracles and scan's d_lambda1 (at alpha 0 it prints -7.44887207471e-11,
+# oracles and scan's d_lambda1 (at alpha 0 it prints 2.63803031459e-15,
 # a zero to rounding), whose trailing digits are rounding.
 def test_eigen_stable_lines_match_golden_bytes():
     code, out = _run("eigen --k 2 --alpha 0".split())
@@ -320,6 +320,16 @@ def test_identities_at_k_300_succeeds():
     code, out = _run("identities --k 300 --alpha 0".split())
     assert code == EXIT_OK
     assert out.startswith("identities for k=300 alpha=0\n")
+
+
+def test_scan_at_k_68_succeeds():
+    # the Galerkin rows meet the default tol 1e-8; the adaptive
+    # finite-difference solve each row used to run met its grid cap (exit 3)
+    code, out = _run("scan --k 68 --alpha-min 0 --alpha-max 1.5 --steps 3".split())
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "alpha,lambda1,lambda2,d_lambda1,gap_ok"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.75", "1.5"]
 
 
 def test_identities_at_odd_k_double_well():
@@ -428,20 +438,28 @@ def _singular_factor(dl, d, du, b, **overwrite):
     return dl, d, du, b, 1
 
 
+def _sygvx_fails(a, b, **options):
+    # the shape of scipy's dsygvx return with info = 1: an eigenvector
+    # failed to converge
+    return np.zeros(len(a)), np.zeros((len(a), 2)), 0, np.zeros(len(a), dtype=np.int32), 1
+
+
 _LAPACK_FAILURES = {
-    # (LAPACK wrapper made to fail, text the failure must carry)
-    "eigen --k 2 --alpha 0": ("dstebz", _stebz_fails, "stebz"),
+    # (where the LAPACK wrapper is bound, its name, the failing stand-in,
+    # text the failure must carry)
+    "eigen --k 2 --alpha 0": (tridiag, "dstebz", _stebz_fails, "stebz"),
+    # the first level of every row's Galerkin walk
     "scan --k 2 --alpha-min 0 --alpha-max 1 --steps 2":
-        ("dstebz", _stebz_fails, "stebz"),
-    "identities --k 2 --alpha 0": ("dgtsv", _singular_factor, "singular matrix"),
+        (spectral._flapack, "dsygvx", _sygvx_fails, "dsygvx"),
+    "identities --k 2 --alpha 0": (tridiag, "dgtsv", _singular_factor, "singular matrix"),
 }
 
 
 @pytest.mark.parametrize("argv", list(_LAPACK_FAILURES))
 def test_lapack_failure_exit_code(argv, monkeypatch, capsys):
     # a LAPACK fault is a solver failure, not a usage error
-    name, failing, text = _LAPACK_FAILURES[argv]
-    monkeypatch.setattr(tridiag, name, failing)
+    owner, name, failing, text = _LAPACK_FAILURES[argv]
+    monkeypatch.setattr(owner, name, failing)
     code, out = _run(argv.split())
     assert code == EXIT_SOLVER
     assert out == ""
